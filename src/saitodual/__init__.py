@@ -10,11 +10,11 @@ from .burnside import (BurnsideElement, CyclotomicProduct,
 from .enumeration import (BatchReport, atom_specs, build_polynomial,
                           canonical_matrix_key, chain_matrix, generate_corpus,
                           loop_matrix, run_batch, verify_polynomial)
-from .errors import (CoefficientWarning, DegenerateError, DimensionError,
-                     IndexBoundsError, NonCyclicError, OwnershipError,
-                     PolynomialParseError, RankError, ResourceBoundError,
-                     SaitoDualError, ShapeError, SingularMatrixError,
-                     StructureError)
+from .errors import (CoefficientWarning, ConfigurationError,
+                     DegenerateError, DimensionError, IndexBoundsError,
+                     NonCyclicError, OwnershipError, PolynomialParseError,
+                     RankError, ResourceBoundError, SaitoDualError,
+                     ShapeError, SingularMatrixError, StructureError)
 from .groups import (GroupElement, GroupPresentation, SubgroupKey,
                      dual_subgroup, enumerate_subgroups, full_subgroup,
                      geometric_roots, isotropy_subgroup, monodromy_element,
@@ -26,6 +26,6 @@ from .linalg import (IntMatrix, RationalVector, determinant,
 from .polynomials import (Atom, AtomicDecomposition, InvertiblePolynomial,
                           WeightSystem, canonical_weights, decompose,
                           parse_polynomial)
-from .zeta import (SubsetTerm, VerificationReport, ZetaReport, classical_zeta,
-                   classical_saito_dual, equivariant_zeta, milnor_number,
-                   verify_root_duality, verify_zeta_duality)
+from .zeta import (DualPair, SubsetTerm, VerificationReport, ZetaReport,
+                   classical_zeta, classical_saito_dual, equivariant_zeta,
+                   milnor_number, verify_root_duality, verify_zeta_duality)

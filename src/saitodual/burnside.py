@@ -176,9 +176,6 @@ class BurnsideElement:
         s = self._scope.order
         return sum(c * (s // k.order) for k, c in self._terms.items())
 
-    def is_zero(self):
-        return not self._terms
-
     def _require_scope(self, other):
         if self._scope != other._scope:
             raise OwnershipError("elements live over different scopes")

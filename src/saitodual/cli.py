@@ -17,9 +17,9 @@ import sys
 from . import __version__
 from .enumeration import generate_corpus, run_batch
 from .errors import SaitoDualError
-from .groups import geometric_roots, monodromy_element, symmetry_group
+from .groups import monodromy_element
 from .polynomials import canonical_weights, decompose, parse_polynomial
-from .zeta import equivariant_zeta, verify_root_duality, verify_zeta_duality
+from .zeta import DualPair, verify_root_duality, verify_zeta_duality
 
 TOOL_NAME = "saitodual"
 
@@ -73,13 +73,11 @@ def _group_json(p):
 
 
 def cmd_analyze(args):
-    f = parse_polynomial(args.polynomial)
+    pair = DualPair(parse_polynomial(args.polynomial))
+    f, ft, p, p_t = pair.f, pair.ft, pair.group, pair.group_t
     ws = canonical_weights(f)
     dec = decompose(f)
-    p = symmetry_group(f)
-    ft = f.transpose()
     ws_t = canonical_weights(ft)
-    p_t = symmetry_group(ft)
     if args.json:
         result = {
             "polynomial": f.text(),
@@ -121,7 +119,7 @@ def cmd_analyze(args):
 
 def cmd_zeta(args):
     f = parse_polynomial(args.polynomial)
-    report = equivariant_zeta(f)
+    report = DualPair(f).report
     if args.json:
         _emit(_envelope("zeta", args.polynomial, report.to_json()))
         return EXIT_OK
@@ -141,14 +139,15 @@ def cmd_zeta(args):
 
 
 def cmd_dual(args):
-    f = parse_polynomial(args.polynomial)
-    report = verify_zeta_duality(f)
+    pair = DualPair(parse_polynomial(args.polynomial))
+    f = pair.f
+    report = verify_zeta_duality(pair)
     if args.json:
         _emit(_envelope("dual", args.polynomial,
                         report.to_json(include_reports=not report.equal)))
         return EXIT_OK if report.equal else EXIT_THEOREM
     print(f"polynomial:  {f.text()}")
-    print(f"transpose:   {f.transpose().text()}")
+    print(f"transpose:   {pair.ft.text()}")
     sign = "+1" if f.nvars % 2 == 0 else "-1"
     print(f"lhs (transposed reduced zeta): {report.lhs.format()}")
     print(f"rhs ({sign} * dual of reduced zeta): {report.rhs.format()}")
@@ -157,14 +156,13 @@ def cmd_dual(args):
 
 
 def cmd_roots(args):
-    f = parse_polynomial(args.polynomial)
+    pair = DualPair(parse_polynomial(args.polynomial))
+    f, p, roots = pair.f, pair.group, pair.roots
     ws = canonical_weights(f)
-    p = symmetry_group(f)
     h = monodromy_element(f, p)
-    roots = geometric_roots(f, p)
     corollary = None
     if roots:
-        corollary = verify_root_duality(f)
+        corollary = verify_root_duality(pair)
     if args.json:
         result = {
             "polynomial": f.text(),
@@ -198,6 +196,11 @@ def cmd_enumerate(args):
         raise SaitoDualError("--max-vars must be between 1 and 8")
     if not 2 <= args.max_exp <= 9:
         raise SaitoDualError("--max-exp must be between 2 and 9")
+    for flag, value, least in (("--limit", args.limit, 0),
+                               ("--sample", args.sample, 0),
+                               ("--workers", args.workers, 1)):
+        if value is not None and value < least:
+            raise SaitoDualError(f"{flag} must be at least {least}")
     corpus, truncated = generate_corpus(
         args.max_vars, args.max_exp, include_sums=args.sums,
         include_chains=not args.no_chains, include_loops=not args.no_loops,

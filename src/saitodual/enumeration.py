@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 
 from .linalg import IntMatrix
 from .polynomials import InvertiblePolynomial
-from .zeta import verify_root_duality, verify_zeta_duality
+from .zeta import DualPair, verify_root_duality, verify_zeta_duality
 
 
 def chain_matrix(exponents):
@@ -151,11 +152,12 @@ class PolynomialVerification:
 
 def verify_polynomial(f):
     """Run the zeta-duality check, and the root-duality check when the
-    symmetry group is cyclic."""
-    theorem = verify_zeta_duality(f)
+    symmetry group is cyclic, on one shared DualPair."""
+    pair = DualPair(f)
+    theorem = verify_zeta_duality(pair)
     corollary = None
-    if theorem.rhs_report.group.is_cyclic:
-        corollary = verify_root_duality(f)
+    if pair.group.is_cyclic:
+        corollary = verify_root_duality(pair)
     return PolynomialVerification(f, theorem, corollary)
 
 
@@ -200,58 +202,44 @@ class BatchReport:
         }
 
 
-def _verify_task(payload):
-    rows, variables = payload
-    f = InvertiblePolynomial(IntMatrix(rows), variables)
+def _verify_task(keep_record, f):
+    """Verify one polynomial: (theorem equal, corollary equal or None when
+    unchecked, failure entries, the record when ``keep_record``)."""
     v = verify_polynomial(f)
     failures = []
     if not v.theorem.equal:
         failures.append(_failure_entry(f, "theorem", v.theorem))
     if v.corollary is not None and not v.corollary.equal:
         failures.append(_failure_entry(f, "corollary", v.corollary))
-    return (v.theorem.equal, v.corollary_checked,
-            v.corollary.equal if v.corollary is not None else None, failures)
+    return (v.theorem.equal,
+            v.corollary.equal if v.corollary is not None else None,
+            failures, v if keep_record else None)
 
 
 def run_batch(polynomials, workers=1, keep_records=False, truncated=False):
-    """Verify every polynomial; aggregation order follows the input order,
-    so sorted input gives byte-stable reports."""
+    """Verify every polynomial, in a pool when ``workers`` > 1; aggregation
+    order follows the input order, so sorted input gives byte-stable
+    reports.  Pool workers send back no records."""
+    if keep_records and workers > 1:
+        raise ValueError("keep_records=True needs workers=1")
     report = BatchReport(total=len(polynomials), truncated=truncated,
                          records=[] if keep_records else None)
-
-    def absorb(theorem_equal, corollary_checked, corollary_equal, failures):
-        if theorem_equal:
-            report.theorem_pass += 1
-        else:
-            report.theorem_fail += 1
-        if corollary_checked:
-            report.corollary_checked += 1
-            if corollary_equal:
-                report.corollary_pass += 1
-            else:
-                report.corollary_fail += 1
-        report.failures.extend(failures)
-
-    if workers > 1 and not keep_records:
+    task = partial(_verify_task, keep_records)
+    if workers > 1:
         import multiprocessing
 
-        payloads = [(tuple(f.exponents.rows), f.variables)
-                    for f in polynomials]
         with multiprocessing.Pool(workers) as pool:
-            for result in pool.map(_verify_task, payloads, chunksize=8):
-                absorb(*result)
-        return report
-
-    for f in polynomials:
-        v = verify_polynomial(f)
-        failures = []
-        if not v.theorem.equal:
-            failures.append(_failure_entry(f, "theorem", v.theorem))
-        if v.corollary is not None and not v.corollary.equal:
-            failures.append(_failure_entry(f, "corollary", v.corollary))
-        absorb(v.theorem.equal, v.corollary_checked,
-               v.corollary.equal if v.corollary is not None else None,
-               failures)
+            outcomes = pool.map(task, polynomials, chunksize=8)
+    else:
+        outcomes = map(task, polynomials)
+    for theorem_equal, corollary_equal, failures, record in outcomes:
+        report.theorem_pass += theorem_equal
+        report.theorem_fail += not theorem_equal
+        if corollary_equal is not None:
+            report.corollary_checked += 1
+            report.corollary_pass += corollary_equal
+            report.corollary_fail += not corollary_equal
+        report.failures.extend(failures)
         if keep_records:
-            report.records.append(v)
+            report.records.append(record)
     return report

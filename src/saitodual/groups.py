@@ -19,8 +19,8 @@ import os
 from fractions import Fraction
 from math import gcd
 
-from .errors import (IndexBoundsError, OwnershipError, ResourceBoundError,
-                     SingularMatrixError)
+from .errors import (ConfigurationError, IndexBoundsError, OwnershipError,
+                     ResourceBoundError, SingularMatrixError)
 from .linalg import (IntMatrix, RationalVector, determinant, lattice_basis,
                      lattice_solve, scaled_inverse, smith_normal_form)
 from .polynomials import canonical_weights
@@ -30,13 +30,15 @@ _MAX_ORDER_ENV = "SAITO_MAX_GROUP_ORDER"
 
 
 def _max_group_order():
-    raw = os.environ.get(_MAX_ORDER_ENV)
-    if raw is None:
-        return DEFAULT_MAX_GROUP_ORDER
+    raw = os.environ.get(_MAX_ORDER_ENV, str(DEFAULT_MAX_GROUP_ORDER))
     try:
-        return int(raw)
+        bound = int(raw)
     except ValueError:
-        return DEFAULT_MAX_GROUP_ORDER
+        bound = 0
+    if bound < 1:
+        raise ConfigurationError(
+            f"{_MAX_ORDER_ENV} must be a positive integer, got {raw!r}")
+    return bound
 
 
 class GroupPresentation:
@@ -52,7 +54,7 @@ class GroupPresentation:
     """
 
     __slots__ = ("_constraint", "_side", "_order", "_factors",
-                 "_ambient", "_codual", "_dual", "_quotient",
+                 "_ambient", "_dual", "_quotient",
                  "_full_key", "_trivial_key", "_dual_basis_cache",
                  "_meet_cache")
 
@@ -74,7 +76,6 @@ class GroupPresentation:
         cols = [[v.entry(i, j) * (order // factors[j]) for i in range(n)]
                 for j in range(n)]
         self._ambient = lattice_basis(cols, n)
-        self._codual = None
         self._dual = None
         self._quotient = None
         self._full_key = None
@@ -110,13 +111,6 @@ class GroupPresentation:
     def ambient_basis(self):
         """Canonical basis of the scaled ambient lattice d*L."""
         return self._ambient
-
-    def _codual_basis(self):
-        if self._codual is None:
-            self._codual = lattice_basis(
-                scaled_inverse(self._ambient.transpose(), self._order).columns(),
-                self.rank)
-        return self._codual
 
     def dual(self):
         """The opposite-side presentation (transposed constraint)."""
@@ -331,9 +325,6 @@ class SubgroupKey:
     def to_json(self):
         return {"order": self._order, "basis": list(self._basis.flat())}
 
-    def label(self):
-        return f"order {self._order}"
-
     def __eq__(self, other):
         return (isinstance(other, SubgroupKey)
                 and self._presentation == other._presentation
@@ -384,18 +375,10 @@ def _enumerate_quotient(presentation, basis):
         yield RationalVector(vec, d)
 
 
-def symmetry_group(f, side="direct"):
-    """Symmetry group presentation of an invertible polynomial.
-
-    side="direct" gives the group of the polynomial itself; "transposed"
-    gives the group of its transpose (the character-group side).
-    """
-    e = f.exponents
-    if side == "direct":
-        return GroupPresentation(e, "direct")
-    if side == "transposed":
-        return GroupPresentation(e.transpose(), "transposed")
-    raise ValueError(f"unknown side {side!r}")
+def symmetry_group(f):
+    """Symmetry group presentation of an invertible polynomial; its
+    ``dual()`` is the group of the transpose (the character-group side)."""
+    return GroupPresentation(f.exponents, "direct")
 
 
 def full_subgroup(presentation):

@@ -111,12 +111,6 @@ class IntMatrix:
         return IntMatrix([[self._rows[i][j] for j in col_indices]
                           for i in row_indices])
 
-    def hstack(self, other):
-        if other.nrows != self.nrows:
-            raise DimensionError("row counts differ")
-        return IntMatrix([list(a) + list(b)
-                          for a, b in zip(self._rows, other._rows)])
-
     def __mul__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .burnside import (BurnsideElement, CyclotomicProduct, element_zeta,
                        saito_dual)
@@ -137,13 +138,10 @@ class VerificationReport:
     rhs_report: ZetaReport = None
 
     def to_json(self, include_reports=False):
-        def side(x):
-            return x.to_json()
-
         out = {
             "kind": self.kind,
-            "lhs": side(self.lhs),
-            "rhs": side(self.rhs),
+            "lhs": self.lhs.to_json(),
+            "rhs": self.rhs.to_json(),
             "equal": self.equal,
             "witness": self.witness,
         }
@@ -155,14 +153,49 @@ class VerificationReport:
         return out
 
 
-def verify_zeta_duality(f):
+class DualPair:
+    """The Berglund-Hubsch pair (f, f^T): the symmetry group G of f and its
+    dual G^T (the group of f^T), and each side's zeta report and geometric
+    roots.  Each field is computed on first use and then shared."""
+
+    def __init__(self, f):
+        self.f = f
+
+    @cached_property
+    def ft(self):
+        return self.f.transpose()
+
+    @cached_property
+    def group(self):
+        return symmetry_group(self.f)
+
+    @cached_property
+    def group_t(self):
+        return self.group.dual()
+
+    @cached_property
+    def report(self):
+        return equivariant_zeta(self.f, self.group)
+
+    @cached_property
+    def report_t(self):
+        return equivariant_zeta(self.ft, self.group_t)
+
+    @cached_property
+    def roots(self):
+        return geometric_roots(self.f, self.group)
+
+    @cached_property
+    def roots_t(self):
+        return geometric_roots(self.ft, self.group_t)
+
+
+def verify_zeta_duality(pair):
     """Check that the reduced equivariant zeta function of the transposed
     polynomial equals (-1)^n times the duality transform of the reduced
     equivariant zeta function of the polynomial itself."""
-    rep = equivariant_zeta(f)
-    rep_t = equivariant_zeta(f.transpose())
-    n = f.nvars
-    sign = -1 if n % 2 else 1
+    rep, rep_t = pair.report, pair.report_t
+    sign = -1 if pair.f.nvars % 2 else 1
     lhs = rep_t.reduced
     rhs = sign * saito_dual(rep.reduced)
     equal = lhs == rhs
@@ -173,33 +206,30 @@ def verify_zeta_duality(f):
                               lhs_report=rep_t, rhs_report=rep)
 
 
-def verify_root_duality(f):
+def verify_root_duality(pair):
     """Check the geometric-root statement: with d = det E, the reduced
     zeta function of a root of the transposed polynomial's monodromy is
     the classical dual (to the power (-1)^(n-1)) of the reduced zeta
     function of a root on the original side.  Requires a cyclic symmetry
     group."""
-    p = symmetry_group(f)
+    p = pair.group
     if not p.is_cyclic:
         raise NonCyclicError(
             "geometric roots require a cyclic symmetry group; invariant "
             f"factors are {p.invariant_factors}")
-    ft = f.transpose()
-    p_t = symmetry_group(ft)
-    rep = equivariant_zeta(f, p)
-    rep_t = equivariant_zeta(ft, p_t)
     d = p.order
     # Solutions of g^c = h that fail to generate give a different (smaller
     # modulus) zeta; the duality statement is about generating roots, and
     # every generating root yields the same value.
-    roots = [g for g in geometric_roots(f, p) if g.order == d]
-    roots_t = [g for g in geometric_roots(ft, p_t) if g.order == d]
+    roots = [g for g in pair.roots if g.order == d]
+    roots_t = [g for g in pair.roots_t if g.order == d]
     if not roots or not roots_t:
         raise NonCyclicError("no generating geometric roots exist")
+    rep, rep_t = pair.report, pair.report_t
     lhs = element_zeta(roots_t[0], rep_t.reduced).with_modulus(d)
     rhs = classical_saito_dual(element_zeta(roots[0], rep.reduced)
                                .with_modulus(d))
-    if f.nvars % 2 == 0:
+    if pair.f.nvars % 2 == 0:
         rhs = rhs.inverse()
     equal = lhs == rhs
     witness = None

@@ -1,5 +1,6 @@
 """Command-line interface: commands, JSON envelopes, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -12,6 +13,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# sha256 of the canonical `result` payload of
+# `enumerate --max-vars 2 --max-exp 3 --sums --json`.
+SUMS_2_3_PIN = ("bba393ac0144f0c51c729c513c8b673b"
+                "dbaa20469e474d3626cd8bef12499eb6")
 
 
 def run_json(capsys, *argv):
@@ -174,6 +181,28 @@ class TestEnumerate:
                                "--max-exp", "3", "--sums", "--workers", "2",
                                "--json")
         assert serial == parallel
+        for data in (serial, parallel):
+            text = json.dumps(data["result"], sort_keys=True,
+                              separators=(",", ":"))
+            assert hashlib.sha256(text.encode()).hexdigest() == SUMS_2_3_PIN
+
+    def assert_input_error(self, capsys, flag, *argv):
+        code, out, err = run_cli(capsys, "enumerate", "--max-vars", "2",
+                                 "--max-exp", "3", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and flag in err
+        assert err.count("\n") == 1
+
+    def test_negative_limit_rejected(self, capsys):
+        self.assert_input_error(capsys, "--limit", "--limit", "-1")
+
+    def test_negative_sample_rejected(self, capsys):
+        self.assert_input_error(capsys, "--sample", "--sample", "-2")
+
+    def test_nonpositive_workers_rejected(self, capsys):
+        self.assert_input_error(capsys, "--workers", "--workers", "0")
+        self.assert_input_error(capsys, "--workers", "--workers", "-3")
 
 
 class TestEntryPoint:

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from saitodual.enumeration import (atom_specs, build_polynomial,
                                    canonical_matrix_key, chain_matrix,
                                    generate_corpus, loop_matrix, run_batch)
@@ -131,3 +133,5 @@ class TestRunBatch:
         serial = run_batch(corpus)
         parallel = run_batch(corpus, workers=2)
         assert serial.to_json() == parallel.to_json()
+        with pytest.raises(ValueError):
+            run_batch(corpus, workers=2, keep_records=True)

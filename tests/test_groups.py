@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from saitodual.errors import (IndexBoundsError, OwnershipError,
-                              ResourceBoundError)
+from saitodual.errors import (ConfigurationError, IndexBoundsError,
+                              OwnershipError, ResourceBoundError)
 from saitodual.groups import (dual_subgroup, enumerate_subgroups,
                               full_subgroup, geometric_roots,
                               isotropy_subgroup, monodromy_element, pairing,
@@ -45,7 +45,7 @@ class TestPresentation:
     def test_order_equals_determinant(self, corpus_sample):
         for f in corpus_sample:
             assert symmetry_group(f).order == abs(f.det)
-            assert symmetry_group(f, "transposed").order == abs(f.det)
+            assert symmetry_group(f).dual().order == abs(f.det)
 
     def test_generators_generate(self, corpus_sample):
         for f in corpus_sample[:12]:
@@ -65,7 +65,7 @@ class TestPresentation:
 
     def test_sides_share_the_torus(self, z6_poly):
         direct_of_transpose = symmetry_group(z6_poly.transpose())
-        transposed_side = symmetry_group(z6_poly, "transposed")
+        transposed_side = symmetry_group(z6_poly).dual()
         assert direct_of_transpose == transposed_side
         assert transposed_side.side == "transposed"
         assert direct_of_transpose.side == "direct"
@@ -108,6 +108,14 @@ class TestSubgroups:
         monkeypatch.setenv("SAITO_MAX_GROUP_ORDER", "100")
         assert len(enumerate_subgroups(z6)) == 4
 
+    @pytest.mark.parametrize("raw", ["abc", "-5", "0"])
+    def test_enumeration_bound_rejects_bad_setting(self, z6, monkeypatch,
+                                                   raw):
+        monkeypatch.setenv("SAITO_MAX_GROUP_ORDER", raw)
+        with pytest.raises(ConfigurationError) as info:
+            enumerate_subgroups(z6)
+        assert "SAITO_MAX_GROUP_ORDER" in str(info.value)
+
     def test_subgroup_elements_match_order(self, z6):
         for key in enumerate_subgroups(z6):
             elems = list(key.elements())
@@ -140,7 +148,7 @@ class TestIsotropy:
 
     def test_example_orders(self, z6_poly, z6):
         assert isotropy_subgroup(z6, [0]).order == 2
-        p_t = symmetry_group(z6_poly, "transposed")
+        p_t = symmetry_group(z6_poly).dual()
         assert isotropy_subgroup(p_t, [1]).order == 3
 
     def test_monotone(self, corpus_sample):
@@ -165,14 +173,14 @@ class TestIsotropy:
 
 class TestPairing:
     def test_identity_pairs_to_zero(self, z6_poly, z6):
-        p_t = symmetry_group(z6_poly, "transposed")
+        p_t = symmetry_group(z6_poly).dual()
         for mu in z6.elements():
             assert pairing(p_t.identity(), mu) == 0
 
     def test_shift_invariance(self, z6_poly, z6):
         # Coordinates are reduced mod 1 on construction, so adding integer
         # vectors yields the same element and the same pairing value.
-        p_t = symmetry_group(z6_poly, "transposed")
+        p_t = symmetry_group(z6_poly).dual()
         lam = next(g for g in p_t.elements() if g.order > 1)
         mu = next(g for g in z6.elements() if g.order > 1)
         shifted = z6.element(RationalVector(
@@ -184,7 +192,7 @@ class TestPairing:
     def test_biadditive(self):
         f = parse_polynomial("x^3*y + y^3")
         p = symmetry_group(f)
-        p_t = symmetry_group(f, "transposed")
+        p_t = symmetry_group(f).dual()
         lams = list(p_t.elements())
         mus = list(p.elements())
         for lam1, lam2 in itertools.product(lams[:5], repeat=2):
@@ -199,7 +207,7 @@ class TestPairing:
     def test_non_degenerate(self):
         f = parse_polynomial("x^3*y + y^3")
         p = symmetry_group(f)
-        p_t = symmetry_group(f, "transposed")
+        p_t = symmetry_group(f).dual()
         mus = list(p.elements())
         for lam in p_t.elements():
             if all(pairing(lam, mu) == 0 for mu in mus):
@@ -219,7 +227,7 @@ class TestDualSubgroup:
 
     def test_isotropy_example(self, z6_poly, z6):
         h2 = isotropy_subgroup(z6, [0])
-        p_t = symmetry_group(z6_poly, "transposed")
+        p_t = symmetry_group(z6_poly).dual()
         assert dual_subgroup(h2) == isotropy_subgroup(p_t, [1])
         assert dual_subgroup(h2).order == 3
 

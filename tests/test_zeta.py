@@ -1,15 +1,21 @@
 """Equivariant/classical zeta functions, duality verifiers, Milnor numbers."""
 
+import contextlib
+import io
+
 import pytest
 
+import saitodual
 from saitodual.burnside import (BurnsideElement, CyclotomicProduct,
                                 element_zeta, restrict, saito_dual)
+from saitodual.cli import main
+from saitodual.enumeration import generate_corpus, run_batch
 from saitodual.errors import DegenerateError, NonCyclicError
 from saitodual.groups import (enumerate_subgroups, full_subgroup,
                               monodromy_element, subgroup_generated_by,
                               symmetry_group, trivial_subgroup)
 from saitodual.polynomials import parse_polynomial
-from saitodual.zeta import (classical_saito_dual, classical_zeta,
+from saitodual.zeta import (DualPair, classical_saito_dual, classical_zeta,
                             equivariant_zeta, milnor_number,
                             verify_root_duality, verify_zeta_duality)
 
@@ -119,21 +125,22 @@ class TestClassicalSaitoDual:
 
 class TestZetaDuality:
     def test_fermat_self_dual(self):
-        report = verify_zeta_duality(parse_polynomial("x^5"))
+        report = verify_zeta_duality(DualPair(parse_polynomial("x^5")))
         assert report.kind == "theorem"
         assert report.equal
         assert report.witness is None
 
     def test_chain_example(self):
         f = parse_polynomial("x^3*y + y^3")
-        report = verify_zeta_duality(f)
+        report = verify_zeta_duality(DualPair(f))
         assert report.equal
         # lhs is the transposed-side reduced zeta: [G*/Z3] - [G*/e] - 1.
         orders = sorted((k.order, c) for k, c in report.lhs.terms.items())
         assert orders == [(1, -1), (3, 1), (9, -1)]
 
     def test_even_variable_count(self):
-        assert verify_zeta_duality(parse_polynomial("x^3 + x*y^2")).equal
+        pair = DualPair(parse_polynomial("x^3 + x*y^2"))
+        assert verify_zeta_duality(pair).equal
 
     def test_sign_matters(self):
         # Forcing the wrong sign must break equality: the check is exact.
@@ -146,20 +153,21 @@ class TestZetaDuality:
 
 class TestRootDuality:
     def test_z6_example(self):
-        report = verify_root_duality(parse_polynomial("x^3 + x*y^2"))
+        pair = DualPair(parse_polynomial("x^3 + x*y^2"))
+        report = verify_root_duality(pair)
         assert report.kind == "corollary"
         assert report.equal
         assert report.lhs == CyclotomicProduct(6, {2: 1, 6: -1, 1: -1})
 
     def test_fermat(self):
-        report = verify_root_duality(parse_polynomial("x^7"))
+        report = verify_root_duality(DualPair(parse_polynomial("x^7")))
         assert report.equal
 
     def test_reduced_gcd_case_matches_monodromy_zeta(self):
         # With gcd factor 1 on both sides the root is the monodromy element
         # itself and the left side is its reduced zeta.
         f = parse_polynomial("x^3*y + y^3")
-        report = verify_root_duality(f)
+        report = verify_root_duality(DualPair(f))
         assert report.equal
         rep_t = equivariant_zeta(f.transpose())
         h_t = monodromy_element(f.transpose(), rep_t.group)
@@ -167,8 +175,54 @@ class TestRootDuality:
 
     def test_non_cyclic_rejected(self):
         with pytest.raises(NonCyclicError) as info:
-            verify_root_duality(parse_polynomial("x^2 + y^2"))
+            verify_root_duality(DualPair(parse_polynomial("x^2 + y^2")))
         assert "2, 2" in str(info.value) or "(2, 2)" in str(info.value)
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls of the named package functions, wherever they are
+    looked up from."""
+    counts = dict.fromkeys(names, 0)
+    modules = [saitodual.cli, saitodual.enumeration, saitodual.groups,
+               saitodual.zeta]
+    for name in names:
+        original = getattr(saitodual, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestDualPair:
+    def test_fields_computed_on_first_use(self):
+        f = parse_polynomial("x^2 + y^2")
+        pair = DualPair(f)
+        assert pair.roots == []
+        assert {"group", "roots"} == set(vars(pair)) - {"f"}
+        assert pair.group_t is pair.group.dual()
+        assert pair.group_t == symmetry_group(pair.ft)
+        assert pair.ft.exponents == f.exponents.transpose()
+
+    def test_batch_computes_each_fact_once(self, monkeypatch):
+        corpus, _ = generate_corpus(3, 4, include_sums=True)
+        counts = count_calls(monkeypatch, "equivariant_zeta",
+                             "symmetry_group")
+        report = run_batch(corpus)
+        assert report.ok and report.corollary_checked > 0
+        assert counts == {"equivariant_zeta": 2 * len(corpus),
+                          "symmetry_group": len(corpus)}
+
+    def test_roots_command_computes_roots_once_per_side(self, monkeypatch):
+        counts = count_calls(monkeypatch, "geometric_roots")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["roots", "x^3*y + y^3*z + z^3*x", "--json"])
+        assert code == 0
+        assert counts == {"geometric_roots": 2}
 
 
 class TestEdgeCaseInvertibles:
@@ -182,10 +236,10 @@ class TestEdgeCaseInvertibles:
         "x + y^2",            # linear monomial
     ])
     def test_duality_holds(self, text):
-        f = parse_polynomial(text)
-        assert verify_zeta_duality(f).equal
-        if symmetry_group(f).is_cyclic:
-            assert verify_root_duality(f).equal
+        pair = DualPair(parse_polynomial(text))
+        assert verify_zeta_duality(pair).equal
+        if pair.group.is_cyclic:
+            assert verify_root_duality(pair).equal
 
 
 class TestMilnorNumber:
@@ -222,7 +276,7 @@ class TestReports:
                    <= set(t) for t in data["perSubsetTerms"])
 
     def test_verification_report_serialization(self):
-        rep = verify_zeta_duality(parse_polynomial("x^2"))
+        rep = verify_zeta_duality(DualPair(parse_polynomial("x^2")))
         data = rep.to_json(include_reports=True)
         assert data["kind"] == "theorem"
         assert data["equal"] is True
