@@ -10,7 +10,7 @@ modulus d -- and the correspondence between the two for cyclic groups.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import OwnershipError, StructureError
 from .groups import (GroupElement, GroupPresentation, SubgroupKey,
@@ -312,10 +312,27 @@ def saito_dual(a):
                            {dual_subgroup(k): v for k, v in a.terms.items()})
 
 
-def _divisors(n):
-    out = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    out += [n // d for d in reversed(out) if d * d != n]
-    return out
+def _coset_order(basis, vec):
+    """Least r >= 1 with r*vec in the column lattice of the upper-triangular
+    ``basis``: one bottom-up back-substitution that scales r (and the
+    coordinates already solved) by the smallest factor making each new
+    coordinate integral."""
+    rows = basis.rows
+    n = len(rows)
+    r = 1
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = r * vec[i] - sum(row[j] * x[j] for j in range(i + 1, n))
+        pivot = row[i]
+        step = pivot // gcd(acc, pivot)
+        if step > 1:
+            r *= step
+            acc *= step
+            for j in range(i + 1, n):
+                x[j] *= step
+        x[i] = acc // pivot
+    return r
 
 
 def element_zeta(g, a):
@@ -328,16 +345,16 @@ def element_zeta(g, a):
         raise OwnershipError("transformation must be a group element")
     if not a.scope.contains_element(g):
         raise OwnershipError("element does not lie in the scope subgroup")
-    order = g.order
+    vec = g.scaled()
     s_order = a.scope.order
     factors = {}
     for h, c in a.terms.items():
-        r = next(r for r in _divisors(order) if h.contains_element(r * g))
+        r = _coset_order(h.basis, vec)
         orbit_count, rem = divmod(s_order // h.order, r)
         if rem:
             raise ArithmeticError("orbit size does not divide the coset count")
         factors[r] = factors.get(r, 0) + c * orbit_count
-    return CyclotomicProduct(order, factors)
+    return CyclotomicProduct(g.order, factors)
 
 
 def burnside_from_cyclotomic(phi, presentation):

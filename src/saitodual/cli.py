@@ -17,8 +17,7 @@ import sys
 from . import __version__
 from .enumeration import generate_corpus, run_batch
 from .errors import SaitoDualError
-from .groups import monodromy_element
-from .polynomials import canonical_weights, decompose, parse_polynomial
+from .polynomials import decompose, parse_polynomial
 from .zeta import DualPair, verify_root_duality, verify_zeta_duality
 
 TOOL_NAME = "saitodual"
@@ -28,6 +27,11 @@ EXIT_INPUT = 1
 EXIT_THEOREM = 2
 EXIT_COROLLARY = 3
 EXIT_RESOURCE = 4
+
+# Ceiling for `enumerate --workers`: far above any useful pool on one
+# machine, and low enough that a mistyped value cannot ask the OS for an
+# unbounded number of processes.
+MAX_WORKERS = 64
 
 
 def _envelope(command, raw_input, result):
@@ -75,9 +79,8 @@ def _group_json(p):
 def cmd_analyze(args):
     pair = DualPair(parse_polynomial(args.polynomial))
     f, ft, p, p_t = pair.f, pair.ft, pair.group, pair.group_t
-    ws = canonical_weights(f)
+    ws, ws_t = f.weights, ft.weights
     dec = decompose(f)
-    ws_t = canonical_weights(ft)
     if args.json:
         result = {
             "polynomial": f.text(),
@@ -157,9 +160,8 @@ def cmd_dual(args):
 
 def cmd_roots(args):
     pair = DualPair(parse_polynomial(args.polynomial))
-    f, p, roots = pair.f, pair.group, pair.roots
-    ws = canonical_weights(f)
-    h = monodromy_element(f, p)
+    f, p, roots, h = pair.f, pair.group, pair.roots, pair.monodromy
+    ws = f.weights
     corollary = None
     if roots:
         corollary = verify_root_duality(pair)
@@ -201,6 +203,8 @@ def cmd_enumerate(args):
                                ("--workers", args.workers, 1)):
         if value is not None and value < least:
             raise SaitoDualError(f"{flag} must be at least {least}")
+    if args.workers > MAX_WORKERS:
+        raise SaitoDualError(f"--workers must be at most {MAX_WORKERS}")
     corpus, truncated = generate_corpus(
         args.max_vars, args.max_exp, include_sums=args.sums,
         include_chains=not args.no_chains, include_loops=not args.no_loops,
@@ -280,7 +284,9 @@ def build_parser():
                       help="verify a seeded random subset of this size")
     enum.add_argument("--seed", type=int, default=0,
                       help="seed for --sample (default 0)")
-    enum.add_argument("--workers", type=int, default=1)
+    enum.add_argument("--workers", type=int, default=1,
+                      help=f"verify in a pool of this many processes "
+                           f"(1..{MAX_WORKERS}, default 1)")
     enum.add_argument("--json", action="store_true")
     enum.add_argument("--out", default=None, help="write the JSON report here")
     enum.set_defaults(func=cmd_enumerate)

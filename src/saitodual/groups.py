@@ -23,7 +23,6 @@ from .errors import (ConfigurationError, IndexBoundsError, OwnershipError,
                      ResourceBoundError, SingularMatrixError)
 from .linalg import (IntMatrix, RationalVector, determinant, lattice_basis,
                      lattice_solve, scaled_inverse, smith_normal_form)
-from .polynomials import canonical_weights
 
 DEFAULT_MAX_GROUP_ORDER = 10_000
 _MAX_ORDER_ENV = "SAITO_MAX_GROUP_ORDER"
@@ -448,7 +447,13 @@ def subgroup_meet(a, b):
 
 def isotropy_subgroup(presentation, indices):
     """Subgroup of elements whose coordinates at ``indices`` (0-based) are
-    integral: the isotropy of the corresponding coordinate subtorus."""
+    integral: the isotropy of the corresponding coordinate subtorus.
+
+    Mod Z^n such an element is (0, v_J) on the complement J, with C[:,J]*v_J
+    integral for the constraint C; those v_J form the dual of the lattice
+    spanned by the rows of C[:,J], whose HNF basis B gives d*B^-T.  Padding
+    its columns with zeros off J and adding d*e_i for i in ``indices``
+    spans the scaled lattice of the subgroup."""
     n = presentation.rank
     idx = set(indices)
     for i in idx:
@@ -456,11 +461,21 @@ def isotropy_subgroup(presentation, indices):
             raise IndexBoundsError(f"variable index {i} out of range 0..{n - 1}")
     if not idx:
         return full_subgroup(presentation)
+    free = [j for j in range(n) if j not in idx]
+    if not free:
+        return trivial_subgroup(presentation)
     d = presentation.order
-    constraint = IntMatrix.diagonal([d if i in idx else 1 for i in range(n)])
-    return SubgroupKey(presentation,
-                       _meet_bases(presentation, presentation.ambient_basis,
-                                   constraint))
+    k = len(free)
+    rows = lattice_basis(
+        ([row[j] for j in free] for row in presentation.constraint.rows), k)
+    dual = scaled_inverse(rows.transpose(), d)
+    cols = [[d if r == i else 0 for r in range(n)] for i in idx]
+    for c in dual.columns():
+        col = [0] * n
+        for j, x in zip(free, c):
+            col[j] = x
+        cols.append(col)
+    return SubgroupKey(presentation, lattice_basis(cols, n))
 
 
 def dual_subgroup(key):
@@ -523,7 +538,7 @@ def monodromy_element(f, group=None):
     """The monodromy transformation as a group element: coordinates are the
     reduced weights over the reduced degree."""
     p = group if group is not None else symmetry_group(f)
-    ws = canonical_weights(f)
+    ws = f.weights
     coords = RationalVector(ws.reduced_weights, ws.reduced_degree).mod1()
     return GroupElement(p, coords)
 
@@ -536,15 +551,14 @@ def geometric_roots(f, group=None):
     equation 2x = h also has an order-3 solution).  Sorted canonically by
     coordinates."""
     p = group if group is not None else symmetry_group(f)
-    ws = canonical_weights(f)
-    c = ws.gcd_factor
+    c = f.weights.gcd_factor
     h = monodromy_element(f, p)
     d = p.order
     n = p.rank
     gens, orders, u = p._quotient_data()
-    z = lattice_solve(p.ambient_basis, h.scaled())
-    assert z is not None  # the monodromy element lies in the group
-    t = u.apply_to_vector(z)
+    # monodromy_element raises OwnershipError unless h lies in the group,
+    # so the solve always succeeds.
+    t = u.apply_to_vector(lattice_solve(p.ambient_basis, h.scaled()))
     per_coordinate = []
     for j, o in enumerate(orders):
         tj = t[j] % o

@@ -28,7 +28,7 @@ class InvertiblePolynomial:
     entries non-negative.
     """
 
-    __slots__ = ("_exponents", "_variables", "_det")
+    __slots__ = ("_exponents", "_variables", "_det", "_weights")
 
     def __init__(self, exponents, variables=None):
         e = exponents if isinstance(exponents, IntMatrix) else IntMatrix(exponents)
@@ -51,6 +51,7 @@ class InvertiblePolynomial:
         self._exponents = e
         self._variables = variables
         self._det = det
+        self._weights = None
 
     @property
     def exponents(self):
@@ -67,6 +68,13 @@ class InvertiblePolynomial:
     @property
     def det(self):
         return self._det
+
+    @property
+    def weights(self):
+        """The canonical weight system, computed on first use and kept."""
+        if self._weights is None:
+            self._weights = canonical_weights(self)
+        return self._weights
 
     def transpose(self):
         """The polynomial with transposed exponent matrix, same variables."""

@@ -23,7 +23,7 @@ from .errors import DegenerateError, NonCyclicError
 from .groups import (full_subgroup, geometric_roots, isotropy_subgroup,
                      monodromy_element, symmetry_group)
 from .linalg import determinant
-from .polynomials import canonical_weights, decompose
+from .polynomials import decompose
 
 
 @dataclass(frozen=True)
@@ -155,8 +155,11 @@ class VerificationReport:
 
 class DualPair:
     """The Berglund-Hubsch pair (f, f^T): the symmetry group G of f and its
-    dual G^T (the group of f^T), and each side's zeta report and geometric
-    roots.  Each field is computed on first use and then shared."""
+    dual G^T (the group of f^T), the monodromy element of f, and each side's
+    zeta report and geometric roots.  Each field is computed on first use
+    and then shared; each side's weight system is kept on ``f`` and ``ft``
+    (``InvertiblePolynomial.weights``), where every library call reaches
+    it."""
 
     def __init__(self, f):
         self.f = f
@@ -172,6 +175,10 @@ class DualPair:
     @cached_property
     def group_t(self):
         return self.group.dual()
+
+    @cached_property
+    def monodromy(self):
+        return monodromy_element(self.f, self.group)
 
     @cached_property
     def report(self):
@@ -246,7 +253,7 @@ def milnor_number(f):
         raise DegenerateError(
             "polynomial is not a sum of loop/chain blocks; no isolated "
             "singularity certificate")
-    ws = canonical_weights(f)
+    ws = f.weights
     d = ws.canonical_degree
     mu = Fraction(1)
     for w in ws.canonical_weights:

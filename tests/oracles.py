@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from math import isqrt
+
 from saitodual.burnside import BurnsideElement, CyclotomicProduct
-from saitodual.groups import GroupElement, subgroup_generated_by
-from saitodual.linalg import RationalVector
+from saitodual.groups import (GroupElement, SubgroupKey, _meet_bases,
+                              full_subgroup, subgroup_generated_by)
+from saitodual.linalg import IntMatrix, RationalVector
 
 _elements_cache = {}
 _coset_cache = {}
@@ -173,7 +176,7 @@ def kernel_dual(sub):
     images = [e.apply_to_vector(sub.basis.column(j))
               for j in range(sub.basis.ncols)]
     kernel = []
-    for vec in scaled_elements(_full(pd)):
+    for vec in scaled_elements(full_subgroup(pd)):
         if all(sum(a * b for a, b in zip(vec, w)) % dd == 0 for w in images):
             kernel.append(pd.element(RationalVector(vec, d)))
     return subgroup_generated_by(pd, kernel)
@@ -187,15 +190,10 @@ def kernel_dual_all_pairs(sub, opposite_elements=None):
     pd = p.dual()
     members = list(sub.elements())
     kernel = []
-    for lam in _full(pd).elements():
+    for lam in full_subgroup(pd).elements():
         if all(pairing(lam, mu) == Fraction(0) for mu in members):
             kernel.append(lam)
     return subgroup_generated_by(pd, kernel)
-
-
-def _full(p):
-    from saitodual.groups import full_subgroup
-    return full_subgroup(p)
 
 
 def laplace_determinant(rows):
@@ -234,3 +232,26 @@ def lattice_basis_by_enumeration(columns, dim, radius=24):
     # Column above pivot p1 reduced mod p0.
     x1 = min(x for x, y in points if y == p1 and x >= 0)
     return [[p0, x1 % p0], [0, p1]]
+
+
+def meet_isotropy(p, indices):
+    """Isotropy subgroup as the meet of the full group with the lattice of
+    vectors integral at ``indices``, through three dual-lattice HNFs."""
+    idx = set(indices)
+    if not idx:
+        return full_subgroup(p)
+    d = p.order
+    constraint = IntMatrix.diagonal([d if i in idx else 1
+                                     for i in range(p.rank)])
+    return SubgroupKey(p, _meet_bases(p, p.ambient_basis, constraint))
+
+
+def divisors(n):
+    out = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
+    out += [n // k for k in reversed(out) if k * k != n]
+    return out
+
+
+def divisor_coset_order(g, h):
+    """Order of the coset g + H by trial over the divisors of ord(g)."""
+    return next(r for r in divisors(g.order) if h.contains_element(r * g))

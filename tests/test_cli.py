@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import multiprocessing
 import subprocess
 import sys
+import time
 
-from saitodual import __version__
-from saitodual.cli import main
+from saitodual import __version__, cli, milnor_number, parse_polynomial
+from saitodual.cli import MAX_WORKERS, main
 
 
 def run_cli(capsys, *argv):
@@ -203,6 +205,44 @@ class TestEnumerate:
     def test_nonpositive_workers_rejected(self, capsys):
         self.assert_input_error(capsys, "--workers", "--workers", "0")
         self.assert_input_error(capsys, "--workers", "--workers", "-3")
+
+    def test_workers_ceiling_rejected_before_any_work(self, capsys,
+                                                      monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started for a rejected --workers")
+
+        monkeypatch.setattr(cli, "generate_corpus", refuse)
+        monkeypatch.setattr(cli, "run_batch", refuse)
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        self.assert_input_error(capsys, "--workers", "--workers",
+                                str(10 ** 6))
+        self.assert_input_error(capsys, "--workers", "--workers",
+                                str(MAX_WORKERS + 1))
+
+
+class TestBigDeterminant:
+    # The 4-chain at p = 10007 has d = p^4, about 1.0e16: no step may
+    # search over the divisors of d.
+    CHAIN = "x^10007*y + y^10007*z + z^10007*w + w^10007"
+
+    def timed_json(self, capsys, *argv):
+        start = time.perf_counter()
+        code, data = run_json(capsys, *argv)
+        return code, data["result"], time.perf_counter() - start
+
+    def test_zeta_and_dual_finish_fast(self, capsys):
+        code, zeta, zeta_s = self.timed_json(capsys, "zeta", self.CHAIN,
+                                             "--json")
+        assert code == 0 and zeta_s < 1.0
+        assert zeta["group"]["order"] == 10007 ** 4
+        classical = zeta["classical"]
+        degree = sum(int(m) * s for m, s in classical["factors"].items())
+        mu = milnor_number(parse_polynomial(self.CHAIN))
+        assert degree == 1 + (-1) ** (4 - 1) * mu
+        code, dual, dual_s = self.timed_json(capsys, "dual", self.CHAIN,
+                                             "--json")
+        assert code == 0 and dual_s < 1.0
+        assert dual["equal"] is True
 
 
 class TestEntryPoint:

@@ -303,3 +303,9 @@ class TestMonodromyAndRoots:
             assert bool(roots) == p.is_cyclic
             if roots:
                 assert any(r.order == p.order for r in roots)
+
+    def test_foreign_group_rejected(self, z6):
+        # The monodromy element (2/9, 1/3) of x^3*y + y^3 is not in Z6, so
+        # the lattice solve never sees it.
+        with pytest.raises(OwnershipError):
+            geometric_roots(parse_polynomial("x^3*y + y^3"), z6)

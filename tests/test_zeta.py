@@ -184,7 +184,7 @@ def count_calls(monkeypatch, *names):
     looked up from."""
     counts = dict.fromkeys(names, 0)
     modules = [saitodual.cli, saitodual.enumeration, saitodual.groups,
-               saitodual.zeta]
+               saitodual.polynomials, saitodual.zeta]
     for name in names:
         original = getattr(saitodual, name)
 
@@ -211,18 +211,20 @@ class TestDualPair:
     def test_batch_computes_each_fact_once(self, monkeypatch):
         corpus, _ = generate_corpus(3, 4, include_sums=True)
         counts = count_calls(monkeypatch, "equivariant_zeta",
-                             "symmetry_group")
+                             "symmetry_group", "canonical_weights")
         report = run_batch(corpus)
         assert report.ok and report.corollary_checked > 0
         assert counts == {"equivariant_zeta": 2 * len(corpus),
-                          "symmetry_group": len(corpus)}
+                          "symmetry_group": len(corpus),
+                          "canonical_weights": 2 * len(corpus)}
 
     def test_roots_command_computes_roots_once_per_side(self, monkeypatch):
-        counts = count_calls(monkeypatch, "geometric_roots")
+        counts = count_calls(monkeypatch, "geometric_roots",
+                             "canonical_weights")
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(["roots", "x^3*y + y^3*z + z^3*x", "--json"])
         assert code == 0
-        assert counts == {"geometric_roots": 2}
+        assert counts == {"geometric_roots": 2, "canonical_weights": 2}
 
 
 class TestEdgeCaseInvertibles:
