@@ -1,14 +1,22 @@
 """Corpus generation and the batch duality-verification harness.
 
 Generates every loop and chain block with exponents in [2, max_exp] on at
-most max_vars variables, optionally all direct (Thom-Sebastiani) sums of
-such blocks, deduplicates up to variable permutation, and runs the two
-duality verifiers over the result.
+most max_vars variables and, optionally, every direct (Thom-Sebastiani) sum
+of such blocks, then runs the two duality verifiers over the result.
+
+The corpus has no duplicates by construction: a loop/chain decomposition
+with exponents >= 2 is unique up to relabeling (Kreuzer-Skarke, "On the
+classification of quasihomogeneous functions", CMP 1992), chains are
+emitted head to tail, loops as their least rotation and sums as multisets
+of blocks.  The corpus is ordered by (nvars, sorted atom signatures);
+``--sample`` and ``--limit`` select from that order before any polynomial
+is built.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -82,7 +90,12 @@ def build_polynomial(specs):
 def canonical_matrix_key(e):
     """Canonical form of an exponent matrix under independent monomial
     reordering and variable relabeling: the lexicographically smallest
-    sorted row tuple over all column permutations."""
+    sorted row tuple over all column permutations.
+
+    It tries all n! permutations.  It is the independent check the tests
+    use to show that generated corpora hold no two equivalent polynomials;
+    ``generate_corpus`` does not call it.
+    """
     n = e.ncols
     rows = e.rows
     best = None
@@ -96,45 +109,44 @@ def canonical_matrix_key(e):
 def generate_corpus(max_vars, max_exp, include_sums=False,
                     include_chains=True, include_loops=True, limit=None,
                     sample=None, seed=0):
-    """Deduplicated, deterministically ordered polynomial corpus.
+    """Polynomial corpus ordered by (nvars, sorted atom signatures).
 
-    ``sample`` draws that many polynomials pseudo-randomly (seeded, so
-    reproducible) from the deduplicated corpus.  Returns (polynomials,
-    truncated); ``truncated`` is True when ``limit`` cut the list short.
+    Works on block combinations and builds only the polynomials it
+    returns, each from its blocks in ``atom_specs`` order.  ``sample``
+    draws that many combinations pseudo-randomly (seeded, so reproducible)
+    and keeps them in corpus order; ``limit`` then keeps a prefix.
+    Returns (polynomials, truncated); ``truncated`` is True when ``limit``
+    cut the list short.
     """
     specs = atom_specs(max_vars, max_exp, include_chains, include_loops)
-    combos = [[s] for s in specs]
+    sizes = [len(ps) for _, ps in specs]
+    combos = [(i,) for i in range(len(specs))]
     if include_sums:
-        sizes = [len(ps) for _, ps in specs]
+        by_size = sorted(range(len(specs)), key=sizes.__getitem__)
 
         def extend(start, used, acc):
-            for i in range(start, len(specs)):
-                size = sizes[i]
-                if used + size > max_vars:
-                    continue
-                acc.append(specs[i])
+            for k in range(start, len(by_size)):
+                i = by_size[k]
+                if used + sizes[i] > max_vars:
+                    break
+                acc.append(i)
                 if len(acc) >= 2:
-                    combos.append(list(acc))
-                extend(i, used + size, acc)
+                    combos.append(tuple(sorted(acc)))
+                extend(k, used + sizes[i], acc)
                 acc.pop()
 
         extend(0, 0, [])
-    seen = {}
-    for combo in combos:
-        f = build_polynomial(combo)
-        key = (f.nvars, canonical_matrix_key(f.exponents))
-        if key not in seen:
-            seen[key] = f
-    ordered = [seen[k] for k in sorted(seen)]
-    if sample is not None and sample < len(ordered):
-        import random
-        picks = random.Random(seed).sample(range(len(ordered)), sample)
-        ordered = [ordered[i] for i in sorted(picks)]
+    combos.sort(key=lambda c: (sum(sizes[i] for i in c),
+                               sorted(specs[i] for i in c)))
+    if sample is not None and sample < len(combos):
+        picks = random.Random(seed).sample(range(len(combos)), sample)
+        combos = [combos[i] for i in sorted(picks)]
     truncated = False
-    if limit is not None and len(ordered) > limit:
-        ordered = ordered[:limit]
+    if limit is not None and len(combos) > limit:
+        combos = combos[:limit]
         truncated = True
-    return ordered, truncated
+    return ([build_polynomial([specs[i] for i in c]) for c in combos],
+            truncated)
 
 
 @dataclass

@@ -24,7 +24,7 @@ def corpus_sample():
 @pytest.fixture(scope="session")
 def corpus45():
     """The acceptance corpus: all blocks and sums with <= 4 variables and
-    exponents <= 5, deduplicated up to variable permutation."""
+    exponents <= 5; no two are equal up to variable permutation."""
     corpus, truncated = generate_corpus(4, 5, include_sums=True)
     assert not truncated
     return corpus

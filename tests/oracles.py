@@ -13,6 +13,8 @@ from fractions import Fraction
 from math import isqrt
 
 from saitodual.burnside import BurnsideElement, CyclotomicProduct
+from saitodual.enumeration import (atom_specs, build_polynomial,
+                                   canonical_matrix_key)
 from saitodual.groups import (GroupElement, SubgroupKey, _meet_bases,
                               full_subgroup, subgroup_generated_by)
 from saitodual.linalg import IntMatrix, RationalVector
@@ -255,3 +257,31 @@ def divisors(n):
 def divisor_coset_order(g, h):
     """Order of the coset g + H by trial over the divisors of ord(g)."""
     return next(r for r in divisors(g.order) if h.contains_element(r * g))
+
+
+def dedup_corpus(max_vars, max_exp, include_sums=False, include_chains=True,
+                 include_loops=True):
+    """The corpus as first generated: build every block combination, key
+    each polynomial by ``(nvars, canonical_matrix_key)``, keep the first per
+    key and sort by key.  Returns (corpus, number of polynomials built)."""
+    specs = atom_specs(max_vars, max_exp, include_chains, include_loops)
+    combos = [[s] for s in specs]
+    if include_sums:
+        sizes = [len(ps) for _, ps in specs]
+
+        def extend(start, used, acc):
+            for i in range(start, len(specs)):
+                if used + sizes[i] > max_vars:
+                    continue
+                acc.append(specs[i])
+                if len(acc) >= 2:
+                    combos.append(list(acc))
+                extend(i, used + sizes[i], acc)
+                acc.pop()
+
+        extend(0, 0, [])
+    seen = {}
+    for combo in combos:
+        f = build_polynomial(combo)
+        seen.setdefault((f.nvars, canonical_matrix_key(f.exponents)), f)
+    return [seen[k] for k in sorted(seen)], len(combos)

@@ -2,7 +2,7 @@
 
 Each test registers a PASS/FAIL line that conftest prints in the terminal
 summary.  The corpus is every loop/chain block and every direct sum of
-blocks on at most 4 variables with exponents in [2, 5], deduplicated up to
+blocks on at most 4 variables with exponents in [2, 5], no two equal up to
 variable permutation (1500+ polynomials, >= 500 required).
 """
 

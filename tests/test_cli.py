@@ -1,13 +1,19 @@
 """Command-line interface: commands, JSON envelopes, exit codes."""
 
 import hashlib
+import io
 import json
 import multiprocessing
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
-from saitodual import __version__, cli, milnor_number, parse_polynomial
+from hypothesis import given, settings, strategies as st
+
+from saitodual import (__version__, cli, generate_corpus, milnor_number,
+                       parse_polynomial)
 from saitodual.cli import MAX_WORKERS, main
 
 
@@ -218,6 +224,68 @@ class TestEnumerate:
                                 str(10 ** 6))
         self.assert_input_error(capsys, "--workers", "--workers",
                                 str(MAX_WORKERS + 1))
+
+
+def matrix_rows(corpus):
+    return [f.exponents.rows for f in corpus]
+
+
+class TestEnumerateArguments:
+    """`enumerate` on random argument vectors.  --workers is drawn from
+    values that either run serially or are rejected, so no process starts.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(max_vars=st.integers(1, 3), max_exp=st.integers(2, 4),
+           flags=st.sets(st.sampled_from(["--sums", "--no-chains",
+                                          "--no-loops"])),
+           limit=st.none() | st.integers(-3, 40),
+           sample=st.none() | st.integers(-3, 40),
+           seed=st.none() | st.integers(-3, 40),
+           workers=st.sampled_from([None, 1, 0, -1, MAX_WORKERS + 1]))
+    def test_exit_codes_and_selection(self, max_vars, max_exp, flags, limit,
+                                      sample, seed, workers):
+        argv = ["enumerate", "--max-vars", str(max_vars),
+                "--max-exp", str(max_exp), *sorted(flags)]
+        for flag, value in (("--limit", limit), ("--sample", sample),
+                            ("--seed", seed), ("--workers", workers)):
+            if value is not None:
+                argv += [flag, str(value)]
+        produced = []
+
+        def recording(*args, **kwargs):
+            produced.append(generate_corpus(*args, **kwargs))
+            return produced[-1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        with mock.patch.object(cli, "generate_corpus", recording), \
+                mock.patch.object(multiprocessing, "Pool", refuse), \
+                redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+        if (limit is not None and limit < 0 or sample is not None and sample < 0
+                or workers is not None and not 1 <= workers <= MAX_WORKERS):
+            assert code == 1 and not produced
+            return
+        [(corpus, truncated)] = produced
+        assert code == (4 if truncated else 0)
+        opts = dict(include_sums="--sums" in flags,
+                    include_chains="--no-chains" not in flags,
+                    include_loops="--no-loops" not in flags)
+        full = matrix_rows(generate_corpus(max_vars, max_exp, **opts)[0])
+        position = {rows: i for i, rows in enumerate(full)}
+        picked = [position[rows] for rows in matrix_rows(corpus)]
+        # Distinct members of the full corpus, in corpus order.
+        assert picked == sorted(set(picked))
+        size = len(full) if sample is None else min(sample, len(full))
+        assert truncated == (limit is not None and limit < size)
+        assert len(corpus) == (size if limit is None else min(size, limit))
+        # --limit keeps a prefix of what --sample (or nothing) selects.
+        unlimited, _ = generate_corpus(max_vars, max_exp, **opts,
+                                       sample=sample,
+                                       seed=0 if seed is None else seed)
+        assert matrix_rows(corpus) == matrix_rows(unlimited)[:len(corpus)]
 
 
 class TestBigDeterminant:

@@ -1,14 +1,26 @@
-"""Corpus generation: block matrices, dedup, determinism, batch engine."""
+"""Corpus generation: block matrices, the corpus against the old
+build-key-dedup procedure, selection before building, determinism, batch
+engine."""
 
 import random
+import time
+from collections import Counter
 
 import pytest
 
+from saitodual import enumeration
 from saitodual.enumeration import (atom_specs, build_polynomial,
                                    canonical_matrix_key, chain_matrix,
                                    generate_corpus, loop_matrix, run_batch)
 from saitodual.linalg import IntMatrix, determinant
 from saitodual.polynomials import decompose
+
+from oracles import dedup_corpus
+
+
+def matrices(corpus):
+    """Multiset of exact exponent matrices (not up to permutation)."""
+    return Counter(f.exponents.rows for f in corpus)
 
 
 class TestBlockMatrices:
@@ -113,6 +125,79 @@ class TestGenerateCorpus:
         assert not truncated and len(sampled) == 4
         again, _ = generate_corpus(2, 3, include_sums=True, sample=4, seed=9)
         assert [f.text() for f in sampled] == [f.text() for f in again]
+
+
+class TestAgainstDedupOracle:
+    """``generate_corpus`` never keys or deduplicates; the old procedure
+    (build all, key by ``canonical_matrix_key``, dedup, sort) is the oracle.
+    """
+
+    @pytest.mark.parametrize("max_vars, max_exp, chains, loops", [
+        (3, 4, True, True),
+        (4, 5, True, True),
+        (5, 4, True, True),
+        (4, 5, False, True),
+        (4, 5, True, False),
+    ])
+    def test_same_matrices_and_no_duplicates(self, max_vars, max_exp,
+                                             chains, loops):
+        flags = dict(include_sums=True, include_chains=chains,
+                     include_loops=loops)
+        corpus, truncated = generate_corpus(max_vars, max_exp, **flags)
+        expected, built = dedup_corpus(max_vars, max_exp, **flags)
+        assert not truncated
+        assert matrices(corpus) == matrices(expected)
+        # Every polynomial the old procedure built had its own key, so its
+        # dedup removed nothing.
+        assert len(expected) == built == len(corpus)
+
+    def test_order_is_nvars_then_sorted_signatures(self):
+        corpus, _ = generate_corpus(3, 4, include_sums=True)
+        keys = [(f.nvars,
+                 tuple(sorted(a.signature() for a in decompose(f).atoms)))
+                for f in corpus]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+
+
+class TestSelectBeforeBuild:
+    """``--sample`` and ``--limit`` pick block combinations; only the
+    picked ones are built, and no canonical key is computed."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = enumeration.build_polynomial
+
+        def counting(specs):
+            calls.append(specs)
+            return real(specs)
+
+        def refuse(e):
+            raise AssertionError("generate_corpus computed a canonical key")
+
+        monkeypatch.setattr(enumeration, "build_polynomial", counting)
+        monkeypatch.setattr(enumeration, "canonical_matrix_key", refuse)
+        return calls
+
+    def test_sample_builds_only_the_sample(self, builds):
+        start = time.perf_counter()
+        corpus, truncated = generate_corpus(5, 5, include_sums=True,
+                                            sample=300, seed=7)
+        elapsed = time.perf_counter() - start
+        assert len(corpus) == 300 and not truncated
+        assert len(builds) == 300
+        # Building and keying all 9,260 members first takes about 8 s.
+        assert elapsed < 1.0
+
+    def test_limit_builds_only_the_prefix(self, builds):
+        corpus, truncated = generate_corpus(5, 5, include_sums=True, limit=5)
+        assert len(corpus) == 5 and truncated
+        assert len(builds) == 5
+
+    def test_full_corpus_builds_each_member_once(self, builds):
+        corpus, _ = generate_corpus(4, 5, include_sums=True)
+        assert len(corpus) == len(builds) == 1576
 
 
 class TestRunBatch:
