@@ -21,8 +21,8 @@ from math import gcd
 
 from .errors import (ConfigurationError, IndexBoundsError, OwnershipError,
                      ResourceBoundError, SingularMatrixError)
-from .linalg import (IntMatrix, RationalVector, determinant, lattice_basis,
-                     lattice_solve, scaled_inverse, smith_normal_form)
+from .linalg import (IntMatrix, RationalVector, lattice_basis, lattice_solve,
+                     scaled_inverse, smith_normal_form)
 
 DEFAULT_MAX_GROUP_ORDER = 10_000
 _MAX_ORDER_ENV = "SAITO_MAX_GROUP_ORDER"
@@ -133,14 +133,10 @@ class GroupPresentation:
     def generators(self):
         """The standard generators: columns of the constraint's inverse,
         reduced mod 1."""
-        n = self.rank
         d = self._order
-        det = determinant(self._constraint)
-        scaled = scaled_inverse(self._constraint, det)
-        sign = 1 if det > 0 else -1
-        return [GroupElement(self, RationalVector(
-            [sign * scaled.entry(i, j) for i in range(n)], d).mod1())
-            for j in range(n)]
+        scaled = scaled_inverse(self._constraint, d)
+        return [GroupElement(self, RationalVector(col, d).mod1())
+                for col in scaled.columns()]
 
     def _quotient_data(self):
         if self._quotient is None:
@@ -416,10 +412,11 @@ def subgroup_join(a, b):
 
 
 def _scaled_dual_basis(presentation, basis):
+    # The columns of d*B^-T are the rows of d*B^-1.
     cached = presentation._dual_basis_cache.get(basis)
     if cached is None:
         cached = lattice_basis(
-            scaled_inverse(basis.transpose(), presentation.order).columns(),
+            scaled_inverse(basis, presentation.order).rows,
             presentation.rank)
         presentation._dual_basis_cache[basis] = cached
     return cached
@@ -451,9 +448,9 @@ def isotropy_subgroup(presentation, indices):
 
     Mod Z^n such an element is (0, v_J) on the complement J, with C[:,J]*v_J
     integral for the constraint C; those v_J form the dual of the lattice
-    spanned by the rows of C[:,J], whose HNF basis B gives d*B^-T.  Padding
-    its columns with zeros off J and adding d*e_i for i in ``indices``
-    spans the scaled lattice of the subgroup."""
+    spanned by the rows of C[:,J], whose HNF basis B gives d*B^-T, read as
+    the rows of d*B^-1.  Padding those with zeros off J and adding d*e_i
+    for i in ``indices`` spans the scaled lattice of the subgroup."""
     n = presentation.rank
     idx = set(indices)
     for i in idx:
@@ -468,9 +465,9 @@ def isotropy_subgroup(presentation, indices):
     k = len(free)
     rows = lattice_basis(
         ([row[j] for j in free] for row in presentation.constraint.rows), k)
-    dual = scaled_inverse(rows.transpose(), d)
+    dual = scaled_inverse(rows, d)
     cols = [[d if r == i else 0 for r in range(n)] for i in idx]
-    for c in dual.columns():
+    for c in dual.rows:
         col = [0] * n
         for j, x in zip(free, c):
             col[j] = x
@@ -480,12 +477,12 @@ def isotropy_subgroup(presentation, indices):
 
 def dual_subgroup(key):
     """Dual of a subgroup: the kernel of character restriction, computed by
-    the exact dual-lattice formula on the opposite-side presentation."""
+    the exact dual-lattice formula on the opposite-side presentation.  The
+    columns of d^2*(C*B)^-T are the rows of d^2*(C*B)^-1."""
     p = key.presentation
     d = p.order
     m = p.constraint * key.basis
-    basis = lattice_basis(scaled_inverse(m.transpose(), d * d).columns(),
-                          p.rank)
+    basis = lattice_basis(scaled_inverse(m, d * d).rows, p.rank)
     return SubgroupKey(p.dual(), basis)
 
 

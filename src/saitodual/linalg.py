@@ -6,6 +6,12 @@ a column-style Hermite normal form, the Smith normal form with transform
 accumulation, and the small set of lattice primitives the group layer is
 built on.
 
+One solver: every scaled inverse and lattice solve ends in integer
+upper-triangular back-substitution.  An upper-triangular input (every HNF
+basis) goes there directly; any other square input is first brought to its
+column HNF H = M*U, and the solution for H is mapped back through the
+unimodular U.  There is no rational elimination.
+
 HNF convention used throughout the package: for a matrix of full column
 rank, H = M*U is column-echelon with the pivot of each column strictly
 below the pivot of the previous one, pivots positive, and every entry to
@@ -127,22 +133,12 @@ class IntMatrix:
         """Matrix-vector product with an integer sequence."""
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self._rows)
 
-    def _triangularity(self):
-        if self._tri is None:
-            upper = all(self._rows[i][j] == 0
-                        for i in range(self.nrows)
-                        for j in range(min(i, self.ncols)))
-            lower = all(self._rows[i][j] == 0
-                        for i in range(self.nrows)
-                        for j in range(i + 1, self.ncols))
-            self._tri = (upper, lower)
-        return self._tri
-
     def is_upper_triangular(self):
-        return self._triangularity()[0]
-
-    def is_lower_triangular(self):
-        return self._triangularity()[1]
+        if self._tri is None:
+            self._tri = all(self._rows[i][j] == 0
+                            for i in range(self.nrows)
+                            for j in range(min(i, self.ncols)))
+        return self._tri
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self._rows == other._rows
@@ -440,109 +436,68 @@ def _solve_upper_triangular(rows, col, n):
     return x
 
 
-def _solve_lower_triangular(rows, col, n):
-    x = [0] * n
-    for i in range(n):
-        acc = col[i]
-        row = rows[i]
-        for j in range(i):
-            acc -= row[j] * x[j]
-        q, r = divmod(acc, row[i])
-        if r != 0:
-            return None
-        x[i] = q
-    return x
+def _triangular_form(m):
+    """Rows of an upper-triangular H with nonzero diagonal and a unimodular
+    U with H = M*U, for square M.  U is None when M is already upper
+    triangular (every HNF basis is); otherwise H is the column HNF of M."""
+    if not m.is_square():
+        raise DimensionError("matrix must be square")
+    if m.is_upper_triangular():
+        h, u = m, None
+    else:
+        try:
+            h, u = hermite_normal_form(m)
+        except RankError:
+            raise SingularMatrixError("matrix is singular") from None
+    rows = h.rows
+    if any(rows[i][i] == 0 for i in range(len(rows))):
+        raise SingularMatrixError("matrix is singular")
+    return rows, u
 
 
 def scaled_inverse(m, scalar):
     """Return scalar * M^{-1} as an IntMatrix.
 
     Raises SingularMatrixError on singular input and ValueError when the
-    scaled inverse is not integral.  Triangular inputs take an exact
-    integer fast path; the general case runs rational Gauss-Jordan.
+    scaled inverse is not integral.  The one solver is upper-triangular
+    back-substitution: any other input is first brought to its column HNF
+    H = M*U, and scalar * M^{-1} = U * (scalar * H^{-1}); U is unimodular,
+    so both sides are integral together.
     """
     if not isinstance(m, IntMatrix):
         m = IntMatrix(m)
-    if not m.is_square():
-        raise DimensionError("inverse requires a square matrix")
-    n = m.nrows
-    rows = m.rows
-    if m.is_upper_triangular() or m.is_lower_triangular():
-        if any(rows[i][i] == 0 for i in range(n)):
-            raise SingularMatrixError("matrix is singular")
-        solve = (_solve_upper_triangular if m.is_upper_triangular()
-                 else _solve_lower_triangular)
-        cols = []
-        for j in range(n):
-            e = [scalar if i == j else 0 for i in range(n)]
-            x = solve(rows, e, n)
-            if x is None:
-                raise ValueError("scaled inverse is not integral")
-            cols.append(x)
-        return IntMatrix._wrap(tuple(tuple(c[i] for c in cols)
-                                     for i in range(n)))
-
-    a = [[Fraction(x) for x in row] + [Fraction(scalar) if i == j else Fraction(0)
-                                       for j in range(n)]
-         for i, row in enumerate(rows)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-        pk = a[k][k]
-        a[k] = [x / pk for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            val = a[i][j]
-            if val.denominator != 1:
-                raise ValueError("scaled inverse is not integral")
-            row.append(val.numerator)
-        out.append(tuple(row))
-    return IntMatrix._wrap(tuple(out))
+    rows, u = _triangular_form(m)
+    n = len(rows)
+    cols = []
+    for j in range(n):
+        e = [scalar if i == j else 0 for i in range(n)]
+        x = _solve_upper_triangular(rows, e, n)
+        if x is None:
+            raise ValueError("scaled inverse is not integral")
+        cols.append(x)
+    inv = IntMatrix._wrap(tuple(zip(*cols)))
+    return inv if u is None else u * inv
 
 
 def lattice_solve(basis, vector):
     """Integer coordinates x with basis*x = vector, or None.
 
-    ``basis`` must be square nonsingular; triangular bases (the canonical
-    HNF case) avoid rational arithmetic entirely.
+    ``basis`` must be square nonsingular (DimensionError, SingularMatrixError
+    otherwise) and ``vector`` of length ``basis.nrows``.  An upper-triangular
+    basis (the canonical HNF case) is solved by back-substitution directly;
+    any other is brought to its column HNF H = basis*U first, and
+    x = U*y with H*y = vector.
     """
-    n = basis.nrows
-    if basis.is_upper_triangular():
-        return _solve_upper_triangular(basis.rows, list(vector), n)
-    if basis.is_lower_triangular():
-        return _solve_lower_triangular(basis.rows, list(vector), n)
-    a = [[Fraction(x) for x in row] for row in basis.rows]
-    b = [Fraction(x) for x in vector]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("basis is singular")
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            b[k], b[pivot_row] = b[pivot_row], b[k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / a[k][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-                b[i] -= f * b[k]
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = b[i]
-        for j in range(i + 1, n):
-            acc -= a[i][j] * x[j]
-        x[i] = acc / a[i][i]
-    if any(val.denominator != 1 for val in x):
-        return None
-    return [val.numerator for val in x]
+    rows, u = _triangular_form(basis)
+    n = len(rows)
+    vector = list(vector)
+    if len(vector) != n:
+        raise DimensionError(
+            f"vector has {len(vector)} coordinates, basis has {n} rows")
+    x = _solve_upper_triangular(rows, vector, n)
+    if x is None or u is None:
+        return x
+    return list(u.apply_to_vector(x))
 
 
 def lattice_member(basis, vector):

@@ -17,6 +17,7 @@ from saitodual.enumeration import (atom_specs, build_polynomial,
                                    canonical_matrix_key)
 from saitodual.groups import (GroupElement, SubgroupKey, _meet_bases,
                               full_subgroup, subgroup_generated_by)
+from saitodual.errors import SingularMatrixError
 from saitodual.linalg import IntMatrix, RationalVector
 
 _elements_cache = {}
@@ -246,6 +247,68 @@ def meet_isotropy(p, indices):
     constraint = IntMatrix.diagonal([d if i in idx else 1
                                      for i in range(p.rank)])
     return SubgroupKey(p, _meet_bases(p, p.ambient_basis, constraint))
+
+
+def fraction_scaled_inverse(m, scalar):
+    """scalar * M^{-1} by rational Gauss-Jordan elimination on [M | scalar*I];
+    SingularMatrixError when M is singular, ValueError when the result is
+    not integral."""
+    n = m.nrows
+    a = [[Fraction(x) for x in row]
+         + [Fraction(scalar if i == j else 0) for j in range(n)]
+         for i, row in enumerate(m.rows)]
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError("matrix is singular")
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+        pk = a[k][k]
+        a[k] = [x / pk for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n, 2 * n):
+            val = a[i][j]
+            if val.denominator != 1:
+                raise ValueError("scaled inverse is not integral")
+            row.append(val.numerator)
+        out.append(row)
+    return IntMatrix(out)
+
+
+def fraction_lattice_solve(basis, vector):
+    """Integer x with basis*x = vector, or None, by rational Gaussian
+    elimination and back-substitution; SingularMatrixError when the basis
+    is singular."""
+    n = basis.nrows
+    a = [[Fraction(x) for x in row] for row in basis.rows]
+    b = [Fraction(x) for x in vector]
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError("basis is singular")
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            b[k], b[pivot_row] = b[pivot_row], b[k]
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] / a[k][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+                b[i] -= f * b[k]
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = b[i]
+        for j in range(i + 1, n):
+            acc -= a[i][j] * x[j]
+        x[i] = acc / a[i][i]
+    if any(val.denominator != 1 for val in x):
+        return None
+    return [val.numerator for val in x]
 
 
 def divisors(n):

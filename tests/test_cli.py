@@ -10,6 +10,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from saitodual import (__version__, cli, generate_corpus, milnor_number,
@@ -289,26 +290,29 @@ class TestEnumerateArguments:
 
 
 class TestBigDeterminant:
-    # The 4-chain at p = 10007 has d = p^4, about 1.0e16: no step may
-    # search over the divisors of d.
-    CHAIN = "x^10007*y + y^10007*z + z^10007*w + w^10007"
+    # The 4-chain and the 4-loop at p = 10007 have d = p^4 and p^4 - 1,
+    # about 1.0e16: no step may search over the divisors of d.  The loop's
+    # exponent matrix is not triangular, so its inverses take the HNF route.
+    P = 10007
 
     def timed_json(self, capsys, *argv):
         start = time.perf_counter()
         code, data = run_json(capsys, *argv)
         return code, data["result"], time.perf_counter() - start
 
-    def test_zeta_and_dual_finish_fast(self, capsys):
-        code, zeta, zeta_s = self.timed_json(capsys, "zeta", self.CHAIN,
-                                             "--json")
+    @pytest.mark.parametrize("text, order", [
+        ("x^10007*y + y^10007*z + z^10007*w + w^10007", P ** 4),
+        ("x^10007*y + y^10007*z + z^10007*w + w^10007*x", P ** 4 - 1),
+    ], ids=["chain", "loop"])
+    def test_zeta_and_dual_finish_fast(self, capsys, text, order):
+        code, zeta, zeta_s = self.timed_json(capsys, "zeta", text, "--json")
         assert code == 0 and zeta_s < 1.0
-        assert zeta["group"]["order"] == 10007 ** 4
+        assert zeta["group"]["order"] == order
         classical = zeta["classical"]
         degree = sum(int(m) * s for m, s in classical["factors"].items())
-        mu = milnor_number(parse_polynomial(self.CHAIN))
+        mu = milnor_number(parse_polynomial(text))
         assert degree == 1 + (-1) ** (4 - 1) * mu
-        code, dual, dual_s = self.timed_json(capsys, "dual", self.CHAIN,
-                                             "--json")
+        code, dual, dual_s = self.timed_json(capsys, "dual", text, "--json")
         assert code == 0 and dual_s < 1.0
         assert dual["equal"] is True
 

@@ -200,6 +200,18 @@ class TestScaledInverseAndLattices:
         assert lattice_member(basis, (9, 0))
         assert not lattice_member(basis, (1, 0))
 
+    @pytest.mark.parametrize("rows, vector, error", [
+        ([[1, 2, 3], [0, 1, 2]], (1, 1), DimensionError),
+        ([[9, 2], [0, 3]], (1,), DimensionError),
+        ([[9, 2], [0, 3]], (1, 1, 7), DimensionError),
+        ([[0, 1], [0, 1]], (1, 1), SingularMatrixError),
+        ([[1, 0], [1, 0]], (1, 1), SingularMatrixError),
+    ], ids=["non-square", "short-vector", "long-vector", "singular-upper",
+            "singular-lower"])
+    def test_lattice_solve_rejects_bad_input(self, rows, vector, error):
+        with pytest.raises(error):
+            lattice_solve(IntMatrix(rows), vector)
+
     def test_extended_gcd(self):
         for a, b in [(12, 18), (-4, 6), (0, 5), (7, 0), (0, 0), (-3, -9)]:
             g, x, y = extended_gcd(a, b)
