@@ -18,8 +18,9 @@ from .errors import (CoefficientWarning, ConfigurationError,
 from .groups import (GroupElement, GroupPresentation, SubgroupKey,
                      dual_subgroup, enumerate_subgroups, full_subgroup,
                      geometric_roots, isotropy_subgroup, monodromy_element,
-                     pairing, subgroup_generated_by, subgroup_join,
-                     subgroup_meet, symmetry_group, trivial_subgroup)
+                     pairing, root_count, subgroup_generated_by,
+                     subgroup_join, subgroup_meet, symmetry_group,
+                     trivial_subgroup)
 from .linalg import (IntMatrix, RationalVector, determinant,
                      hermite_normal_form, invariant_factors, lattice_basis,
                      lattice_member, lattice_solve, smith_normal_form)

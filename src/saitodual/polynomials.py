@@ -340,11 +340,16 @@ def _tokenize(text):
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
-            tokens.append(_Token("int", int(text[i:j]), line, col))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise PolynomialParseError(
+                    f"integer of {j - i} digits is too long", line, col)
+            tokens.append(_Token("int", value, line, col))
             col += j - i
             i = j
             continue
@@ -439,9 +444,28 @@ def _from_matrix_literal(text):
     except json.JSONDecodeError as exc:
         raise PolynomialParseError(
             f"invalid matrix literal: {exc.msg}", exc.lineno, exc.colno)
+    except (ValueError, RecursionError) as exc:
+        # An integer past sys.get_int_max_str_digits(), or deep nesting.
+        raise PolynomialParseError(f"invalid matrix literal: {exc}")
     if not isinstance(obj, dict) or "E" not in obj:
         raise PolynomialParseError('matrix literal must be {"E": [[...]], ...}')
-    return InvertiblePolynomial(IntMatrix(obj["E"]), obj.get("vars"))
+    unknown = sorted(set(obj) - {"E", "vars"})
+    if unknown:
+        raise PolynomialParseError(
+            f"unknown matrix literal key {unknown[0]!r}; only \"E\" and "
+            "\"vars\" are allowed")
+    rows = obj["E"]
+    # bool is a subclass of int, and json reads NaN and 2.5 as floats.
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(
+                type(x) is int for x in row) for row in rows)):
+        raise PolynomialParseError(
+            '"E" must be a list of rows of integers')
+    names = obj.get("vars")
+    if "vars" in obj and not (isinstance(names, list) and all(
+            isinstance(v, str) for v in names)):
+        raise PolynomialParseError('"vars" must be a list of strings')
+    return InvertiblePolynomial(IntMatrix(rows), names)
 
 
 def parse_polynomial(text):

@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .burnside import (BurnsideElement, CyclotomicProduct, element_zeta,
                        saito_dual)
@@ -155,11 +156,11 @@ class VerificationReport:
 
 class DualPair:
     """The Berglund-Hubsch pair (f, f^T): the symmetry group G of f and its
-    dual G^T (the group of f^T), the monodromy element of f, and each side's
-    zeta report and geometric roots.  Each field is computed on first use
-    and then shared; each side's weight system is kept on ``f`` and ``ft``
-    (``InvertiblePolynomial.weights``), where every library call reaches
-    it."""
+    dual G^T (the group of f^T), the monodromy element of f, each side's
+    zeta report, and the geometric roots of f.  Each field is computed on
+    first use and then shared; each side's weight system is kept on ``f``
+    and ``ft`` (``InvertiblePolynomial.weights``), where every library call
+    reaches it."""
 
     def __init__(self, f):
         self.f = f
@@ -192,10 +193,6 @@ class DualPair:
     def roots(self):
         return geometric_roots(self.f, self.group)
 
-    @cached_property
-    def roots_t(self):
-        return geometric_roots(self.ft, self.group_t)
-
 
 def verify_zeta_duality(pair):
     """Check that the reduced equivariant zeta function of the transposed
@@ -213,29 +210,52 @@ def verify_zeta_duality(pair):
                               lhs_report=rep_t, rhs_report=rep)
 
 
+def generating_root_exists(report):
+    """Whether c*g = h has a solution g generating the cyclic group G of
+    the report, with c the gcd of the canonical weights and h the
+    monodromy element.  In G = Z/d with h = t, such a g has
+    gcd(t, d) = gcd(c*g, d) = gcd(c, d), and conversely; gcd(t, d) is
+    d / ord(h), and ord(h) is the modulus of the classical zeta."""
+    d = report.group.order
+    c = report.polynomial.weights.gcd_factor
+    return gcd(c, d) == d // report.classical.modulus
+
+
+def generating_root_zeta(report):
+    """Zeta function of a generating root on the reduced zeta
+    sum c_H [G/H] of the report's cyclic group G of order d: a generator
+    permutes G/H in one cycle of length |G/H|, so every generating root
+    gives prod (1 - t^(d/|H|))^(c_H), with modulus d."""
+    d = report.group.order
+    return CyclotomicProduct(
+        d, {d // h.order: c for h, c in report.reduced.terms.items()})
+
+
 def verify_root_duality(pair):
     """Check the geometric-root statement: with d = det E, the reduced
-    zeta function of a root of the transposed polynomial's monodromy is
-    the classical dual (to the power (-1)^(n-1)) of the reduced zeta
-    function of a root on the original side.  Requires a cyclic symmetry
-    group."""
+    zeta function of a generating root of the transposed polynomial's
+    monodromy is the classical dual (to the power (-1)^(n-1)) of the
+    reduced zeta function of a generating root on the original side.
+    Requires a cyclic symmetry group.
+
+    No root is listed.  On each side, with c the gcd of the canonical
+    weights and ord(h) the modulus of the classical zeta, a generating
+    root exists exactly when gcd(c, d) == d // ord(h)
+    (``generating_root_exists``), and its zeta function on the reduced
+    zeta sum c_H [G/H] is prod (1 - t^(d/|H|))^(c_H)
+    (``generating_root_zeta``).  Listing the roots would cost
+    prod_j gcd(c, o_j) elements over the invariant factors o_j (see
+    ``groups.root_count``)."""
     p = pair.group
     if not p.is_cyclic:
         raise NonCyclicError(
             "geometric roots require a cyclic symmetry group; invariant "
             f"factors are {p.invariant_factors}")
-    d = p.order
-    # Solutions of g^c = h that fail to generate give a different (smaller
-    # modulus) zeta; the duality statement is about generating roots, and
-    # every generating root yields the same value.
-    roots = [g for g in pair.roots if g.order == d]
-    roots_t = [g for g in pair.roots_t if g.order == d]
-    if not roots or not roots_t:
-        raise NonCyclicError("no generating geometric roots exist")
     rep, rep_t = pair.report, pair.report_t
-    lhs = element_zeta(roots_t[0], rep_t.reduced).with_modulus(d)
-    rhs = classical_saito_dual(element_zeta(roots[0], rep.reduced)
-                               .with_modulus(d))
+    if not (generating_root_exists(rep) and generating_root_exists(rep_t)):
+        raise NonCyclicError("no generating geometric roots exist")
+    lhs = generating_root_zeta(rep_t)
+    rhs = classical_saito_dual(generating_root_zeta(rep))
     if pair.f.nvars % 2 == 0:
         rhs = rhs.inverse()
     equal = lhs == rhs

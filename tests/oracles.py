@@ -8,17 +8,18 @@ d-scaled integer coordinate tuples throughout.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from math import gcd, isqrt
 
-from math import isqrt
-
-from saitodual.burnside import BurnsideElement, CyclotomicProduct
+from saitodual.burnside import BurnsideElement, CyclotomicProduct, element_zeta
 from saitodual.enumeration import (atom_specs, build_polynomial,
                                    canonical_matrix_key)
 from saitodual.groups import (GroupElement, SubgroupKey, _meet_bases,
-                              full_subgroup, subgroup_generated_by)
+                              full_subgroup, monodromy_element,
+                              subgroup_generated_by)
 from saitodual.errors import SingularMatrixError
-from saitodual.linalg import IntMatrix, RationalVector
+from saitodual.linalg import IntMatrix, RationalVector, lattice_solve
 
 _elements_cache = {}
 _coset_cache = {}
@@ -348,3 +349,56 @@ def dedup_corpus(max_vars, max_exp, include_sums=False, include_chains=True,
         f = build_polynomial(combo)
         seen.setdefault((f.nvars, canonical_matrix_key(f.exponents)), f)
     return [seen[k] for k in sorted(seen)], len(combos)
+
+
+def coordinate_roots(f, p):
+    """Every solution g of c*g = h, as ``geometric_roots`` listed them
+    before it was counted first: solve c*x_j = t_j (mod o_j) in the SNF
+    coordinates t of the monodromy element h, coordinate by coordinate,
+    and combine; no solution when one coordinate has none."""
+    c = f.weights.gcd_factor
+    h = monodromy_element(f, p)
+    d = p.order
+    n = p.rank
+    gens, orders, u = p._quotient_data()
+    t = u.apply_to_vector(lattice_solve(p.ambient_basis, h.scaled()))
+    per_coordinate = []
+    for j, o in enumerate(orders):
+        tj = t[j] % o
+        g = gcd(c, o)
+        if tj % g:
+            return []
+        step = o // g
+        x0 = (tj // g) * pow(c // g, -1, step) % step
+        per_coordinate.append([x0 + m * step for m in range(g)])
+    roots = []
+    for combo in itertools.product(*per_coordinate):
+        vec = [0] * n
+        for j, k in enumerate(combo):
+            col = gens.column(j)
+            for i in range(n):
+                vec[i] = (vec[i] + k * col[i]) % d
+        roots.append(GroupElement(p, RationalVector(vec, d), _checked=False))
+    roots.sort(key=lambda g: g.sort_key())
+    return roots
+
+
+def brute_roots(f, p):
+    """Every solution g of c*g = h, by trial over all group elements."""
+    c = f.weights.gcd_factor
+    h = monodromy_element(f, p)
+    return sorted((g for g in p.elements() if c * g == h),
+                  key=lambda g: g.sort_key())
+
+
+def listed_root_zeta(report):
+    """The root-duality side as ``verify_root_duality`` computed it from
+    root lists: the zeta function of the first generating root among the
+    listed roots on the reduced zeta, with modulus d; None when no listed
+    root generates."""
+    f, p = report.polynomial, report.group
+    d = p.order
+    root = next((g for g in coordinate_roots(f, p) if g.order == d), None)
+    if root is None:
+        return None
+    return element_zeta(root, report.reduced).with_modulus(d)

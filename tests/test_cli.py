@@ -13,8 +13,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from saitodual import (__version__, cli, generate_corpus, milnor_number,
-                       parse_polynomial)
+from saitodual import (PolynomialParseError, __version__, cli,
+                       generate_corpus, milnor_number, parse_polynomial)
 from saitodual.cli import MAX_WORKERS, main
 
 
@@ -125,6 +125,67 @@ class TestRoots:
         assert result["gcdFactor"] == 2
         assert len(result["roots"]) == 2
         assert result["corollary"]["equal"] is True
+        assert "rootCount" not in result
+
+    def test_non_cyclic_with_roots_rejected(self, capsys):
+        # G = Z2 x Z42 has 4 solutions of c*g = h, but the corollary needs
+        # a cyclic group.
+        code, out, err = run_cli(capsys, "roots",
+                                 "x^3*y + y^5*x + z^2*w + w^3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "cyclic" in err
+        assert err.count("\n") == 1
+
+    def test_count_only_above_bound(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_LISTED_ROOTS", 1)
+        code, out, err = run_cli(capsys, "roots", "x^3+x*y^2", "--json")
+        assert code == 4
+        result = json.loads(out)["result"]
+        assert result["roots"] is None and result["rootCount"] == 2
+        assert result["corollary"]["equal"] is True
+        assert err.startswith("note: 2 geometric roots") and \
+            err.count("\n") == 1
+        code, out, err = run_cli(capsys, "roots", "x^3+x*y^2")
+        assert code == 4
+        assert "roots:       2 (not listed)" in out
+        assert "root duality: PASS" in out
+        assert err.count("\n") == 1
+
+
+class TestMatrixLiteral:
+    """Each literal used to pass a non-integer or unchecked value through
+    (exit 0 with a changed polynomial) or end in a traceback."""
+
+    @pytest.mark.parametrize("literal, message", [
+        ('{"E": [[2.5]]}', '"E" must be'),
+        ('{"E": [[true]]}', '"E" must be'),
+        ('{"E": [[NaN]]}', '"E" must be'),
+        ('{"E": "ab"}', '"E" must be'),
+        ('{"E": [[2]], "vars": [1]}', '"vars" must be'),
+        ('{"E": [[2, 1], [1, 2]], "vars": 5}', '"vars" must be'),
+        ('{"E": [[2]], "bogus": 1}', "unknown matrix literal key 'bogus'"),
+        ('{"E": [[' + "9" * 5000 + ']]}', "invalid matrix literal"),
+        ('{"E": ' + "[" * 100000, "invalid matrix literal"),
+        ("x^" + "9" * 5000, "5000 digits is too long"),
+        ("x^\u00b2", "unexpected character"),
+    ], ids=["float", "bool", "nan", "string-matrix", "int-name",
+            "int-vars", "unknown-key", "long-int-literal", "deep-nesting",
+            "long-int-text", "superscript-digit"])
+    def test_rejected_with_one_line(self, capsys, literal, message):
+        with pytest.raises(PolynomialParseError):
+            parse_polynomial(literal)
+        code, out, err = run_cli(capsys, "zeta", literal)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_accepted_entries_are_exact(self, capsys):
+        code, data = run_json(capsys, "analyze",
+                              '{"E": [[3, 1], [0, 4]], "vars": ["u", "v"]}',
+                              "--json")
+        assert code == 0
+        assert data["result"]["E"] == [[3, 1], [0, 4]]
+        assert data["result"]["variables"] == ["u", "v"]
 
 
 class TestEnumerate:
@@ -300,9 +361,12 @@ class TestBigDeterminant:
         code, data = run_json(capsys, *argv)
         return code, data["result"], time.perf_counter() - start
 
+    CHAIN = "x^10007*y + y^10007*z + z^10007*w + w^10007"
+    LOOP = "x^10007*y + y^10007*z + z^10007*w + w^10007*x"
+
     @pytest.mark.parametrize("text, order", [
-        ("x^10007*y + y^10007*z + z^10007*w + w^10007", P ** 4),
-        ("x^10007*y + y^10007*z + z^10007*w + w^10007*x", P ** 4 - 1),
+        (CHAIN, P ** 4),
+        (LOOP, P ** 4 - 1),
     ], ids=["chain", "loop"])
     def test_zeta_and_dual_finish_fast(self, capsys, text, order):
         code, zeta, zeta_s = self.timed_json(capsys, "zeta", text, "--json")
@@ -315,6 +379,34 @@ class TestBigDeterminant:
         code, dual, dual_s = self.timed_json(capsys, "dual", text, "--json")
         assert code == 0 and dual_s < 1.0
         assert dual["equal"] is True
+
+    # The chain has one geometric root.  The loop has c = 1,002,001,340,300
+    # of them, so `roots` reports only their count.
+    @pytest.mark.parametrize("text, code", [(CHAIN, 0), (LOOP, 4)],
+                             ids=["chain", "loop"])
+    def test_roots_finish_fast(self, capsys, text, code):
+        start = time.perf_counter()
+        got = main(["roots", text, "--json"])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert got == code and elapsed < 1.0
+        result = json.loads(out)["result"]
+        assert result["corollary"]["equal"] is True
+        if code:
+            assert result["roots"] is None
+            assert result["rootCount"] == result["gcdFactor"]
+            assert err.count("\n") == 1
+        else:
+            assert len(result["roots"]) == 1 and err == ""
+
+    def test_roots_listed_up_to_the_largest_bench_query(self, capsys):
+        # The 3-loop at p = 131 (17,031 roots) is the largest `roots`
+        # query of the bigdet workload over seeds 1-30.
+        code, data = run_json(capsys, "roots",
+                              "x^131*y + y^131*z + z^131*x", "--json")
+        assert code == 0
+        assert len(data["result"]["roots"]) == 17031
+        assert data["result"]["corollary"]["equal"] is True
 
 
 class TestEntryPoint:

@@ -1,21 +1,28 @@
-"""The closed forms of the isotropy subgroup and of the coset order, and
-the one integer solver of ``linalg``, checked against the searches and the
-rational elimination they replaced (kept in ``oracles``): over the whole
-acceptance corpus on both sides, and on random integer matrices."""
+"""The closed forms of the isotropy subgroup, the coset order, the root
+count and the root duality, and the one integer solver of ``linalg``,
+checked against the searches, root lists and rational elimination they
+replaced (kept in ``oracles``): over the whole acceptance corpus on both
+sides, and on random integer matrices."""
 
 import itertools
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from saitodual.burnside import _coset_order
 from saitodual.errors import SingularMatrixError
-from saitodual.groups import (GroupPresentation, isotropy_subgroup,
-                              monodromy_element, subgroup_generated_by)
+from saitodual.groups import (GroupPresentation, geometric_roots,
+                              isotropy_subgroup, monodromy_element,
+                              root_count, subgroup_generated_by,
+                              symmetry_group)
 from saitodual.linalg import (IntMatrix, determinant, lattice_solve,
                               scaled_inverse)
+from saitodual.polynomials import InvertiblePolynomial
+from saitodual.zeta import (equivariant_zeta, generating_root_exists,
+                            generating_root_zeta)
 
-from oracles import (divisor_coset_order, fraction_lattice_solve,
-                     fraction_scaled_inverse, meet_isotropy)
+from oracles import (brute_roots, coordinate_roots, divisor_coset_order,
+                     fraction_lattice_solve, fraction_scaled_inverse,
+                     listed_root_zeta, meet_isotropy)
 
 
 def sides(batch45):
@@ -78,6 +85,49 @@ class TestCorpusDifferential:
                 mismatches += (scaled_inverse(m, s)
                                != fraction_scaled_inverse(m, s))
         assert (checked, mismatches) == (24472, 0)
+
+    def test_generating_root_closed_form_matches_listing(self, batch45):
+        # Both sides of every cyclic corpus group: the existence test and
+        # the cyclotomic product against the first generating listed root.
+        checked = mismatches = 0
+        for _, p, rep in sides(batch45):
+            if not p.is_cyclic:
+                continue
+            checked += 1
+            oracle = listed_root_zeta(rep)
+            exists = generating_root_exists(rep)
+            mismatches += (exists != (oracle is not None)
+                           or exists and generating_root_zeta(rep) != oracle)
+        assert (checked, mismatches) == (1664, 0)
+
+    def test_root_count_matches_listing(self, batch45):
+        # Every corpus group, both sides; 12 non-cyclic sides have roots.
+        checked = mismatches = non_cyclic_with_roots = 0
+        for f, p, _ in sides(batch45):
+            listed = coordinate_roots(f, p)
+            count = root_count(f, p)
+            checked += 1
+            mismatches += (count != len(listed)
+                           or geometric_roots(f, p) != listed)
+            non_cyclic_with_roots += bool(count) and not p.is_cyclic
+        assert (checked, mismatches, non_cyclic_with_roots) == (3152, 0, 12)
+
+
+@st.composite
+def exponent_matrices(draw):
+    """An invertible polynomial with a nonsingular 2x2 to 4x4 exponent
+    matrix, entries 0 to 5, |det| <= 96.  Half are direct sums of two
+    blocks, where non-cyclic groups are common."""
+    n = draw(st.integers(2, 4))
+    rows = [[draw(st.sampled_from([0, 0, 1, 2, 3, 4, 5])) for _ in range(n)]
+            for _ in range(n)]
+    if draw(st.booleans()):
+        k = draw(st.integers(1, n - 1))
+        rows = [[x if (i < k) == (j < k) else 0 for j, x in enumerate(r)]
+                for i, r in enumerate(rows)]
+    det = determinant(rows)
+    assume(det != 0 and abs(det) <= 96)
+    return InvertiblePolynomial(rows)
 
 
 @st.composite
@@ -171,3 +221,20 @@ class TestRandomMatrices:
             coords, coords.map(m.apply_to_vector)))
         assert outcome(lattice_solve, m, vector) == \
             outcome(fraction_lattice_solve, m, vector)
+
+    @settings(max_examples=200, deadline=None)
+    @given(exponent_matrices())
+    # Z2 x Z2 without roots; Z2 x Z42 (x^3*y + y^5*x + z^2*w + w^3) with 4.
+    @example(InvertiblePolynomial([[2, 0], [0, 2]]))
+    @example(InvertiblePolynomial([[3, 1, 0, 0], [1, 5, 0, 0],
+                                   [0, 0, 2, 1], [0, 0, 0, 3]]))
+    def test_roots_closed_forms_match_listing(self, f):
+        p = symmetry_group(f)
+        brute = brute_roots(f, p)
+        assert root_count(f, p) == len(brute)
+        assert geometric_roots(f, p) == coordinate_roots(f, p) == brute
+        if p.is_cyclic:
+            rep = equivariant_zeta(f, p)
+            oracle = listed_root_zeta(rep)
+            assert generating_root_exists(rep) == (oracle is not None)
+            assert generating_root_zeta(rep) == oracle or oracle is None

@@ -7,9 +7,10 @@ import pytest
 
 from saitodual.errors import (ConfigurationError, IndexBoundsError,
                               OwnershipError, ResourceBoundError)
-from saitodual.groups import (dual_subgroup, enumerate_subgroups,
-                              full_subgroup, geometric_roots,
-                              isotropy_subgroup, monodromy_element, pairing,
+from saitodual.groups import (MAX_LISTED_ROOTS, dual_subgroup,
+                              enumerate_subgroups, full_subgroup,
+                              geometric_roots, isotropy_subgroup,
+                              monodromy_element, pairing, root_count,
                               subgroup_generated_by, subgroup_join,
                               subgroup_meet, symmetry_group, trivial_subgroup)
 from saitodual.linalg import IntMatrix, RationalVector
@@ -303,6 +304,27 @@ class TestMonodromyAndRoots:
             assert bool(roots) == p.is_cyclic
             if roots:
                 assert any(r.order == p.order for r in roots)
+
+    def test_non_cyclic_group_with_roots(self):
+        # Z2 x Z42: h has order 21 = d/c with c = 4, and 4G is the cyclic
+        # subgroup of order 21, so c*g = h has |G[4]| = 2 * 2 solutions.
+        f = parse_polynomial("x^3*y + y^5*x + z^2*w + w^3")
+        p = symmetry_group(f)
+        assert p.invariant_factors[-2:] == (2, 42)
+        assert root_count(f, p) == 4
+        roots = geometric_roots(f, p)
+        assert len(roots) == 4
+        h = monodromy_element(f, p)
+        assert all(4 * r == h for r in roots)
+
+    def test_listing_bounded(self):
+        f = parse_polynomial("x^131*y + y^131*z + z^131*x")
+        assert root_count(f) == 17031 <= MAX_LISTED_ROOTS
+        big = parse_polynomial("x^1013*y + y^1013*z + z^1013*w + w^1013*x")
+        assert root_count(big) == 1038484040
+        with pytest.raises(ResourceBoundError) as info:
+            geometric_roots(big)
+        assert "1038484040" in str(info.value)
 
     def test_foreign_group_rejected(self, z6):
         # The monodromy element (2/9, 1/3) of x^3*y + y^3 is not in Z6, so

@@ -1,10 +1,18 @@
 """The repository's tooling against the package it measures."""
 
 import ast
+import contextlib
 import importlib
+import io
+import json
+import time
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+from saitodual.cli import main
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
+WORKLOADS = BENCH / "workloads.py"
 
 
 def traced_names():
@@ -31,3 +39,39 @@ def test_every_traced_name_is_a_package_callable():
         if not callable(getattr(module, func_name, None)):
             missing.append(qualified)
     assert missing == []
+
+
+def probe_argv():
+    """``PROBE_ARGV`` of ``bench/workloads.py``, evaluated from its source
+    with the module-level functions it calls, without importing it."""
+    tree = ast.parse(WORKLOADS.read_text())
+    assign = next(
+        node for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "PROBE_ARGV"
+                for t in node.targets))
+    called = {n.func.id for n in ast.walk(assign)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    helpers = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name in called]
+    namespace = {}
+    exec(compile(ast.Module(helpers + [assign], type_ignores=[]),
+                 str(WORKLOADS), "exec"), namespace)
+    return namespace["PROBE_ARGV"]
+
+
+def test_bench_probe_is_refused_with_the_corollary():
+    # `bench/run.py` accepts the probe as a one-line refusal (exit 1 or
+    # 4); the root count is too large to list, but the corollary holds.
+    argv = probe_argv()
+    assert argv[0] == "roots"
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    elapsed = time.perf_counter() - start
+    assert code == 4 and elapsed < 1.0
+    assert err.getvalue().count("\n") == 1
+    result = json.loads(out.getvalue())["result"]
+    assert result["corollary"]["equal"] is True
+    assert result["roots"] is None and result["rootCount"] > 10 ** 9

@@ -211,20 +211,25 @@ class TestDualPair:
     def test_batch_computes_each_fact_once(self, monkeypatch):
         corpus, _ = generate_corpus(3, 4, include_sums=True)
         counts = count_calls(monkeypatch, "equivariant_zeta",
-                             "symmetry_group", "canonical_weights")
+                             "symmetry_group", "canonical_weights",
+                             "geometric_roots")
         report = run_batch(corpus)
         assert report.ok and report.corollary_checked > 0
+        # The root duality is checked in closed form: no root is listed.
         assert counts == {"equivariant_zeta": 2 * len(corpus),
                           "symmetry_group": len(corpus),
-                          "canonical_weights": 2 * len(corpus)}
+                          "canonical_weights": 2 * len(corpus),
+                          "geometric_roots": 0}
 
     def test_roots_command_computes_roots_once_per_side(self, monkeypatch):
+        # `roots` lists the roots of f only; the transposed side enters the
+        # corollary through its zeta report.
         counts = count_calls(monkeypatch, "geometric_roots",
                              "canonical_weights")
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(["roots", "x^3*y + y^3*z + z^3*x", "--json"])
         assert code == 0
-        assert counts == {"geometric_roots": 2, "canonical_weights": 2}
+        assert counts == {"geometric_roots": 1, "canonical_weights": 2}
 
 
 class TestEdgeCaseInvertibles:
