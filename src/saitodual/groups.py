@@ -305,12 +305,16 @@ class SubgroupKey:
     def contains_element(self, g):
         if g.presentation != self._presentation:
             raise OwnershipError("element belongs to a different group")
+        if self.is_full():
+            return True
         return lattice_solve(self._basis, g.scaled()) is not None
 
     def contains(self, other):
         """True when ``other`` is a subgroup of this subgroup."""
         if other._presentation != self._presentation:
             raise OwnershipError("subgroups belong to different groups")
+        if self.is_full():
+            return True
         if other._order > self._order:
             return False
         return all(
@@ -511,32 +515,114 @@ def pairing(a, b):
                     * beta.coords.denominator) % 1
 
 
+def _prime_factors(m):
+    """The distinct primes of m, by trial division (m is at most the group
+    order, which ``enumerate_subgroups`` bounds before it calls this)."""
+    primes = []
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
+def _hnf_lattices(orders):
+    """Column HNF bases of every lattice M with diag(orders)Z^k <= M <= Z^k,
+    each yielded once as its list of columns.
+
+    M's basis H is upper triangular with pivots h_ii | o_i and the entries
+    right of each pivot in [0, h_ii); the rows are chosen bottom-up.  The
+    coefficients c of o_j e_j = H c are solved along the way (c_j =
+    o_j / h_jj, and row i < j needs h_ii c_i = -sum_{l > i} h_il c_l), so
+    each entry h_ij is drawn only from the solutions of the congruence that
+    puts o_j e_j in the span, and a row with none is dropped at once."""
+    k = len(orders)
+    pivots = [[t for t in range(1, o + 1) if o % t == 0] for o in orders]
+    h = [[0] * k for _ in range(k)]
+    coeffs = [[0] * k for _ in range(k)]  # coeffs[j]: o_j e_j = H coeffs[j]
+
+    def choose_row(i):
+        if i < 0:
+            yield [[h[r][c] for r in range(c + 1)] for c in range(k)]
+            return
+        for pivot in pivots[i]:
+            h[i][i] = pivot
+            coeffs[i][i] = orders[i] // pivot
+            yield from choose_entry(i, i + 1)
+
+    def choose_entry(i, j):
+        if j == k:
+            yield from choose_row(i - 1)
+            return
+        pivot = h[i][i]
+        a = coeffs[j][j]
+        s = sum(coeffs[j][l] * h[i][l] for l in range(i + 1, j))
+        g = gcd(a, pivot)
+        if s % g:
+            return
+        step = pivot // g
+        first = (-s // g) * pow(a // g, -1, step) % step
+        for x in range(first, pivot, step):
+            h[i][j] = x
+            coeffs[j][i] = -(s + a * x) // pivot
+            yield from choose_entry(i, j + 1)
+
+    yield from choose_row(k - 1)
+
+
 def enumerate_subgroups(presentation, bound=None):
     """All subgroups, each exactly once, sorted by (order, basis).
 
     Refuses groups larger than ``bound`` (default from the
     SAITO_MAX_GROUP_ORDER environment variable, else 10000).
-    """
+
+    In the SNF coordinates of ``_quotient_data`` the group is the sum of
+    the Z/o_j, and every subgroup is the product of one subgroup of each
+    Sylow p-part.  The p-part is the sum of the Z/p^v_j (v_j the p-adic
+    valuation of o_j), generated by (o_j / p^v_j) times the j-th generator,
+    and its subgroups are the lattices listed by ``_hnf_lattices``.  Each
+    product is mapped back through those generators, together with the
+    columns d*e_i, and named by one HNF."""
     if bound is None:
         bound = _max_group_order()
     if presentation.order > bound:
         raise ResourceBoundError(
             f"group order {presentation.order} exceeds bound {bound}")
-    cyclics = {trivial_subgroup(presentation)}
-    for g in presentation.elements():
-        cyclics.add(subgroup_generated_by(presentation, [g]))
-    known = set(cyclics)
-    frontier = list(cyclics)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for c in cyclics:
-                j = subgroup_join(s, c)
-                if j not in known:
-                    known.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return sorted(known, key=lambda k: k.sort_key())
+    d = presentation.order
+    n = presentation.rank
+    gens, orders, _ = presentation._quotient_data()
+    parts = []
+    for q in _prime_factors(max(orders)):
+        part_gens, part_orders = [], []
+        for j, o in enumerate(orders):
+            power = 1
+            while o % (power * q) == 0:
+                power *= q
+            if power > 1:
+                part_gens.append([o // power * x for x in gens.column(j)])
+                part_orders.append(power)
+        subgroups = []
+        for columns in _hnf_lattices(part_orders):
+            vectors = []
+            for col in columns:
+                vec = tuple(sum(c * g[i] for c, g in zip(col, part_gens)) % d
+                            for i in range(n))
+                if any(vec):
+                    vectors.append(vec)
+            subgroups.append(vectors)
+        parts.append(subgroups)
+    base = [tuple(d if r == i else 0 for r in range(n)) for i in range(n)]
+    keys = [SubgroupKey(presentation,
+                        lattice_basis(base + [v for vs in combo for v in vs],
+                                      n))
+            for combo in itertools.product(*parts)]
+    keys.sort(key=lambda key: key.sort_key())
+    return keys
 
 
 def monodromy_element(f, group=None):

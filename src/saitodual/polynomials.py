@@ -465,6 +465,12 @@ def _from_matrix_literal(text):
     if "vars" in obj and not (isinstance(names, list) and all(
             isinstance(v, str) for v in names)):
         raise PolynomialParseError('"vars" must be a list of strings')
+    for name in names or ():
+        # The tokenizer's identifier: a letter, then letters or digits.
+        if not (name[:1].isalpha() and name.isalnum()):
+            raise PolynomialParseError(
+                f'"vars" entry {name!r} is not a variable name (a letter, '
+                "then letters or digits)")
     return InvertiblePolynomial(IntMatrix(rows), names)
 
 

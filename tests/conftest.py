@@ -40,6 +40,17 @@ def batch45(corpus45):
     return report
 
 
+def distinct_groups(batch, max_order):
+    """Both-side presentations of the corpus, deduplicated by constraint
+    matrix, restricted to the given order bound."""
+    seen = {}
+    for v in batch.records:
+        for p in (v.theorem.rhs_report.group, v.theorem.lhs_report.group):
+            if p.order <= max_order and p.constraint not in seen:
+                seen[p.constraint] = p
+    return list(seen.values())
+
+
 def pytest_terminal_summary(terminalreporter):
     if not ACCEPTANCE_RESULTS:
         return

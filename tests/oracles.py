@@ -17,7 +17,8 @@ from saitodual.enumeration import (atom_specs, build_polynomial,
                                    canonical_matrix_key)
 from saitodual.groups import (GroupElement, SubgroupKey, _meet_bases,
                               full_subgroup, monodromy_element,
-                              subgroup_generated_by)
+                              subgroup_generated_by, subgroup_join,
+                              trivial_subgroup)
 from saitodual.errors import SingularMatrixError
 from saitodual.linalg import IntMatrix, RationalVector, lattice_solve
 
@@ -248,6 +249,28 @@ def meet_isotropy(p, indices):
     constraint = IntMatrix.diagonal([d if i in idx else 1
                                      for i in range(p.rank)])
     return SubgroupKey(p, _meet_bases(p, p.ambient_basis, constraint))
+
+
+def join_closure_subgroups(p):
+    """All subgroups of ``p``, sorted by (order, basis), as
+    ``enumerate_subgroups`` found them before it built them: the cyclic
+    subgroup of every element, one HNF each, then every join of those until
+    no new subgroup appears."""
+    cyclics = {trivial_subgroup(p)}
+    for g in p.elements():
+        cyclics.add(subgroup_generated_by(p, [g]))
+    known = set(cyclics)
+    frontier = list(cyclics)
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for c in cyclics:
+                j = subgroup_join(s, c)
+                if j not in known:
+                    known.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    return sorted(known, key=lambda k: k.sort_key())
 
 
 def fraction_scaled_inverse(m, scalar):

@@ -18,21 +18,10 @@ from saitodual.linalg import determinant
 from saitodual.polynomials import canonical_weights
 from saitodual.zeta import classical_saito_dual
 
-from conftest import record_acceptance
+from conftest import distinct_groups, record_acceptance
 from oracles import brute_multiply, brute_restrict, kernel_dual
 
 RUNTIME_BUDGET_SECONDS = 120.0
-
-
-def distinct_groups(batch, max_order):
-    """Both-side presentations of the corpus, deduplicated by constraint
-    matrix, restricted to the given order bound."""
-    seen = {}
-    for v in batch.records:
-        for p in (v.theorem.rhs_report.group, v.theorem.lhs_report.group):
-            if p.order <= max_order and p.constraint not in seen:
-                seen[p.constraint] = p
-    return list(seen.values())
 
 
 def test_criterion_1_theorem_suite(corpus45, batch45):

@@ -168,9 +168,17 @@ class TestMatrixLiteral:
         ('{"E": ' + "[" * 100000, "invalid matrix literal"),
         ("x^" + "9" * 5000, "5000 digits is too long"),
         ("x^\u00b2", "unexpected character"),
+        # Printed as "x^3^2 + y + z^3", which does not parse back.
+        ('{"E": [[2, 0], [0, 3]], "vars": ["x^3", "y + z"]}',
+         "\"vars\" entry 'x^3' is not a variable name"),
+        ('{"E": [[2, 0], [0, 3]], "vars": ["x", ""]}',
+         "\"vars\" entry '' is not a variable name"),
+        ('{"E": [[2, 0], [0, 3]], "vars": ["x", "2y"]}',
+         "\"vars\" entry '2y' is not a variable name"),
     ], ids=["float", "bool", "nan", "string-matrix", "int-name",
             "int-vars", "unknown-key", "long-int-literal", "deep-nesting",
-            "long-int-text", "superscript-digit"])
+            "long-int-text", "superscript-digit", "operator-in-name",
+            "empty-name", "digit-first-name"])
     def test_rejected_with_one_line(self, capsys, literal, message):
         with pytest.raises(PolynomialParseError):
             parse_polynomial(literal)

@@ -1,8 +1,9 @@
 """The closed forms of the isotropy subgroup, the coset order, the root
-count and the root duality, and the one integer solver of ``linalg``,
-checked against the searches, root lists and rational elimination they
-replaced (kept in ``oracles``): over the whole acceptance corpus on both
-sides, and on random integer matrices."""
+count and the root duality, the subgroups built in SNF coordinates, and
+the one integer solver of ``linalg``, checked against the searches, root
+lists, join closure and rational elimination they replaced (kept in
+``oracles``): over the whole acceptance corpus on both sides, and on
+random integer matrices."""
 
 import itertools
 
@@ -10,19 +11,20 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from saitodual.burnside import _coset_order
 from saitodual.errors import SingularMatrixError
-from saitodual.groups import (GroupPresentation, geometric_roots,
-                              isotropy_subgroup, monodromy_element,
-                              root_count, subgroup_generated_by,
-                              symmetry_group)
+from saitodual.groups import (GroupPresentation, enumerate_subgroups,
+                              geometric_roots, isotropy_subgroup,
+                              monodromy_element, root_count,
+                              subgroup_generated_by, symmetry_group)
 from saitodual.linalg import (IntMatrix, determinant, lattice_solve,
                               scaled_inverse)
 from saitodual.polynomials import InvertiblePolynomial
 from saitodual.zeta import (equivariant_zeta, generating_root_exists,
                             generating_root_zeta)
 
+from conftest import distinct_groups
 from oracles import (brute_roots, coordinate_roots, divisor_coset_order,
                      fraction_lattice_solve, fraction_scaled_inverse,
-                     listed_root_zeta, meet_isotropy)
+                     join_closure_subgroups, listed_root_zeta, meet_isotropy)
 
 
 def sides(batch45):
@@ -111,6 +113,17 @@ class TestCorpusDifferential:
                            or geometric_roots(f, p) != listed)
             non_cyclic_with_roots += bool(count) and not p.is_cyclic
         assert (checked, mismatches, non_cyclic_with_roots) == (3152, 0, 12)
+
+    def test_subgroups_match_join_closure(self, batch45):
+        # Every distinct corpus group of order <= 200, both sides: the same
+        # keys in the same order.
+        groups = distinct_groups(batch45, max_order=200)
+        subgroups = mismatches = 0
+        for p in groups:
+            built = enumerate_subgroups(p)
+            subgroups += len(built)
+            mismatches += built != join_closure_subgroups(p)
+        assert (len(groups), subgroups, mismatches) == (2331, 48191, 0)
 
 
 @st.composite
@@ -201,6 +214,14 @@ class TestRandomMatrices:
         for h in subgroups:
             assert _coset_order(h.basis, g.scaled()) == \
                 divisor_coset_order(g, h)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_groups())
+    # Z2^4 and Z4^3: the deepest trees of choices |det| <= 64 allows.
+    @example(GroupPresentation(IntMatrix.diagonal([2, 2, 2, 2])))
+    @example(GroupPresentation(IntMatrix.diagonal([4, 4, 4])))
+    def test_subgroups_match_join_closure(self, p):
+        assert enumerate_subgroups(p) == join_closure_subgroups(p)
 
     @settings(max_examples=300, deadline=None)
     @given(solver_matrices(), st.data())

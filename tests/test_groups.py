@@ -1,10 +1,13 @@
 """Symmetry groups as quotient lattices: elements, subgroups, duality."""
 
 import itertools
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from saitodual import groups
 from saitodual.errors import (ConfigurationError, IndexBoundsError,
                               OwnershipError, ResourceBoundError)
 from saitodual.groups import (MAX_LISTED_ROOTS, dual_subgroup,
@@ -16,7 +19,8 @@ from saitodual.groups import (MAX_LISTED_ROOTS, dual_subgroup,
 from saitodual.linalg import IntMatrix, RationalVector
 from saitodual.polynomials import canonical_weights, parse_polynomial
 
-from oracles import kernel_dual, kernel_dual_all_pairs
+from conftest import distinct_groups
+from oracles import brute_roots, divisors, kernel_dual, kernel_dual_all_pairs
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +132,26 @@ class TestSubgroups:
         with pytest.raises(OwnershipError):
             subgroup_generated_by(z6, [other.identity()])
 
+    def test_full_subgroup_membership_needs_no_solve(self, z6, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("lattice_solve called")
+
+        full = full_subgroup(z6)
+        subs = enumerate_subgroups(z6)
+        monkeypatch.setattr(groups, "lattice_solve", no_solve)
+        assert all(full.contains(h) for h in subs)
+        assert all(full.contains_element(g) for g in z6.elements())
+
+    def test_full_subgroup_membership_checks_ownership_first(self, z6):
+        other = symmetry_group(parse_polynomial("x^5"))
+        full = full_subgroup(z6)
+        with pytest.raises(OwnershipError):
+            full.contains(full_subgroup(other))
+        with pytest.raises(OwnershipError):
+            full.contains(trivial_subgroup(other))
+        with pytest.raises(OwnershipError):
+            full.contains_element(other.identity())
+
     def test_canonical_key_independent_of_generators(self, z6):
         # Distinct generating sets of the same subgroup must yield the
         # identical key.
@@ -138,6 +162,55 @@ class TestSubgroups:
         keys = {subgroup_generated_by(z6, gens) for gens in variants}
         assert len(keys) == 1
         assert keys.pop() == full_subgroup(z6)
+
+
+def gaussian_binomial(n, k, q):
+    """Number of k-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+class TestSubgroupCounts:
+    """Subgroup counts from closed formulas, with no enumeration oracle."""
+
+    def test_rank_two_counts_match_hampejs_formula(self, batch45):
+        # #Sub(Z_m x Z_n) = sum over a | m, b | n of gcd(a, b) (Hampejs,
+        # Holighaus, Toth and Wiesmeyr 2014); cyclic groups have m = 1.
+        checked = 0
+        for p in distinct_groups(batch45, max_order=200):
+            nontrivial = [o for o in p.invariant_factors if o > 1]
+            if len(nontrivial) > 2:
+                continue
+            m, n = ([1, 1] + nontrivial)[-2:]
+            assert len(enumerate_subgroups(p)) == sum(
+                gcd(a, b) for a in divisors(m) for b in divisors(n))
+            checked += 1
+        assert checked == 2219
+
+    @pytest.mark.parametrize("q, total", [(2, 67), (3, 212), (5, 1120)])
+    def test_elementary_abelian_counts_are_gaussian_binomial_sums(self, q,
+                                                                   total):
+        p = symmetry_group(parse_polynomial(f"x^{q} + y^{q} + z^{q} + w^{q}"))
+        assert p.invariant_factors == (q,) * 4
+        assert sum(gaussian_binomial(4, k, q) for k in range(5)) == total
+        subs = enumerate_subgroups(p)
+        assert len(subs) == total
+        for k in range(5):
+            assert sum(1 for h in subs if h.order == q ** k) == \
+                gaussian_binomial(4, k, q)
+
+    def test_z6_fourth_power_within_five_seconds(self):
+        # Order 1296: 67 * 212 = 14,204 subgroups, one per pair of a
+        # subgroup of Z2^4 and one of Z3^4.
+        p = symmetry_group(parse_polynomial("x^6 + y^6 + z^6 + w^6"))
+        start = time.perf_counter()
+        subs = enumerate_subgroups(p)
+        elapsed = time.perf_counter() - start
+        assert len(subs) == len(set(subs)) == 14204
+        assert elapsed < 5.0
 
 
 class TestIsotropy:
@@ -297,13 +370,18 @@ class TestMonodromyAndRoots:
     def test_no_roots_for_non_cyclic(self):
         assert geometric_roots(parse_polynomial("x^2 + y^2")) == []
 
-    def test_existence_iff_cyclic(self, corpus_sample):
+    def test_roots_are_trial_solutions_and_cyclic_groups_have_a_generator(
+            self, corpus_sample):
+        # Cyclic groups always have a generating root, but roots can exist
+        # in a non-cyclic group too (see test_non_cyclic_group_with_roots).
         for f in corpus_sample:
             p = symmetry_group(f)
             roots = geometric_roots(f, p)
-            assert bool(roots) == p.is_cyclic
-            if roots:
+            assert roots == brute_roots(f, p)
+            if p.is_cyclic:
                 assert any(r.order == p.order for r in roots)
+            if roots:
+                assert len(roots) == root_count(f, p)
 
     def test_non_cyclic_group_with_roots(self):
         # Z2 x Z42: h has order 21 = d/c with c = 4, and 4G is the cyclic
