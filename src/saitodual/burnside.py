@@ -375,7 +375,8 @@ def burnside_from_cyclotomic(phi, presentation):
         gens, orders, _ = presentation._quotient_data()
         j = orders.index(d)
         generator = GroupElement(
-            presentation, RationalVector(gens.column(j), d), _checked=False)
+            presentation, RationalVector(gens.column(j), d).mod1(),
+            _checked=False)
     terms = {}
     for m, s in phi.factors.items():
         key = subgroup_generated_by(presentation, [m * generator])

@@ -253,8 +253,17 @@ def cmd_enumerate(args):
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error like any other input error: one `error:` line
+    and exit code 1, not argparse's usage block and exit code 2, which is
+    the code of a zeta-duality failure."""
+
+    def error(self, message):
+        raise SaitoDualError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog=TOOL_NAME,
         description="Exact-arithmetic toolkit for invertible polynomials: "
                     "symmetry groups, equivariant monodromy zeta functions, "
@@ -305,12 +314,18 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # --help and --version print their text and stop parsing.
+            return exc.code
         return args.func(args)
     except SaitoDualError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # One line, even when the message quotes an argument that holds a
+        # line break.
+        message = "\\n".join(str(exc).splitlines())
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -28,11 +28,12 @@ DEFAULT_MAX_GROUP_ORDER = 10_000
 _MAX_ORDER_ENV = "SAITO_MAX_GROUP_ORDER"
 
 # Most geometric roots that `geometric_roots` lists; above it only
-# `root_count` answers.  Listing costs about 35 us and 0.8 KiB per root:
+# `root_count` answers.  Listing costs about 11 us and 0.6 KiB per root:
 # `roots --json` on the 3-loop at p = 131, 200 and 300 (17,031, 39,801 and
-# 89,701 roots) took 0.64, 1.4 and 2.9 s at 29, 46 and 82 MiB peak RSS
-# (Python 3.11, one core of a 2-CPU x86-64 host).  The bound keeps a
-# listing under about 2 s and 60 MiB.
+# 89,701 roots, the last with the bound lifted) took 0.42, 0.65 and 1.2 s
+# at 27, 40 and 70 MiB peak RSS, whole process, best of 3 (Python 3.11,
+# one core of a 2-CPU x86-64 host).  The bound keeps a listing under about
+# 1 s and 50 MiB.
 MAX_LISTED_ROOTS = 50_000
 
 
@@ -171,14 +172,20 @@ class GroupPresentation:
 
 class GroupElement:
     """An element of a GroupPresentation, stored as exponent coordinates
-    reduced into [0, 1) with a shared denominator in lowest terms."""
+    reduced into [0, 1) with a shared denominator in lowest terms.
+
+    ``_checked=False`` is for coordinates the package built itself: they
+    must already lie in [0, 1) and satisfy the group's integrality
+    condition, so neither the reduction nor the membership test is
+    repeated; only the dimension is checked."""
 
     __slots__ = ("_presentation", "_coords")
 
     def __init__(self, presentation, coords, _checked=True):
         if not isinstance(coords, RationalVector):
             coords = RationalVector.from_fractions(coords)
-        coords = coords.mod1()
+        if _checked:
+            coords = coords.mod1()
         if coords.dim != presentation.rank:
             raise OwnershipError("coordinate dimension does not match group")
         if _checked:
@@ -252,7 +259,10 @@ class GroupElement:
         return hash((self._presentation, self._coords))
 
     def sort_key(self):
-        return self._coords.sort_key()
+        """The integer vector d*x for the group order d: every coordinate
+        lies in [0, 1) and its denominator divides d, so these keys sort
+        exactly like the rational coordinates."""
+        return self._coords.scaled(self._presentation.order)
 
     def __repr__(self):
         return f"GroupElement{self._coords}"
@@ -379,7 +389,7 @@ def _enumerate_quotient(presentation, basis):
         current = [tuple((v[i] + k * col[i]) % d for i in range(n))
                    for v in current for k in range(o)]
     for vec in current:
-        yield RationalVector(vec, d)
+        yield RationalVector._from_ints(vec, d)
 
 
 def symmetry_group(f):
@@ -683,19 +693,19 @@ def geometric_roots(f, group=None):
     # so the solve always succeeds; root_count > 0 makes each coordinate
     # equation c*x = t_j (mod o_j) solvable.
     t = u.apply_to_vector(lattice_solve(p.ambient_basis, h.scaled()))
-    per_coordinate = []
-    for j, o in enumerate(orders):
+    # Each root is the sum over j of x_j times the j-th SNF generator,
+    # with x_j ranging over the solutions of c*x_j = t_j (mod o_j).  The
+    # roots are built as d-scaled integer tuples reduced mod d, sorted as
+    # such (the order of ``GroupElement.sort_key``) and only then wrapped.
+    scaled = [(0,) * n]
+    for col, o, tj in zip(zip(*gens.rows), orders, t):
         g = gcd(c, o)
         step = o // g
-        x0 = (t[j] % o // g) * pow(c // g, -1, step) % step
-        per_coordinate.append([x0 + m * step for m in range(g)])
-    roots = []
-    for combo in itertools.product(*per_coordinate):
-        vec = [0] * n
-        for j, k in enumerate(combo):
-            col = gens.column(j)
-            for i in range(n):
-                vec[i] = (vec[i] + k * col[i]) % d
-        roots.append(GroupElement(p, RationalVector(vec, d), _checked=False))
-    roots.sort(key=lambda g: g.sort_key())
-    return roots
+        x0 = (tj % o // g) * pow(c // g, -1, step) % step
+        shifts = [tuple((x0 + m * step) * a % d for a in col)
+                  for m in range(g)]
+        scaled = [tuple((a + b) % d for a, b in zip(v, shift))
+                  for v in scaled for shift in shifts]
+    scaled.sort()
+    return [GroupElement(p, RationalVector._from_ints(v, d), _checked=False)
+            for v in scaled]

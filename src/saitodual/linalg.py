@@ -536,6 +536,16 @@ class RationalVector:
         self._den = den
 
     @classmethod
+    def _from_ints(cls, nums, den):
+        """Trusted constructor: ``nums`` must be a tuple of ints and ``den``
+        a positive int; only the reduction to lowest terms is done."""
+        g = gcd(den, *nums)
+        v = object.__new__(cls)
+        v._nums = tuple([x // g for x in nums]) if g > 1 else nums
+        v._den = den // g
+        return v
+
+    @classmethod
     def from_fractions(cls, fracs):
         fracs = [Fraction(f) for f in fracs]
         den = 1
@@ -597,9 +607,6 @@ class RationalVector:
 
     def __hash__(self):
         return hash((self._nums, self._den))
-
-    def sort_key(self):
-        return tuple(Fraction(x, self._den) for x in self._nums)
 
     def __repr__(self):
         return f"RationalVector({list(self._nums)}, {self._den})"

@@ -378,7 +378,8 @@ def coordinate_roots(f, p):
     """Every solution g of c*g = h, as ``geometric_roots`` listed them
     before it was counted first: solve c*x_j = t_j (mod o_j) in the SNF
     coordinates t of the monodromy element h, coordinate by coordinate,
-    and combine; no solution when one coordinate has none."""
+    and combine; no solution when one coordinate has none.  Sorted by the
+    rational coordinates, not by ``sort_key``, which is under test."""
     c = f.weights.gcd_factor
     h = monodromy_element(f, p)
     d = p.order
@@ -402,16 +403,17 @@ def coordinate_roots(f, p):
             for i in range(n):
                 vec[i] = (vec[i] + k * col[i]) % d
         roots.append(GroupElement(p, RationalVector(vec, d), _checked=False))
-    roots.sort(key=lambda g: g.sort_key())
+    roots.sort(key=lambda g: g.coords.fractions())
     return roots
 
 
 def brute_roots(f, p):
-    """Every solution g of c*g = h, by trial over all group elements."""
+    """Every solution g of c*g = h, by trial over all group elements, in
+    the order of their rational coordinates."""
     c = f.weights.gcd_factor
     h = monodromy_element(f, p)
     return sorted((g for g in p.elements() if c * g == h),
-                  key=lambda g: g.sort_key())
+                  key=lambda g: g.coords.fractions())
 
 
 def listed_root_zeta(report):

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from saitodual import (PolynomialParseError, __version__, cli,
                        generate_corpus, milnor_number, parse_polynomial)
 from saitodual.cli import MAX_WORKERS, main
+from saitodual.errors import SaitoDualError
 
 
 def run_cli(capsys, *argv):
@@ -358,11 +359,117 @@ class TestEnumerateArguments:
         assert matrix_rows(corpus) == matrix_rows(unlimited)[:len(corpus)]
 
 
+JUNK_TOKENS = ["+", "*", "^", "-", "(", ")", "2.5", "x^", "^3", "@", "7",
+               "xy", "x1", "{", "}", "[", "]", ":", ",", "\u00b2", "\u00e9",
+               "1e3", "  ", "\n"]
+JUNK_VALUES = st.one_of(st.booleans(), st.none(), st.integers(-3, -1),
+                        st.floats(allow_nan=True, allow_infinity=True),
+                        st.text(max_size=3), st.just([1]))
+
+
+def draw_exponents(draw, n):
+    """An n x n matrix of exponents in [0, 40], off-diagonal entries mostly
+    0, so that most draws are nonsingular."""
+    off = st.one_of(st.just(0), st.just(0), st.integers(0, 40))
+    return [[draw(st.integers(0, 40) if i == j else off) for j in range(n)]
+            for i in range(n)]
+
+
+@st.composite
+def polynomial_texts(draw):
+    """Monomials in at most 4 variables with exponents 0-40, joined by
+    `+`, with up to two junk tokens inserted."""
+    names = draw(st.lists(st.sampled_from("xyzw"), min_size=1, max_size=4,
+                          unique=True))
+    n = len(names)
+    rows = draw_exponents(draw, n)
+    count = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+    monomials = []
+    for exps in (rows + draw_exponents(draw, n))[:count]:
+        factors = [name if e == 1 else f"{name}^{e}"
+                   for name, e in zip(names, exps) if e]
+        monomials.append("*".join(factors) or "1")
+    pieces = " + ".join(monomials).split(" ")
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        pieces.insert(draw(st.integers(0, len(pieces))),
+                      draw(st.sampled_from(JUNK_TOKENS)))
+    return " ".join(pieces)
+
+
+@st.composite
+def matrix_literals(draw):
+    """A JSON literal and its rows: a square matrix of exponents 0-40, with
+    maybe a junk entry, a ragged row, variable names and an extra key."""
+    n = draw(st.integers(1, 4))
+    rows = draw_exponents(draw, n)
+    mutation = draw(st.sampled_from(["none"] * 5 + ["entry", "ragged",
+                                                    "extra-row"]))
+    if mutation == "entry":
+        row = draw(st.integers(0, n - 1))
+        rows[row][draw(st.integers(0, n - 1))] = draw(JUNK_VALUES)
+    elif mutation == "ragged":
+        rows[draw(st.integers(0, n - 1))].append(draw(st.integers(0, 40)))
+    elif mutation == "extra-row":
+        rows.append([draw(st.integers(0, 40)) for _ in range(n)])
+    obj = {"E": rows}
+    names = draw(st.sampled_from(["none", "none", "valid", "junk"]))
+    if names == "valid":
+        obj["vars"] = draw(st.permutations(["x", "y", "z", "u1"]))[:n]
+    elif names == "junk":
+        obj["vars"] = draw(st.lists(
+            st.sampled_from(["x", "y", "x^2", "", 3]),
+            min_size=n - 1, max_size=n + 1))
+    if draw(st.sampled_from([False] * 7 + [True])):
+        obj[draw(st.sampled_from(["vars2", "e", "F"]))] = draw(JUNK_VALUES)
+    return json.dumps(obj), rows
+
+
+class TestMainFuzz:
+    """`main()` on random polynomial text, matrix literals and extra
+    arguments for the four polynomial commands."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(command=st.sampled_from(["analyze", "zeta", "dual", "roots"]),
+           source=st.one_of(polynomial_texts().map(lambda t: (t, None)),
+                            matrix_literals()),
+           as_json=st.booleans(),
+           extra=st.lists(st.sampled_from(["--bogus", "-x", "--j", "extra",
+                                           "--", "-", "--max-vars", "3",
+                                           "--json"]), max_size=2),
+           position=st.integers(0, 2))
+    def test_exit_code_and_exact_literal(self, command, source, as_json,
+                                         extra, position):
+        text, rows = source
+        args = [text] + (["--json"] if as_json else []) + extra
+        args.insert(min(position, len(args)), args.pop(0))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, *args])
+        assert code in (0, 1, 2, 3, 4)
+        if code == 1:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+        if rows is None:
+            return
+        try:
+            f = parse_polynomial(text)
+        except SaitoDualError:
+            assert code == 1
+            return
+        assert f.exponents.rows == tuple(tuple(r) for r in rows)
+        if command == "analyze" and code == 0 and "--json" in args:
+            assert json.loads(out.getvalue())["result"]["E"] == rows
+
+
 class TestBigDeterminant:
     # The 4-chain and the 4-loop at p = 10007 have d = p^4 and p^4 - 1,
     # about 1.0e16: no step may search over the divisors of d.  The loop's
     # exponent matrix is not triangular, so its inverses take the HNF route.
+    # The 4-loop at p = 31622777 states the bound at d = p^4 - 1, about
+    # 1.0e30: every command finishes in under 1 s (each takes milliseconds).
     P = 10007
+    BIG_P = 31622777
 
     def timed_json(self, capsys, *argv):
         start = time.perf_counter()
@@ -371,12 +478,19 @@ class TestBigDeterminant:
 
     CHAIN = "x^10007*y + y^10007*z + z^10007*w + w^10007"
     LOOP = "x^10007*y + y^10007*z + z^10007*w + w^10007*x"
+    BIG_LOOP = ("x^31622777*y + y^31622777*z + z^31622777*w"
+                " + w^31622777*x")
 
     @pytest.mark.parametrize("text, order", [
         (CHAIN, P ** 4),
         (LOOP, P ** 4 - 1),
-    ], ids=["chain", "loop"])
+        (BIG_LOOP, BIG_P ** 4 - 1),
+    ], ids=["chain", "loop", "loop-1e30"])
     def test_zeta_and_dual_finish_fast(self, capsys, text, order):
+        code, analysis, analyze_s = self.timed_json(capsys, "analyze", text,
+                                                    "--json")
+        assert code == 0 and analyze_s < 1.0
+        assert analysis["group"]["order"] == order
         code, zeta, zeta_s = self.timed_json(capsys, "zeta", text, "--json")
         assert code == 0 and zeta_s < 1.0
         assert zeta["group"]["order"] == order
@@ -390,8 +504,9 @@ class TestBigDeterminant:
 
     # The chain has one geometric root.  The loop has c = 1,002,001,340,300
     # of them, so `roots` reports only their count.
-    @pytest.mark.parametrize("text, code", [(CHAIN, 0), (LOOP, 4)],
-                             ids=["chain", "loop"])
+    @pytest.mark.parametrize("text, code", [
+        (CHAIN, 0), (LOOP, 4), (BIG_LOOP, 4),
+    ], ids=["chain", "loop", "loop-1e30"])
     def test_roots_finish_fast(self, capsys, text, code):
         start = time.perf_counter()
         got = main(["roots", text, "--json"])
@@ -403,6 +518,7 @@ class TestBigDeterminant:
         if code:
             assert result["roots"] is None
             assert result["rootCount"] == result["gcdFactor"]
+            assert err.startswith(f"note: {result['rootCount']} geometric")
             assert err.count("\n") == 1
         else:
             assert len(result["roots"]) == 1 and err == ""
@@ -415,6 +531,28 @@ class TestBigDeterminant:
         assert code == 0
         assert len(data["result"]["roots"]) == 17031
         assert data["result"]["corollary"]["equal"] is True
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["zeta"],
+        ["zeta", "x^2", "--bogus"],
+        ["roots", "x^2", "extra\nline"],
+        ["enumerate", "--max-vars", "abc"],
+        ["transpose", "x^2"],
+        [],
+    ], ids=["missing-polynomial", "unknown-flag", "line-break",
+            "non-integer-flag", "unknown-command", "no-command"])
+    def test_usage_error_exits_1_with_one_line(self, capsys, argv):
+        # argparse alone exits 2, the code of a zeta-duality failure, and
+        # prints a usage block.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_help_returns_0(self, capsys):
+        code, out, _ = run_cli(capsys, "roots", "--help")
+        assert code == 0 and out.startswith("usage: saitodual roots")
 
 
 class TestEntryPoint:

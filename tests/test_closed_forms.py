@@ -223,6 +223,13 @@ class TestRandomMatrices:
     def test_subgroups_match_join_closure(self, p):
         assert enumerate_subgroups(p) == join_closure_subgroups(p)
 
+    @settings(max_examples=150, deadline=None)
+    @given(small_groups())
+    def test_element_sort_key_orders_like_fractions(self, p):
+        elements = list(p.elements())
+        assert sorted(elements, key=lambda g: g.sort_key()) == \
+            sorted(elements, key=lambda g: g.coords.fractions())
+
     @settings(max_examples=300, deadline=None)
     @given(solver_matrices(), st.data())
     def test_scaled_inverse_matches_fraction_elimination(self, m, data):

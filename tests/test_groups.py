@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from saitodual import groups
+from saitodual import groups, linalg
 from saitodual.errors import (ConfigurationError, IndexBoundsError,
                               OwnershipError, ResourceBoundError)
 from saitodual.groups import (MAX_LISTED_ROOTS, dual_subgroup,
@@ -20,7 +20,8 @@ from saitodual.linalg import IntMatrix, RationalVector
 from saitodual.polynomials import canonical_weights, parse_polynomial
 
 from conftest import distinct_groups
-from oracles import brute_roots, divisors, kernel_dual, kernel_dual_all_pairs
+from oracles import (brute_roots, coordinate_roots, divisors, kernel_dual,
+                     kernel_dual_all_pairs)
 
 
 @pytest.fixture(scope="module")
@@ -358,14 +359,29 @@ class TestMonodromyAndRoots:
         assert all(2 * r == h for r in roots)
         # Not every solution generates, but at least one does.
         assert sorted(r.order for r in roots) == [3, 6]
-        assert roots == sorted(roots, key=lambda g: g.sort_key())
+        assert roots == sorted(roots, key=lambda g: g.coords.fractions())
 
     def test_roots_brute_force(self, z6_poly, z6):
         h = monodromy_element(z6_poly, z6)
         c = canonical_weights(z6_poly).gcd_factor
         expected = sorted((g for g in z6.elements() if c * g == h),
-                          key=lambda g: g.sort_key())
+                          key=lambda g: g.coords.fractions())
         assert geometric_roots(z6_poly, z6) == expected
+
+    def test_listing_builds_no_fraction(self, monkeypatch):
+        # The roots are listed and sorted on integer vectors only.
+        f = parse_polynomial("x^29*y + y^29*z + z^29*x")
+
+        def refuse(*args):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(linalg, "Fraction", refuse)
+        monkeypatch.setattr(groups, "Fraction", refuse)
+        p = symmetry_group(f)
+        roots = geometric_roots(f, p)
+        monkeypatch.undo()
+        assert len(roots) == root_count(f, p) == 813
+        assert roots == coordinate_roots(f, p)
 
     def test_no_roots_for_non_cyclic(self):
         assert geometric_roots(parse_polynomial("x^2 + y^2")) == []
