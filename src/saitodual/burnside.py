@@ -16,7 +16,6 @@ from .errors import OwnershipError, StructureError
 from .groups import (GroupElement, GroupPresentation, SubgroupKey,
                      dual_subgroup, full_subgroup, subgroup_generated_by,
                      subgroup_meet)
-from .linalg import RationalVector
 
 
 class CyclotomicProduct:
@@ -374,9 +373,8 @@ def burnside_from_cyclotomic(phi, presentation):
     if d > 1:
         gens, orders, _ = presentation._quotient_data()
         j = orders.index(d)
-        generator = GroupElement(
-            presentation, RationalVector(gens.column(j), d).mod1(),
-            _checked=False)
+        generator = GroupElement._wrap(
+            presentation, tuple(x % d for x in gens.column(j)))
     terms = {}
     for m, s in phi.factors.items():
         key = subgroup_generated_by(presentation, [m * generator])

@@ -47,13 +47,8 @@ def _envelope(command, raw_input, result):
     }
 
 
-def _emit(payload, out_path=None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _emit(payload, out=None):
+    print(json.dumps(payload, indent=2, sort_keys=True), file=out)
 
 
 def _print_matrix(e, indent="  "):
@@ -216,6 +211,20 @@ def cmd_enumerate(args):
             raise SaitoDualError(f"{flag} must be at least {least}")
     if args.workers > MAX_WORKERS:
         raise SaitoDualError(f"--workers must be at most {MAX_WORKERS}")
+    if not args.out:
+        return _run_enumerate(args, None)
+    # Opened before any work, so a path that cannot be written costs
+    # nothing and gets one error line.
+    try:
+        out = open(args.out, "w")
+    except OSError as exc:
+        raise SaitoDualError(
+            f"cannot write --out {args.out}: {exc.strerror or exc}") from None
+    with out:
+        return _run_enumerate(args, out)
+
+
+def _run_enumerate(args, out):
     corpus, truncated = generate_corpus(
         args.max_vars, args.max_exp, include_sums=args.sums,
         include_chains=not args.no_chains, include_loops=not args.no_loops,
@@ -231,10 +240,10 @@ def cmd_enumerate(args):
         "sample": args.sample,
         "seed": args.seed,
     }
-    if args.json or args.out:
+    if args.json or out:
         result = {"bounds": bounds}
         result.update(report.to_json())
-        _emit(_envelope("enumerate", bounds, result), args.out)
+        _emit(_envelope("enumerate", bounds, result), out)
     else:
         print(f"polynomials:      {report.total}"
               + ("  (truncated)" if report.truncated else ""))

@@ -21,8 +21,9 @@ from math import gcd, lcm
 
 from .errors import (ConfigurationError, IndexBoundsError, OwnershipError,
                      ResourceBoundError, SingularMatrixError)
-from .linalg import (IntMatrix, RationalVector, lattice_basis, lattice_solve,
-                     scaled_inverse, smith_normal_form)
+from .linalg import (IntMatrix, RationalVector, format_fractions,
+                     lattice_basis, lattice_solve, scaled_inverse,
+                     smith_normal_form)
 
 DEFAULT_MAX_GROUP_ORDER = 10_000
 _MAX_ORDER_ENV = "SAITO_MAX_GROUP_ORDER"
@@ -137,14 +138,14 @@ class GroupPresentation:
         return GroupElement(self, coords)
 
     def identity(self):
-        return GroupElement(self, RationalVector([0] * self.rank, 1))
+        return GroupElement._wrap(self, (0,) * self.rank)
 
     def generators(self):
         """The standard generators: columns of the constraint's inverse,
         reduced mod 1."""
         d = self._order
         scaled = scaled_inverse(self._constraint, d)
-        return [GroupElement(self, RationalVector(col, d).mod1())
+        return [GroupElement._wrap(self, tuple(x % d for x in col))
                 for col in scaled.columns()]
 
     def _quotient_data(self):
@@ -155,8 +156,8 @@ class GroupPresentation:
     def elements(self):
         """All group elements, one per class; order of iteration is the
         product order over the invariant-factor generators."""
-        for coords in _enumerate_quotient(self, self._ambient):
-            yield GroupElement(self, coords, _checked=False)
+        for vec in _enumerate_quotient(self, self._ambient):
+            yield GroupElement._wrap(self, vec)
 
     def __eq__(self, other):
         return (isinstance(other, GroupPresentation)
@@ -171,35 +172,31 @@ class GroupPresentation:
 
 
 class GroupElement:
-    """An element of a GroupPresentation, stored as exponent coordinates
-    reduced into [0, 1) with a shared denominator in lowest terms.
+    """An element x of a GroupPresentation of order d, stored as the
+    integer vector d*x reduced mod d: every coordinate of x has a
+    denominator dividing d, so this vector names x exactly.
 
-    ``_checked=False`` is for coordinates the package built itself: they
-    must already lie in [0, 1) and satisfy the group's integrality
-    condition, so neither the reduction nor the membership test is
-    repeated; only the dimension is checked."""
+    The constructor checks that the coordinates (a RationalVector or a
+    sequence of fractions, reduced mod 1 here) lie in the group;
+    ``_wrap`` trusts a vector the package built itself."""
 
-    __slots__ = ("_presentation", "_coords")
+    __slots__ = ("_presentation", "_vec")
 
-    def __init__(self, presentation, coords, _checked=True):
+    def __init__(self, presentation, coords):
         if not isinstance(coords, RationalVector):
             coords = RationalVector.from_fractions(coords)
-        if _checked:
-            coords = coords.mod1()
-        if coords.dim != presentation.rank:
-            raise OwnershipError("coordinate dimension does not match group")
-        if _checked:
-            den = coords.denominator
-            c = presentation.constraint
-            for row in c.rows:
-                if sum(a * b for a, b in zip(row, coords.numerators)) % den:
-                    raise OwnershipError(
-                        "coordinates do not satisfy the group's integrality "
-                        "condition")
-            if presentation.order % den:
-                raise OwnershipError("element order does not divide group order")
         self._presentation = presentation
-        self._coords = coords
+        self._vec = _scaled_member(presentation, coords.numerators,
+                                   coords.denominator)
+
+    @classmethod
+    def _wrap(cls, presentation, vec):
+        """Trusted constructor: ``vec`` must be a tuple of ints in [0, d)
+        that is d times an element of the group."""
+        g = object.__new__(cls)
+        g._presentation = presentation
+        g._vec = vec
+        return g
 
     @property
     def presentation(self):
@@ -207,42 +204,44 @@ class GroupElement:
 
     @property
     def coords(self):
-        return self._coords
+        """The coordinates x in [0, 1) as a RationalVector."""
+        return RationalVector(self._vec, self._presentation.order)
 
     @property
     def order(self):
-        return self._coords.denominator
+        d = self._presentation.order
+        return d // gcd(d, *self._vec)
 
     def is_identity(self):
-        return self._coords.denominator == 1
+        return not any(self._vec)
 
-    def scaled(self, k=None):
-        """Integer coordinate vector k * coords (default k = group order)."""
-        if k is None:
-            k = self._presentation.order
-        return self._coords.scaled(k)
+    def scaled(self):
+        """The integer vector d*x for the group order d."""
+        return self._vec
 
     def __add__(self, other):
         self._require_same(other)
-        return GroupElement(self._presentation,
-                            (self._coords + other._coords).mod1(),
-                            _checked=False)
+        d = self._presentation.order
+        return GroupElement._wrap(self._presentation, tuple(
+            (a + b) % d for a, b in zip(self._vec, other._vec)))
 
     def __sub__(self, other):
         self._require_same(other)
-        return GroupElement(self._presentation,
-                            (self._coords - other._coords).mod1(),
-                            _checked=False)
+        d = self._presentation.order
+        return GroupElement._wrap(self._presentation, tuple(
+            (a - b) % d for a, b in zip(self._vec, other._vec)))
 
     def __neg__(self):
-        return GroupElement(self._presentation, (-self._coords).mod1(),
-                            _checked=False)
+        d = self._presentation.order
+        return GroupElement._wrap(self._presentation,
+                                  tuple(-a % d for a in self._vec))
 
     def __mul__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        return GroupElement(self._presentation, (k * self._coords).mod1(),
-                            _checked=False)
+        d = self._presentation.order
+        return GroupElement._wrap(self._presentation,
+                                  tuple(k * a % d for a in self._vec))
 
     __rmul__ = __mul__
 
@@ -253,22 +252,38 @@ class GroupElement:
     def __eq__(self, other):
         return (isinstance(other, GroupElement)
                 and self._presentation == other._presentation
-                and self._coords == other._coords)
+                and self._vec == other._vec)
 
     def __hash__(self):
-        return hash((self._presentation, self._coords))
+        return hash((self._presentation, self._vec))
 
     def sort_key(self):
-        """The integer vector d*x for the group order d: every coordinate
-        lies in [0, 1) and its denominator divides d, so these keys sort
-        exactly like the rational coordinates."""
-        return self._coords.scaled(self._presentation.order)
+        """The integer vector d*x: every coordinate lies in [0, 1) and its
+        denominator divides d, so these keys sort exactly like the
+        rational coordinates."""
+        return self._vec
 
     def __repr__(self):
-        return f"GroupElement{self._coords}"
+        return f"GroupElement{self}"
 
     def __str__(self):
-        return str(self._coords)
+        return format_fractions(self._vec, self._presentation.order)
+
+
+def _scaled_member(presentation, nums, den):
+    """The vector d*x mod d for x = nums/den, after checking that x lies
+    in the group of order d."""
+    if len(nums) != presentation.rank:
+        raise OwnershipError("coordinate dimension does not match group")
+    for row in presentation.constraint.rows:
+        if sum(a * b for a, b in zip(row, nums)) % den:
+            raise OwnershipError(
+                "coordinates do not satisfy the group's integrality "
+                "condition")
+    d = presentation.order
+    if any(d * x % den for x in nums):
+        raise OwnershipError("element order does not divide group order")
+    return tuple(d * x // den % d for x in nums)
 
 
 class SubgroupKey:
@@ -333,8 +348,8 @@ class SubgroupKey:
 
     def elements(self):
         """All elements of the subgroup (enumeration-scale use only)."""
-        for coords in _enumerate_quotient(self._presentation, self._basis):
-            yield GroupElement(self._presentation, coords, _checked=False)
+        for vec in _enumerate_quotient(self._presentation, self._basis):
+            yield GroupElement._wrap(self._presentation, vec)
 
     def sort_key(self):
         return (self._order, self._basis.flat())
@@ -374,7 +389,8 @@ def _lattice_quotient_data(presentation, basis):
 
 
 def _enumerate_quotient(presentation, basis):
-    """Yield RationalVector coordinates of every class of (basis/d)/Z^n."""
+    """The d-scaled integer vector, reduced mod d, of every class of
+    (basis/d)/Z^n."""
     d = presentation.order
     n = presentation.rank
     if basis == presentation.ambient_basis:
@@ -388,8 +404,7 @@ def _enumerate_quotient(presentation, basis):
         col = gens.column(j)
         current = [tuple((v[i] + k * col[i]) % d for i in range(n))
                    for v in current for k in range(o)]
-    for vec in current:
-        yield RationalVector._from_ints(vec, d)
+    return current
 
 
 def symmetry_group(f):
@@ -519,10 +534,9 @@ def pairing(a, b):
         alpha, e, beta = b, pa.constraint, a
     else:
         raise OwnershipError("elements do not belong to mutually dual groups")
-    w = e.apply_to_vector(beta.coords.numerators)
-    dot = sum(x * y for x, y in zip(alpha.coords.numerators, w))
-    return Fraction(dot, alpha.coords.denominator
-                    * beta.coords.denominator) % 1
+    w = e.apply_to_vector(beta.scaled())
+    dot = sum(x * y for x, y in zip(alpha.scaled(), w))
+    return Fraction(dot, pa.order * pb.order) % 1
 
 
 def _prime_factors(m):
@@ -585,11 +599,11 @@ def _hnf_lattices(orders):
     yield from choose_row(k - 1)
 
 
-def enumerate_subgroups(presentation, bound=None):
+def enumerate_subgroups(presentation):
     """All subgroups, each exactly once, sorted by (order, basis).
 
-    Refuses groups larger than ``bound`` (default from the
-    SAITO_MAX_GROUP_ORDER environment variable, else 10000).
+    Refuses groups larger than the SAITO_MAX_GROUP_ORDER environment
+    variable (default 10000).
 
     In the SNF coordinates of ``_quotient_data`` the group is the sum of
     the Z/o_j, and every subgroup is the product of one subgroup of each
@@ -598,8 +612,7 @@ def enumerate_subgroups(presentation, bound=None):
     and its subgroups are the lattices listed by ``_hnf_lattices``.  Each
     product is mapped back through those generators, together with the
     columns d*e_i, and named by one HNF."""
-    if bound is None:
-        bound = _max_group_order()
+    bound = _max_group_order()
     if presentation.order > bound:
         raise ResourceBoundError(
             f"group order {presentation.order} exceeds bound {bound}")
@@ -640,8 +653,8 @@ def monodromy_element(f, group=None):
     reduced weights over the reduced degree."""
     p = group if group is not None else symmetry_group(f)
     ws = f.weights
-    coords = RationalVector(ws.reduced_weights, ws.reduced_degree).mod1()
-    return GroupElement(p, coords)
+    return GroupElement._wrap(p, _scaled_member(p, ws.reduced_weights,
+                                                ws.reduced_degree))
 
 
 def root_count(f, group=None):
@@ -707,5 +720,4 @@ def geometric_roots(f, group=None):
         scaled = [tuple((a + b) % d for a, b in zip(v, shift))
                   for v in scaled for shift in shifts]
     scaled.sort()
-    return [GroupElement(p, RationalVector._from_ints(v, d), _checked=False)
-            for v in scaled]
+    return [GroupElement._wrap(p, v) for v in scaled]

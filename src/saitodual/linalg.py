@@ -506,7 +506,9 @@ def lattice_member(basis, vector):
 
 
 class RationalVector:
-    """Vector of rationals with a shared positive denominator.
+    """Vector of rationals with a shared positive denominator, for input
+    and display only: group elements are stored as d-scaled integer
+    vectors (see ``groups.GroupElement``).
 
     Stored in lowest shared terms: the gcd of all numerators and the
     denominator is 1, so equal vectors are syntactically equal.
@@ -536,16 +538,6 @@ class RationalVector:
         self._den = den
 
     @classmethod
-    def _from_ints(cls, nums, den):
-        """Trusted constructor: ``nums`` must be a tuple of ints and ``den``
-        a positive int; only the reduction to lowest terms is done."""
-        g = gcd(den, *nums)
-        v = object.__new__(cls)
-        v._nums = tuple([x // g for x in nums]) if g > 1 else nums
-        v._den = den // g
-        return v
-
-    @classmethod
     def from_fractions(cls, fracs):
         fracs = [Fraction(f) for f in fracs]
         den = 1
@@ -568,39 +560,6 @@ class RationalVector:
     def fractions(self):
         return tuple(Fraction(x, self._den) for x in self._nums)
 
-    def scaled(self, k):
-        """Integer vector k * self; k must clear the denominator."""
-        q, r = divmod(int(k), self._den)
-        if r != 0:
-            raise ValueError(f"{k} does not clear denominator {self._den}")
-        return tuple(x * q for x in self._nums)
-
-    def mod1(self):
-        return RationalVector([x % self._den for x in self._nums], self._den)
-
-    def __add__(self, other):
-        if not isinstance(other, RationalVector):
-            return NotImplemented
-        d1, d2 = self._den, other._den
-        g = gcd(d1, d2)
-        lcm = d1 // g * d2
-        m1, m2 = lcm // d1, lcm // d2
-        return RationalVector(
-            [a * m1 + b * m2 for a, b in zip(self._nums, other._nums)], lcm)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RationalVector([-x for x in self._nums], self._den)
-
-    def __mul__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        return RationalVector([k * x for x in self._nums], self._den)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         return (isinstance(other, RationalVector)
                 and self._nums == other._nums and self._den == other._den)
@@ -612,9 +571,16 @@ class RationalVector:
         return f"RationalVector({list(self._nums)}, {self._den})"
 
     def __str__(self):
-        parts = []
-        for x in self._nums:
-            g = gcd(x, self._den)
-            num, den = x // g, self._den // g
-            parts.append(str(num) if den == 1 else f"{num}/{den}")
-        return "(" + ", ".join(parts) + ")"
+        return format_fractions(self._nums, self._den)
+
+
+def format_fractions(nums, den):
+    """The vector of fractions x/den for x in ``nums``, written as
+    "(a/b, c, ...)" with each coordinate in lowest terms; ``den`` must be
+    positive."""
+    parts = []
+    for x in nums:
+        g = gcd(x, den)
+        num, d = x // g, den // g
+        parts.append(str(num) if d == 1 else f"{num}/{d}")
+    return "(" + ", ".join(parts) + ")"

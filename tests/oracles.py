@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from saitodual.burnside import BurnsideElement, CyclotomicProduct, element_zeta
 from saitodual.enumeration import (atom_specs, build_polynomial,
@@ -68,10 +68,8 @@ def _stabilizer_key(p, stab_vecs):
     cache_key = (p, frozenset(stab_vecs))
     cached = _stabilizer_cache.get(cache_key)
     if cached is None:
-        d = p.order
         cached = subgroup_generated_by(
-            p, [GroupElement(p, RationalVector(v, d), _checked=False)
-                for v in stab_vecs])
+            p, [GroupElement._wrap(p, v) for v in stab_vecs])
         _stabilizer_cache[cache_key] = cached
     return cached
 
@@ -402,7 +400,7 @@ def coordinate_roots(f, p):
             col = gens.column(j)
             for i in range(n):
                 vec[i] = (vec[i] + k * col[i]) % d
-        roots.append(GroupElement(p, RationalVector(vec, d), _checked=False))
+        roots.append(GroupElement._wrap(p, tuple(vec)))
     roots.sort(key=lambda g: g.coords.fractions())
     return roots
 
@@ -427,3 +425,98 @@ def listed_root_zeta(report):
     if root is None:
         return None
     return element_zeta(root, report.reduced).with_modulus(d)
+
+
+class RationalElement:
+    """Reference for ``GroupElement`` arithmetic: the rational coordinates
+    x, reduced mod 1, over one denominator in lowest terms, added, negated
+    and scaled as rationals, as the package did before it stored d*x."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums, den):
+        nums = [x % den for x in nums]
+        g = gcd(den, *nums)
+        if g > 1:
+            nums = [x // g for x in nums]
+            den //= g
+        self.nums = tuple(nums)
+        self.den = den
+
+    def _combine(self, other, sign):
+        den = lcm(self.den, other.den)
+        m, k = den // self.den, sign * (den // other.den)
+        return RationalElement(
+            [a * m + b * k for a, b in zip(self.nums, other.nums)], den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return RationalElement([-x for x in self.nums], self.den)
+
+    def __rmul__(self, k):
+        return RationalElement([k * x for x in self.nums], self.den)
+
+    @property
+    def order(self):
+        return self.den
+
+    def fractions(self):
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+    def scaled(self, d):
+        """The integer vector d*x; d must be a multiple of the order."""
+        q, r = divmod(d, self.den)
+        assert r == 0, f"{d} is not a multiple of the order {self.den}"
+        return tuple(x * q for x in self.nums)
+
+    def __str__(self):
+        return "(" + ", ".join(str(x) for x in self.fractions()) + ")"
+
+
+def reference_generators(p):
+    """The standard generators of ``p`` as RationalElements: the columns
+    of the constraint's inverse by rational elimination, reduced mod 1."""
+    d = p.order
+    inverse = fraction_scaled_inverse(p.constraint, d)
+    return [RationalElement(col, d) for col in inverse.columns()]
+
+
+def element_mismatches(g, others, references):
+    """The operations on which the group element ``g`` disagrees with
+    RationalElement arithmetic on its coordinates: ``coords`` (in [0, 1)
+    and in the group), ``sort_key``, ``order``, ``str``, ``-g``, ``k*g``
+    for k in -3..3, and ``g + h`` and ``g - h`` for each h in ``others``,
+    whose references are ``references``.  Results are compared by their
+    d-scaled vectors."""
+    p = g.presentation
+    d = p.order
+    coords = g.coords
+    a = RationalElement(coords.numerators, coords.denominator)
+    bad = []
+    den = coords.denominator
+    if not (all(0 <= x < den for x in coords.numerators)
+            and all(sum(c * x for c, x in zip(row, coords.numerators)) % den
+                    == 0 for row in p.constraint.rows)):
+        bad.append("coords")
+    if g.sort_key() != a.scaled(d):
+        bad.append("sort_key")
+    if g.order != a.order:
+        bad.append("order")
+    if str(g) != str(a):
+        bad.append("str")
+    if (-g).sort_key() != (-a).scaled(d):
+        bad.append("-g")
+    for k in range(-3, 4):
+        if (k * g).sort_key() != (k * a).scaled(d):
+            bad.append(f"{k}*g")
+    for h, b in zip(others, references):
+        if (g + h).sort_key() != (a + b).scaled(d):
+            bad.append(f"g + {h}")
+        if (g - h).sort_key() != (a - b).scaled(d):
+            bad.append(f"g - {h}")
+    return bad

@@ -253,6 +253,20 @@ class TestEnumerate:
         data = json.loads(target.read_text())
         assert data["result"]["total"] == 1
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_rejected_before_any_work(self, capsys, tmp_path,
+                                                      where):
+        target = (tmp_path / "missing" / "report.json"
+                  if where == "missing-directory" else tmp_path)
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "enumerate", "--max-vars", "4",
+                                 "--max-exp", "5", "--sums",
+                                 "--out", str(target))
+        assert time.monotonic() - start < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err and "Traceback" not in err
+
     def test_workers_match_serial(self, capsys):
         _, serial = run_json(capsys, "enumerate", "--max-vars", "2",
                              "--max-exp", "3", "--sums", "--json")

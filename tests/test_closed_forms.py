@@ -1,8 +1,9 @@
 """The closed forms of the isotropy subgroup, the coset order, the root
-count and the root duality, the subgroups built in SNF coordinates, and
-the one integer solver of ``linalg``, checked against the searches, root
-lists, join closure and rational elimination they replaced (kept in
-``oracles``): over the whole acceptance corpus on both sides, and on
+count and the root duality, the subgroups built in SNF coordinates, the
+one integer solver of ``linalg`` and the integer element arithmetic on
+d-scaled vectors, checked against the searches, root lists, join closure,
+rational elimination and rational element arithmetic they replaced (kept
+in ``oracles``): over the whole acceptance corpus on both sides, and on
 random integer matrices."""
 
 import itertools
@@ -22,9 +23,11 @@ from saitodual.zeta import (equivariant_zeta, generating_root_exists,
                             generating_root_zeta)
 
 from conftest import distinct_groups
-from oracles import (brute_roots, coordinate_roots, divisor_coset_order,
+from oracles import (RationalElement, brute_roots, coordinate_roots,
+                     divisor_coset_order, element_mismatches,
                      fraction_lattice_solve, fraction_scaled_inverse,
-                     join_closure_subgroups, listed_root_zeta, meet_isotropy)
+                     join_closure_subgroups, listed_root_zeta, meet_isotropy,
+                     reference_generators)
 
 
 def sides(batch45):
@@ -124,6 +127,22 @@ class TestCorpusDifferential:
             subgroups += len(built)
             mismatches += built != join_closure_subgroups(p)
         assert (len(groups), subgroups, mismatches) == (2331, 48191, 0)
+
+    def test_element_arithmetic_matches_rationals(self, batch45):
+        # Every element of every distinct corpus group of order <= 200,
+        # both sides, against each standard generator; the generators
+        # themselves against rational elimination.
+        groups = distinct_groups(batch45, max_order=200)
+        checked = mismatches = 0
+        for p in groups:
+            gens = p.generators()
+            refs = reference_generators(p)
+            mismatches += sum(g.sort_key() != r.scaled(p.order)
+                              for g, r in zip(gens, refs))
+            for g in p.elements():
+                checked += 1
+                mismatches += bool(element_mismatches(g, gens, refs))
+        assert (len(groups), checked, mismatches) == (2331, 213249, 0)
 
 
 @st.composite
@@ -229,6 +248,21 @@ class TestRandomMatrices:
         elements = list(p.elements())
         assert sorted(elements, key=lambda g: g.sort_key()) == \
             sorted(elements, key=lambda g: g.coords.fractions())
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_groups())
+    @example(GroupPresentation(IntMatrix.diagonal([4, 4, 4])))
+    def test_element_arithmetic_matches_rationals(self, p):
+        # Every pair of elements, and the generators against rational
+        # elimination.
+        elements = list(p.elements())
+        assert len(set(elements)) == p.order
+        refs = [RationalElement(g.coords.numerators, g.coords.denominator)
+                for g in elements]
+        for g in elements:
+            assert element_mismatches(g, elements, refs) == []
+        assert [g.sort_key() for g in p.generators()] == \
+            [r.scaled(p.order) for r in reference_generators(p)]
 
     @settings(max_examples=300, deadline=None)
     @given(solver_matrices(), st.data())

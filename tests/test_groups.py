@@ -7,7 +7,9 @@ from math import gcd
 
 import pytest
 
-from saitodual import groups, linalg
+from saitodual import burnside, groups, linalg
+from saitodual.burnside import (CyclotomicProduct, burnside_from_cyclotomic,
+                                element_zeta)
 from saitodual.errors import (ConfigurationError, IndexBoundsError,
                               OwnershipError, ResourceBoundError)
 from saitodual.groups import (MAX_LISTED_ROOTS, dual_subgroup,
@@ -69,6 +71,50 @@ class TestPresentation:
         with pytest.raises(OwnershipError):
             z6.element(RationalVector([1, 1], 5))
 
+    def test_constructor_reduces_and_checks(self, z6):
+        # Unreduced coordinates, as a RationalVector or as fractions, name
+        # the element they are congruent to mod 1.
+        h = z6.element([Fraction(1, 3), Fraction(1, 3)])
+        assert h.scaled() == h.sort_key() == (2, 2)
+        assert h.coords == RationalVector([1, 1], 3)
+        assert str(h) == "(1/3, 1/3)" and repr(h) == "GroupElement(1/3, 1/3)"
+        assert z6.element([Fraction(4, 3), Fraction(-2, 3)]) == h
+        assert z6.element(RationalVector([-5, 7], 3)) == h
+        assert z6.element([0, 3]) == z6.identity()
+        with pytest.raises(OwnershipError):
+            z6.element([Fraction(1, 3)])
+        with pytest.raises(OwnershipError):
+            z6.element([Fraction(1, 2), Fraction(0)])
+
+    def test_elements_are_integer_vectors(self, monkeypatch):
+        # Walking, adding and scaling elements, listing and printing roots
+        # and inverting the cyclotomic correspondence build no
+        # RationalVector.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a RationalVector was built")
+
+        monkeypatch.setattr(groups, "RationalVector", refuse)
+        monkeypatch.setattr(burnside, "RationalVector", refuse,
+                            raising=False)
+        rank2 = symmetry_group(parse_polynomial("x^4 + y^6"))
+        elements = list(rank2.elements())
+        sums = [g + h for g in elements[:6] for h in elements]
+        multiples = [k * g - g for g in elements for k in range(-3, 4)]
+        f = parse_polynomial("x^29*y + y^29*z + z^29*x")
+        p = symmetry_group(f)
+        roots = geometric_roots(f, p)
+        texts = [str(r) for r in roots]
+        z12 = symmetry_group(parse_polynomial("x^12"))
+        phi = CyclotomicProduct(12, {1: 1, 4: -1, 12: 2})
+        a = burnside_from_cyclotomic(phi, z12)
+        monkeypatch.undo()
+        assert len(set(elements)) == 24 and set(sums) == set(elements)
+        assert len(multiples) == 7 * 24
+        assert len(roots) == 813
+        assert texts == [str(r.coords) for r in roots]
+        generator = next(g for g in z12.elements() if g.order == 12)
+        assert element_zeta(generator, a) == phi
+
     def test_sides_share_the_torus(self, z6_poly):
         direct_of_transpose = symmetry_group(z6_poly.transpose())
         transposed_side = symmetry_group(z6_poly).dual()
@@ -106,8 +152,6 @@ class TestSubgroups:
         assert len(enumerate_subgroups(klein)) == 5
 
     def test_enumeration_bound(self, z6, monkeypatch):
-        with pytest.raises(ResourceBoundError):
-            enumerate_subgroups(z6, bound=5)
         monkeypatch.setenv("SAITO_MAX_GROUP_ORDER", "5")
         with pytest.raises(ResourceBoundError):
             enumerate_subgroups(z6)

@@ -232,24 +232,7 @@ class TestRationalVector:
         v = RationalVector([0, 0], 7)
         assert v.denominator == 1 and v.numerators == (0, 0)
 
-    def test_mod1(self):
-        v = RationalVector([7, -1], 3).mod1()
-        assert v.numerators == (1, 2) and v.denominator == 3
-
-    def test_arithmetic(self):
-        a = RationalVector([1, 1], 2)
-        b = RationalVector([1, 2], 3)
-        assert (a + b).fractions() == RationalVector([5, 7], 6).fractions()
-        assert (a - a).denominator == 1
-        assert (3 * b).mod1() == RationalVector([0, 0], 1)
-
     def test_from_fractions_round_trip(self):
         from fractions import Fraction
         fr = (Fraction(1, 3), Fraction(5, 6), Fraction(0))
         assert RationalVector.from_fractions(fr).fractions() == fr
-
-    def test_scaled_requires_multiple(self):
-        v = RationalVector([1, 2], 6)
-        assert v.scaled(6) == (1, 2)
-        with pytest.raises(ValueError):
-            v.scaled(4)
