@@ -11,6 +11,7 @@ modulus d -- and the correspondence between the two for cyclic groups.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 from .errors import OwnershipError, StructureError
 from .groups import (GroupElement, GroupPresentation, SubgroupKey,
@@ -309,6 +310,41 @@ def saito_dual(a):
     dual_scope = full_subgroup(a.scope.presentation.dual())
     return BurnsideElement(dual_scope,
                            {dual_subgroup(k): v for k, v in a.terms.items()})
+
+
+def is_saito_dual(a, b):
+    """Whether ``b == saito_dual(a)``, decided without building any dual
+    subgroup.
+
+    A term c*[G/H] of ``a`` must meet a term c*[G*/K] of ``b`` with
+    |H|*|K| = d and K inside the annihilator H~.  The rows of
+    d^2*(C*B_H)^-1 span the scaled lattice of H~ (``dual_subgroup``), so
+    for the scaled bases B_H, B_K and the constraint C, K lies in H~
+    exactly when B_K^T*C*B_H = 0 mod d^2, and the orders make it H~.  The
+    transform is injective, so with as many terms on both sides every
+    term of ``b`` is then matched."""
+    if not a.scope.is_full():
+        raise StructureError("the duality transform is defined over the full group")
+    p = a.scope.presentation
+    if (not isinstance(b, BurnsideElement)
+            or b.scope != full_subgroup(p.dual())
+            or len(a._terms) != len(b._terms)):
+        return False
+    d = p.order
+    dd = d * d
+    rows = p.constraint.rows
+    candidates = {}
+    for k, c in b._terms.items():
+        candidates.setdefault((c, k.order), []).append(
+            list(zip(*k.basis.rows)))
+    for h, c in a._terms.items():
+        image = [[sum(map(mul, row, col)) for row in rows]
+                 for col in zip(*h.basis.rows)]
+        if not any(all(sum(map(mul, u, v)) % dd == 0
+                       for u in k_cols for v in image)
+                   for k_cols in candidates.get((c, d // h.order), ())):
+            return False
+    return True
 
 
 def _coset_order(basis, vec):

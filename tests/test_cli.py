@@ -107,6 +107,37 @@ class TestDual:
         assert data["result"]["equal"] is True
         assert data["result"]["kind"] == "theorem"
 
+    # sha256 of standard output, text and --json.  A passing check prints
+    # its left side as the right side; these are the bytes the transform
+    # itself prints there.
+    PINNED = {
+        "x^5": (
+            "721eb4862176a589782884427da2a0fd8b70ca2d9c7e8105d3a0d7cf92027e3f",
+            "294b293c2e871f0b20bf6ea6ee2edcf4948a7d1f1a845b943fc56cf9d8768b9e"),
+        "x^3*y + y^3": (
+            "1972ce1387e05ccf97745bcd194f57930bca2abf0536a2d2e399b8fc1a69abfd",
+            "b801f9e86425c2c037213bc88feea1da5bc89a032a0a00576b57faaba60ee259"),
+        "x^2*y + y^3*z + z^4*x": (
+            "0392e9a8b09b593ed1c57a216beccb0dc92d5cccb96d2ba7bef7029e376cc543",
+            "e14e53bafe3ea86350221fdf2de007fc98e3001fd2b9ba08b085ddee39b173a1"),
+        "x^2*y + y^3*z + z^2*w + w^3": (
+            "76b29e7f567d305e91ba8ea1b355594e12c486723c0d64956bda289e4b1fae13",
+            "7013930fea8989f7a9c1401497329107c354a75084241aa35fb6c2a6f492f619"),
+        "x^3*y + y^5*x + z^2": (
+            "2889fb79234227bf70c9f349f5f8c320e7296b64cac8f168ab4723914bcc5472",
+            "099c43147fb316ddd9f8cc489c8ec00a6afa4fcb721cbeaafd0164363d30a3d8"),
+        "x^3*y + y^5*x + z^2*w + w^3": (
+            "49c33e69e780bb43537c27e3fe83427790d224e2cec26c273632628aeea42c1e",
+            "4620fc2e2375c352b2b4a85c11608a30fe25e7326d94d468b43d3a47cf7139d6"),
+    }
+
+    @pytest.mark.parametrize("text", PINNED)
+    def test_output_pinned(self, capsys, text):
+        for argv, sha in zip(([], ["--json"]), self.PINNED[text]):
+            code, out, err = run_cli(capsys, "dual", text, *argv)
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == sha
+
 
 class TestRoots:
     def test_cyclic_with_roots(self, capsys):

@@ -1,21 +1,27 @@
 """The closed forms of the isotropy subgroup, the coset order, the root
 count and the root duality, the subgroups built in SNF coordinates, the
-one integer solver of ``linalg`` and the integer element arithmetic on
-d-scaled vectors, checked against the searches, root lists, join closure,
-rational elimination and rational element arithmetic they replaced (kept
-in ``oracles``): over the whole acceptance corpus on both sides, and on
-random integer matrices."""
+one integer solver of ``linalg``, the integer element arithmetic on
+d-scaled vectors and the annihilator test of the zeta duality, checked
+against the searches, root lists, join closure, rational elimination,
+rational element arithmetic and dual lattices they replaced (kept in
+``oracles`` or in the package): over the whole acceptance corpus on both
+sides, and on random integer matrices."""
 
 import itertools
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from saitodual.burnside import _coset_order
-from saitodual.errors import SingularMatrixError
-from saitodual.groups import (GroupPresentation, enumerate_subgroups,
+import pytest
+
+from saitodual.burnside import (BurnsideElement, _coset_order,
+                                is_saito_dual, saito_dual)
+from saitodual.errors import SingularMatrixError, StructureError
+from saitodual.groups import (GroupPresentation, dual_subgroup,
+                              enumerate_subgroups, full_subgroup,
                               geometric_roots, isotropy_subgroup,
                               monodromy_element, root_count,
-                              subgroup_generated_by, symmetry_group)
+                              subgroup_generated_by, symmetry_group,
+                              trivial_subgroup)
 from saitodual.linalg import (IntMatrix, determinant, lattice_solve,
                               scaled_inverse)
 from saitodual.polynomials import InvertiblePolynomial
@@ -26,8 +32,8 @@ from conftest import distinct_groups
 from oracles import (RationalElement, brute_roots, coordinate_roots,
                      divisor_coset_order, element_mismatches,
                      fraction_lattice_solve, fraction_scaled_inverse,
-                     join_closure_subgroups, listed_root_zeta, meet_isotropy,
-                     reference_generators)
+                     join_closure_subgroups, kernel_dual_all_pairs,
+                     listed_root_zeta, meet_isotropy, reference_generators)
 
 
 def sides(batch45):
@@ -75,10 +81,12 @@ class TestCorpusDifferential:
         assert (checked, mismatches) == (88936, 0)
 
     def test_scaled_inverse_matches_fraction_elimination(self, batch45):
-        # What the group layer inverts for a corpus polynomial: C*B with
-        # d^2 for each reduced zeta term B (dual_subgroup; upper triangular
-        # for chains, otherwise the HNF route), and the unimodular SNF
-        # transform U of the group, which _lattice_quotient_data inverts.
+        # What the group layer inverts for a corpus polynomial: the
+        # unimodular SNF transform U of the group, which
+        # _lattice_quotient_data inverts, and C*B with d^2 for each reduced
+        # zeta term B.  Only dual_subgroup inverts C*B (upper triangular
+        # for chains, otherwise the HNF route): the transform and a failing
+        # zeta duality check call it, a passing check never does.
         checked = mismatches = 0
         for _, p, rep in sides(batch45):
             dd = p.order ** 2
@@ -143,6 +151,45 @@ class TestCorpusDifferential:
                 checked += 1
                 mismatches += bool(element_mismatches(g, gens, refs))
         assert (len(groups), checked, mismatches) == (2331, 213249, 0)
+
+    def test_is_saito_dual_matches_transform(self, batch45):
+        # Every corpus polynomial, with the theorem's sign and with the
+        # wrong one: the annihilator test against building the transform.
+        checked = holds = mismatches = 0
+        for record in batch45.records:
+            rep = record.theorem.rhs_report
+            rep_t = record.theorem.lhs_report
+            for sign in (1, -1):
+                oracle = sign * rep_t.reduced == saito_dual(rep.reduced)
+                checked += 1
+                holds += oracle
+                mismatches += (is_saito_dual(rep.reduced,
+                                             sign * rep_t.reduced) != oracle)
+        assert (checked, holds, mismatches) == (3152, 1576, 0)
+
+    def test_annihilator_pairs_match_dual_subgroup(self, batch45):
+        # Every reduced zeta term H of every corpus polynomial against every
+        # term K of the transposed side with |H|*|K| = d, as one-term
+        # elements: the pairing test against the dual lattice.
+        checked = holds = mismatches = 0
+        for record in batch45.records:
+            rep = record.theorem.rhs_report
+            rep_t = record.theorem.lhs_report
+            d = rep.group.order
+            scope = full_subgroup(rep.group)
+            scope_t = full_subgroup(rep_t.group)
+            for h in rep.reduced.terms:
+                dual = dual_subgroup(h)
+                for k in rep_t.reduced.terms:
+                    if h.order * k.order != d:
+                        continue
+                    oracle = dual == k
+                    checked += 1
+                    holds += oracle
+                    mismatches += is_saito_dual(
+                        BurnsideElement.orbit(scope, h),
+                        BurnsideElement.orbit(scope_t, k)) != oracle
+        assert (checked, holds, mismatches) == (13716, 10660, 0)
 
 
 @st.composite
@@ -263,6 +310,53 @@ class TestRandomMatrices:
             assert element_mismatches(g, elements, refs) == []
         assert [g.sort_key() for g in p.generators()] == \
             [r.scaled(p.order) for r in reference_generators(p)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_groups(), st.lists(st.integers(-2, 2), min_size=1,
+                                    max_size=12))
+    # Z2^4: many subgroups of each order, most of them not each other's
+    # duals.
+    @example(GroupPresentation(IntMatrix.diagonal([2, 2, 2, 2])),
+             [1, 0, -1, 2, 0])
+    def test_is_saito_dual_matches_dual_subgroup(self, p, coeffs):
+        # Every subgroup H against every K of the dual side with
+        # |H|*|K| = d, against the dual lattice and against the pairing
+        # kernel; then sums of terms against the transform.
+        d = p.order
+        scope = full_subgroup(p)
+        scope_t = full_subgroup(p.dual())
+        subgroups = enumerate_subgroups(p)
+        subgroups_t = enumerate_subgroups(p.dual())
+        for h in subgroups:
+            dual = dual_subgroup(h)
+            kernel = kernel_dual_all_pairs(h)
+            for k in subgroups_t:
+                if h.order * k.order == d:
+                    assert is_saito_dual(
+                        BurnsideElement.orbit(scope, h),
+                        BurnsideElement.orbit(scope_t, k)) \
+                        == (dual == k) == (kernel == k)
+        a = BurnsideElement(scope, zip(subgroups, itertools.cycle(coeffs)))
+        b = BurnsideElement(scope_t, zip(subgroups_t,
+                                         itertools.cycle(coeffs[::-1])))
+        for other in (b, saito_dual(a), saito_dual(a) + b, -saito_dual(a)):
+            assert is_saito_dual(a, other) == (other == saito_dual(a))
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_groups())
+    def test_is_saito_dual_errors_match_transform(self, p):
+        # A scope short of the full group raises like the transform; an
+        # element over any other group than the dual side is not the dual.
+        assume(p.order > 1)
+        a = BurnsideElement.unit(full_subgroup(p))
+        partial = BurnsideElement.unit(trivial_subgroup(p))
+        with pytest.raises(StructureError):
+            saito_dual(partial)
+        with pytest.raises(StructureError):
+            is_saito_dual(partial, saito_dual(a))
+        other = GroupPresentation(p.constraint.scale(2))
+        assert not is_saito_dual(a, BurnsideElement.unit(full_subgroup(other)))
+        assert is_saito_dual(a, saito_dual(a))
 
     @settings(max_examples=300, deadline=None)
     @given(solver_matrices(), st.data())

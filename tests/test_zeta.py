@@ -1,6 +1,7 @@
 """Equivariant/classical zeta functions, duality verifiers, Milnor numbers."""
 
 import contextlib
+import dataclasses
 import io
 
 import pytest
@@ -150,6 +151,45 @@ class TestZetaDuality:
         assert rep_t.reduced != saito_dual(rep.reduced)
         assert rep_t.reduced == -1 * saito_dual(rep.reduced)
 
+    @pytest.mark.parametrize("text", [
+        "x^3*y + y^5*x + z^2",          # Z2 x Z14, odd n
+        "x^3*y + y^5*x + z^2*w + w^3",  # Z2 x Z42, even n
+    ])
+    def test_failing_check_reports_the_transform(self, text, monkeypatch):
+        # A transposed side perturbed two ways, a coefficient negated and a
+        # term moved to another subgroup of the same order: the check
+        # fails, and only then builds the transform, for the right side and
+        # the witness exactly as the direct comparison gives them.
+        pair = DualPair(parse_polynomial(text))
+        rep_t = pair.report_t
+        sign = -1 if pair.f.nvars % 2 else 1
+        transform = sign * saito_dual(pair.report.reduced)
+        scope_t = full_subgroup(pair.group_t)
+        subgroups_t = enumerate_subgroups(pair.group_t)
+        k, c, moved_to = next(
+            (k, c, h) for k, c in rep_t.reduced.sorted_terms()
+            for h in subgroups_t if h.order == k.order and h != k)
+        negated = rep_t.reduced - BurnsideElement.orbit(scope_t, k, 2 * c)
+        moved = rep_t.reduced + BurnsideElement(
+            scope_t, {k: -c, moved_to: c})
+        counts = count_calls(monkeypatch, "saito_dual")
+        for perturbed in (negated, moved):
+            pair.report_t = dataclasses.replace(rep_t, reduced=perturbed)
+            report = verify_zeta_duality(pair)
+            assert not report.equal
+            assert report.lhs == perturbed
+            assert report.rhs == transform
+            assert report.witness == \
+                {"difference": (perturbed - transform).to_json()}
+        assert counts == {"saito_dual": 2}
+
+    def test_passing_check_reports_the_left_side(self):
+        pair = DualPair(parse_polynomial("x^2*y + y^3*z + z^2*w + w^3"))
+        report = verify_zeta_duality(pair)
+        assert report.equal and report.witness is None
+        assert report.rhs is report.lhs
+        assert report.lhs == saito_dual(pair.report.reduced)
+
 
 class TestRootDuality:
     def test_z6_example(self):
@@ -183,8 +223,8 @@ def count_calls(monkeypatch, *names):
     """Count calls of the named package functions, wherever they are
     looked up from."""
     counts = dict.fromkeys(names, 0)
-    modules = [saitodual.cli, saitodual.enumeration, saitodual.groups,
-               saitodual.polynomials, saitodual.zeta]
+    modules = [saitodual.burnside, saitodual.cli, saitodual.enumeration,
+               saitodual.groups, saitodual.polynomials, saitodual.zeta]
     for name in names:
         original = getattr(saitodual, name)
 
@@ -220,6 +260,17 @@ class TestDualPair:
                           "symmetry_group": len(corpus),
                           "canonical_weights": 2 * len(corpus),
                           "geometric_roots": 0}
+
+    def test_batch_builds_no_dual_subgroup(self, monkeypatch):
+        # The zeta duality is decided by the annihilator pairing: a passing
+        # check neither applies the transform nor builds a dual lattice.
+        corpus, _ = generate_corpus(3, 4, include_sums=True)
+        counts = count_calls(monkeypatch, "dual_subgroup", "saito_dual",
+                             "equivariant_zeta")
+        report = run_batch(corpus)
+        assert report.ok and report.theorem_pass == len(corpus)
+        assert counts == {"dual_subgroup": 0, "saito_dual": 0,
+                          "equivariant_zeta": 2 * len(corpus)}
 
     def test_roots_command_computes_roots_once_per_side(self, monkeypatch):
         # `roots` lists the roots of f only; the transposed side enters the
