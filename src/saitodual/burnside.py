@@ -19,6 +19,12 @@ from .groups import (GroupElement, GroupPresentation, SubgroupKey,
                      subgroup_meet)
 
 
+# Most candidate terms ``is_saito_dual`` scans by the annihilator pairing;
+# a term with more is looked up by its dual subgroup, which costs about as
+# much as scanning 9 to 16 candidates (the crossover is in CHANGES.md).
+MAX_PAIRED_BUCKET = 16
+
+
 class CyclotomicProduct:
     """A rational function prod_{m|d} (1 - t^m)^{s_m} with fixed modulus d."""
 
@@ -48,9 +54,6 @@ class CyclotomicProduct:
     @property
     def factors(self):
         return dict(self._factors)
-
-    def exponent(self, m):
-        return self._factors.get(m, 0)
 
     def is_one(self):
         return not self._factors
@@ -314,13 +317,14 @@ def saito_dual(a):
 
 def is_saito_dual(a, b):
     """Whether ``b == saito_dual(a)``, decided without building any dual
-    subgroup.
+    subgroup for a bucket of at most MAX_PAIRED_BUCKET candidates.
 
     A term c*[G/H] of ``a`` must meet a term c*[G*/K] of ``b`` with
     |H|*|K| = d and K inside the annihilator H~.  The rows of
     d^2*(C*B_H)^-1 span the scaled lattice of H~ (``dual_subgroup``), so
     for the scaled bases B_H, B_K and the constraint C, K lies in H~
-    exactly when B_K^T*C*B_H = 0 mod d^2, and the orders make it H~.  The
+    exactly when B_K^T*C*B_H = 0 mod d^2, and the orders make it H~.  A
+    larger bucket looks up H~ itself, so the check stays linear.  The
     transform is injective, so with as many terms on both sides every
     term of ``b`` is then matched."""
     if not a.scope.is_full():
@@ -338,11 +342,16 @@ def is_saito_dual(a, b):
         candidates.setdefault((c, k.order), []).append(
             list(zip(*k.basis.rows)))
     for h, c in a._terms.items():
+        bucket = candidates.get((c, d // h.order), ())
+        if len(bucket) > MAX_PAIRED_BUCKET:
+            if b._terms.get(dual_subgroup(h)) != c:
+                return False
+            continue
         image = [[sum(map(mul, row, col)) for row in rows]
                  for col in zip(*h.basis.rows)]
         if not any(all(sum(map(mul, u, v)) % dd == 0
                        for u in k_cols for v in image)
-                   for k_cols in candidates.get((c, d // h.order), ())):
+                   for k_cols in bucket):
             return False
     return True
 
@@ -405,12 +414,9 @@ def burnside_from_cyclotomic(phi, presentation):
     if phi.modulus != d:
         raise StructureError(
             f"modulus {phi.modulus} does not equal the group order {d}")
-    generator = presentation.identity()
-    if d > 1:
-        gens, orders, _ = presentation._quotient_data()
-        j = orders.index(d)
-        generator = GroupElement._wrap(
-            presentation, tuple(x % d for x in gens.column(j)))
+    # The last Smith generator of a cyclic group has order d.
+    generator = GroupElement._wrap(presentation, tuple(
+        x % d for x in presentation._gens.column(presentation.rank - 1)))
     terms = {}
     for m, s in phi.factors.items():
         key = subgroup_generated_by(presentation, [m * generator])

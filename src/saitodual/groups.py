@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import (ConfigurationError, IndexBoundsError, OwnershipError,
                      ResourceBoundError, SingularMatrixError)
@@ -62,31 +62,33 @@ class GroupPresentation:
     same subgroup of the torus.
     """
 
-    __slots__ = ("_constraint", "_side", "_order", "_factors",
-                 "_ambient", "_dual", "_quotient",
-                 "_full_key", "_trivial_key", "_dual_basis_cache",
-                 "_meet_cache")
+    __slots__ = ("_constraint", "_side", "_order", "_factors", "_u", "_v",
+                 "_gens", "_ambient", "_dual", "_full_key", "_trivial_key",
+                 "_dual_basis_cache", "_meet_cache")
 
     def __init__(self, constraint, side="direct"):
         c = constraint if isinstance(constraint, IntMatrix) else IntMatrix(constraint)
         if not c.is_square():
             raise SingularMatrixError("constraint matrix must be square")
-        s, _, v = smith_normal_form(c)
-        factors = tuple(s.entry(i, i) for i in range(s.nrows))
-        order = 1
-        for f in factors:
-            order *= f
-        self._constraint = c
+        s, u, v = smith_normal_form(c)
+        self._setup(c, side, tuple(s.entry(i, i) for i in range(s.nrows)),
+                    u, v)
+
+    def _setup(self, constraint, side, factors, u, v, dual=None):
+        """Fill in the presentation from a Smith form S = U*C*V, diagonal
+        ``factors`` d_j.  The group is V*S^-1*Z^n / Z^n: an element x is
+        the sum of a_j times the generators V*e_j/d_j (of order d_j) for
+        its SNF coordinates a = U*C*x; the d-scaled generators span d*L."""
+        order = prod(factors)
+        self._constraint = constraint
         self._side = side
         self._order = order
         self._factors = factors
-        # Scaled ambient lattice d*L = span of columns of V * diag(d/d_j).
-        n = c.nrows
-        cols = [[v.entry(i, j) * (order // factors[j]) for i in range(n)]
-                for j in range(n)]
-        self._ambient = lattice_basis(cols, n)
-        self._dual = None
-        self._quotient = None
+        self._u = u
+        self._v = v
+        self._gens = _scaled_generators(v, factors, order)
+        self._ambient = lattice_basis(self._gens.columns(), constraint.nrows)
+        self._dual = dual
         self._full_key = None
         self._trivial_key = None
         self._dual_basis_cache = {}
@@ -122,11 +124,21 @@ class GroupPresentation:
         return self._ambient
 
     def dual(self):
-        """The opposite-side presentation (transposed constraint)."""
+        """The opposite-side presentation (transposed constraint), from
+        the Smith form S = V^T*C^T*U^T; its dual is this presentation."""
         if self._dual is None:
             flipped = "transposed" if self._side == "direct" else "direct"
-            self._dual = GroupPresentation(self._constraint.transpose(), flipped)
+            self._dual = object.__new__(GroupPresentation)
+            self._dual._setup(self._constraint.transpose(), flipped,
+                              self._factors, self._v.transpose(),
+                              self._u.transpose(), self)
         return self._dual
+
+    def _coordinates(self, vec):
+        """The SNF coordinates a = U*C*x of the element x = vec/d."""
+        d = self._order
+        return tuple(a // d for a in self._u.apply_to_vector(
+            self._constraint.apply_to_vector(vec)))
 
     def structure_name(self):
         nontrivial = [f for f in self._factors if f > 1]
@@ -142,16 +154,10 @@ class GroupPresentation:
 
     def generators(self):
         """The standard generators: columns of the constraint's inverse,
-        reduced mod 1."""
+        reduced mod 1.  From the Smith form, d*C^-1 = V*diag(d/d_j)*U."""
         d = self._order
-        scaled = scaled_inverse(self._constraint, d)
         return [GroupElement._wrap(self, tuple(x % d for x in col))
-                for col in scaled.columns()]
-
-    def _quotient_data(self):
-        if self._quotient is None:
-            self._quotient = _lattice_quotient_data(self, self._ambient)
-        return self._quotient
+                for col in (self._gens * self._u).columns()]
 
     def elements(self):
         """All group elements, one per class; order of iteration is the
@@ -371,21 +377,21 @@ class SubgroupKey:
         return f"SubgroupKey(order={self._order}, basis={self._basis!r})"
 
 
-def _lattice_quotient_data(presentation, basis):
-    """Generators and coordinates for the quotient (basis/d)/Z^n.
+def _scaled_generators(v, orders, d):
+    """V*diag(d/o_j) for a Smith form S = U*X*V, diagonal ``orders``: as
+    X^-1*Z^n = V*S^-1*Z^n, column j is d times a generator of order o_j."""
+    scale = [d // o for o in orders]
+    return IntMatrix._wrap(tuple(tuple(x * k for x, k in zip(row, scale))
+                                 for row in v.rows))
 
-    Returns (scaled_generators, orders, u) where column j of
-    ``scaled_generators`` is d times a generator whose class has order
-    ``orders[j]``, and ``u`` maps basis coordinates to generator
-    coordinates.
-    """
+
+def _lattice_quotient_data(presentation, basis):
+    """(scaled_generators, orders) for the quotient (basis/d)/Z^n, where
+    basis/d = X^-1*Z^n for X = d*basis^-1 (see ``_scaled_generators``)."""
     d = presentation.order
-    x = scaled_inverse(basis, d)
-    s, u, _ = smith_normal_form(x)
-    u_inv = scaled_inverse(u, 1)
-    gens = basis * u_inv
+    s, _, v = smith_normal_form(scaled_inverse(basis, d))
     orders = tuple(s.entry(i, i) for i in range(s.nrows))
-    return gens, orders, u
+    return _scaled_generators(v, orders, d), orders
 
 
 def _enumerate_quotient(presentation, basis):
@@ -393,10 +399,9 @@ def _enumerate_quotient(presentation, basis):
     (basis/d)/Z^n."""
     d = presentation.order
     n = presentation.rank
-    if basis == presentation.ambient_basis:
-        gens, orders, _ = presentation._quotient_data()
-    else:
-        gens, orders, _ = _lattice_quotient_data(presentation, basis)
+    gens, orders = ((presentation._gens, presentation._factors)
+                    if basis == presentation.ambient_basis
+                    else _lattice_quotient_data(presentation, basis))
     current = [(0,) * n]
     for j, o in enumerate(orders):
         if o == 1:
@@ -605,7 +610,7 @@ def enumerate_subgroups(presentation):
     Refuses groups larger than the SAITO_MAX_GROUP_ORDER environment
     variable (default 10000).
 
-    In the SNF coordinates of ``_quotient_data`` the group is the sum of
+    In the SNF coordinates of the presentation the group is the sum of
     the Z/o_j, and every subgroup is the product of one subgroup of each
     Sylow p-part.  The p-part is the sum of the Z/p^v_j (v_j the p-adic
     valuation of o_j), generated by (o_j / p^v_j) times the j-th generator,
@@ -618,7 +623,7 @@ def enumerate_subgroups(presentation):
             f"group order {presentation.order} exceeds bound {bound}")
     d = presentation.order
     n = presentation.rank
-    gens, orders, _ = presentation._quotient_data()
+    gens, orders = presentation._gens, presentation._factors
     parts = []
     for q in _prime_factors(max(orders)):
         part_gens, part_orders = [], []
@@ -701,17 +706,16 @@ def geometric_roots(f, group=None):
         return []
     d = p.order
     n = p.rank
-    gens, orders, u = p._quotient_data()
-    # monodromy_element raises OwnershipError unless h lies in the group,
-    # so the solve always succeeds; root_count > 0 makes each coordinate
-    # equation c*x = t_j (mod o_j) solvable.
-    t = u.apply_to_vector(lattice_solve(p.ambient_basis, h.scaled()))
+    # monodromy_element raises OwnershipError unless h lies in the group;
+    # root_count > 0 makes each coordinate equation c*x = t_j (mod o_j)
+    # solvable in the SNF coordinates t of h.
+    t = p._coordinates(h.scaled())
     # Each root is the sum over j of x_j times the j-th SNF generator,
     # with x_j ranging over the solutions of c*x_j = t_j (mod o_j).  The
     # roots are built as d-scaled integer tuples reduced mod d, sorted as
     # such (the order of ``GroupElement.sort_key``) and only then wrapped.
     scaled = [(0,) * n]
-    for col, o, tj in zip(zip(*gens.rows), orders, t):
+    for col, o, tj in zip(zip(*p._gens.rows), p._factors, t):
         g = gcd(c, o)
         step = o // g
         x0 = (tj % o // g) * pow(c // g, -1, step) % step

@@ -15,7 +15,7 @@ from math import gcd
 
 from .errors import (CoefficientWarning, PolynomialParseError, ShapeError,
                      SingularMatrixError)
-from .linalg import IntMatrix, determinant
+from .linalg import IntMatrix, determinant, scaled_inverse
 
 _INDEXED_NAME = re.compile(r"^([A-Za-z]+?)(\d+)$")
 
@@ -126,23 +126,15 @@ class WeightSystem:
 
 
 def canonical_weights(f):
-    """Weight system of ``f``: w_i is det(E) with column i replaced by ones,
-    the degree is det(E), and the reduced system divides out the gcd."""
-    e = f.exponents
-    n = e.ncols
-    d = f.det
-    ones = [1] * n
-    weights = []
-    for i in range(n):
-        cols = [[e.entry(r, j) if j != i else ones[r] for j in range(n)]
-                for r in range(n)]
-        weights.append(determinant(IntMatrix(cols)))
-    c = 0
-    for w in weights:
-        c = gcd(c, w)
+    """Weight system of ``f``: the degree d = |det E| and the weights
+    w = d*E^-1*1 = +-adj(E)*1 (Cramer's rule), neither depending on the
+    order of the monomials; the reduced system divides out the gcd."""
+    d = abs(f.det)
+    weights = tuple(sum(row) for row in scaled_inverse(f.exponents, d).rows)
+    c = gcd(*weights)
     # c divides d: each row of E dotted with the weights equals d.
     return WeightSystem(
-        canonical_weights=tuple(weights),
+        canonical_weights=weights,
         canonical_degree=d,
         gcd_factor=c,
         reduced_weights=tuple(w // c for w in weights),

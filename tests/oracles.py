@@ -8,6 +8,7 @@ d-scaled integer coordinate tuples throughout.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -20,7 +21,9 @@ from saitodual.groups import (GroupElement, SubgroupKey, _meet_bases,
                               subgroup_generated_by, subgroup_join,
                               trivial_subgroup)
 from saitodual.errors import SingularMatrixError
-from saitodual.linalg import IntMatrix, RationalVector, lattice_solve
+from saitodual.linalg import (IntMatrix, RationalVector, determinant,
+                              lattice_solve, scaled_inverse,
+                              smith_normal_form)
 
 _elements_cache = {}
 _coset_cache = {}
@@ -382,7 +385,7 @@ def coordinate_roots(f, p):
     h = monodromy_element(f, p)
     d = p.order
     n = p.rank
-    gens, orders, u = p._quotient_data()
+    gens, orders, u = ambient_quotient_data(p)
     t = u.apply_to_vector(lattice_solve(p.ambient_basis, h.scaled()))
     per_coordinate = []
     for j, o in enumerate(orders):
@@ -520,3 +523,41 @@ def element_mismatches(g, others, references):
         if (g - h).sort_key() != (a - b).scaled(d):
             bad.append(f"g - {h}")
     return bad
+
+
+def ambient_quotient_data(p):
+    """The full group's quotient data as the package computed it before it
+    kept the Smith form of its constraint: a second Smith form
+    S = U*X*V of X = d*A^-1 for the ambient basis A.  Returns
+    (generators, orders, U): column j of A*U^-1 is d times a generator of
+    order S_jj, and U maps coordinates in A to generator coordinates."""
+    d = p.order
+    basis = p.ambient_basis
+    s, u, _ = smith_normal_form(scaled_inverse(basis, d))
+    orders = tuple(s.entry(i, i) for i in range(s.nrows))
+    return basis * scaled_inverse(u, 1), orders, u
+
+
+def with_generators(p, gens):
+    """A copy of ``p`` that walks its elements and builds its subgroups
+    from the d-scaled generators ``gens`` (of the orders
+    ``p.invariant_factors``) instead of those of its own Smith form."""
+    q = copy.copy(p)
+    q._gens = gens
+    return q
+
+
+def cramer_weights(e):
+    """(weights, degree) by Cramer's rule, as the package computed them
+    before one scaled inverse did: w_i = det(E with column i replaced by
+    ones) and the degree det E, one Bareiss determinant each, both
+    multiplied by the sign of det E."""
+    n = e.nrows
+    det = determinant(e)
+    sign = 1 if det > 0 else -1
+    weights = []
+    for i in range(n):
+        cols = [[e.entry(r, j) if j != i else 1 for j in range(n)]
+                for r in range(n)]
+        weights.append(sign * determinant(IntMatrix(cols)))
+    return tuple(weights), sign * det

@@ -1,17 +1,21 @@
 """Burnside-ring arithmetic, the duality transform, and cyclotomic products."""
 
 import itertools
+import time
+from collections import Counter
 
 import pytest
 
-from saitodual.burnside import (BurnsideElement, CyclotomicProduct,
-                                burnside_from_cyclotomic, element_zeta, induce,
-                                mark, multiply, restrict, saito_dual)
+from saitodual.burnside import (MAX_PAIRED_BUCKET, BurnsideElement,
+                                CyclotomicProduct, burnside_from_cyclotomic,
+                                element_zeta, induce, is_saito_dual, mark,
+                                multiply, restrict, saito_dual)
 from saitodual.errors import OwnershipError, StructureError
 from saitodual.groups import (enumerate_subgroups, full_subgroup,
-                              monodromy_element, symmetry_group,
-                              trivial_subgroup)
+                              monodromy_element, subgroup_generated_by,
+                              symmetry_group, trivial_subgroup)
 from saitodual.polynomials import parse_polynomial
+from saitodual.zeta import equivariant_zeta
 
 from oracles import (brute_element_zeta, brute_mark, brute_multiply,
                      brute_restrict)
@@ -222,6 +226,35 @@ class TestSaitoDual:
         k = next(s for s in enumerate_subgroups(z6) if s.order == 3)
         with pytest.raises(StructureError):
             saito_dual(BurnsideElement.unit(k))
+
+
+class TestIsSaitoDualLargeBuckets:
+    def test_sum_of_eleven_squares(self):
+        # Z2^11: 2,048 reduced zeta terms in buckets of up to 462
+        # candidates, which are matched by their dual subgroups.
+        f = parse_polynomial(" + ".join(f"x{i}^2" for i in range(1, 12)))
+        p = symmetry_group(f)
+        q = p.dual()
+        a = equivariant_zeta(f, p).reduced
+        b = -equivariant_zeta(f.transpose(), q).reduced
+        buckets = Counter((c, k.order) for k, c in b.terms.items())
+        assert len(a.terms) == 2048
+        assert max(buckets.values()) > MAX_PAIRED_BUCKET
+        start = time.perf_counter()
+        assert is_saito_dual(a, b)
+        assert time.perf_counter() - start < 5
+        # A term of order 32 replaced by a subgroup of that order that is
+        # not a coordinate subgroup, and the same term counted once more.
+        key, coeff = next((k, c) for k, c in b.terms.items()
+                          if k.order == 32)
+        assert buckets[coeff, 32] > MAX_PAIRED_BUCKET
+        gens = q.generators()
+        other = subgroup_generated_by(q, gens[:4] + [gens[4] + gens[5]])
+        assert other.order == 32 and other not in b.terms
+        scope = full_subgroup(q)
+        swapped = b - coeff * orbit(scope, key) + coeff * orbit(scope, other)
+        assert not is_saito_dual(a, swapped)
+        assert not is_saito_dual(a, b + orbit(scope, key))
 
 
 class TestElementZeta:

@@ -60,6 +60,24 @@ class TestAnalyze:
         assert result["weights"]["degree"] == 6
         assert result["weights"]["gcd"] == 2
 
+    def test_weights_do_not_depend_on_monomial_order(self, capsys):
+        # det E is -6 in the first order and 6 in the second; the weights
+        # are those of the polynomial, positive in both.
+        lines, payloads = [], []
+        for text in ("x*y^2 + x^3", "x^3 + x*y^2"):
+            code, out, _ = run_cli(capsys, "analyze", text)
+            assert code == 0
+            lines.append(next(line for line in out.splitlines()
+                              if line.startswith("weights:")))
+            code, data = run_json(capsys, "analyze", text, "--json")
+            assert code == 0
+            payloads.append(data["result"]["weights"])
+        assert lines == [
+            "weights:     (2, 2; 6)   gcd 2   reduced (1, 1; 3)"] * 2
+        assert payloads[0] == payloads[1]
+        assert payloads[0]["canonical"] == [2, 2]
+        assert payloads[0]["reduced"] == [1, 1]
+
     def test_envelope(self, capsys):
         code, data = run_json(capsys, "analyze", "x^2", "--json")
         assert data["tool"] == "saitodual"

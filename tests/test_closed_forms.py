@@ -8,32 +8,35 @@ rational element arithmetic and dual lattices they replaced (kept in
 sides, and on random integer matrices."""
 
 import itertools
+from fractions import Fraction
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 import pytest
 
 from saitodual.burnside import (BurnsideElement, _coset_order,
-                                is_saito_dual, saito_dual)
+                                burnside_from_cyclotomic, is_saito_dual,
+                                saito_dual)
 from saitodual.errors import SingularMatrixError, StructureError
-from saitodual.groups import (GroupPresentation, dual_subgroup,
-                              enumerate_subgroups, full_subgroup,
-                              geometric_roots, isotropy_subgroup,
-                              monodromy_element, root_count,
-                              subgroup_generated_by, symmetry_group,
-                              trivial_subgroup)
-from saitodual.linalg import (IntMatrix, determinant, lattice_solve,
-                              scaled_inverse)
+from saitodual.groups import (GroupElement, GroupPresentation,
+                              dual_subgroup, enumerate_subgroups,
+                              full_subgroup, geometric_roots,
+                              isotropy_subgroup, monodromy_element, pairing,
+                              root_count, subgroup_generated_by,
+                              symmetry_group, trivial_subgroup)
+from saitodual.linalg import (IntMatrix, determinant, lattice_basis,
+                              lattice_solve, scaled_inverse)
 from saitodual.polynomials import InvertiblePolynomial
 from saitodual.zeta import (equivariant_zeta, generating_root_exists,
                             generating_root_zeta)
 
 from conftest import distinct_groups
-from oracles import (RationalElement, brute_roots, coordinate_roots,
-                     divisor_coset_order, element_mismatches,
-                     fraction_lattice_solve, fraction_scaled_inverse,
-                     join_closure_subgroups, kernel_dual_all_pairs,
-                     listed_root_zeta, meet_isotropy, reference_generators)
+from oracles import (RationalElement, ambient_quotient_data, brute_roots,
+                     coordinate_roots, cramer_weights, divisor_coset_order,
+                     element_mismatches, fraction_lattice_solve,
+                     fraction_scaled_inverse, join_closure_subgroups,
+                     kernel_dual_all_pairs, listed_root_zeta, meet_isotropy,
+                     reference_generators, with_generators)
 
 
 def sides(batch45):
@@ -47,6 +50,72 @@ def sides(batch45):
 def nonempty_subsets(n):
     for k in range(1, n + 1):
         yield from itertools.combinations(range(n), k)
+
+
+def factorization_mismatches(p):
+    """The facts of the one Smith form S = U*C*V of ``p`` that fail: its
+    dual is built from the transposed factorization and returns ``p``;
+    the dual's invariant factors and ambient basis are those of a fresh
+    Smith form of C^T; the stored generators have the orders d_j and,
+    with the d*e_i, span the ambient basis, which the columns of d*C^-1
+    (by rational elimination) span too; every standard generator is the
+    sum of its SNF coordinates a_j times the stored generators; and every
+    pair of standard generators x, y of the two sides pairs to
+    sum_j a_j*b_j/d_j mod 1 in their SNF coordinates a, b."""
+    q = p.dual()
+    d, n, factors = p.order, p.rank, p.invariant_factors
+    bad = []
+    if q.dual() is not p:
+        bad.append("dual of dual")
+    fresh = GroupPresentation(p.constraint.transpose(), q.side)
+    if (q.invariant_factors, q.ambient_basis) != (
+            fresh.invariant_factors, fresh.ambient_basis):
+        bad.append("fresh Smith form of C^T")
+    gens = p._gens.columns()
+    if [GroupElement._wrap(p, tuple(x % d for x in g)).order
+            for g in gens] != list(factors):
+        bad.append("generator orders")
+    base = [[d if r == i else 0 for r in range(n)] for i in range(n)]
+    inverse = fraction_scaled_inverse(p.constraint, d)
+    if not (lattice_basis(gens + base, n) == p.ambient_basis
+            == lattice_basis(inverse.columns() + base, n)):
+        bad.append("ambient basis")
+    for x in p.generators():
+        a = p._coordinates(x.scaled())
+        if tuple(sum(c * g[i] for c, g in zip(a, gens)) % d
+                 for i in range(n)) != x.scaled():
+            bad.append(f"coordinates of {x}")
+        for y in q.generators():
+            b = q._coordinates(y.scaled())
+            diagonal = sum(Fraction(s * t, o)
+                           for s, t, o in zip(a, b, factors)) % 1
+            if pairing(x, y) != diagonal:
+                bad.append(f"pairing of {x} and {y}")
+    return bad
+
+
+def quotient_data_mismatches(f, p):
+    """Where the generators of ``p``'s own Smith form and those of the
+    second Smith form the package ran before (``ambient_quotient_data``)
+    give different results: the invariant factors, every subgroup, and,
+    for a cyclic group, the element of the generating-root zeta function
+    under ``burnside_from_cyclotomic``.  The roots of the old data are
+    ``coordinate_roots``, checked against ``geometric_roots``
+    elsewhere."""
+    gens, orders, _ = ambient_quotient_data(p)
+    old = with_generators(p, gens)
+    bad = []
+    if orders != p.invariant_factors:
+        bad.append("orders")
+    if enumerate_subgroups(old) != enumerate_subgroups(p):
+        bad.append("subgroups")
+    if p.is_cyclic:
+        rep = equivariant_zeta(f, p)
+        phi = generating_root_zeta(rep)
+        if not (burnside_from_cyclotomic(phi, p)
+                == burnside_from_cyclotomic(phi, old) == rep.reduced):
+            bad.append("burnside_from_cyclotomic")
+    return bad
 
 
 def outcome(solver, *args):
@@ -81,16 +150,16 @@ class TestCorpusDifferential:
         assert (checked, mismatches) == (88936, 0)
 
     def test_scaled_inverse_matches_fraction_elimination(self, batch45):
-        # What the group layer inverts for a corpus polynomial: the
-        # unimodular SNF transform U of the group, which
-        # _lattice_quotient_data inverts, and C*B with d^2 for each reduced
-        # zeta term B.  Only dual_subgroup inverts C*B (upper triangular
-        # for chains, otherwise the HNF route): the transform and a failing
-        # zeta duality check call it, a passing check never does.
+        # What the package inverts for a corpus polynomial: its exponent
+        # matrix E with |det E| for the weights, and C*B with d^2 for each
+        # reduced zeta term B.  Only dual_subgroup inverts C*B (upper
+        # triangular for chains, otherwise the HNF route): the transform
+        # and a failing zeta duality check call it, a passing check never
+        # does.
         checked = mismatches = 0
-        for _, p, rep in sides(batch45):
+        for f, p, rep in sides(batch45):
             dd = p.order ** 2
-            inputs = [(p._quotient_data()[2], 1)]
+            inputs = [(f.exponents, abs(f.det))]
             inputs += [(p.constraint * h.basis, dd)
                        for h in rep.reduced.terms]
             for m, s in inputs:
@@ -190,6 +259,34 @@ class TestCorpusDifferential:
                         BurnsideElement.orbit(scope, h),
                         BurnsideElement.orbit(scope_t, k)) != oracle
         assert (checked, holds, mismatches) == (13716, 10660, 0)
+
+    def test_one_smith_form_per_pair(self, batch45):
+        # Every corpus side: the dual, generators and SNF coordinates of
+        # the one factorization, and 46,480 generator pairs.
+        checked = pairs = mismatches = 0
+        for _, p, _ in sides(batch45):
+            checked += 1
+            pairs += p.rank ** 2
+            mismatches += bool(factorization_mismatches(p))
+        assert (checked, pairs, mismatches) == (3152, 46480, 0)
+
+    def test_weights_match_cramer(self, batch45):
+        checked = mismatches = 0
+        for f, _, _ in sides(batch45):
+            checked += 1
+            ws = f.weights
+            mismatches += cramer_weights(f.exponents) != (
+                ws.canonical_weights, ws.canonical_degree)
+        assert (checked, mismatches) == (3152, 0)
+
+    def test_quotient_data_matches_second_smith_form(self, batch45):
+        # Every corpus side: its subgroups and, when cyclic, the
+        # correspondence, from both generator sets.
+        checked = mismatches = 0
+        for f, p, _ in sides(batch45):
+            checked += 1
+            mismatches += bool(quotient_data_mismatches(f, p))
+        assert (checked, mismatches) == (3152, 0)
 
 
 @st.composite
@@ -394,3 +491,23 @@ class TestRandomMatrices:
             oracle = listed_root_zeta(rep)
             assert generating_root_exists(rep) == (oracle is not None)
             assert generating_root_zeta(rep) == oracle or oracle is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_groups())
+    @example(GroupPresentation(IntMatrix.diagonal([2, 2, 2, 2])))
+    def test_one_smith_form_per_pair(self, p):
+        assert factorization_mismatches(p) == []
+        assert factorization_mismatches(p.dual()) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(exponent_matrices())
+    # det E = -6: the weights of x*y^2 + x^3 are positive.
+    @example(InvertiblePolynomial([[1, 2], [3, 0]]))
+    def test_weights_and_quotient_data_match_replaced_forms(self, f):
+        ws = f.weights
+        assert cramer_weights(f.exponents) == (ws.canonical_weights,
+                                               ws.canonical_degree)
+        assert ws.canonical_degree == abs(f.det)
+        for g, p in ((f, symmetry_group(f)),
+                     (f.transpose(), symmetry_group(f).dual())):
+            assert quotient_data_mismatches(g, p) == []

@@ -3,10 +3,11 @@
 import warnings
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from saitodual.errors import (CoefficientWarning, PolynomialParseError,
                               ShapeError, SingularMatrixError)
-from saitodual.linalg import IntMatrix
+from saitodual.linalg import IntMatrix, determinant
 from saitodual.polynomials import (InvertiblePolynomial, canonical_weights,
                                    decompose, parse_polynomial)
 
@@ -114,6 +115,23 @@ class TestWeights:
             ws = canonical_weights(f)
             image = f.exponents.apply_to_vector(ws.canonical_weights)
             assert image == tuple([ws.canonical_degree] * f.nvars)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_invariant_under_monomial_order(self, data):
+        # Reordering the monomials permutes the rows of E and may flip the
+        # sign of det E; the weight system is that of the polynomial.
+        n = data.draw(st.integers(1, 4))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(0, 5), min_size=n, max_size=n),
+            min_size=n, max_size=n))
+        assume(determinant(rows) != 0)
+        order = data.draw(st.permutations(range(n)))
+        ws = canonical_weights(InvertiblePolynomial(rows))
+        again = canonical_weights(InvertiblePolynomial(
+            [rows[i] for i in order]))
+        assert again == ws
+        assert ws.canonical_degree == abs(determinant(rows)) > 0
 
     def test_transpose_preserves_degree(self, corpus_sample):
         for f in corpus_sample:
