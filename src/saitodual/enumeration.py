@@ -162,10 +162,11 @@ class PolynomialVerification:
         return self.corollary is not None
 
 
-def verify_polynomial(f):
+def verify_polynomial(f, atoms=None):
     """Run the zeta-duality check, and the root-duality check when the
-    symmetry group is cyclic, on one shared DualPair."""
-    pair = DualPair(f)
+    symmetry group is cyclic, on one shared DualPair; ``atoms`` is the
+    batch's atom-record dict (see ``zeta.equivariant_zeta``)."""
+    pair = DualPair(f, atoms)
     theorem = verify_zeta_duality(pair)
     corollary = None
     if pair.group.is_cyclic:
@@ -214,10 +215,10 @@ class BatchReport:
         }
 
 
-def _verify_task(keep_record, f):
+def _verify_task(keep_record, atoms, f):
     """Verify one polynomial: (theorem equal, corollary equal or None when
     unchecked, failure entries, the record when ``keep_record``)."""
-    v = verify_polynomial(f)
+    v = verify_polynomial(f, atoms)
     failures = []
     if not v.theorem.equal:
         failures.append(_failure_entry(f, "theorem", v.theorem))
@@ -228,22 +229,39 @@ def _verify_task(keep_record, f):
             failures, v if keep_record else None)
 
 
+# A pool worker's task, with that process's own atom cache; set by
+# ``_start_worker`` in each worker, never in the calling process.
+_worker_task = None
+
+
+def _start_worker():
+    global _worker_task
+    _worker_task = partial(_verify_task, False, {})
+
+
+def _pooled_task(f):
+    return _worker_task(f)
+
+
 def run_batch(polynomials, workers=1, keep_records=False, truncated=False):
     """Verify every polynomial, in a pool when ``workers`` > 1; aggregation
     order follows the input order, so sorted input gives byte-stable
-    reports.  Pool workers send back no records."""
+    reports.  Pool workers send back no records.
+
+    The polynomials share one atom-record cache (see
+    ``zeta.equivariant_zeta``), made for this call: one per worker
+    process in a pool.  Nothing of it outlives the call."""
     if keep_records and workers > 1:
         raise ValueError("keep_records=True needs workers=1")
     report = BatchReport(total=len(polynomials), truncated=truncated,
                          records=[] if keep_records else None)
-    task = partial(_verify_task, keep_records)
     if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
-            outcomes = pool.map(task, polynomials, chunksize=8)
+        with multiprocessing.Pool(workers, _start_worker) as pool:
+            outcomes = pool.map(_pooled_task, polynomials, chunksize=8)
     else:
-        outcomes = map(task, polynomials)
+        outcomes = map(partial(_verify_task, keep_records, {}), polynomials)
     for theorem_equal, corollary_equal, failures, record in outcomes:
         report.theorem_pass += theorem_equal
         report.theorem_fail += not theorem_equal

@@ -8,6 +8,23 @@ exponent matrix is block-triangular with an I-block after a simultaneous
 permutation); G^I is the isotropy subgroup of the I-coordinate subtorus.
 The fibre itself is never constructed -- only the Euler characteristics
 of its torus strata enter, and those are exact determinants.
+
+A direct (Thom-Sebastiani) sum f = f1 + ... + fk, read off as the finest
+block-diagonal form of the exponent matrix in its given row and column
+order, is assembled from its atoms by the product rule
+(Ebeling-Gusein-Zade, arXiv:1105.1964): G = G1 x ... x Gk, a subset
+I = I1 u ... u Ik contributes exactly when each part Ia does or is
+empty, G^I = G1^I1 x ... x Gk^Ik, and the I-block determinant is the
+product of the Ia-block determinants.  So reduced(f1 + f2) is
+-reduced(f1) x reduced(f2), the external product [G1/H1] x [G2/H2] =
+[G/(H1 x H2)].  An atom's record lists its contributing subsets, the
+empty subset (the full group) included, with their block determinants and
+isotropy bases; a batch computes the record of each atom of its sums once
+(``equivariant_zeta``'s ``atoms``).  The key of H1 x ... x Hk is
+diag((d/d1)*B1, ..., (d/dk)*Bk) for d = d1*...*dk, already a column HNF.
+A matrix that is not block diagonal in its given order, such as that of
+x1^2*x3 + x2^3 + x3^3, is one atom, whose record is the subset loop over
+the polynomial's own presentation.
 """
 
 from __future__ import annotations
@@ -21,9 +38,10 @@ from math import gcd
 from .burnside import (BurnsideElement, CyclotomicProduct, element_zeta,
                        is_saito_dual, saito_dual)
 from .errors import DegenerateError, NonCyclicError
-from .groups import (full_subgroup, geometric_roots, isotropy_subgroup,
-                     monodromy_element, symmetry_group)
-from .linalg import determinant
+from .groups import (GroupPresentation, SubgroupKey, full_subgroup,
+                     geometric_roots, isotropy_subgroup, monodromy_element,
+                     symmetry_group)
+from .linalg import IntMatrix, determinant
 from .polynomials import decompose
 
 
@@ -84,32 +102,103 @@ class ZetaReport:
         }
 
 
-def equivariant_zeta(f, group=None):
+def equivariant_zeta(f, group=None, atoms=None):
     """Full zeta report of an invertible polynomial over its symmetry
-    group (or a caller-supplied presentation of it)."""
+    group (or a caller-supplied presentation of it, whose constraint is
+    the exponent matrix of ``f``).
+
+    The audit records are the products of the records of the diagonal
+    blocks (``_atom_record``), one per nonempty subset, sorted by (size,
+    indices).  A polynomial that is one block has its record computed
+    over the given presentation, with no second Smith form.  The blocks
+    of a sum have theirs kept in ``atoms``, a dict from block to record:
+    callers that verify many polynomials pass one for all of them, and
+    without one the call keeps its own."""
     p = group if group is not None else symmetry_group(f)
     e = f.exponents
-    n = f.nvars
+    blocks = _diagonal_blocks(e)
+    if len(blocks) == 1:
+        factors = [_atom_record(e, p)[1]]
+    else:
+        if atoms is None:
+            atoms = {}
+        n, d = f.nvars, p.order
+        factors = []
+        for start, stop in blocks:
+            block = e.submatrix(range(start, stop), range(start, stop))
+            if block not in atoms:
+                atoms[block] = _atom_record(block, GroupPresentation(block))
+            order, entries = atoms[block]
+            scale = d // order
+            left, right = (0,) * start, (0,) * (n - stop)
+            factors.append([
+                (tuple(start + i for i in indices), det,
+                 tuple(left + tuple(scale * x for x in row) + right
+                       for row in basis))
+                for indices, det, basis in entries])
+    # Every record starts with its empty subset, so the first product is
+    # the empty subset of f, which is not a term.
+    products = [((), 1, ())]
+    for entries in factors:
+        products = [(indices + more, det * factor, rows + block_rows)
+                    for indices, det, rows in products
+                    for more, factor, block_rows in entries]
+    audit = []
+    for indices, det, rows in products[1:]:
+        sign = 1 if len(indices) % 2 else -1
+        audit.append(SubsetTerm(indices, sign,
+                                SubgroupKey(p, IntMatrix._wrap(rows)),
+                                sign * det))
+    audit.sort(key=lambda t: (len(t.indices), t.indices))
+    terms = {}
+    for t in audit:
+        terms[t.isotropy] = terms.get(t.isotropy, 0) + t.coefficient
+    scope = full_subgroup(p)
+    equivariant = BurnsideElement(scope, terms)
+    terms[scope] = terms.get(scope, 0) - 1
+    reduced = BurnsideElement(scope, terms)
+    classical = element_zeta(monodromy_element(f, p), equivariant)
+    return ZetaReport(f, p, equivariant, reduced, classical, tuple(audit))
+
+
+def _diagonal_blocks(e):
+    """(start, stop) of each block of the finest block-diagonal form of
+    the invertible matrix ``e`` in its given row and column order: the
+    matrix splits after position i when no nonzero entry of rows or
+    columns 0..i reaches past i."""
+    rows = e.rows
+    n = len(rows)
+    blocks = []
+    start = reach = 0
+    for i in range(n):
+        reach = max(reach,
+                    max(j for j in range(n) if rows[i][j]),
+                    max(r for r in range(n) if rows[r][i]))
+        if reach == i:
+            blocks.append((start, i + 1))
+            start = i + 1
+    return blocks
+
+
+def _atom_record(e, q):
+    """The record of one exponent block ``e`` over a presentation ``q`` of
+    its group: (|G|, entries), with one entry (I, det of the I-block,
+    rows of the scaled isotropy basis) for the empty subset (the full
+    group) and for each contributing subset I, by (size, indices)."""
+    n = e.nrows
     support = [frozenset(j for j in range(n) if e.entry(i, j))
                for i in range(n)]
-    terms = {}
-    audit = []
+    entries = [((), 1, q.ambient_basis.rows)]
     for k in range(1, n + 1):
-        sign = 1 if k % 2 else -1
         for subset in itertools.combinations(range(n), k):
             sset = frozenset(subset)
             rows_in = [i for i in range(n) if support[i] <= sset]
             if len(rows_in) != k:
                 continue
-            iso = isotropy_subgroup(p, subset)
-            block_det = determinant(e.submatrix(rows_in, subset))
-            audit.append(SubsetTerm(subset, sign, iso, sign * block_det))
-            terms[iso] = terms.get(iso, 0) + sign
-    scope = full_subgroup(p)
-    equivariant = BurnsideElement(scope, terms)
-    reduced = equivariant - BurnsideElement.unit(scope)
-    classical = element_zeta(monodromy_element(f, p), equivariant)
-    return ZetaReport(f, p, equivariant, reduced, classical, tuple(audit))
+            entries.append((subset,
+                            determinant(e.submatrix(rows_in, subset)),
+                            isotropy_subgroup(q, subset).basis.rows))
+    return q.order, tuple(entries)
 
 
 def classical_zeta(f):
@@ -160,10 +249,19 @@ class DualPair:
     zeta report, and the geometric roots of f.  Each field is computed on
     first use and then shared; each side's weight system is kept on ``f``
     and ``ft`` (``InvertiblePolynomial.weights``), where every library call
-    reaches it."""
+    reaches it.  ``atoms`` is the atom-record dict of the batch the pair
+    belongs to; without one the pair keeps its own."""
 
-    def __init__(self, f):
+    def __init__(self, f, atoms=None):
         self.f = f
+        if atoms is not None:
+            self.atoms = atoms
+
+    @cached_property
+    def atoms(self):
+        """The atom records both zeta reports read (see
+        ``equivariant_zeta``): a batch's, or this pair's own."""
+        return {}
 
     @cached_property
     def ft(self):
@@ -183,11 +281,11 @@ class DualPair:
 
     @cached_property
     def report(self):
-        return equivariant_zeta(self.f, self.group)
+        return equivariant_zeta(self.f, self.group, self.atoms)
 
     @cached_property
     def report_t(self):
-        return equivariant_zeta(self.ft, self.group_t)
+        return equivariant_zeta(self.ft, self.group_t, self.atoms)
 
     @cached_property
     def roots(self):

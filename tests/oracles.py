@@ -17,13 +17,15 @@ from saitodual.burnside import BurnsideElement, CyclotomicProduct, element_zeta
 from saitodual.enumeration import (atom_specs, build_polynomial,
                                    canonical_matrix_key)
 from saitodual.groups import (GroupElement, SubgroupKey, _meet_bases,
-                              full_subgroup, monodromy_element,
-                              subgroup_generated_by, subgroup_join,
+                              full_subgroup, isotropy_subgroup,
+                              monodromy_element, subgroup_generated_by,
+                              subgroup_join, symmetry_group,
                               trivial_subgroup)
 from saitodual.errors import SingularMatrixError
 from saitodual.linalg import (IntMatrix, RationalVector, determinant,
                               lattice_solve, scaled_inverse,
                               smith_normal_form)
+from saitodual.zeta import SubsetTerm, ZetaReport
 
 _elements_cache = {}
 _coset_cache = {}
@@ -561,3 +563,32 @@ def cramer_weights(e):
                 for r in range(n)]
         weights.append(sign * determinant(IntMatrix(cols)))
     return tuple(weights), sign * det
+
+
+def direct_equivariant_zeta(f, group=None):
+    """The zeta report by the full subset loop over all 2^n subsets, one
+    isotropy subgroup per contributing subset, as the package computed it
+    before it assembled a direct sum from its atoms' records."""
+    p = group if group is not None else symmetry_group(f)
+    e = f.exponents
+    n = f.nvars
+    support = [frozenset(j for j in range(n) if e.entry(i, j))
+               for i in range(n)]
+    terms = {}
+    audit = []
+    for k in range(1, n + 1):
+        sign = 1 if k % 2 else -1
+        for subset in itertools.combinations(range(n), k):
+            sset = frozenset(subset)
+            rows_in = [i for i in range(n) if support[i] <= sset]
+            if len(rows_in) != k:
+                continue
+            iso = isotropy_subgroup(p, subset)
+            block_det = determinant(e.submatrix(rows_in, subset))
+            audit.append(SubsetTerm(subset, sign, iso, sign * block_det))
+            terms[iso] = terms.get(iso, 0) + sign
+    scope = full_subgroup(p)
+    equivariant = BurnsideElement(scope, terms)
+    reduced = equivariant - BurnsideElement.unit(scope)
+    classical = element_zeta(monodromy_element(f, p), equivariant)
+    return ZetaReport(f, p, equivariant, reduced, classical, tuple(audit))

@@ -1,13 +1,15 @@
 """The closed forms of the isotropy subgroup, the coset order, the root
 count and the root duality, the subgroups built in SNF coordinates, the
 one integer solver of ``linalg``, the integer element arithmetic on
-d-scaled vectors and the annihilator test of the zeta duality, checked
-against the searches, root lists, join closure, rational elimination,
-rational element arithmetic and dual lattices they replaced (kept in
-``oracles`` or in the package): over the whole acceptance corpus on both
-sides, and on random integer matrices."""
+d-scaled vectors, the annihilator test of the zeta duality and the zeta
+report of a direct sum assembled from its atoms, checked against the
+searches, root lists, join closure, rational elimination, rational
+element arithmetic, dual lattices and full subset loop they replaced
+(kept in ``oracles`` or in the package): over the whole acceptance corpus
+on both sides, and on random integer matrices."""
 
 import itertools
+import json
 from fractions import Fraction
 
 from hypothesis import assume, example, given, settings, strategies as st
@@ -26,13 +28,15 @@ from saitodual.groups import (GroupElement, GroupPresentation,
                               symmetry_group, trivial_subgroup)
 from saitodual.linalg import (IntMatrix, determinant, lattice_basis,
                               lattice_solve, scaled_inverse)
-from saitodual.polynomials import InvertiblePolynomial
-from saitodual.zeta import (equivariant_zeta, generating_root_exists,
-                            generating_root_zeta)
+from saitodual.enumeration import generate_corpus, run_batch
+from saitodual.polynomials import InvertiblePolynomial, parse_polynomial
+from saitodual.zeta import (_diagonal_blocks, equivariant_zeta,
+                            generating_root_exists, generating_root_zeta)
 
 from conftest import distinct_groups
 from oracles import (RationalElement, ambient_quotient_data, brute_roots,
-                     coordinate_roots, cramer_weights, divisor_coset_order,
+                     coordinate_roots, cramer_weights,
+                     direct_equivariant_zeta, divisor_coset_order,
                      element_mismatches, fraction_lattice_solve,
                      fraction_scaled_inverse, join_closure_subgroups,
                      kernel_dual_all_pairs, listed_root_zeta, meet_isotropy,
@@ -116,6 +120,24 @@ def quotient_data_mismatches(f, p):
                 == burnside_from_cyclotomic(phi, old) == rep.reduced):
             bad.append("burnside_from_cyclotomic")
     return bad
+
+
+def differs_from_direct_loop(rep):
+    """Whether a zeta report differs anywhere in its JSON text, audit
+    order included, from the full subset loop's over the same group."""
+    direct = direct_equivariant_zeta(rep.polynomial, rep.group)
+    return json.dumps(rep.to_json()) != json.dumps(direct.to_json())
+
+
+def composition_counts(batch):
+    """(sides, sides that are sums, sides whose report differs from the
+    full subset loop's) over the records of a batch."""
+    checked = sums = mismatches = 0
+    for f, _, rep in sides(batch):
+        checked += 1
+        sums += len(_diagonal_blocks(f.exponents)) > 1
+        mismatches += differs_from_direct_loop(rep)
+    return checked, sums, mismatches
 
 
 def outcome(solver, *args):
@@ -288,6 +310,18 @@ class TestCorpusDifferential:
             mismatches += bool(quotient_data_mismatches(f, p))
         assert (checked, mismatches) == (3152, 0)
 
+    def test_zeta_reports_match_direct_loop(self, batch45):
+        # Every corpus side, as the batch assembled it from its shared
+        # atom records.
+        assert composition_counts(batch45) == (3152, 2264, 0)
+
+    def test_sums_sample_zeta_reports_match_direct_loop(self):
+        # A seeded sample of the (5,5) sums corpus, through one batch.
+        corpus, _ = generate_corpus(5, 5, include_sums=True, sample=150,
+                                    seed=12)
+        batch = run_batch(corpus, keep_records=True)
+        assert composition_counts(batch) == (300, 250, 0)
+
 
 @st.composite
 def exponent_matrices(draw):
@@ -304,6 +338,60 @@ def exponent_matrices(draw):
     det = determinant(rows)
     assume(det != 0 and abs(det) <= 96)
     return InvertiblePolynomial(rows)
+
+
+# Blocks that are not loops or chains: a non-loop/chain block, linear and
+# unimodular blocks (d = 1) and blocks with a negative determinant.
+SPECIAL_ATOMS = (
+    ((2, 1, 1), (0, 2, 0), (0, 0, 2)),  # x^2*y*z + y^2 + z^2
+    ((1, 0), (0, 2)),                   # x + y^2
+    ((1, 1), (1, 2)),                   # x*y + x*y^2, det 1
+    ((1, 2), (3, 0)),                   # x*y^2 + x^3, det -6
+    ((0, 1), (1, 0)),                   # y + x, det -1
+    ((1,),),                            # x
+)
+
+
+@st.composite
+def atoms(draw):
+    """One nonsingular block: a special one or a random 1x1 to 3x3 with
+    entries 0 to 4."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(SPECIAL_ATOMS))
+    m = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, 4), min_size=m,
+                                  max_size=m), min_size=m, max_size=m))
+    assume(determinant(rows) != 0)
+    return rows
+
+
+def block_sum(blocks):
+    """The polynomial whose exponent matrix is block diagonal with the
+    given blocks, in order."""
+    n = sum(len(b) for b in blocks)
+    rows = []
+    offset = 0
+    for b in blocks:
+        for r in b:
+            rows.append([0] * offset + list(r)
+                        + [0] * (n - offset - len(r)))
+        offset += len(b)
+    return InvertiblePolynomial(rows)
+
+
+@st.composite
+def block_sums(draw):
+    """A direct sum of 2 to 4 atoms on at most 7 variables, sometimes
+    with its first atom repeated."""
+    blocks = draw(st.lists(atoms(), min_size=2, max_size=4))
+    if draw(st.booleans()):
+        blocks.append(blocks[0])
+    assume(sum(len(b) for b in blocks) <= 7)
+    return block_sum(blocks)
+
+
+# One atom cache that every composition example shares, as a batch does.
+BATCH_ATOMS = {}
 
 
 @st.composite
@@ -511,3 +599,36 @@ class TestRandomMatrices:
         for g, p in ((f, symmetry_group(f)),
                      (f.transpose(), symmetry_group(f).dual())):
             assert quotient_data_mismatches(g, p) == []
+
+
+class TestAtomComposition:
+    @settings(max_examples=150, deadline=None)
+    @given(block_sums())
+    @example(block_sum([((2,),)] * 3))
+    @example(block_sum([((2, 1), (0, 3)), ((2, 1), (0, 3))]))
+    @example(block_sum([SPECIAL_ATOMS[0], SPECIAL_ATOMS[3],
+                        SPECIAL_ATOMS[4]]))
+    def test_block_sums_match_direct_loop(self, f):
+        p = symmetry_group(f)
+        assert len(_diagonal_blocks(f.exponents)) > 1
+        for g, q in ((f, p), (f.transpose(), p.dual())):
+            assert not differs_from_direct_loop(equivariant_zeta(g, q))
+            assert not differs_from_direct_loop(
+                equivariant_zeta(g, q, BATCH_ATOMS))
+
+    @pytest.mark.parametrize("text, blocks", [
+        ("x1^2*x3 + x2^3 + x3^3", [(0, 3)]),  # interleaved components
+        ("x^2*y + z^3 + y^3", [(0, 3)]),      # monomials out of order
+        ("x^2*y + y^3 + z^2", [(0, 2), (2, 3)]),
+        ("x^2 + y^2 + z^2 + w^2", [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        ("x*y + x*y^2 + z^3", [(0, 2), (2, 3)]),
+    ])
+    def test_fixed_cases_match_direct_loop(self, text, blocks):
+        f = parse_polynomial(text)
+        assert _diagonal_blocks(f.exponents) == blocks
+        p = symmetry_group(f)
+        for g, q in ((f, p), (f.transpose(), p.dual())):
+            assert _diagonal_blocks(g.exponents) == blocks
+            assert not differs_from_direct_loop(equivariant_zeta(g, q))
+            assert not differs_from_direct_loop(
+                equivariant_zeta(g, q, BATCH_ATOMS))

@@ -3,12 +3,14 @@
 import contextlib
 import dataclasses
 import io
+import json
 
 import pytest
 
 import saitodual
 from saitodual.burnside import (BurnsideElement, CyclotomicProduct,
                                 element_zeta, restrict, saito_dual)
+from saitodual import enumeration
 from saitodual.cli import main
 from saitodual.enumeration import generate_corpus, run_batch
 from saitodual.errors import DegenerateError, NonCyclicError
@@ -219,6 +221,12 @@ class TestRootDuality:
         assert "2, 2" in str(info.value) or "(2, 2)" in str(info.value)
 
 
+# isotropy_subgroup calls of one batch over the (3,4) sums corpus: the
+# records of its single-block polynomials and of each distinct atom of its
+# sums, once per side.
+ISOTROPY_34 = 283
+
+
 def count_calls(monkeypatch, *names):
     """Count calls of the named package functions, wherever they are
     looked up from."""
@@ -271,6 +279,21 @@ class TestDualPair:
         assert report.ok and report.theorem_pass == len(corpus)
         assert counts == {"dual_subgroup": 0, "saito_dual": 0,
                           "equivariant_zeta": 2 * len(corpus)}
+
+    def test_batch_atom_cache_lives_for_one_call(self, monkeypatch):
+        # Each batch builds its own atom records: a second batch in the
+        # same process repeats the first's isotropy calls (the full subset
+        # loop makes 792 on this corpus), and a pool gives the same report.
+        corpus, _ = generate_corpus(3, 4, include_sums=True)
+        counts = count_calls(monkeypatch, "isotropy_subgroup")
+        first = run_batch(corpus)
+        assert counts == {"isotropy_subgroup": ISOTROPY_34}
+        second = run_batch(corpus)
+        assert counts == {"isotropy_subgroup": 2 * ISOTROPY_34}
+        pooled = run_batch(corpus, workers=2)
+        assert enumeration._worker_task is None
+        texts = {json.dumps(r.to_json()) for r in (first, second, pooled)}
+        assert len(texts) == 1 and first.ok
 
     def test_roots_command_computes_roots_once_per_side(self, monkeypatch):
         # `roots` lists the roots of f only; the transposed side enters the
