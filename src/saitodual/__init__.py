@@ -5,7 +5,7 @@ transform relating a polynomial to its transpose."""
 __version__ = "0.1.0"
 
 from .burnside import (BurnsideElement, CyclotomicProduct,
-                       burnside_from_cyclotomic, element_zeta, induce, mark,
+                       burnside_from_cyclotomic, element_zeta, mark,
                        multiply, restrict, saito_dual)
 from .enumeration import (BatchReport, atom_specs, build_polynomial,
                           canonical_matrix_key, chain_matrix, generate_corpus,

@@ -147,8 +147,14 @@ class BurnsideElement:
         self._hash = None
 
     @classmethod
-    def zero(cls, scope):
-        return cls(scope)
+    def _wrap(cls, scope, terms):
+        """Trusted constructor: ``terms`` must be a dict of nonzero
+        coefficients keyed by subgroups of the scope's group."""
+        a = object.__new__(cls)
+        a._scope = scope
+        a._terms = terms
+        a._hash = None
+        return a
 
     @classmethod
     def orbit(cls, scope, key, coeff=1):
@@ -198,13 +204,13 @@ class BurnsideElement:
         return self + (-other)
 
     def __neg__(self):
-        return BurnsideElement(self._scope,
-                               {k: -v for k, v in self._terms.items()})
+        return BurnsideElement._wrap(self._scope,
+                                     {k: -v for k, v in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return BurnsideElement(self._scope,
-                                   {k: other * v for k, v in self._terms.items()})
+            return BurnsideElement._wrap(self._scope, {
+                k: other * v for k, v in self._terms.items()} if other else {})
         if isinstance(other, BurnsideElement):
             return multiply(self, other)
         return NotImplemented
@@ -275,18 +281,6 @@ def restrict(a, subgroup):
         coeff = c * (s_order * kh.order) // (h.order * k_order)
         out[kh] = out.get(kh, 0) + coeff
     return BurnsideElement(subgroup, out)
-
-
-def induce(a, target):
-    """Induction to a larger scope: [K/U] |-> [T/U].  Additive but not
-    multiplicative."""
-    if isinstance(target, GroupPresentation):
-        target = full_subgroup(target)
-    if target.presentation != a.scope.presentation:
-        raise OwnershipError("target belongs to a different group")
-    if not target.contains(a.scope):
-        raise OwnershipError("induction target does not contain the scope")
-    return BurnsideElement(target, dict(a.terms))
 
 
 def mark(a, subgroup):

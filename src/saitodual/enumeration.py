@@ -22,7 +22,8 @@ from functools import partial
 
 from .linalg import IntMatrix
 from .polynomials import InvertiblePolynomial
-from .zeta import DualPair, verify_root_duality, verify_zeta_duality
+from .zeta import (AtomRecords, DualPair, verify_root_duality,
+                   verify_zeta_duality)
 
 
 def chain_matrix(exponents):
@@ -165,7 +166,7 @@ class PolynomialVerification:
 def verify_polynomial(f, atoms=None):
     """Run the zeta-duality check, and the root-duality check when the
     symmetry group is cyclic, on one shared DualPair; ``atoms`` is the
-    batch's atom-record dict (see ``zeta.equivariant_zeta``)."""
+    batch's ``zeta.AtomRecords``."""
     pair = DualPair(f, atoms)
     theorem = verify_zeta_duality(pair)
     corollary = None
@@ -234,9 +235,9 @@ def _verify_task(keep_record, atoms, f):
 _worker_task = None
 
 
-def _start_worker():
+def _start_worker(keep_below):
     global _worker_task
-    _worker_task = partial(_verify_task, False, {})
+    _worker_task = partial(_verify_task, False, AtomRecords(keep_below))
 
 
 def _pooled_task(f):
@@ -248,20 +249,24 @@ def run_batch(polynomials, workers=1, keep_records=False, truncated=False):
     order follows the input order, so sorted input gives byte-stable
     reports.  Pool workers send back no records.
 
-    The polynomials share one atom-record cache (see
-    ``zeta.equivariant_zeta``), made for this call: one per worker
-    process in a pool.  Nothing of it outlives the call."""
+    The polynomials share one ``zeta.AtomRecords``, made for this call:
+    one per worker process in a pool.  It keeps the record of a
+    single-block polynomial smaller than the largest polynomial, which
+    may be a summand of a later one.  Nothing of it outlives the call."""
     if keep_records and workers > 1:
         raise ValueError("keep_records=True needs workers=1")
     report = BatchReport(total=len(polynomials), truncated=truncated,
                          records=[] if keep_records else None)
+    keep_below = max((f.nvars for f in polynomials), default=0)
     if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(workers, _start_worker) as pool:
+        with multiprocessing.Pool(workers, _start_worker,
+                                  (keep_below,)) as pool:
             outcomes = pool.map(_pooled_task, polynomials, chunksize=8)
     else:
-        outcomes = map(partial(_verify_task, keep_records, {}), polynomials)
+        outcomes = map(partial(_verify_task, keep_records,
+                               AtomRecords(keep_below)), polynomials)
     for theorem_equal, corollary_equal, failures, record in outcomes:
         report.theorem_pass += theorem_equal
         report.theorem_fail += not theorem_equal

@@ -311,6 +311,18 @@ class SubgroupKey:
         self._order = presentation.order ** basis.nrows // det
         self._hash = None
 
+    @classmethod
+    def _wrap(cls, presentation, basis, order):
+        """Trusted constructor: ``basis`` must be the canonical basis of a
+        subgroup of ``order`` elements, as when the order is read off a
+        product of subgroups."""
+        key = object.__new__(cls)
+        key._presentation = presentation
+        key._basis = basis
+        key._order = order
+        key._hash = None
+        return key
+
     @property
     def presentation(self):
         return self._presentation

@@ -11,7 +11,7 @@ import json
 import re
 import warnings
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .errors import (CoefficientWarning, PolynomialParseError, ShapeError,
                      SingularMatrixError)
@@ -130,7 +130,21 @@ def canonical_weights(f):
     w = d*E^-1*1 = +-adj(E)*1 (Cramer's rule), neither depending on the
     order of the monomials; the reduced system divides out the gcd."""
     d = abs(f.det)
-    weights = tuple(sum(row) for row in scaled_inverse(f.exponents, d).rows)
+    return _weight_system(
+        tuple(sum(row) for row in scaled_inverse(f.exponents, d).rows), d)
+
+
+def direct_sum_weights(systems):
+    """Weight system of a direct sum from its summands' systems, in
+    variable order: the degree is d = d_1*...*d_k, and summand a's weights
+    are scaled by d/d_a."""
+    d = prod(ws.canonical_degree for ws in systems)
+    return _weight_system(tuple(d // ws.canonical_degree * w
+                                for ws in systems
+                                for w in ws.canonical_weights), d)
+
+
+def _weight_system(weights, d):
     c = gcd(*weights)
     # c divides d: each row of E dotted with the weights equals d.
     return WeightSystem(

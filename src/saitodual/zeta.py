@@ -18,10 +18,19 @@ empty, G^I = G1^I1 x ... x Gk^Ik, and the I-block determinant is the
 product of the Ia-block determinants.  So reduced(f1 + f2) is
 -reduced(f1) x reduced(f2), the external product [G1/H1] x [G2/H2] =
 [G/(H1 x H2)].  An atom's record lists its contributing subsets, the
-empty subset (the full group) included, with their block determinants and
-isotropy bases; a batch computes the record of each atom of its sums once
+empty subset (the full group) included, with their block determinants,
+isotropy bases, indices [Ga:Ha] and the order ra of the atom's monodromy
+modulo Ha; a batch computes the record of each atom once
 (``equivariant_zeta``'s ``atoms``).  The key of H1 x ... x Hk is
-diag((d/d1)*B1, ..., (d/dk)*Bk) for d = d1*...*dk, already a column HNF.
+diag((d/d1)*B1, ..., (d/dk)*Bk) for d = d1*...*dk, already a column HNF,
+and its order is d / ([G1:H1]*...*[Gk:Hk]).
+
+The rest of the report composes the same way.  The monodromy of the sum
+is h = (h1, ..., hk), so its order in G/(H1 x ... x Hk) is
+r = lcm(r1, ..., rk), and the term contributes (1 - t^r)^(c*[G:H]/r) to
+the classical zeta, whose modulus is the lcm of the atoms' monodromy
+orders.  The canonical weights of the sum are those of its atoms scaled
+to the common degree: d = d1*...*dk and w = ((d/d1)*w1, ..., (d/dk)*wk).
 A matrix that is not block diagonal in its given order, such as that of
 x1^2*x3 + x2^3 + x3^3, is one atom, whose record is the subset loop over
 the polynomial's own presentation.
@@ -33,16 +42,18 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
+from typing import NamedTuple
 
-from .burnside import (BurnsideElement, CyclotomicProduct, element_zeta,
+from .burnside import (BurnsideElement, CyclotomicProduct, _coset_order,
                        is_saito_dual, saito_dual)
 from .errors import DegenerateError, NonCyclicError
 from .groups import (GroupPresentation, SubgroupKey, full_subgroup,
                      geometric_roots, isotropy_subgroup, monodromy_element,
                      symmetry_group)
 from .linalg import IntMatrix, determinant
-from .polynomials import decompose
+from .polynomials import (InvertiblePolynomial, WeightSystem,
+                          canonical_weights, decompose, direct_sum_weights)
 
 
 @dataclass(frozen=True)
@@ -102,62 +113,104 @@ class ZetaReport:
         }
 
 
+class AtomRecords(dict):
+    """The atom records of one batch, keyed by exponent block (see
+    ``equivariant_zeta``).  Every block of a sum is kept.  A single-block
+    polynomial's record is kept only when it has fewer than
+    ``keep_below`` variables: no polynomial of a batch whose largest one
+    has n variables has a summand of n variables."""
+
+    def __init__(self, keep_below=0):
+        super().__init__()
+        self.keep_below = keep_below
+
+
+class AtomRecord(NamedTuple):
+    """One exponent block's presentation, weight system and monodromy
+    order, and its ``entries``: (I, det of the I-block, rows of the scaled
+    isotropy basis, order r of the monodromy modulo the isotropy, index
+    [G:G^I]) for the empty subset (the full group) and for each
+    contributing subset I, by (size, indices)."""
+
+    presentation: GroupPresentation
+    weights: WeightSystem
+    monodromy_order: int
+    entries: tuple
+
+
 def equivariant_zeta(f, group=None, atoms=None):
     """Full zeta report of an invertible polynomial over its symmetry
     group (or a caller-supplied presentation of it, whose constraint is
     the exponent matrix of ``f``).
 
-    The audit records are the products of the records of the diagonal
-    blocks (``_atom_record``), one per nonempty subset, sorted by (size,
-    indices).  A polynomial that is one block has its record computed
-    over the given presentation, with no second Smith form.  The blocks
-    of a sum have theirs kept in ``atoms``, a dict from block to record:
-    callers that verify many polynomials pass one for all of them, and
-    without one the call keeps its own."""
+    The report is the product of the records of the diagonal blocks
+    (``AtomRecord``): each product of entries is one audit record, with
+    the key of the product subgroup, and gives the classical factor
+    (1 - t^r)^(sign*[G:H]/r) with r the lcm of the entries' orders and
+    [G:H] the product of their indices.  The audit records are sorted by
+    (size, indices).  A polynomial that is one block has its record
+    computed over the given presentation, with no second Smith form.
+    ``atoms`` is the ``AtomRecords`` of the batch; without one the call
+    keeps its own.  A sum's weight system is composed from its blocks'
+    and kept on ``f``."""
     p = group if group is not None else symmetry_group(f)
+    if atoms is None:
+        atoms = AtomRecords()
     e = f.exponents
+    n, d = f.nvars, p.order
     blocks = _diagonal_blocks(e)
     if len(blocks) == 1:
-        factors = [_atom_record(e, p)[1]]
+        record = atoms.get(e)
+        if record is None:
+            record = _atom_record(e, p, f.weights)
+            if n < atoms.keep_below:
+                atoms[e] = record
+        records = [record]
     else:
-        if atoms is None:
-            atoms = {}
-        n, d = f.nvars, p.order
-        factors = []
-        for start, stop in blocks:
-            block = e.submatrix(range(start, stop), range(start, stop))
-            if block not in atoms:
-                atoms[block] = _atom_record(block, GroupPresentation(block))
-            order, entries = atoms[block]
-            scale = d // order
-            left, right = (0,) * start, (0,) * (n - stop)
-            factors.append([
-                (tuple(start + i for i in indices), det,
-                 tuple(left + tuple(scale * x for x in row) + right
-                       for row in basis))
-                for indices, det, basis in entries])
+        records = [_summand_record(e.submatrix(range(start, stop),
+                                               range(start, stop)), atoms)
+                   for start, stop in blocks]
+    if f._weights is None:
+        f._weights = (records[0].weights if len(records) == 1 else
+                      direct_sum_weights([r.weights for r in records]))
     # Every record starts with its empty subset, so the first product is
     # the empty subset of f, which is not a term.
-    products = [((), 1, ())]
-    for entries in factors:
-        products = [(indices + more, det * factor, rows + block_rows)
-                    for indices, det, rows in products
-                    for more, factor, block_rows in entries]
+    products = None
+    for (start, stop), record in zip(blocks, records):
+        entries = record.entries
+        if stop - start < n:
+            scale = d // record.presentation.order
+            left, right = (0,) * start, (0,) * (n - stop)
+            entries = [(tuple(start + i for i in indices), det,
+                        tuple(left + tuple(scale * x for x in row) + right
+                              for row in rows), r, index)
+                       for indices, det, rows, r, index in entries]
+        products = entries if products is None else [
+            (indices + more, det * factor, rows + block_rows,
+             lcm(r, block_r), index * block_index)
+            for indices, det, rows, r, index in products
+            for more, factor, block_rows, block_r, block_index in entries]
     audit = []
-    for indices, det, rows in products[1:]:
+    factors = {}
+    for indices, det, rows, r, index in products[1:]:
         sign = 1 if len(indices) % 2 else -1
-        audit.append(SubsetTerm(indices, sign,
-                                SubgroupKey(p, IntMatrix._wrap(rows)),
-                                sign * det))
+        audit.append(SubsetTerm(
+            indices, sign,
+            SubgroupKey._wrap(p, IntMatrix._wrap(rows), d // index),
+            sign * det))
+        factors[r] = factors.get(r, 0) + sign * (index // r)
     audit.sort(key=lambda t: (len(t.indices), t.indices))
     terms = {}
     for t in audit:
         terms[t.isotropy] = terms.get(t.isotropy, 0) + t.coefficient
     scope = full_subgroup(p)
-    equivariant = BurnsideElement(scope, terms)
+    equivariant = BurnsideElement._wrap(
+        scope, {k: c for k, c in terms.items() if c})
     terms[scope] = terms.get(scope, 0) - 1
-    reduced = BurnsideElement(scope, terms)
-    classical = element_zeta(monodromy_element(f, p), equivariant)
+    reduced = BurnsideElement._wrap(
+        scope, {k: c for k, c in terms.items() if c})
+    classical = CyclotomicProduct(
+        lcm(*(record.monodromy_order for record in records)), factors)
     return ZetaReport(f, p, equivariant, reduced, classical, tuple(audit))
 
 
@@ -180,25 +233,44 @@ def _diagonal_blocks(e):
     return blocks
 
 
-def _atom_record(e, q):
-    """The record of one exponent block ``e`` over a presentation ``q`` of
-    its group: (|G|, entries), with one entry (I, det of the I-block,
-    rows of the scaled isotropy basis) for the empty subset (the full
-    group) and for each contributing subset I, by (size, indices)."""
+def _summand_record(block, atoms):
+    """The record of one block of a sum, from ``atoms`` or made and kept
+    there.  A block whose transpose has a record takes its presentation
+    from that record's ``dual()``, with no second Smith form."""
+    record = atoms.get(block)
+    if record is None:
+        partner = atoms.get(block.transpose())
+        q = (partner.presentation.dual() if partner is not None
+             else GroupPresentation(block))
+        record = atoms[block] = _atom_record(
+            block, q, canonical_weights(InvertiblePolynomial(block)))
+    return record
+
+
+def _atom_record(e, q, weights):
+    """The ``AtomRecord`` of the exponent block ``e`` over a presentation
+    ``q`` of its group, whose order d is the canonical degree of
+    ``weights``: the monodromy is the element w/d, its scaled vector the
+    canonical weights w reduced mod d, and its order the reduced
+    degree."""
     n = e.nrows
+    d = q.order
+    monodromy = tuple(w % d for w in weights.canonical_weights)
     support = [frozenset(j for j in range(n) if e.entry(i, j))
                for i in range(n)]
-    entries = [((), 1, q.ambient_basis.rows)]
+    entries = [((), 1, q.ambient_basis.rows, 1, 1)]
     for k in range(1, n + 1):
         for subset in itertools.combinations(range(n), k):
             sset = frozenset(subset)
             rows_in = [i for i in range(n) if support[i] <= sset]
             if len(rows_in) != k:
                 continue
+            iso = isotropy_subgroup(q, subset)
             entries.append((subset,
                             determinant(e.submatrix(rows_in, subset)),
-                            isotropy_subgroup(q, subset).basis.rows))
-    return q.order, tuple(entries)
+                            iso.basis.rows, _coset_order(iso.basis, monodromy),
+                            iso.index))
+    return AtomRecord(q, weights, weights.reduced_degree, tuple(entries))
 
 
 def classical_zeta(f):
@@ -249,7 +321,7 @@ class DualPair:
     zeta report, and the geometric roots of f.  Each field is computed on
     first use and then shared; each side's weight system is kept on ``f``
     and ``ft`` (``InvertiblePolynomial.weights``), where every library call
-    reaches it.  ``atoms`` is the atom-record dict of the batch the pair
+    reaches it.  ``atoms`` is the ``AtomRecords`` of the batch the pair
     belongs to; without one the pair keeps its own."""
 
     def __init__(self, f, atoms=None):
@@ -261,7 +333,7 @@ class DualPair:
     def atoms(self):
         """The atom records both zeta reports read (see
         ``equivariant_zeta``): a batch's, or this pair's own."""
-        return {}
+        return AtomRecords()
 
     @cached_property
     def ft(self):

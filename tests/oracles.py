@@ -21,7 +21,7 @@ from saitodual.groups import (GroupElement, SubgroupKey, _meet_bases,
                               monodromy_element, subgroup_generated_by,
                               subgroup_join, symmetry_group,
                               trivial_subgroup)
-from saitodual.errors import SingularMatrixError
+from saitodual.errors import OwnershipError, SingularMatrixError
 from saitodual.linalg import (IntMatrix, RationalVector, determinant,
                               lattice_solve, scaled_inverse,
                               smith_normal_form)
@@ -129,12 +129,22 @@ def brute_multiply(scope, h, k):
 def brute_restrict(a, sub):
     """Orbit decomposition of each term's coset space under the subgroup
     action, summed with coefficients."""
-    out = BurnsideElement.zero(sub)
+    out = BurnsideElement(sub)
     for h, c in a.terms.items():
         points = coset_space(a.scope, h)
         piece = orbit_decomposition(sub, points, _coset_action(h.basis))
         out = out + c * piece
     return out
+
+
+def induce(a, target):
+    """Induction to a larger scope: [K/U] |-> [T/U].  Additive but not
+    multiplicative."""
+    if target.presentation != a.scope.presentation:
+        raise OwnershipError("target belongs to a different group")
+    if not target.contains(a.scope):
+        raise OwnershipError("induction target does not contain the scope")
+    return BurnsideElement(target, a.terms)
 
 
 def brute_element_zeta(g, a):

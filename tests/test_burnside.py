@@ -8,7 +8,7 @@ import pytest
 
 from saitodual.burnside import (MAX_PAIRED_BUCKET, BurnsideElement,
                                 CyclotomicProduct, burnside_from_cyclotomic,
-                                element_zeta, induce, is_saito_dual, mark,
+                                element_zeta, is_saito_dual, mark,
                                 multiply, restrict, saito_dual)
 from saitodual.errors import OwnershipError, StructureError
 from saitodual.groups import (enumerate_subgroups, full_subgroup,
@@ -18,7 +18,7 @@ from saitodual.polynomials import parse_polynomial
 from saitodual.zeta import equivariant_zeta
 
 from oracles import (brute_element_zeta, brute_mark, brute_multiply,
-                     brute_restrict)
+                     brute_restrict, induce)
 
 
 @pytest.fixture(scope="module")

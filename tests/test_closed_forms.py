@@ -2,11 +2,12 @@
 count and the root duality, the subgroups built in SNF coordinates, the
 one integer solver of ``linalg``, the integer element arithmetic on
 d-scaled vectors, the annihilator test of the zeta duality and the zeta
-report of a direct sum assembled from its atoms, checked against the
-searches, root lists, join closure, rational elimination, rational
-element arithmetic, dual lattices and full subset loop they replaced
-(kept in ``oracles`` or in the package): over the whole acceptance corpus
-on both sides, and on random integer matrices."""
+report, classical zeta and weights of a direct sum assembled from its
+atoms, checked against the searches, root lists, join closure, rational
+elimination, rational element arithmetic, dual lattices, full subset
+loop, ``element_zeta`` and ``canonical_weights`` they replaced (kept in
+``oracles`` or in the package): over the whole acceptance corpus on both
+sides, and on random integer matrices."""
 
 import itertools
 import json
@@ -17,11 +18,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 import pytest
 
 from saitodual.burnside import (BurnsideElement, _coset_order,
-                                burnside_from_cyclotomic, is_saito_dual,
-                                saito_dual)
+                                burnside_from_cyclotomic, element_zeta,
+                                is_saito_dual, saito_dual)
 from saitodual.errors import SingularMatrixError, StructureError
 from saitodual.groups import (GroupElement, GroupPresentation,
-                              dual_subgroup, enumerate_subgroups,
+                              SubgroupKey, dual_subgroup, enumerate_subgroups,
                               full_subgroup, geometric_roots,
                               isotropy_subgroup, monodromy_element, pairing,
                               root_count, subgroup_generated_by,
@@ -29,8 +30,9 @@ from saitodual.groups import (GroupElement, GroupPresentation,
 from saitodual.linalg import (IntMatrix, determinant, lattice_basis,
                               lattice_solve, scaled_inverse)
 from saitodual.enumeration import generate_corpus, run_batch
-from saitodual.polynomials import InvertiblePolynomial, parse_polynomial
-from saitodual.zeta import (_diagonal_blocks, equivariant_zeta,
+from saitodual.polynomials import (InvertiblePolynomial, canonical_weights,
+                                   parse_polynomial)
+from saitodual.zeta import (AtomRecords, _diagonal_blocks, equivariant_zeta,
                             generating_root_exists, generating_root_zeta)
 
 from conftest import distinct_groups
@@ -138,6 +140,45 @@ def composition_counts(batch):
         sums += len(_diagonal_blocks(f.exponents)) > 1
         mismatches += differs_from_direct_loop(rep)
     return checked, sums, mismatches
+
+
+def composed_fact_mismatches(rep):
+    """The facts of a zeta report composed from its atoms' records that
+    differ from the forms they replaced: the classical zeta from
+    ``element_zeta`` of the monodromy (of a fresh copy of the polynomial,
+    so its weights are not the composed ones) on the equivariant zeta,
+    the polynomial's weights from ``canonical_weights``, and each audit
+    key's carried order from a fresh ``SubgroupKey``."""
+    f, p = rep.polynomial, rep.group
+    fresh = InvertiblePolynomial(f.exponents)
+    bad = []
+    if rep.classical != element_zeta(monodromy_element(fresh, p),
+                                     rep.equivariant):
+        bad.append("classical")
+    if f.weights != canonical_weights(fresh):
+        bad.append("weights")
+    for t in rep.subset_terms:
+        if t.isotropy.order != SubgroupKey(p, t.isotropy.basis).order:
+            bad.append(f"order of {t.indices}")
+    return bad
+
+
+def composed_fact_counts(batch):
+    """(sides, sides with a composed fact that differs) over the records
+    of a batch."""
+    checked = mismatches = 0
+    for _, _, rep in sides(batch):
+        checked += 1
+        mismatches += bool(composed_fact_mismatches(rep))
+    return checked, mismatches
+
+
+@pytest.fixture(scope="module")
+def batch55_sample():
+    """One batch over a seeded sample of the (5,5) sums corpus."""
+    corpus, _ = generate_corpus(5, 5, include_sums=True, sample=150,
+                                seed=12)
+    return run_batch(corpus, keep_records=True)
 
 
 def outcome(solver, *args):
@@ -315,12 +356,20 @@ class TestCorpusDifferential:
         # atom records.
         assert composition_counts(batch45) == (3152, 2264, 0)
 
-    def test_sums_sample_zeta_reports_match_direct_loop(self):
+    def test_sums_sample_zeta_reports_match_direct_loop(self,
+                                                        batch55_sample):
         # A seeded sample of the (5,5) sums corpus, through one batch.
-        corpus, _ = generate_corpus(5, 5, include_sums=True, sample=150,
-                                    seed=12)
-        batch = run_batch(corpus, keep_records=True)
-        assert composition_counts(batch) == (300, 250, 0)
+        assert composition_counts(batch55_sample) == (300, 250, 0)
+
+    def test_composed_facts_match_replaced_forms(self, batch45):
+        # Every corpus side: the classical zeta by the lcm rule, the
+        # weights of a sum from its atoms' and the key orders read off
+        # the product of indices.
+        assert composed_fact_counts(batch45) == (3152, 0)
+
+    def test_sums_sample_composed_facts_match_replaced_forms(
+            self, batch55_sample):
+        assert composed_fact_counts(batch55_sample) == (300, 0)
 
 
 @st.composite
@@ -341,7 +390,10 @@ def exponent_matrices(draw):
 
 
 # Blocks that are not loops or chains: a non-loop/chain block, linear and
-# unimodular blocks (d = 1) and blocks with a negative determinant.
+# unimodular blocks (d = 1) and blocks with a negative determinant; and
+# chains whose monodromy orders share factors, so that the lcm rule and
+# the product differ (x^2*y + y^3 has order 3 and its transpose 6, the
+# other two and their transposes 4).
 SPECIAL_ATOMS = (
     ((2, 1, 1), (0, 2, 0), (0, 0, 2)),  # x^2*y*z + y^2 + z^2
     ((1, 0), (0, 2)),                   # x + y^2
@@ -349,6 +401,9 @@ SPECIAL_ATOMS = (
     ((1, 2), (3, 0)),                   # x*y^2 + x^3, det -6
     ((0, 1), (1, 0)),                   # y + x, det -1
     ((1,),),                            # x
+    ((2, 1), (0, 3)),                   # x^2*y + y^3, order 3
+    ((2, 1), (0, 2)),                   # x^2*y + y^2, order 4
+    ((4,),),                            # x^4, order 4
 )
 
 
@@ -390,8 +445,9 @@ def block_sums(draw):
     return block_sum(blocks)
 
 
-# One atom cache that every composition example shares, as a batch does.
-BATCH_ATOMS = {}
+# One atom cache that every composition example shares, as a batch does
+# whose largest polynomial has 7 variables.
+BATCH_ATOMS = AtomRecords(7)
 
 
 @st.composite
@@ -608,13 +664,22 @@ class TestAtomComposition:
     @example(block_sum([((2, 1), (0, 3)), ((2, 1), (0, 3))]))
     @example(block_sum([SPECIAL_ATOMS[0], SPECIAL_ATOMS[3],
                         SPECIAL_ATOMS[4]]))
+    # x^2*y + y^3 + z^2*w + w^2, and orders 4 and 4: lcm 4, product 16.
+    @example(block_sum([SPECIAL_ATOMS[6], SPECIAL_ATOMS[7]]))
+    @example(block_sum([SPECIAL_ATOMS[7], SPECIAL_ATOMS[8]]))
+    # Unimodular summands, d_a = 1, around one of d = 4.
+    @example(block_sum([SPECIAL_ATOMS[2], SPECIAL_ATOMS[8],
+                        SPECIAL_ATOMS[4], SPECIAL_ATOMS[5]]))
     def test_block_sums_match_direct_loop(self, f):
         p = symmetry_group(f)
         assert len(_diagonal_blocks(f.exponents)) > 1
         for g, q in ((f, p), (f.transpose(), p.dual())):
-            assert not differs_from_direct_loop(equivariant_zeta(g, q))
-            assert not differs_from_direct_loop(
-                equivariant_zeta(g, q, BATCH_ATOMS))
+            rep = equivariant_zeta(g, q)
+            assert composed_fact_mismatches(rep) == []
+            assert not differs_from_direct_loop(rep)
+            rep = equivariant_zeta(g, q, BATCH_ATOMS)
+            assert composed_fact_mismatches(rep) == []
+            assert not differs_from_direct_loop(rep)
 
     @pytest.mark.parametrize("text, blocks", [
         ("x1^2*x3 + x2^3 + x3^3", [(0, 3)]),  # interleaved components
@@ -622,6 +687,8 @@ class TestAtomComposition:
         ("x^2*y + y^3 + z^2", [(0, 2), (2, 3)]),
         ("x^2 + y^2 + z^2 + w^2", [(0, 1), (1, 2), (2, 3), (3, 4)]),
         ("x*y + x*y^2 + z^3", [(0, 2), (2, 3)]),
+        ("x^2*y + y^3 + z^2*w + w^2", [(0, 2), (2, 4)]),
+        ("x^2*y + y^3 + z^5", [(0, 2), (2, 3)]),
     ])
     def test_fixed_cases_match_direct_loop(self, text, blocks):
         f = parse_polynomial(text)
@@ -629,6 +696,9 @@ class TestAtomComposition:
         p = symmetry_group(f)
         for g, q in ((f, p), (f.transpose(), p.dual())):
             assert _diagonal_blocks(g.exponents) == blocks
-            assert not differs_from_direct_loop(equivariant_zeta(g, q))
-            assert not differs_from_direct_loop(
-                equivariant_zeta(g, q, BATCH_ATOMS))
+            rep = equivariant_zeta(g, q)
+            assert composed_fact_mismatches(rep) == []
+            assert not differs_from_direct_loop(rep)
+            rep = equivariant_zeta(g, q, BATCH_ATOMS)
+            assert composed_fact_mismatches(rep) == []
+            assert not differs_from_direct_loop(rep)

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,8 @@ from saitodual.groups import (enumerate_subgroups, full_subgroup,
                               monodromy_element, subgroup_generated_by,
                               symmetry_group, trivial_subgroup)
 from saitodual.polynomials import parse_polynomial
-from saitodual.zeta import (DualPair, classical_saito_dual, classical_zeta,
+from saitodual.zeta import (AtomRecords, DualPair, _diagonal_blocks,
+                            classical_saito_dual, classical_zeta,
                             equivariant_zeta, milnor_number,
                             verify_root_duality, verify_zeta_duality)
 
@@ -221,10 +223,11 @@ class TestRootDuality:
         assert "2, 2" in str(info.value) or "(2, 2)" in str(info.value)
 
 
-# isotropy_subgroup calls of one batch over the (3,4) sums corpus: the
-# records of its single-block polynomials and of each distinct atom of its
-# sums, once per side.
-ISOTROPY_34 = 283
+# isotropy_subgroup calls of one batch over the (3,4) sums corpus: one
+# record per distinct block, whether of a single-block polynomial or of a
+# summand.  The atoms of its sums are the corpus's own one- and
+# two-variable polynomials, whose records the batch keeps.
+ISOTROPY_34 = 229
 
 
 def count_calls(monkeypatch, *names):
@@ -258,16 +261,26 @@ class TestDualPair:
 
     def test_batch_computes_each_fact_once(self, monkeypatch):
         corpus, _ = generate_corpus(3, 4, include_sums=True)
+        # A sum's weights and classical zeta are composed from its atoms'
+        # records, so only single-block sides compute weights, and a
+        # symmetric matrix (a one-variable chain or a two-variable loop)
+        # gives its transposed side the record its own side kept.
+        singles = [f for f in corpus
+                   if len(_diagonal_blocks(f.exponents)) == 1]
+        symmetric = sum(f.exponents == f.exponents.transpose()
+                        for f in singles)
+        assert (len(corpus), len(singles), symmetric) == (117, 56, 9)
         counts = count_calls(monkeypatch, "equivariant_zeta",
                              "symmetry_group", "canonical_weights",
-                             "geometric_roots")
+                             "geometric_roots", "element_zeta")
         report = run_batch(corpus)
         assert report.ok and report.corollary_checked > 0
         # The root duality is checked in closed form: no root is listed.
         assert counts == {"equivariant_zeta": 2 * len(corpus),
                           "symmetry_group": len(corpus),
-                          "canonical_weights": 2 * len(corpus),
-                          "geometric_roots": 0}
+                          "canonical_weights": 2 * len(singles) - symmetric,
+                          "geometric_roots": 0,
+                          "element_zeta": 0}
 
     def test_batch_builds_no_dual_subgroup(self, monkeypatch):
         # The zeta duality is decided by the annihilator pairing: a passing
@@ -294,6 +307,30 @@ class TestDualPair:
         assert enumeration._worker_task is None
         texts = {json.dumps(r.to_json()) for r in (first, second, pooled)}
         assert len(texts) == 1 and first.ok
+
+    def test_batch_keeps_no_block_of_its_largest_size(self, monkeypatch):
+        # A block the size of the batch's largest polynomial is never a
+        # summand in it, so its record is not kept; every smaller
+        # single-block polynomial's record is, on both sides.
+        made = []
+
+        class Recorded(AtomRecords):
+            def __init__(self, keep_below=0):
+                super().__init__(keep_below)
+                made.append(self)
+
+        monkeypatch.setattr(enumeration, "AtomRecords", Recorded)
+        corpus, _ = generate_corpus(3, 4, include_sums=True)
+        report = run_batch(corpus)
+        (atoms,) = made
+        assert atoms.keep_below == 3
+        assert Counter(block.nrows for block in atoms) == {1: 3, 2: 24}
+        small = {g.exponents for f in corpus if f.nvars < 3
+                 and len(_diagonal_blocks(f.exponents)) == 1
+                 for g in (f, f.transpose())}
+        assert small == set(atoms)
+        pooled = run_batch(corpus, workers=2)
+        assert json.dumps(pooled.to_json()) == json.dumps(report.to_json())
 
     def test_roots_command_computes_roots_once_per_side(self, monkeypatch):
         # `roots` lists the roots of f only; the transposed side enters the
