@@ -23,7 +23,7 @@ from .groups import (GroupElement, GroupPresentation, SubgroupKey,
                      trivial_subgroup)
 from .linalg import (IntMatrix, RationalVector, determinant,
                      hermite_normal_form, invariant_factors, lattice_basis,
-                     lattice_member, lattice_solve, smith_normal_form)
+                     lattice_solve, smith_normal_form)
 from .polynomials import (Atom, AtomicDecomposition, InvertiblePolynomial,
                           WeightSystem, canonical_weights, decompose,
                           parse_polynomial)

@@ -13,6 +13,7 @@ reported).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -20,6 +21,7 @@ from . import __version__
 from .enumeration import generate_corpus, run_batch
 from .errors import SaitoDualError
 from .groups import MAX_LISTED_ROOTS, root_count
+from .linalg import format_fraction_rows
 from .polynomials import decompose, parse_polynomial
 from .zeta import DualPair, verify_root_duality, verify_zeta_duality
 
@@ -163,7 +165,8 @@ def cmd_roots(args):
     count = root_count(f, p)
     corollary = verify_root_duality(pair) if count else None
     listed = count <= MAX_LISTED_ROOTS
-    roots = pair.roots if listed else None
+    roots = (format_fraction_rows([r.scaled() for r in pair.roots], p.order)
+             if listed else None)
     if args.json:
         result = {
             "polynomial": f.text(),
@@ -171,7 +174,7 @@ def cmd_roots(args):
             "monodromy": str(h),
             "monodromyOrder": h.order,
             "group": _group_json(p),
-            "roots": [str(r) for r in roots] if listed else None,
+            "roots": roots,
             "corollary": corollary.to_json() if corollary else None,
         }
         if not listed:
@@ -184,7 +187,7 @@ def cmd_roots(args):
         print(f"monodromy:   {h} (order {h.order}), root degree "
               f"{ws.gcd_factor}")
         if count:
-            print("roots:       " + ("; ".join(str(r) for r in roots)
+            print("roots:       " + ("; ".join(roots)
                                      if listed else f"{count} (not listed)"))
             print(f"root duality: {'PASS' if corollary.equal else 'FAIL'} "
                   f"({corollary.lhs.format()} vs {corollary.rhs.format()})")
@@ -322,10 +325,18 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser ``main`` uses, built on its first call rather than at
+    import.  Reusing it is safe: parsing keeps no state on the parser, and
+    the command functions look up their module globals when called."""
+    return build_parser()
+
+
 def main(argv=None):
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:
             # --help and --version print their text and stop parsing.
             return exc.code

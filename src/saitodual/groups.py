@@ -29,12 +29,12 @@ DEFAULT_MAX_GROUP_ORDER = 10_000
 _MAX_ORDER_ENV = "SAITO_MAX_GROUP_ORDER"
 
 # Most geometric roots that `geometric_roots` lists; above it only
-# `root_count` answers.  Listing costs about 11 us and 0.6 KiB per root:
-# `roots --json` on the 3-loop at p = 131, 200 and 300 (17,031, 39,801 and
-# 89,701 roots, the last with the bound lifted) took 0.42, 0.65 and 1.2 s
-# at 27, 40 and 70 MiB peak RSS, whole process, best of 3 (Python 3.11,
-# one core of a 2-CPU x86-64 host).  The bound keeps a listing under about
-# 1 s and 50 MiB.
+# `root_count` answers.  Listing and printing cost about 4 us and 0.5 KiB
+# per root: `roots --json` on the 3-loop at p = 131, 200 and 300 (17,031,
+# 39,801 and 89,701 roots, the last with the bound lifted) took 0.15, 0.25
+# and 0.43 s at 25, 36 and 63 MiB peak RSS, whole process, best of 3
+# (Python 3.11, one core of a 2-CPU x86-64 host).  The bound keeps a
+# listing under about 0.3 s and 45 MiB.
 MAX_LISTED_ROOTS = 50_000
 
 
@@ -723,17 +723,18 @@ def geometric_roots(f, group=None):
     # solvable in the SNF coordinates t of h.
     t = p._coordinates(h.scaled())
     # Each root is the sum over j of x_j times the j-th SNF generator,
-    # with x_j ranging over the solutions of c*x_j = t_j (mod o_j).  The
-    # roots are built as d-scaled integer tuples reduced mod d, sorted as
-    # such (the order of ``GroupElement.sort_key``) and only then wrapped.
-    scaled = [(0,) * n]
+    # with x_j ranging over the solutions of c*x_j = t_j (mod o_j), that
+    # is over range(x0, o_j, o_j/gcd(c, o_j)).  The roots are built as
+    # d-scaled integers reduced mod d, one list per coordinate, then
+    # sorted as tuples (the order of ``GroupElement.sort_key``) and only
+    # then wrapped.
+    coords = [[0] for _ in range(n)]
     for col, o, tj in zip(zip(*p._gens.rows), p._factors, t):
         g = gcd(c, o)
         step = o // g
         x0 = (tj % o // g) * pow(c // g, -1, step) % step
-        shifts = [tuple((x0 + m * step) * a % d for a in col)
-                  for m in range(g)]
-        scaled = [tuple((a + b) % d for a, b in zip(v, shift))
-                  for v in scaled for shift in shifts]
-    scaled.sort()
-    return [GroupElement._wrap(p, v) for v in scaled]
+        xs = range(x0, o, step)
+        coords = [[(v + x * a) % d for v in vs for x in xs]
+                  for vs, a in zip(coords, col)]
+    wrap = GroupElement._wrap
+    return [wrap(p, v) for v in sorted(zip(*coords))]

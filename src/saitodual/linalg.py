@@ -69,11 +69,6 @@ class IntMatrix:
         n = len(entries)
         return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_columns(cls, columns):
-        cols = [list(c) for c in columns]
-        return cls([[c[i] for c in cols] for i in range(len(cols[0]))])
-
     @property
     def rows(self):
         return self._rows
@@ -500,11 +495,6 @@ def lattice_solve(basis, vector):
     return list(u.apply_to_vector(x))
 
 
-def lattice_member(basis, vector):
-    """True when ``vector`` lies in the column lattice of ``basis``."""
-    return lattice_solve(basis, vector) is not None
-
-
 class RationalVector:
     """Vector of rationals with a shared positive denominator, for input
     and display only: group elements are stored as d-scaled integer
@@ -574,13 +564,26 @@ class RationalVector:
         return format_fractions(self._nums, self._den)
 
 
+def _fraction_texts(nums, den):
+    return [str(x // den) if (g := gcd(x, den)) == den
+            else f"{x // g}/{den // g}" for x in nums]
+
+
 def format_fractions(nums, den):
     """The vector of fractions x/den for x in ``nums``, written as
     "(a/b, c, ...)" with each coordinate in lowest terms; ``den`` must be
     positive."""
-    parts = []
-    for x in nums:
-        g = gcd(x, den)
-        num, d = x // g, den // g
-        parts.append(str(num) if d == 1 else f"{num}/{d}")
-    return "(" + ", ".join(parts) + ")"
+    return "(" + ", ".join(_fraction_texts(nums, den)) + ")"
+
+
+def format_fraction_rows(rows, den):
+    """``format_fractions(row, den)`` for each of the equally long, non-empty
+    ``rows``, formatted column by column: one comprehension per coordinate
+    rather than a call per row.  Blocks of 1024 rows bound the coordinate
+    texts held at once."""
+    texts = []
+    for start in range(0, len(rows), 1024):
+        columns = [_fraction_texts(col, den)
+                   for col in zip(*rows[start:start + 1024])]
+        texts += ["(" + ", ".join(row) + ")" for row in zip(*columns)]
+    return texts

@@ -229,6 +229,16 @@ def laplace_determinant(rows):
     return total
 
 
+def matrix_from_columns(columns):
+    """The IntMatrix whose columns are ``columns``."""
+    return IntMatrix([list(row) for row in zip(*columns)])
+
+
+def lattice_member(basis, vector):
+    """True when ``vector`` lies in the column lattice of ``basis``."""
+    return lattice_solve(basis, vector) is not None
+
+
 def lattice_basis_by_enumeration(columns, dim, radius=24):
     """Canonical upper-triangular lattice basis found by brute-force point
     enumeration (small 2x2 cases only): for each pivot row, the smallest

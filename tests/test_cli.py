@@ -202,6 +202,24 @@ class TestRoots:
         assert err.count("\n") == 1
 
 
+class TestRootsPinned:
+    # sha256 of `roots --json` stdout, taken before roots were listed
+    # coordinate by coordinate and formatted column by column: 931 roots of
+    # the 3-loop at p = 31 and 4,640 of the 4-loop at p = 17.
+    PINNED = {
+        "x^31*y + y^31*z + z^31*x":
+            "566483834de50363393a2f6ba2edfca1f631468d6d6906107bffe7b66b30d70f",
+        "x^17*y + y^17*z + z^17*w + w^17*x":
+            "b271816a308c8140ea62cce5d561c6b000a7a9e3e77422ac0257bbb6ba5cf861",
+    }
+
+    @pytest.mark.parametrize("text", PINNED)
+    def test_json_output_pinned(self, capsys, text):
+        code, out, err = run_cli(capsys, "roots", text, "--json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[text]
+
+
 class TestMatrixLiteral:
     """Each literal used to pass a non-integer or unchecked value through
     (exit 0 with a changed polynomial) or end in a traceback."""
@@ -616,6 +634,25 @@ class TestUsageErrors:
     def test_help_returns_0(self, capsys):
         code, out, _ = run_cli(capsys, "roots", "--help")
         assert code == 0 and out.startswith("usage: saitodual roots")
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        argv = ["roots", "x^3+x*y^2", "--json"]
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0 and first[2] == ""
+
+        def refuse():
+            raise AssertionError("main built a second parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        code, out, err = run_cli(capsys, "zeta", "x^2", "--bogus")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.count("error:") == 1
+        code, out, _ = run_cli(capsys, "--version")
+        assert code == 0 and out == f"saitodual {__version__}\n"
+        assert run_cli(capsys, *argv) == first
 
 
 class TestEntryPoint:

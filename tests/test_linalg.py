@@ -1,16 +1,19 @@
 """Exact linear algebra: determinants, HNF, SNF, lattices, rationals."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from saitodual.errors import DimensionError, RankError, SingularMatrixError
 from saitodual.linalg import (IntMatrix, RationalVector, determinant,
                               extended_gcd, hermite_normal_form,
-                              invariant_factors, lattice_basis, lattice_member,
-                              lattice_solve, scaled_inverse,
-                              smith_normal_form)
+                              format_fraction_rows, format_fractions,
+                              invariant_factors, lattice_basis, lattice_solve,
+                              scaled_inverse, smith_normal_form)
 
-from oracles import laplace_determinant, lattice_basis_by_enumeration
+from oracles import (laplace_determinant, lattice_basis_by_enumeration,
+                     lattice_member, matrix_from_columns)
 
 
 def square_matrices(max_n=4, lo=-9, hi=9):
@@ -88,7 +91,7 @@ class TestHermiteNormalForm:
 
     def test_against_enumeration_oracle(self):
         cols = [(9, 0), (2, 3)]
-        h, _ = hermite_normal_form(IntMatrix.from_columns(cols))
+        h, _ = hermite_normal_form(matrix_from_columns(cols))
         expected = lattice_basis_by_enumeration(cols, 2)
         assert h.to_lists() == expected
         assert determinant(h) == 27
@@ -123,7 +126,7 @@ class TestHermiteNormalForm:
                 cols[i], cols[j] = cols[j], cols[i]
             elif kind == 2:
                 cols[i] = [-a for a in cols[i]]
-        m2 = IntMatrix.from_columns(cols)
+        m2 = matrix_from_columns(cols)
         assert hermite_normal_form(m)[0] == hermite_normal_form(m2)[0]
 
 
@@ -233,6 +236,43 @@ class TestRationalVector:
         assert v.denominator == 1 and v.numerators == (0, 0)
 
     def test_from_fractions_round_trip(self):
-        from fractions import Fraction
         fr = (Fraction(1, 3), Fraction(5, 6), Fraction(0))
         assert RationalVector.from_fractions(fr).fractions() == fr
+
+
+def fraction_vectors(den):
+    return st.lists(st.one_of(st.integers(-3 * den, 3 * den),
+                              st.sampled_from([0, den - 1, 1 - den])),
+                    min_size=1, max_size=5)
+
+
+class TestFormatFractions:
+    """``format_fractions`` against ``str`` of each ``Fraction``, and the
+    column-by-column ``format_fraction_rows`` against it row by row."""
+
+    @given(st.integers(1, 10 ** 7).flatmap(
+        lambda den: st.tuples(st.just(den), fraction_vectors(den))))
+    @example((1, [0, -1, 5]))
+    @example((6, [0, 5, -5, -6, 12, 3]))
+    @example((2248092, [2248091, -2248091, 0, 1124046]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_text(self, case):
+        den, nums = case
+        expected = "(" + ", ".join(str(Fraction(x, den)) for x in nums) + ")"
+        assert format_fractions(nums, den) == expected
+
+    @given(st.integers(1, 10 ** 7).flatmap(
+        lambda den: st.tuples(st.just(den), st.integers(1, 4).flatmap(
+            lambda n: st.lists(st.lists(st.integers(-3 * den, 3 * den),
+                                        min_size=n, max_size=n),
+                               max_size=6)))))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_one_vector_at_a_time(self, case):
+        den, rows = case
+        assert format_fraction_rows(rows, den) == \
+            [format_fractions(row, den) for row in rows]
+
+    def test_rows_across_blocks(self):
+        rows = [(i, -i, 3 * i, 0) for i in range(2500)]
+        assert format_fraction_rows(rows, 360) == \
+            [format_fractions(row, 360) for row in rows]
