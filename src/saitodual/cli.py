@@ -21,7 +21,6 @@ from . import __version__
 from .enumeration import generate_corpus, run_batch
 from .errors import SaitoDualError
 from .groups import MAX_LISTED_ROOTS, root_count
-from .linalg import format_fraction_rows
 from .polynomials import decompose, parse_polynomial
 from .zeta import DualPair, verify_root_duality, verify_zeta_duality
 
@@ -165,8 +164,7 @@ def cmd_roots(args):
     count = root_count(f, p)
     corollary = verify_root_duality(pair) if count else None
     listed = count <= MAX_LISTED_ROOTS
-    roots = (format_fraction_rows([r.scaled() for r in pair.roots], p.order)
-             if listed else None)
+    roots = pair.roots if listed else None
     if args.json:
         result = {
             "polynomial": f.text(),
@@ -174,7 +172,7 @@ def cmd_roots(args):
             "monodromy": str(h),
             "monodromyOrder": h.order,
             "group": _group_json(p),
-            "roots": roots,
+            "roots": [str(r) for r in roots] if listed else None,
             "corollary": corollary.to_json() if corollary else None,
         }
         if not listed:
@@ -187,7 +185,7 @@ def cmd_roots(args):
         print(f"monodromy:   {h} (order {h.order}), root degree "
               f"{ws.gcd_factor}")
         if count:
-            print("roots:       " + ("; ".join(roots)
+            print("roots:       " + ("; ".join(str(r) for r in roots)
                                      if listed else f"{count} (not listed)"))
             print(f"root duality: {'PASS' if corollary.equal else 'FAIL'} "
                   f"({corollary.lhs.format()} vs {corollary.rhs.format()})")
@@ -274,7 +272,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SaitoDualError(message)
 
 
+@functools.cache
 def build_parser():
+    """The parser ``main`` uses, built on its first call rather than at
+    import and reused afterwards.  Reuse is safe: parsing keeps no state on
+    the parser, and the command functions look up their module globals when
+    called."""
     parser = _ArgumentParser(
         prog=TOOL_NAME,
         description="Exact-arithmetic toolkit for invertible polynomials: "
@@ -325,18 +328,10 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    """The parser ``main`` uses, built on its first call rather than at
-    import.  Reusing it is safe: parsing keeps no state on the parser, and
-    the command functions look up their module globals when called."""
-    return build_parser()
-
-
 def main(argv=None):
     try:
         try:
-            args = _parser().parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             # --help and --version print their text and stop parsing.
             return exc.code

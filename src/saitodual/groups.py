@@ -29,12 +29,12 @@ DEFAULT_MAX_GROUP_ORDER = 10_000
 _MAX_ORDER_ENV = "SAITO_MAX_GROUP_ORDER"
 
 # Most geometric roots that `geometric_roots` lists; above it only
-# `root_count` answers.  Listing and printing cost about 4 us and 0.5 KiB
+# `root_count` answers.  Listing and printing cost about 7 us and 0.5 KiB
 # per root: `roots --json` on the 3-loop at p = 131, 200 and 300 (17,031,
-# 39,801 and 89,701 roots, the last with the bound lifted) took 0.15, 0.25
-# and 0.43 s at 25, 36 and 63 MiB peak RSS, whole process, best of 3
-# (Python 3.11, one core of a 2-CPU x86-64 host).  The bound keeps a
-# listing under about 0.3 s and 45 MiB.
+# 39,801 and 89,701 roots, the last with the bound lifted) took 0.21, 0.39
+# and 0.72 s at 25, 36 and 63 MiB peak RSS, whole process, best of 3
+# (Python 3.11, one core of a shared 2-CPU x86-64 host).  The bound keeps
+# a listing under about 0.5 s and 45 MiB.
 MAX_LISTED_ROOTS = 50_000
 
 

@@ -564,26 +564,10 @@ class RationalVector:
         return format_fractions(self._nums, self._den)
 
 
-def _fraction_texts(nums, den):
-    return [str(x // den) if (g := gcd(x, den)) == den
-            else f"{x // g}/{den // g}" for x in nums]
-
-
 def format_fractions(nums, den):
     """The vector of fractions x/den for x in ``nums``, written as
     "(a/b, c, ...)" with each coordinate in lowest terms; ``den`` must be
     positive."""
-    return "(" + ", ".join(_fraction_texts(nums, den)) + ")"
-
-
-def format_fraction_rows(rows, den):
-    """``format_fractions(row, den)`` for each of the equally long, non-empty
-    ``rows``, formatted column by column: one comprehension per coordinate
-    rather than a call per row.  Blocks of 1024 rows bound the coordinate
-    texts held at once."""
-    texts = []
-    for start in range(0, len(rows), 1024):
-        columns = [_fraction_texts(col, den)
-                   for col in zip(*rows[start:start + 1024])]
-        texts += ["(" + ", ".join(row) + ")" for row in zip(*columns)]
-    return texts
+    return "(" + ", ".join(
+        [str(x // den) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}"
+         for x in nums]) + ")"

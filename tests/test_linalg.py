@@ -7,10 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from saitodual.errors import DimensionError, RankError, SingularMatrixError
 from saitodual.linalg import (IntMatrix, RationalVector, determinant,
-                              extended_gcd, hermite_normal_form,
-                              format_fraction_rows, format_fractions,
-                              invariant_factors, lattice_basis, lattice_solve,
-                              scaled_inverse, smith_normal_form)
+                              extended_gcd, format_fractions,
+                              hermite_normal_form, invariant_factors,
+                              lattice_basis, lattice_solve, scaled_inverse,
+                              smith_normal_form)
 
 from oracles import (laplace_determinant, lattice_basis_by_enumeration,
                      lattice_member, matrix_from_columns)
@@ -247,8 +247,7 @@ def fraction_vectors(den):
 
 
 class TestFormatFractions:
-    """``format_fractions`` against ``str`` of each ``Fraction``, and the
-    column-by-column ``format_fraction_rows`` against it row by row."""
+    """``format_fractions`` against ``str`` of each ``Fraction``."""
 
     @given(st.integers(1, 10 ** 7).flatmap(
         lambda den: st.tuples(st.just(den), fraction_vectors(den))))
@@ -260,19 +259,3 @@ class TestFormatFractions:
         den, nums = case
         expected = "(" + ", ".join(str(Fraction(x, den)) for x in nums) + ")"
         assert format_fractions(nums, den) == expected
-
-    @given(st.integers(1, 10 ** 7).flatmap(
-        lambda den: st.tuples(st.just(den), st.integers(1, 4).flatmap(
-            lambda n: st.lists(st.lists(st.integers(-3 * den, 3 * den),
-                                        min_size=n, max_size=n),
-                               max_size=6)))))
-    @settings(max_examples=200, deadline=None)
-    def test_rows_match_one_vector_at_a_time(self, case):
-        den, rows = case
-        assert format_fraction_rows(rows, den) == \
-            [format_fractions(row, den) for row in rows]
-
-    def test_rows_across_blocks(self):
-        rows = [(i, -i, 3 * i, 0) for i in range(2500)]
-        assert format_fraction_rows(rows, 360) == \
-            [format_fractions(row, 360) for row in rows]
