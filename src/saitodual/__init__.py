@@ -19,8 +19,7 @@ from .groups import (GroupElement, GroupPresentation, SubgroupKey,
                      dual_subgroup, enumerate_subgroups, full_subgroup,
                      geometric_roots, isotropy_subgroup, monodromy_element,
                      pairing, root_count, subgroup_generated_by,
-                     subgroup_join, subgroup_meet, symmetry_group,
-                     trivial_subgroup)
+                     subgroup_meet, symmetry_group, trivial_subgroup)
 from .linalg import (IntMatrix, RationalVector, determinant,
                      hermite_normal_form, invariant_factors, lattice_basis,
                      lattice_solve, smith_normal_form)

@@ -21,7 +21,7 @@ from .groups import (GroupElement, GroupPresentation, SubgroupKey,
 
 # Most candidate terms ``is_saito_dual`` scans by the annihilator pairing;
 # a term with more is looked up by its dual subgroup, which costs about as
-# much as scanning 9 to 16 candidates (the crossover is in CHANGES.md).
+# much as scanning 15 to 20 candidates (the crossover is in CHANGES.md).
 MAX_PAIRED_BUCKET = 16
 
 
@@ -127,7 +127,8 @@ class CyclotomicProduct:
 
 
 class BurnsideElement:
-    """Sparse integer combination of orbit classes over a scope subgroup."""
+    """Sparse integer combination of orbit classes over a scope subgroup;
+    every orbit key must be a subgroup of the scope."""
 
     __slots__ = ("_scope", "_terms", "_hash")
 
@@ -140,6 +141,8 @@ class BurnsideElement:
             coeff = int(coeff)
             if key.presentation != scope.presentation:
                 raise OwnershipError("orbit key belongs to a different group")
+            if not scope.contains(key):
+                raise OwnershipError("orbit key is not inside the scope")
             if coeff:
                 clean[key] = clean.get(key, 0) + coeff
         self._scope = scope
@@ -149,7 +152,7 @@ class BurnsideElement:
     @classmethod
     def _wrap(cls, scope, terms):
         """Trusted constructor: ``terms`` must be a dict of nonzero
-        coefficients keyed by subgroups of the scope's group."""
+        coefficients keyed by subgroups of the scope."""
         a = object.__new__(cls)
         a._scope = scope
         a._terms = terms
@@ -196,7 +199,7 @@ class BurnsideElement:
         merged = dict(self._terms)
         for k, v in other._terms.items():
             merged[k] = merged.get(k, 0) + v
-        return BurnsideElement(self._scope, merged)
+        return BurnsideElement._wrap(self._scope, _nonzero(merged))
 
     def __sub__(self, other):
         if not isinstance(other, BurnsideElement):
@@ -250,6 +253,10 @@ class BurnsideElement:
         return f"BurnsideElement({self.format()!r})"
 
 
+def _nonzero(terms):
+    return {k: v for k, v in terms.items() if v}
+
+
 def multiply(a, b):
     """Ring product: bilinear extension of the cartesian product of orbit
     spaces.  For abelian groups [S/H]*[S/K] = [S:HK] * [S/(H n K)]."""
@@ -258,12 +265,12 @@ def multiply(a, b):
     a._require_scope(b)
     s_order = a.scope.order
     out = {}
-    for h, ch in a.terms.items():
-        for k, ck in b.terms.items():
+    for h, ch in a._terms.items():
+        for k, ck in b._terms.items():
             meet = subgroup_meet(h, k)
             coeff = ch * ck * (s_order * meet.order) // (h.order * k.order)
             out[meet] = out.get(meet, 0) + coeff
-    return BurnsideElement(a.scope, out)
+    return BurnsideElement._wrap(a.scope, _nonzero(out))
 
 
 def restrict(a, subgroup):
@@ -276,22 +283,24 @@ def restrict(a, subgroup):
     s_order = a.scope.order
     k_order = subgroup.order
     out = {}
-    for h, c in a.terms.items():
+    for h, c in a._terms.items():
         kh = subgroup_meet(subgroup, h)
         coeff = c * (s_order * kh.order) // (h.order * k_order)
         out[kh] = out.get(kh, 0) + coeff
-    return BurnsideElement(subgroup, out)
+    return BurnsideElement._wrap(subgroup, _nonzero(out))
 
 
 def mark(a, subgroup):
     """Number of ``subgroup``-fixed points of the virtual set: the linear
     extension of mark_K[S/H] = |S/H| when K <= H, else 0.  A ring
-    homomorphism to the integers."""
+    homomorphism to the integers, defined for K inside the scope S."""
     if subgroup.presentation != a.scope.presentation:
         raise OwnershipError("subgroup belongs to a different group")
+    if not a.scope.contains(subgroup):
+        raise OwnershipError("mark subgroup is not inside the scope")
     s_order = a.scope.order
     total = 0
-    for h, c in a.terms.items():
+    for h, c in a._terms.items():
         if h.contains(subgroup):
             total += c * (s_order // h.order)
     return total

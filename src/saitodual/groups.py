@@ -18,12 +18,12 @@ import itertools
 import os
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import (ConfigurationError, IndexBoundsError, OwnershipError,
                      ResourceBoundError, SingularMatrixError)
 from .linalg import (IntMatrix, RationalVector, format_fractions,
-                     lattice_basis, lattice_solve, scaled_inverse,
-                     smith_normal_form)
+                     lattice_basis, scaled_inverse, smith_normal_form)
 
 DEFAULT_MAX_GROUP_ORDER = 10_000
 _MAX_ORDER_ENV = "SAITO_MAX_GROUP_ORDER"
@@ -60,11 +60,16 @@ class GroupPresentation:
     presentation of the transposed polynomial and the transposed
     presentation of the original compare equal -- they are literally the
     same subgroup of the torus.
+
+    Each presentation keeps the scaled inverses its subgroup lattices use
+    (see ``_dual_rows``), its meets by operand pair and by dual lattice
+    (see ``subgroup_meet``), and d*C^-1.
     """
 
     __slots__ = ("_constraint", "_side", "_order", "_factors", "_u", "_v",
                  "_gens", "_ambient", "_dual", "_full_key", "_trivial_key",
-                 "_dual_basis_cache", "_meet_cache")
+                 "_inverse", "_dual_rows_cache", "_meet_cache",
+                 "_dual_meet_cache")
 
     def __init__(self, constraint, side="direct"):
         c = constraint if isinstance(constraint, IntMatrix) else IntMatrix(constraint)
@@ -91,8 +96,10 @@ class GroupPresentation:
         self._dual = dual
         self._full_key = None
         self._trivial_key = None
-        self._dual_basis_cache = {}
+        self._inverse = None
+        self._dual_rows_cache = {}
         self._meet_cache = {}
+        self._dual_meet_cache = {}
 
     @property
     def constraint(self):
@@ -134,6 +141,26 @@ class GroupPresentation:
                               self._u.transpose(), self)
         return self._dual
 
+    def _scaled_inverse(self):
+        """d*C^-1 for the constraint C, read off the Smith form as
+        V*diag(d/d_j)*U."""
+        if self._inverse is None:
+            self._inverse = self._gens * self._u
+        return self._inverse
+
+    def _dual_rows(self, basis):
+        """Rows spanning d*M^* for the scaled lattice M of ``basis``
+        (dZ^n <= M <= Z^n, so d*M^* lies between the same two): the rows
+        of d*B^-1, one back-substitution for an upper-triangular HNF B.
+        Only their span matters, so a meet stores its join instead (see
+        ``subgroup_meet``).  A vector v lies in M exactly when every row
+        r has r.v = 0 (mod d)."""
+        rows = self._dual_rows_cache.get(basis)
+        if rows is None:
+            rows = scaled_inverse(basis, self._order).rows
+            self._dual_rows_cache[basis] = rows
+        return rows
+
     def _coordinates(self, vec):
         """The SNF coordinates a = U*C*x of the element x = vec/d."""
         d = self._order
@@ -157,7 +184,7 @@ class GroupPresentation:
         reduced mod 1.  From the Smith form, d*C^-1 = V*diag(d/d_j)*U."""
         d = self._order
         return [GroupElement._wrap(self, tuple(x % d for x in col))
-                for col in (self._gens * self._u).columns()]
+                for col in self._scaled_inverse().columns()]
 
     def elements(self):
         """All group elements, one per class; order of iteration is the
@@ -166,8 +193,8 @@ class GroupPresentation:
             yield GroupElement._wrap(self, vec)
 
     def __eq__(self, other):
-        return (isinstance(other, GroupPresentation)
-                and self._constraint == other._constraint)
+        return other is self or (isinstance(other, GroupPresentation)
+                                 and self._constraint == other._constraint)
 
     def __hash__(self):
         return hash(self._constraint)
@@ -345,24 +372,29 @@ class SubgroupKey:
     def is_trivial(self):
         return self._order == 1
 
+    def _holds(self, vectors):
+        """Whether every vector lies in the scaled lattice: each row of
+        d*B^-1 pairs with it to 0 mod d."""
+        d = self._presentation.order
+        rows = self._presentation._dual_rows(self._basis)
+        return all(sum(map(mul, r, v)) % d == 0
+                   for v in vectors for r in rows)
+
     def contains_element(self, g):
         if g.presentation != self._presentation:
             raise OwnershipError("element belongs to a different group")
-        if self.is_full():
-            return True
-        return lattice_solve(self._basis, g.scaled()) is not None
+        return self.is_full() or self._holds((g.scaled(),))
 
     def contains(self, other):
-        """True when ``other`` is a subgroup of this subgroup."""
+        """True when ``other`` is a subgroup of this subgroup: |K| divides
+        |H| and d*B_H^-1*B_K = 0 (mod d)."""
         if other._presentation != self._presentation:
             raise OwnershipError("subgroups belong to different groups")
         if self.is_full():
             return True
-        if other._order > self._order:
+        if self._order % other._order:
             return False
-        return all(
-            lattice_solve(self._basis, other._basis.column(j)) is not None
-            for j in range(other._basis.ncols))
+        return self._holds(zip(*other._basis.rows))
 
     def elements(self):
         """All elements of the subgroup (enumeration-scale use only)."""
@@ -457,43 +489,27 @@ def subgroup_generated_by(presentation, generators):
     return SubgroupKey(presentation, lattice_basis(cols, n))
 
 
-def subgroup_join(a, b):
-    """Smallest subgroup containing both (the product HK)."""
-    if a.presentation != b.presentation:
-        raise OwnershipError("subgroups belong to different groups")
-    return SubgroupKey(a.presentation, lattice_basis(
-        a.basis.columns() + b.basis.columns(), a.presentation.rank))
-
-
-def _scaled_dual_basis(presentation, basis):
-    # The columns of d*B^-T are the rows of d*B^-1.
-    cached = presentation._dual_basis_cache.get(basis)
-    if cached is None:
-        cached = lattice_basis(
-            scaled_inverse(basis, presentation.order).rows,
-            presentation.rank)
-        presentation._dual_basis_cache[basis] = cached
-    return cached
-
-
-def _meet_bases(presentation, basis_a, basis_b):
-    key = frozenset((basis_a, basis_b))
-    cached = presentation._meet_cache.get(key)
-    if cached is None:
-        da = _scaled_dual_basis(presentation, basis_a)
-        db = _scaled_dual_basis(presentation, basis_b)
-        summed = lattice_basis(da.columns() + db.columns(), presentation.rank)
-        cached = _scaled_dual_basis(presentation, summed)
-        presentation._meet_cache[key] = cached
-    return cached
-
-
 def subgroup_meet(a, b):
-    """Intersection of two subgroups, via duality of scaled lattices."""
-    if a.presentation != b.presentation:
+    """Intersection of two subgroups, via duality of scaled lattices: the
+    dual of M_H n M_K is M_H^* + M_K^*, so one HNF J of the rows of
+    d*B_H^-1 and d*B_K^-1 spans d*(M_H n M_K)^*, and the rows of d*J^-1
+    span the meet's scaled lattice.  Meets are kept by operand pair and
+    by J, which different pairs share; J is also the meet's dual rows."""
+    p = a.presentation
+    if b.presentation != p:
         raise OwnershipError("subgroups belong to different groups")
-    return SubgroupKey(a.presentation,
-                       _meet_bases(a.presentation, a.basis, b.basis))
+    pair = frozenset((a.basis, b.basis))
+    meet = p._meet_cache.get(pair)
+    if meet is None:
+        n = p.rank
+        join = lattice_basis(p._dual_rows(a.basis) + p._dual_rows(b.basis), n)
+        meet = p._dual_meet_cache.get(join)
+        if meet is None:
+            basis = lattice_basis(scaled_inverse(join, p.order).rows, n)
+            p._dual_rows_cache.setdefault(basis, tuple(zip(*join.rows)))
+            meet = p._dual_meet_cache[join] = SubgroupKey(p, basis)
+        p._meet_cache[pair] = meet
+    return meet
 
 
 def isotropy_subgroup(presentation, indices):
@@ -531,12 +547,15 @@ def isotropy_subgroup(presentation, indices):
 
 def dual_subgroup(key):
     """Dual of a subgroup: the kernel of character restriction, computed by
-    the exact dual-lattice formula on the opposite-side presentation.  The
-    columns of d^2*(C*B)^-T are the rows of d^2*(C*B)^-1."""
+    the exact dual-lattice formula on the opposite-side presentation.  Its
+    scaled lattice is spanned by the columns of d^2*(C*B)^-T, that is the
+    rows of d^2*(C*B)^-1 = (d*B^-1)*(d*C^-1): the key's dual rows times
+    the presentation's d*C^-1, with no inverse of C*B."""
     p = key.presentation
-    d = p.order
-    m = p.constraint * key.basis
-    basis = lattice_basis(scaled_inverse(m, d * d).rows, p.rank)
+    inverse = p._scaled_inverse().columns()
+    basis = lattice_basis(
+        ([sum(map(mul, r, c)) for c in inverse]
+         for r in p._dual_rows(key.basis)), p.rank)
     return SubgroupKey(p.dual(), basis)
 
 

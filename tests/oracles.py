@@ -9,6 +9,7 @@ d-scaled integer coordinate tuples throughout.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -16,14 +17,13 @@ from math import gcd, isqrt, lcm
 from saitodual.burnside import BurnsideElement, CyclotomicProduct, element_zeta
 from saitodual.enumeration import (atom_specs, build_polynomial,
                                    canonical_matrix_key)
-from saitodual.groups import (GroupElement, SubgroupKey, _meet_bases,
-                              full_subgroup, isotropy_subgroup,
-                              monodromy_element, subgroup_generated_by,
-                              subgroup_join, symmetry_group,
+from saitodual.groups import (GroupElement, SubgroupKey, full_subgroup,
+                              isotropy_subgroup, monodromy_element,
+                              subgroup_generated_by, symmetry_group,
                               trivial_subgroup)
 from saitodual.errors import OwnershipError, SingularMatrixError
 from saitodual.linalg import (IntMatrix, RationalVector, determinant,
-                              lattice_solve, scaled_inverse,
+                              lattice_basis, lattice_solve, scaled_inverse,
                               smith_normal_form)
 from saitodual.zeta import SubsetTerm, ZetaReport
 
@@ -262,6 +262,61 @@ def lattice_basis_by_enumeration(columns, dim, radius=24):
     return [[p0, x1 % p0], [0, p1]]
 
 
+def subgroup_join(a, b):
+    """Smallest subgroup containing both (the product HK)."""
+    if a.presentation != b.presentation:
+        raise OwnershipError("subgroups belong to different groups")
+    return SubgroupKey(a.presentation, lattice_basis(
+        a.basis.columns() + b.basis.columns(), a.presentation.rank))
+
+
+@functools.lru_cache(maxsize=4096)
+def scaled_dual_basis(d, basis):
+    """HNF of d times the dual of the column lattice of ``basis``: of the
+    rows of d*B^-1 (the columns of d*B^-T)."""
+    return lattice_basis(scaled_inverse(basis, d).rows, basis.nrows)
+
+
+def meet_bases(p, basis_a, basis_b):
+    """Basis of the meet of two scaled lattices of ``p`` through three
+    dual-lattice HNFs, as ``subgroup_meet`` computed it before it kept the
+    scaled inverses: the HNF of each operand's dual, the HNF of their sum
+    and the HNF of that sum's dual."""
+    d = p.order
+    da = scaled_dual_basis(d, basis_a)
+    db = scaled_dual_basis(d, basis_b)
+    summed = lattice_basis(da.columns() + db.columns(), p.rank)
+    return scaled_dual_basis(d, summed)
+
+
+def hnf_meet(a, b):
+    """``subgroup_meet`` by three dual-lattice HNFs."""
+    p = a.presentation
+    return SubgroupKey(p, meet_bases(p, a.basis, b.basis))
+
+
+def inverse_dual(key):
+    """``dual_subgroup`` as the HNF of the rows of d^2*(C*B)^-1, with C*B
+    inverted by ``scaled_inverse`` (a column HNF with transform unless
+    C*B is upper triangular)."""
+    p = key.presentation
+    d = p.order
+    m = p.constraint * key.basis
+    return SubgroupKey(p.dual(),
+                       lattice_basis(scaled_inverse(m, d * d).rows, p.rank))
+
+
+def solve_contains(h, k):
+    """``h.contains(k)`` by solving B_H*x = v for each column v of B_K."""
+    return all(lattice_solve(h.basis, v) is not None
+               for v in k.basis.columns())
+
+
+def solve_contains_element(h, g):
+    """``h.contains_element(g)`` by solving B_H*x = d*g."""
+    return lattice_solve(h.basis, g.scaled()) is not None
+
+
 def meet_isotropy(p, indices):
     """Isotropy subgroup as the meet of the full group with the lattice of
     vectors integral at ``indices``, through three dual-lattice HNFs."""
@@ -271,7 +326,7 @@ def meet_isotropy(p, indices):
     d = p.order
     constraint = IntMatrix.diagonal([d if i in idx else 1
                                      for i in range(p.rank)])
-    return SubgroupKey(p, _meet_bases(p, p.ambient_basis, constraint))
+    return SubgroupKey(p, meet_bases(p, p.ambient_basis, constraint))
 
 
 def join_closure_subgroups(p):

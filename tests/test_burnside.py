@@ -41,8 +41,40 @@ def z12():
     return symmetry_group(parse_polynomial("x^4 + y^3"))
 
 
+@pytest.fixture(scope="module")
+def z24():
+    return symmetry_group(parse_polynomial("x^2*y + y^3*z + z^4"))
+
+
 def orbit(scope, key):
     return BurnsideElement.orbit(scope, key)
+
+
+class TestScope:
+    def test_orbit_key_outside_scope_rejected(self, z24):
+        subs = {s.order: s for s in enumerate_subgroups(z24)}
+        with pytest.raises(OwnershipError):
+            BurnsideElement(subs[2], {subs[3]: 1})
+        with pytest.raises(OwnershipError):
+            orbit(subs[4], subs[8])
+        assert orbit(subs[8], subs[4]).cardinality() == 2
+        assert BurnsideElement(subs[6], {subs[3]: 2, subs[1]: 0}).terms == \
+            {subs[3]: 2}
+
+    def test_products_and_restrictions_stay_in_scope(self, z24):
+        # multiply and restrict build their keys as meets inside the
+        # scope and drop the coefficients that cancel.
+        subs = enumerate_subgroups(z24)
+        scope = full_subgroup(z24)
+        a = orbit(scope, subs[2]) - orbit(scope, subs[3])
+        for k in subs:
+            r = restrict(a, k)
+            assert all(k.contains(h) and c for h, c in r.terms.items())
+            assert r == BurnsideElement(k, r.terms)
+        square = multiply(a, a)
+        assert all(square.terms.values())
+        assert square == BurnsideElement(scope, square.terms)
+        assert a - a == BurnsideElement(scope)
 
 
 class TestMultiply:
@@ -168,6 +200,17 @@ class TestMark:
         for k in subs:
             assert mark(ab, k) == mark(a, k) * mark(b, k)
             assert mark(a, k) == brute_mark(a, k)
+
+    def test_subgroup_outside_scope_rejected(self, z24):
+        # As restrict does: K3 is not inside S2, so mark_K3 of a set over
+        # S2 is undefined, not 0.
+        subs = {s.order: s for s in enumerate_subgroups(z24)}
+        with pytest.raises(OwnershipError):
+            mark(BurnsideElement.unit(subs[2]), subs[3])
+        with pytest.raises(OwnershipError):
+            restrict(BurnsideElement.unit(subs[2]), subs[3])
+        assert mark(BurnsideElement.unit(subs[6]), subs[3]) == 1
+        assert mark(orbit(subs[6], subs[2]), subs[3]) == 0
 
     def test_joint_marks_injective_on_basis(self, z12):
         scope = full_subgroup(z12)

@@ -1,13 +1,15 @@
 """The closed forms of the isotropy subgroup, the coset order, the root
 count and the root duality, the subgroups built in SNF coordinates, the
 one integer solver of ``linalg``, the integer element arithmetic on
-d-scaled vectors, the annihilator test of the zeta duality and the zeta
+d-scaled vectors, the annihilator test of the zeta duality, the zeta
 report, classical zeta and weights of a direct sum assembled from its
-atoms, checked against the searches, root lists, join closure, rational
-elimination, rational element arithmetic, dual lattices, full subset
-loop, ``element_zeta`` and ``canonical_weights`` they replaced (kept in
-``oracles`` or in the package): over the whole acceptance corpus on both
-sides, and on random integer matrices."""
+atoms, and the meets, dual subgroups and containment read off cached
+scaled inverses, checked against the searches, root lists, join closure,
+rational elimination, rational element arithmetic, dual lattices, full
+subset loop, ``element_zeta``, ``canonical_weights``, dual-lattice HNFs,
+inverses of C*B and lattice solves they replaced (kept in ``oracles`` or
+in the package): over the whole acceptance corpus on both sides, and on
+random integer matrices."""
 
 import itertools
 import json
@@ -26,7 +28,8 @@ from saitodual.groups import (GroupElement, GroupPresentation,
                               full_subgroup, geometric_roots,
                               isotropy_subgroup, monodromy_element, pairing,
                               root_count, subgroup_generated_by,
-                              symmetry_group, trivial_subgroup)
+                              subgroup_meet, symmetry_group,
+                              trivial_subgroup)
 from saitodual.linalg import (IntMatrix, determinant, lattice_basis,
                               lattice_solve, scaled_inverse)
 from saitodual.enumeration import generate_corpus, run_batch
@@ -40,9 +43,11 @@ from oracles import (RationalElement, ambient_quotient_data, brute_roots,
                      coordinate_roots, cramer_weights,
                      direct_equivariant_zeta, divisor_coset_order,
                      element_mismatches, fraction_lattice_solve,
-                     fraction_scaled_inverse, join_closure_subgroups,
-                     kernel_dual_all_pairs, listed_root_zeta, meet_isotropy,
-                     reference_generators, with_generators)
+                     fraction_scaled_inverse, hnf_meet, inverse_dual,
+                     join_closure_subgroups, kernel_dual_all_pairs,
+                     listed_root_zeta, meet_isotropy, reference_generators,
+                     solve_contains, solve_contains_element,
+                     with_generators)
 
 
 def sides(batch45):
@@ -131,6 +136,27 @@ def differs_from_direct_loop(rep):
     return json.dumps(rep.to_json()) != json.dumps(direct.to_json())
 
 
+def lattice_mismatches(subgroups, terms, sampled):
+    """Counts (duals, meet pairs, containment tests, mismatches) of the
+    dual of every subgroup against ``inverse_dual``, and of the meet of
+    each sampled (subgroup, term) pair against ``hnf_meet`` and the
+    containment of each in the other against ``solve_contains``.  Pair
+    (i, j) of the i-th subgroup and the j-th term is sampled when
+    ``sampled(i, j)``."""
+    pairs = mismatches = 0
+    for h in subgroups:
+        mismatches += dual_subgroup(h) != inverse_dual(h)
+    for i, h in enumerate(subgroups):
+        for j, k in enumerate(terms):
+            if not sampled(i, j):
+                continue
+            pairs += 1
+            mismatches += (subgroup_meet(h, k) != hnf_meet(h, k)
+                           or h.contains(k) != solve_contains(h, k)
+                           or k.contains(h) != solve_contains(k, h))
+    return len(subgroups), pairs, 2 * pairs, mismatches
+
+
 def composition_counts(batch):
     """(sides, sides that are sums, sides whose report differs from the
     full subset loop's) over the records of a batch."""
@@ -215,10 +241,8 @@ class TestCorpusDifferential:
     def test_scaled_inverse_matches_fraction_elimination(self, batch45):
         # What the package inverts for a corpus polynomial: its exponent
         # matrix E with |det E| for the weights, and C*B with d^2 for each
-        # reduced zeta term B.  Only dual_subgroup inverts C*B (upper
-        # triangular for chains, otherwise the HNF route): the transform
-        # and a failing zeta duality check call it, a passing check never
-        # does.
+        # reduced zeta term B, which oracles.inverse_dual inverts (upper
+        # triangular for chains, otherwise the HNF route).
         checked = mismatches = 0
         for f, p, rep in sides(batch45):
             dd = p.order ** 2
@@ -267,6 +291,28 @@ class TestCorpusDifferential:
             subgroups += len(built)
             mismatches += built != join_closure_subgroups(p)
         assert (len(groups), subgroups, mismatches) == (2331, 48191, 0)
+
+    def test_subgroup_lattice_matches_replaced_forms(self, batch45):
+        # Every distinct corpus group of order <= 200, both sides, on a
+        # fresh presentation whose caches go with it: the dual of each
+        # subgroup, and the meet and both containments of a rotating
+        # quarter of the (subgroup, equivariant zeta term) pairs, every
+        # subgroup and every term among them.  All 370,259 pairs take
+        # about 50 s.
+        reps = {}
+        for _, p, rep in sides(batch45):
+            if p.order <= 200:
+                reps.setdefault(p.constraint, rep)
+        totals = [len(reps), 0, 0, 0, 0]
+        for rep in reps.values():
+            p = rep.group
+            fresh = GroupPresentation(p.constraint, p.side)
+            counts = lattice_mismatches(
+                enumerate_subgroups(fresh),
+                sorted(rep.equivariant.terms, key=SubgroupKey.sort_key),
+                lambda i, j: (i + j) % 4 == 0)
+            totals[1:] = map(sum, zip(totals[1:], counts))
+        assert totals == [2331, 48191, 92541, 185082, 0]
 
     def test_element_arithmetic_matches_rationals(self, batch45):
         # Every element of every distinct corpus group of order <= 200,
@@ -582,6 +628,22 @@ class TestRandomMatrices:
                                          itertools.cycle(coeffs[::-1])))
         for other in (b, saito_dual(a), saito_dual(a) + b, -saito_dual(a)):
             assert is_saito_dual(a, other) == (other == saito_dual(a))
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_groups())
+    @example(GroupPresentation(IntMatrix.diagonal([2, 2, 2, 2])))
+    def test_subgroup_lattice_matches_replaced_forms(self, p):
+        # Every subgroup's dual; the meet and both containments of every
+        # pair of subgroups; every element in every subgroup.
+        subgroups = enumerate_subgroups(p)
+        n = len(subgroups)
+        assert lattice_mismatches(subgroups, subgroups,
+                                  lambda i, j: True) == (n, n * n,
+                                                         2 * n * n, 0)
+        for h in subgroups:
+            for g in p.elements():
+                assert h.contains_element(g) == \
+                    solve_contains_element(h, g)
 
     @settings(max_examples=50, deadline=None)
     @given(small_groups())

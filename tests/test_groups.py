@@ -16,14 +16,14 @@ from saitodual.groups import (MAX_LISTED_ROOTS, dual_subgroup,
                               enumerate_subgroups, full_subgroup,
                               geometric_roots, isotropy_subgroup,
                               monodromy_element, pairing, root_count,
-                              subgroup_generated_by, subgroup_join,
-                              subgroup_meet, symmetry_group, trivial_subgroup)
+                              subgroup_generated_by, subgroup_meet,
+                              symmetry_group, trivial_subgroup)
 from saitodual.linalg import IntMatrix, RationalVector
 from saitodual.polynomials import canonical_weights, parse_polynomial
 
 from conftest import distinct_groups
 from oracles import (brute_roots, coordinate_roots, divisors, kernel_dual,
-                     kernel_dual_all_pairs)
+                     kernel_dual_all_pairs, subgroup_join)
 
 
 @pytest.fixture(scope="module")
@@ -178,12 +178,14 @@ class TestSubgroups:
             subgroup_generated_by(z6, [other.identity()])
 
     def test_full_subgroup_membership_needs_no_solve(self, z6, monkeypatch):
+        # Membership in a proper subgroup reads the rows of its scaled
+        # inverse; the full group needs none.
         def no_solve(*args):
-            raise AssertionError("lattice_solve called")
+            raise AssertionError("scaled_inverse called")
 
         full = full_subgroup(z6)
         subs = enumerate_subgroups(z6)
-        monkeypatch.setattr(groups, "lattice_solve", no_solve)
+        monkeypatch.setattr(groups, "scaled_inverse", no_solve)
         assert all(full.contains(h) for h in subs)
         assert all(full.contains_element(g) for g in z6.elements())
 

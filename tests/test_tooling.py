@@ -5,14 +5,17 @@ import contextlib
 import importlib
 import io
 import json
+import re
 import time
 from pathlib import Path
 
 from saitodual.cli import main
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 TRACER = BENCH / "tracer.py"
 WORKLOADS = BENCH / "workloads.py"
+README = ROOT / "README.md"
 
 
 def traced_names():
@@ -75,3 +78,13 @@ def test_bench_probe_is_refused_with_the_corollary():
     result = json.loads(out.getvalue())["result"]
     assert result["corollary"]["equal"] is True
     assert result["roots"] is None and result["rootCount"] > 10 ** 9
+
+
+def test_readme_python_blocks_run():
+    # Each ```python block of README.md is library API a reader copies;
+    # it must run as written, in a namespace of its own.
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                        re.M | re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), {})
