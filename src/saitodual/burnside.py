@@ -320,14 +320,17 @@ def saito_dual(a):
 
 def is_saito_dual(a, b):
     """Whether ``b == saito_dual(a)``, decided without building any dual
-    subgroup for a bucket of at most MAX_PAIRED_BUCKET candidates.
+    subgroup.
 
-    A term c*[G/H] of ``a`` must meet a term c*[G*/K] of ``b`` with
-    |H|*|K| = d and K inside the annihilator H~.  The rows of
-    d^2*(C*B_H)^-1 span the scaled lattice of H~ (``dual_subgroup``), so
-    for the scaled bases B_H, B_K and the constraint C, K lies in H~
-    exactly when B_K^T*C*B_H = 0 mod d^2, and the orders make it H~.  A
-    larger bucket looks up H~ itself, so the check stays linear.  The
+    A term c*[G/H] of ``a`` whose key carries its dual H~ (a product key
+    of a direct sum, see ``zeta.equivariant_zeta``) must be the term
+    c*[G*/H~] of ``b``: one lookup.  Any other term must meet a term
+    c*[G*/K] of ``b`` with |H|*|K| = d and K inside the annihilator H~.
+    The rows of d^2*(C*B_H)^-1 span the scaled lattice of H~
+    (``dual_subgroup``), so for the scaled bases B_H, B_K and the
+    constraint C, K lies in H~ exactly when B_K^T*C*B_H = 0 mod d^2, and
+    the orders make it H~.  A bucket of more than MAX_PAIRED_BUCKET
+    candidates looks up H~ itself, so the check stays linear.  The
     transform is injective, so with as many terms on both sides every
     term of ``b`` is then matched."""
     if not a.scope.is_full():
@@ -340,11 +343,17 @@ def is_saito_dual(a, b):
     d = p.order
     dd = d * d
     rows = p.constraint.rows
-    candidates = {}
-    for k, c in b._terms.items():
-        candidates.setdefault((c, k.order), []).append(
-            list(zip(*k.basis.rows)))
+    candidates = None
     for h, c in a._terms.items():
+        if h._dual is not None:
+            if b._terms.get(h._dual) != c:
+                return False
+            continue
+        if candidates is None:
+            candidates = {}
+            for k, kc in b._terms.items():
+                candidates.setdefault((kc, k.order), []).append(
+                    list(zip(*k.basis.rows)))
         bucket = candidates.get((c, d // h.order), ())
         if len(bucket) > MAX_PAIRED_BUCKET:
             if b._terms.get(dual_subgroup(h)) != c:
@@ -419,7 +428,7 @@ def burnside_from_cyclotomic(phi, presentation):
             f"modulus {phi.modulus} does not equal the group order {d}")
     # The last Smith generator of a cyclic group has order d.
     generator = GroupElement._wrap(presentation, tuple(
-        x % d for x in presentation._gens.column(presentation.rank - 1)))
+        x % d for x in presentation._scaled_gens().column(presentation.rank - 1)))
     terms = {}
     for m, s in phi.factors.items():
         key = subgroup_generated_by(presentation, [m * generator])

@@ -4,10 +4,11 @@ Subcommands: analyze, zeta, dual, roots, enumerate.  Every command takes
 polynomial text (or a {"E": [[...]], "vars": [...]} matrix literal) and
 supports --json; enumerate drives the batch verification harness.
 
-Exit codes: 0 all checks passed; 1 input or usage error; 2 zeta-duality
-failures; 3 root-duality failures; 4 resource bound hit (truncated run, or
-more geometric roots than MAX_LISTED_ROOTS, of which only the count is
-reported).
+Exit codes: 0 all checks passed; 1 input or usage error, or standard
+output closed before the report was written (as by `| head -1`; no
+traceback); 2 zeta-duality failures; 3 root-duality failures; 4 resource
+bound hit (truncated run, or more geometric roots than MAX_LISTED_ROOTS,
+of which only the count is reported).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import __version__
@@ -335,12 +337,23 @@ def main(argv=None):
         except SystemExit as exc:
             # --help and --version print their text and stop parsing.
             return exc.code
-        return args.func(args)
+        code = args.func(args)
+        # A reader that has gone away shows here, not at exit.
+        sys.stdout.flush()
+        return code
     except SaitoDualError as exc:
         # One line, even when the message quotes an argument that holds a
         # line break.
         message = "\\n".join(str(exc).splitlines())
         print(f"error: {message}", file=sys.stderr)
+        return EXIT_INPUT
+    except BrokenPipeError:
+        # The reader closed standard output.  Point it at the null device,
+        # so that the interpreter's final flush of what is still buffered
+        # fails quietly too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_INPUT
 
 

@@ -61,15 +61,23 @@ class GroupPresentation:
     presentation of the original compare equal -- they are literally the
     same subgroup of the torus.
 
+    The constructor runs one Smith form S = U*C*V, and ``dual()`` reads
+    the transposed one from it.  A block-diagonal constraint can instead
+    be composed from presentations of its blocks (``_direct_sum``): its
+    order, invariant factors and ambient basis are read off the blocks',
+    and U, V and the generators wait for the first caller that needs
+    them, which then runs the Smith form of the composed side's
+    constraint, so every output is the one the constructor would give.
+
     Each presentation keeps the scaled inverses its subgroup lattices use
     (see ``_dual_rows``), its meets by operand pair and by dual lattice
     (see ``subgroup_meet``), and d*C^-1.
     """
 
     __slots__ = ("_constraint", "_side", "_order", "_factors", "_u", "_v",
-                 "_gens", "_ambient", "_dual", "_full_key", "_trivial_key",
-                 "_inverse", "_dual_rows_cache", "_meet_cache",
-                 "_dual_meet_cache")
+                 "_gens", "_ambient", "_parts", "_dual", "_full_key",
+                 "_trivial_key", "_inverse", "_dual_rows_cache",
+                 "_meet_cache", "_dual_meet_cache")
 
     def __init__(self, constraint, side="direct"):
         c = constraint if isinstance(constraint, IntMatrix) else IntMatrix(constraint)
@@ -79,20 +87,24 @@ class GroupPresentation:
         self._setup(c, side, tuple(s.entry(i, i) for i in range(s.nrows)),
                     u, v)
 
-    def _setup(self, constraint, side, factors, u, v, dual=None):
-        """Fill in the presentation from a Smith form S = U*C*V, diagonal
-        ``factors`` d_j.  The group is V*S^-1*Z^n / Z^n: an element x is
-        the sum of a_j times the generators V*e_j/d_j (of order d_j) for
-        its SNF coordinates a = U*C*x; the d-scaled generators span d*L."""
-        order = prod(factors)
+    def _setup(self, constraint, side, factors, u, v, ambient=None,
+               parts=None, dual=None):
+        """Fill in the presentation from the diagonal ``factors`` d_j of a
+        Smith form S = U*C*V.  The group is V*S^-1*Z^n / Z^n: an element x
+        is the sum of a_j times the generators V*e_j/d_j (of order d_j) for
+        its SNF coordinates a = U*C*x; the d-scaled generators span d*L.
+        A composed presentation passes its ``ambient`` basis and its
+        block ``parts`` instead of U and V (see ``_transforms``)."""
         self._constraint = constraint
         self._side = side
-        self._order = order
+        self._order = prod(factors)
         self._factors = factors
         self._u = u
         self._v = v
-        self._gens = _scaled_generators(v, factors, order)
-        self._ambient = lattice_basis(self._gens.columns(), constraint.nrows)
+        self._gens = None
+        self._parts = parts
+        self._ambient = ambient if ambient is not None else lattice_basis(
+            self._scaled_gens().columns(), constraint.nrows)
         self._dual = dual
         self._full_key = None
         self._trivial_key = None
@@ -132,20 +144,48 @@ class GroupPresentation:
 
     def dual(self):
         """The opposite-side presentation (transposed constraint), from
-        the Smith form S = V^T*C^T*U^T; its dual is this presentation."""
+        the Smith form S = V^T*C^T*U^T; its dual is this presentation.
+        The dual of a composed presentation is composed from its blocks'
+        duals."""
         if self._dual is None:
             flipped = "transposed" if self._side == "direct" else "direct"
-            self._dual = object.__new__(GroupPresentation)
-            self._dual._setup(self._constraint.transpose(), flipped,
-                              self._factors, self._v.transpose(),
-                              self._u.transpose(), self)
+            q = self._dual = object.__new__(GroupPresentation)
+            if self._parts is None:
+                q._setup(self._constraint.transpose(), flipped, self._factors,
+                         self._v.transpose(), self._u.transpose(), dual=self)
+            else:
+                q._setup(self._constraint.transpose(), flipped, self._factors,
+                         None, None, _block_diagonal(
+                             [(part.dual().ambient_basis, part.order)
+                              for part in self._parts], self._order),
+                         dual=self)
         return self._dual
+
+    def _transforms(self):
+        """(U, V) of the Smith form S = U*C*V.  A composed presentation
+        runs the Smith form of its own constraint on first use; its dual
+        takes the transposes, as ``dual()`` gives them to the dual of any
+        other presentation."""
+        if self._u is None:
+            if self._parts is None:
+                u, v = self._dual._transforms()
+                self._u, self._v = v.transpose(), u.transpose()
+            else:
+                _, self._u, self._v = smith_normal_form(self._constraint)
+        return self._u, self._v
+
+    def _scaled_gens(self):
+        """V*diag(d/d_j): column j is d times the j-th generator."""
+        if self._gens is None:
+            self._gens = _scaled_generators(self._transforms()[1],
+                                            self._factors, self._order)
+        return self._gens
 
     def _scaled_inverse(self):
         """d*C^-1 for the constraint C, read off the Smith form as
         V*diag(d/d_j)*U."""
         if self._inverse is None:
-            self._inverse = self._gens * self._u
+            self._inverse = self._scaled_gens() * self._transforms()[0]
         return self._inverse
 
     def _dual_rows(self, basis):
@@ -164,7 +204,7 @@ class GroupPresentation:
     def _coordinates(self, vec):
         """The SNF coordinates a = U*C*x of the element x = vec/d."""
         d = self._order
-        return tuple(a // d for a in self._u.apply_to_vector(
+        return tuple(a // d for a in self._transforms()[0].apply_to_vector(
             self._constraint.apply_to_vector(vec)))
 
     def structure_name(self):
@@ -324,10 +364,13 @@ class SubgroupKey:
 
     For a subgroup H = L_H / Z^n of a group of order d, the key stores the
     canonical basis of the integer lattice d*L_H, which satisfies
-    d*Z^n <= d*L_H <= d*L.  Equal subgroups have identical keys.
+    d*Z^n <= d*L_H <= d*L.  Equal subgroups have identical keys.  A key
+    built as a product of subgroups of a sum's blocks may carry the key
+    of its dual H~ (see ``zeta.equivariant_zeta``); equality and hashing
+    ignore it.
     """
 
-    __slots__ = ("_presentation", "_basis", "_order", "_hash")
+    __slots__ = ("_presentation", "_basis", "_order", "_hash", "_dual")
 
     def __init__(self, presentation, basis):
         self._presentation = presentation
@@ -337,17 +380,20 @@ class SubgroupKey:
             det *= basis.entry(i, i)
         self._order = presentation.order ** basis.nrows // det
         self._hash = None
+        self._dual = None
 
     @classmethod
-    def _wrap(cls, presentation, basis, order):
+    def _wrap(cls, presentation, basis, order, dual=None):
         """Trusted constructor: ``basis`` must be the canonical basis of a
         subgroup of ``order`` elements, as when the order is read off a
-        product of subgroups."""
+        product of subgroups, and ``dual``, when given, the key of its
+        dual subgroup."""
         key = object.__new__(cls)
         key._presentation = presentation
         key._basis = basis
         key._order = order
         key._hash = None
+        key._dual = dual
         return key
 
     @property
@@ -429,6 +475,64 @@ def _scaled_generators(v, orders, d):
                                  for row in v.rows))
 
 
+def _block_rows(rows, scale, left, right):
+    """The rows of one block of a block-diagonal matrix: ``rows`` times
+    ``scale``, padded with ``left`` zeros before and ``right`` after."""
+    pad_left, pad_right = (0,) * left, (0,) * right
+    if scale == 1:
+        return tuple(pad_left + row + pad_right for row in rows)
+    return tuple(pad_left + tuple(map(scale.__mul__, row)) + pad_right
+                 for row in rows)
+
+
+def _block_diagonal(blocks, d):
+    """diag((d/d_a)*B_a) for the (B_a, d_a) in ``blocks``, each B_a a
+    scaled basis of a subgroup of a group of order d_a dividing d: the
+    scaled basis of the product of those subgroups.  A block diagonal of
+    upper-triangular HNFs is one."""
+    n = sum(b.nrows for b, _ in blocks)
+    rows = []
+    start = 0
+    for b, order in blocks:
+        stop = start + b.nrows
+        rows.extend(_block_rows(b.rows, d // order, start, n - stop))
+        start = stop
+    return IntMatrix._wrap(tuple(rows))
+
+
+def _chain_factors(orders):
+    """The invariant factors of the sum of the cyclic groups Z/o for o in
+    ``orders``: Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), applied pairwise
+    until each divides the next.  After pass i the i-th entry is the gcd
+    of all entries from i on, so it divides every later one."""
+    fs = list(orders)
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            a, b = fs[i], fs[j]
+            g = gcd(a, b)
+            fs[i], fs[j] = g, a // g * b
+    return tuple(fs)
+
+
+def _direct_sum(constraint, parts):
+    """The presentation of the block-diagonal ``constraint`` composed
+    from ``parts``, presentations of its diagonal blocks in order, with
+    no Smith form: G = G_1 x ... x G_k has order d = prod d_a, the
+    invariant factors of all the blocks' merged by ``_chain_factors``,
+    and ambient basis diag((d/d_a)*A_a).  U, V and the generators come
+    on first use (``GroupPresentation._transforms``)."""
+    d = prod(part.order for part in parts)
+    p = object.__new__(GroupPresentation)
+    p._setup(constraint, "direct",
+             _chain_factors([f for part in parts
+                             for f in part.invariant_factors]),
+             None, None,
+             _block_diagonal([(part.ambient_basis, part.order)
+                              for part in parts], d),
+             tuple(parts))
+    return p
+
+
 def _lattice_quotient_data(presentation, basis):
     """(scaled_generators, orders) for the quotient (basis/d)/Z^n, where
     basis/d = X^-1*Z^n for X = d*basis^-1 (see ``_scaled_generators``)."""
@@ -443,7 +547,7 @@ def _enumerate_quotient(presentation, basis):
     (basis/d)/Z^n."""
     d = presentation.order
     n = presentation.rank
-    gens, orders = ((presentation._gens, presentation._factors)
+    gens, orders = ((presentation._scaled_gens(), presentation._factors)
                     if basis == presentation.ambient_basis
                     else _lattice_quotient_data(presentation, basis))
     current = [(0,) * n]
@@ -654,7 +758,7 @@ def enumerate_subgroups(presentation):
             f"group order {presentation.order} exceeds bound {bound}")
     d = presentation.order
     n = presentation.rank
-    gens, orders = presentation._gens, presentation._factors
+    gens, orders = presentation._scaled_gens(), presentation._factors
     parts = []
     for q in _prime_factors(max(orders)):
         part_gens, part_orders = [], []
@@ -748,7 +852,7 @@ def geometric_roots(f, group=None):
     # sorted as tuples (the order of ``GroupElement.sort_key``) and only
     # then wrapped.
     coords = [[0] for _ in range(n)]
-    for col, o, tj in zip(zip(*p._gens.rows), p._factors, t):
+    for col, o, tj in zip(zip(*p._scaled_gens().rows), p._factors, t):
         g = gcd(c, o)
         step = o // g
         x0 = (tj % o // g) * pow(c // g, -1, step) % step

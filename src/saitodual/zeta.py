@@ -12,26 +12,33 @@ of its torus strata enter, and those are exact determinants.
 A direct (Thom-Sebastiani) sum f = f1 + ... + fk, read off as the finest
 block-diagonal form of the exponent matrix in its given row and column
 order, is assembled from its atoms by the product rule
-(Ebeling-Gusein-Zade, arXiv:1105.1964): G = G1 x ... x Gk, a subset
-I = I1 u ... u Ik contributes exactly when each part Ia does or is
-empty, G^I = G1^I1 x ... x Gk^Ik, and the I-block determinant is the
-product of the Ia-block determinants.  So reduced(f1 + f2) is
--reduced(f1) x reduced(f2), the external product [G1/H1] x [G2/H2] =
-[G/(H1 x H2)].  An atom's record lists its contributing subsets, the
-empty subset (the full group) included, with their block determinants,
-isotropy bases, indices [Ga:Ha] and the order ra of the atom's monodromy
-modulo Ha; a batch computes the record of each atom once
-(``equivariant_zeta``'s ``atoms``).  The key of H1 x ... x Hk is
-diag((d/d1)*B1, ..., (d/dk)*Bk) for d = d1*...*dk, already a column HNF,
-and its order is d / ([G1:H1]*...*[Gk:Hk]).
+(Ebeling-Gusein-Zade, arXiv:1105.1964; Sebastiani-Thom, Invent. Math. 13,
+1971).  Three facts factor over the atoms, and each atom's record
+(``AtomRecord``, computed once per batch: ``equivariant_zeta``'s
+``atoms``) holds its share of each:
 
-The rest of the report composes the same way.  The monodromy of the sum
-is h = (h1, ..., hk), so its order in G/(H1 x ... x Hk) is
-r = lcm(r1, ..., rk), and the term contributes (1 - t^r)^(c*[G:H]/r) to
-the classical zeta, whose modulus is the lcm of the atoms' monodromy
-orders.  The canonical weights of the sum are those of its atoms scaled
-to the common degree: d = d1*...*dk and w = ((d/d1)*w1, ..., (d/dk)*wk).
-A matrix that is not block diagonal in its given order, such as that of
+- The group: G = G1 x ... x Gk, of order d = d1*...*dk, with the
+  invariant factors and ambient basis read off the atoms' presentations
+  (``groups._direct_sum``); no Smith form of the whole matrix is run
+  unless a caller needs generators or coordinates.
+- The reduced zeta: a subset I = I1 u ... u Ik contributes exactly when
+  each part Ia does or is empty, G^I = G1^I1 x ... x Gk^Ik, and the
+  I-block determinant is the product of the Ia-block determinants.  So
+  reduced(f) = -((-reduced(f1)) x ... x (-reduced(fk))), the external
+  product [G1/H1] x [G2/H2] = [G/(H1 x H2)].  The key of H1 x ... x Hk is
+  diag((d/d1)*B1, ..., (d/dk)*Bk), already a column HNF, and its order is
+  d / ([G1:H1]*...*[Gk:Hk]).  The monodromy of the sum is
+  h = (h1, ..., hk), so its order in G/(H1 x ... x Hk) is
+  r = lcm(r1, ..., rk), and the term contributes (1 - t^r)^(c*[G:H]/r) to
+  the classical zeta, whose modulus is the lcm of the atoms' monodromy
+  orders.
+- The duality: the pairing a^T*E*b is a sum over the blocks, so the dual
+  of H1 x ... x Hk is H1~ x ... x Hk~, with the same scaling.  Each term
+  of a sum carries its dual, and ``burnside.is_saito_dual`` looks it up.
+
+The canonical weights of the sum are those of its atoms scaled to the
+common degree: d = d1*...*dk and w = ((d/d1)*w1, ..., (d/dk)*wk).  A
+matrix that is not block diagonal in its given order, such as that of
 x1^2*x3 + x2^3 + x3^3, is one atom, whose record is the subset loop over
 the polynomial's own presentation.
 """
@@ -39,16 +46,16 @@ the polynomial's own presentation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd, lcm
-from typing import NamedTuple
 
 from .burnside import (BurnsideElement, CyclotomicProduct, _coset_order,
                        is_saito_dual, saito_dual)
 from .errors import DegenerateError, NonCyclicError
-from .groups import (GroupPresentation, SubgroupKey, full_subgroup,
+from .groups import (GroupPresentation, SubgroupKey, _block_rows,
+                     _direct_sum, dual_subgroup, full_subgroup,
                      geometric_roots, isotropy_subgroup, monodromy_element,
                      symmetry_group)
 from .linalg import IntMatrix, determinant
@@ -86,14 +93,22 @@ class SubsetTerm:
 
 @dataclass(frozen=True)
 class ZetaReport:
-    """Equivariant, reduced, and classical zeta data of one polynomial."""
+    """Equivariant, reduced, and classical zeta data of one polynomial.
+    ``_audit`` builds the per-subset audit, ``subset_terms``, on first
+    read: a passing batch check never reads it."""
 
     polynomial: object
     group: object
     equivariant: BurnsideElement
     reduced: BurnsideElement
     classical: CyclotomicProduct
-    subset_terms: tuple
+    _audit: object = field(repr=False, compare=False)
+
+    @cached_property
+    def subset_terms(self):
+        """One ``SubsetTerm`` per contributing subset, by (size,
+        indices)."""
+        return self._audit()
 
     def to_json(self):
         return {
@@ -125,17 +140,45 @@ class AtomRecords(dict):
         self.keep_below = keep_below
 
 
-class AtomRecord(NamedTuple):
+class AtomRecord:
     """One exponent block's presentation, weight system and monodromy
     order, and its ``entries``: (I, det of the I-block, rows of the scaled
     isotropy basis, order r of the monodromy modulo the isotropy, index
     [G:G^I]) for the empty subset (the full group) and for each
-    contributing subset I, by (size, indices)."""
+    contributing subset I, by (size, indices).
 
-    presentation: GroupPresentation
-    weights: WeightSystem
-    monodromy_order: int
-    entries: tuple
+    ``merged`` sums the entries by isotropy subgroup: (rows, sum of
+    (-1)^|I| over its entries, r, index), for the nonzero sums in order of
+    first appearance.  As an element of the Burnside ring that sum is
+    [G/G] - (equivariant zeta), that is minus the reduced zeta."""
+
+    __slots__ = ("presentation", "weights", "monodromy_order", "entries",
+                 "merged", "_duals")
+
+    def __init__(self, presentation, weights, monodromy_order, entries):
+        self.presentation = presentation
+        self.weights = weights
+        self.monodromy_order = monodromy_order
+        self.entries = entries
+        merged = {}
+        for indices, _, rows, r, index in entries:
+            c = merged[rows][0] if rows in merged else 0
+            merged[rows] = (c + (-1 if len(indices) % 2 else 1), r, index)
+        self.merged = tuple((rows, c, r, index)
+                            for rows, (c, r, index) in merged.items() if c)
+        self._duals = None
+
+    def duals(self):
+        """The rows of the scaled basis of the dual H~ of each merged
+        subgroup H, on the dual side of this block's presentation: one
+        ``dual_subgroup`` each, the first time the block is a summand."""
+        if self._duals is None:
+            q = self.presentation
+            self._duals = tuple(
+                dual_subgroup(SubgroupKey._wrap(
+                    q, IntMatrix._wrap(rows), q.order // index)).basis.rows
+                for rows, _, _, index in self.merged)
+        return self._duals
 
 
 def equivariant_zeta(f, group=None, atoms=None):
@@ -143,19 +186,29 @@ def equivariant_zeta(f, group=None, atoms=None):
     group (or a caller-supplied presentation of it, whose constraint is
     the exponent matrix of ``f``).
 
-    The report is the product of the records of the diagonal blocks
-    (``AtomRecord``): each product of entries is one audit record, with
-    the key of the product subgroup, and gives the classical factor
-    (1 - t^r)^(sign*[G:H]/r) with r the lcm of the entries' orders and
-    [G:H] the product of their indices.  The audit records are sorted by
-    (size, indices).  A polynomial that is one block has its record
-    computed over the given presentation, with no second Smith form.
-    ``atoms`` is the ``AtomRecords`` of the batch; without one the call
-    keeps its own.  A sum's weight system is composed from its blocks'
-    and kept on ``f``."""
-    p = group if group is not None else symmetry_group(f)
+    The reduced zeta is -(M_1 x ... x M_k), the external product of the
+    ``merged`` maps M_a = -reduced_a of the diagonal blocks' records
+    (``AtomRecord``): each product of one merged subgroup per block is
+    one term, with the key of the product subgroup, coefficient minus the
+    product of the blocks' coefficients, and classical factor
+    (1 - t^r)^(coefficient*[G:H]/r) with r the lcm of the blocks' orders
+    and [G:H] the product of their indices.  Distinct merged subgroups
+    give distinct products, so no two terms meet.  The equivariant zeta
+    is the reduced one plus [G/G], and the classical zeta gains (1 - t)
+    for it.  A key of a sum of two or more blocks carries its dual H~,
+    the product of the blocks' duals (``AtomRecord.duals``), which
+    ``burnside.is_saito_dual`` looks up.
+
+    A polynomial that is one block has its record computed over the
+    given presentation, with no second Smith form.  Without ``group``, a
+    sum's presentation is composed from its blocks' (see
+    ``groups._direct_sum``).  ``atoms`` is the ``AtomRecords`` of the
+    batch; without one the call keeps its own.  A sum's weight system is
+    composed from its blocks' and kept on ``f``.  The per-subset audit
+    (``ZetaReport.subset_terms``) is built only when read."""
     if atoms is None:
         atoms = AtomRecords()
+    p = group if group is not None else _symmetry_group(f, atoms)
     e = f.exponents
     n, d = f.nvars, p.order
     blocks = _diagonal_blocks(e)
@@ -167,51 +220,94 @@ def equivariant_zeta(f, group=None, atoms=None):
                 atoms[e] = record
         records = [record]
     else:
-        records = [_summand_record(e.submatrix(range(start, stop),
-                                               range(start, stop)), atoms)
+        records = [_summand_record(_block(e, start, stop), atoms)
                    for start, stop in blocks]
     if f._weights is None:
         f._weights = (records[0].weights if len(records) == 1 else
                       direct_sum_weights([r.weights for r in records]))
-    # Every record starts with its empty subset, so the first product is
-    # the empty subset of f, which is not a term.
+    # A sum's keys carry their duals, on the dual side q.
+    q = p.dual() if len(records) > 1 else None
+    products = [((), (), -1, 1, 1)]
+    for (start, stop), record in zip(blocks, records):
+        scale = d // record.presentation.order
+        duals = (record.duals() if q is not None
+                 else ((),) * len(record.merged))
+        block = [(_block_rows(rows, scale, start, n - stop),
+                  _block_rows(dual, scale, start, n - stop), c, r, index)
+                 for (rows, c, r, index), dual in zip(record.merged, duals)]
+        products = [(rows + more, dual + more_dual, c * bc, lcm(r, br),
+                     index * bi)
+                    for rows, dual, c, r, index in products
+                    for more, more_dual, bc, br, bi in block]
+    wrap = SubgroupKey._wrap
+    reduced = {}
+    factors = {1: 1}
+    for rows, dual, c, r, index in products:
+        reduced[wrap(p, IntMatrix._wrap(rows), d // index,
+                     None if q is None
+                     else wrap(q, IntMatrix._wrap(dual), index))] = c
+        factors[r] = factors.get(r, 0) + c * (index // r)
+    scope = full_subgroup(p)
+    equivariant = dict(reduced)
+    c = equivariant.pop(scope, 0) + 1
+    if c:
+        equivariant[scope] = c
+    classical = CyclotomicProduct(
+        lcm(*(record.monodromy_order for record in records)), factors)
+    return ZetaReport(f, p, BurnsideElement._wrap(scope, equivariant),
+                      BurnsideElement._wrap(scope, reduced), classical,
+                      partial(_subset_terms, p, blocks, records))
+
+
+def _subset_terms(p, blocks, records):
+    """The audit of a report over ``p``: the product of one entry of each
+    block's record is one contributing subset I = I_1 u ... u I_k, with
+    the product of their determinants and the key of the product of
+    their isotropy subgroups.  The product of the empty subsets, the
+    first, is not a term.  Sorted by (size, indices)."""
+    n, d = p.rank, p.order
     products = None
     for (start, stop), record in zip(blocks, records):
-        entries = record.entries
+        entries = [(indices, det, rows, index)
+                   for indices, det, rows, _, index in record.entries]
         if stop - start < n:
             scale = d // record.presentation.order
-            left, right = (0,) * start, (0,) * (n - stop)
             entries = [(tuple(start + i for i in indices), det,
-                        tuple(left + tuple(scale * x for x in row) + right
-                              for row in rows), r, index)
-                       for indices, det, rows, r, index in entries]
+                        _block_rows(rows, scale, start, n - stop), index)
+                       for indices, det, rows, index in entries]
         products = entries if products is None else [
             (indices + more, det * factor, rows + block_rows,
-             lcm(r, block_r), index * block_index)
-            for indices, det, rows, r, index in products
-            for more, factor, block_rows, block_r, block_index in entries]
+             index * block_index)
+            for indices, det, rows, index in products
+            for more, factor, block_rows, block_index in entries]
     audit = []
-    factors = {}
-    for indices, det, rows, r, index in products[1:]:
+    for indices, det, rows, index in products[1:]:
         sign = 1 if len(indices) % 2 else -1
         audit.append(SubsetTerm(
             indices, sign,
             SubgroupKey._wrap(p, IntMatrix._wrap(rows), d // index),
             sign * det))
-        factors[r] = factors.get(r, 0) + sign * (index // r)
     audit.sort(key=lambda t: (len(t.indices), t.indices))
-    terms = {}
-    for t in audit:
-        terms[t.isotropy] = terms.get(t.isotropy, 0) + t.coefficient
-    scope = full_subgroup(p)
-    equivariant = BurnsideElement._wrap(
-        scope, {k: c for k, c in terms.items() if c})
-    terms[scope] = terms.get(scope, 0) - 1
-    reduced = BurnsideElement._wrap(
-        scope, {k: c for k, c in terms.items() if c})
-    classical = CyclotomicProduct(
-        lcm(*(record.monodromy_order for record in records)), factors)
-    return ZetaReport(f, p, equivariant, reduced, classical, tuple(audit))
+    return tuple(audit)
+
+
+def _block(e, start, stop):
+    """The diagonal block of ``e`` on positions start..stop-1."""
+    return IntMatrix._wrap(tuple(row[start:stop]
+                                 for row in e.rows[start:stop]))
+
+
+def _symmetry_group(f, atoms):
+    """The symmetry group of ``f``: ``symmetry_group`` for one block, and
+    for a sum the presentation composed from its blocks' records in
+    ``atoms`` (``groups._direct_sum``)."""
+    e = f.exponents
+    blocks = _diagonal_blocks(e)
+    if len(blocks) == 1:
+        return symmetry_group(f)
+    return _direct_sum(e, [_summand_record(_block(e, start, stop),
+                                           atoms).presentation
+                           for start, stop in blocks])
 
 
 def _diagonal_blocks(e):
@@ -220,14 +316,21 @@ def _diagonal_blocks(e):
     matrix splits after position i when no nonzero entry of rows or
     columns 0..i reaches past i."""
     rows = e.rows
-    n = len(rows)
+    # reach[i]: the farthest position joined to i by a nonzero entry
+    # (i, j) or (j, i) with j > i.
+    reach = list(range(len(rows)))
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x:
+                if j > reach[i]:
+                    reach[i] = j
+                elif i > reach[j]:
+                    reach[j] = i
     blocks = []
-    start = reach = 0
-    for i in range(n):
-        reach = max(reach,
-                    max(j for j in range(n) if rows[i][j]),
-                    max(r for r in range(n) if rows[r][i]))
-        if reach == i:
+    start = far = 0
+    for i, r in enumerate(reach):
+        far = max(far, r)
+        if far == i:
             blocks.append((start, i + 1))
             start = i + 1
     return blocks
@@ -341,7 +444,7 @@ class DualPair:
 
     @cached_property
     def group(self):
-        return symmetry_group(self.f)
+        return _symmetry_group(self.f, self.atoms)
 
     @cached_property
     def group_t(self):
@@ -369,10 +472,12 @@ def verify_zeta_duality(pair):
     polynomial equals (-1)^n times the duality transform of the reduced
     equivariant zeta function of the polynomial itself.
 
-    The check builds no dual subgroup: ``is_saito_dual`` tests each pair of
-    terms by the annihilator pairing.  When it holds, the right side is
-    the left side.  Only a failing check builds the transform, for the
-    report and its witness."""
+    The check builds no dual subgroup of the polynomial's group:
+    ``is_saito_dual`` looks up the dual each term of a sum carries, and
+    tests each pair of terms of a single block by the annihilator
+    pairing.  When it holds, the right side is the left side.  Only a
+    failing check builds the transform, for the report and its
+    witness."""
     rep, rep_t = pair.report, pair.report_t
     sign = -1 if pair.f.nvars % 2 else 1
     lhs = rhs = rep_t.reduced

@@ -666,4 +666,5 @@ def direct_equivariant_zeta(f, group=None):
     equivariant = BurnsideElement(scope, terms)
     reduced = equivariant - BurnsideElement.unit(scope)
     classical = element_zeta(monodromy_element(f, p), equivariant)
-    return ZetaReport(f, p, equivariant, reduced, classical, tuple(audit))
+    return ZetaReport(f, p, equivariant, reduced, classical,
+                      lambda: tuple(audit))

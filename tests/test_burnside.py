@@ -11,9 +11,10 @@ from saitodual.burnside import (MAX_PAIRED_BUCKET, BurnsideElement,
                                 element_zeta, is_saito_dual, mark,
                                 multiply, restrict, saito_dual)
 from saitodual.errors import OwnershipError, StructureError
-from saitodual.groups import (enumerate_subgroups, full_subgroup,
-                              monodromy_element, subgroup_generated_by,
-                              symmetry_group, trivial_subgroup)
+from saitodual.groups import (SubgroupKey, enumerate_subgroups,
+                              full_subgroup, monodromy_element,
+                              subgroup_generated_by, symmetry_group,
+                              trivial_subgroup)
 from saitodual.polynomials import parse_polynomial
 from saitodual.zeta import equivariant_zeta
 
@@ -271,33 +272,80 @@ class TestSaitoDual:
             saito_dual(BurnsideElement.unit(k))
 
 
+@pytest.fixture(scope="module")
+def eleven_squares():
+    """The reduced zetas a of x1^2 + ... + x11^2 and b of its transpose,
+    b negated so that b is the transform of a, over Z2^11."""
+    f = parse_polynomial(" + ".join(f"x{i}^2" for i in range(1, 12)))
+    p = symmetry_group(f)
+    q = p.dual()
+    a = equivariant_zeta(f, p).reduced
+    b = -equivariant_zeta(f.transpose(), q).reduced
+    return p, q, a, b
+
+
+def fresh_keys(a):
+    """``a`` over keys rebuilt from their bases, which carry no dual."""
+    p = a.scope.presentation
+    return BurnsideElement(a.scope, {SubgroupKey(p, k.basis): c
+                                     for k, c in a.terms.items()})
+
+
+def large_bucket_cases(q, b):
+    """Two elements that are not the transform, each differing from
+    ``b`` in a bucket of more than MAX_PAIRED_BUCKET candidates: a term of
+    order 32 replaced by a subgroup of that order that is not a
+    coordinate subgroup, and the same term counted once more."""
+    buckets = Counter((c, k.order) for k, c in b.terms.items())
+    key, coeff = next((k, c) for k, c in b.sorted_terms() if k.order == 32)
+    assert buckets[coeff, 32] > MAX_PAIRED_BUCKET
+    gens = q.generators()
+    other = subgroup_generated_by(q, gens[:4] + [gens[4] + gens[5]])
+    assert other.order == 32 and other not in b.terms
+    scope = full_subgroup(q)
+    swapped = b - coeff * orbit(scope, key) + coeff * orbit(scope, other)
+    return swapped, b + orbit(scope, key)
+
+
 class TestIsSaitoDualLargeBuckets:
-    def test_sum_of_eleven_squares(self):
-        # Z2^11: 2,048 reduced zeta terms in buckets of up to 462
-        # candidates, which are matched by their dual subgroups.
-        f = parse_polynomial(" + ".join(f"x{i}^2" for i in range(1, 12)))
-        p = symmetry_group(f)
-        q = p.dual()
-        a = equivariant_zeta(f, p).reduced
-        b = -equivariant_zeta(f.transpose(), q).reduced
-        buckets = Counter((c, k.order) for k, c in b.terms.items())
+    def test_sum_of_eleven_squares(self, eleven_squares):
+        # Z2^11: 2,048 reduced zeta terms, each a product of the blocks'
+        # subgroups that carries its dual, which is looked up.
+        _, q, a, b = eleven_squares
         assert len(a.terms) == 2048
-        assert max(buckets.values()) > MAX_PAIRED_BUCKET
+        assert all(k._dual is not None for k in a.terms)
         start = time.perf_counter()
         assert is_saito_dual(a, b)
         assert time.perf_counter() - start < 5
-        # A term of order 32 replaced by a subgroup of that order that is
-        # not a coordinate subgroup, and the same term counted once more.
-        key, coeff = next((k, c) for k, c in b.terms.items()
-                          if k.order == 32)
-        assert buckets[coeff, 32] > MAX_PAIRED_BUCKET
-        gens = q.generators()
-        other = subgroup_generated_by(q, gens[:4] + [gens[4] + gens[5]])
-        assert other.order == 32 and other not in b.terms
-        scope = full_subgroup(q)
-        swapped = b - coeff * orbit(scope, key) + coeff * orbit(scope, other)
-        assert not is_saito_dual(a, swapped)
-        assert not is_saito_dual(a, b + orbit(scope, key))
+        for wrong in large_bucket_cases(q, b):
+            assert not is_saito_dual(a, wrong)
+
+    def test_sum_of_eleven_squares_without_carried_duals(
+            self, eleven_squares, monkeypatch):
+        # The same terms on keys that carry no dual: buckets of up to 462
+        # candidates, each term of a bucket above MAX_PAIRED_BUCKET
+        # matched by its dual subgroup and every other by the pairing.
+        import saitodual.burnside
+        p, q, a, b = eleven_squares
+        a = fresh_keys(a)
+        assert a == eleven_squares[2]
+        assert all(k._dual is None for k in a.terms)
+        buckets = Counter((c, k.order) for k, c in b.terms.items())
+        assert max(buckets.values()) == 462
+        looked_up = sum(buckets[c, p.order // h.order] > MAX_PAIRED_BUCKET
+                        for h, c in a.terms.items())
+        calls = []
+        original = saitodual.burnside.dual_subgroup
+        monkeypatch.setattr(saitodual.burnside, "dual_subgroup",
+                            lambda h: calls.append(h) or original(h))
+        start = time.perf_counter()
+        assert is_saito_dual(a, b)
+        assert time.perf_counter() - start < 5
+        # Every order but 1, 2, 2^10 and 2^11 has C(11, k) > 16 terms:
+        # 2,048 - 24 lookups.
+        assert len(calls) == looked_up == 2024
+        for wrong in large_bucket_cases(q, b):
+            assert not is_saito_dual(a, wrong)
 
 
 class TestElementZeta:

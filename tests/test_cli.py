@@ -666,3 +666,20 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert __version__ in proc.stdout
+
+    @pytest.mark.parametrize("nvars, json_flag", [(8, ["--json"]), (10, [])])
+    def test_closed_stdout_exits_1_without_traceback(self, nvars,
+                                                     json_flag):
+        # The reader takes one line and closes the pipe while the report
+        # (897 kB of JSON, or 112 kB of text, more than a pipe holds) is
+        # still being written.
+        poly = " + ".join(f"x{i}^2" for i in range(1, nvars + 1))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "saitodual", "zeta", poly] + json_flag,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""

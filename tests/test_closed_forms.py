@@ -35,8 +35,9 @@ from saitodual.linalg import (IntMatrix, determinant, lattice_basis,
 from saitodual.enumeration import generate_corpus, run_batch
 from saitodual.polynomials import (InvertiblePolynomial, canonical_weights,
                                    parse_polynomial)
-from saitodual.zeta import (AtomRecords, _diagonal_blocks, equivariant_zeta,
-                            generating_root_exists, generating_root_zeta)
+from saitodual.zeta import (AtomRecords, _diagonal_blocks, _symmetry_group,
+                            equivariant_zeta, generating_root_exists,
+                            generating_root_zeta)
 
 from conftest import distinct_groups
 from oracles import (RationalElement, ambient_quotient_data, brute_roots,
@@ -82,7 +83,7 @@ def factorization_mismatches(p):
     if (q.invariant_factors, q.ambient_basis) != (
             fresh.invariant_factors, fresh.ambient_basis):
         bad.append("fresh Smith form of C^T")
-    gens = p._gens.columns()
+    gens = p._scaled_gens().columns()
     if [GroupElement._wrap(p, tuple(x % d for x in g)).order
             for g in gens] != list(factors):
         bad.append("generator orders")
@@ -197,6 +198,95 @@ def composed_fact_counts(batch):
         checked += 1
         mismatches += bool(composed_fact_mismatches(rep))
     return checked, mismatches
+
+
+def composed_group_mismatches(f, atoms, dual_first=False,
+                              max_listed=None):
+    """Where the presentation of the sum ``f`` composed from its blocks'
+    records in ``atoms`` differs from ``GroupPresentation(E)``, on both
+    sides, the transposed one first when ``dual_first``: U and V unset
+    before first use; the order, invariant factors and ambient basis;
+    the generators, the elements in order and every subgroup (for a
+    group of order at most ``max_listed``, when given); and then U and
+    V, filled on first use.  Returns (mismatches, subgroups)."""
+    composed = _symmetry_group(f, atoms)
+    fresh = GroupPresentation(f.exponents)
+    pairs = [(composed, fresh), (composed.dual(), fresh.dual())]
+    if dual_first:
+        pairs.reverse()
+    bad = [f"{mine.side}: transforms before first use"
+           for mine, _ in pairs
+           if mine._u is not None or mine._gens is not None]
+    subgroups = 0
+    for mine, theirs in pairs:
+        if (mine.order, mine.invariant_factors, mine.ambient_basis) != (
+                theirs.order, theirs.invariant_factors,
+                theirs.ambient_basis):
+            bad.append(f"{mine.side}: order, factors or ambient basis")
+        if ([g.sort_key() for g in mine.generators()]
+                != [g.sort_key() for g in theirs.generators()]):
+            bad.append(f"{mine.side}: generators")
+        if max_listed is not None and mine.order > max_listed:
+            pass
+        elif ([g.sort_key() for g in mine.elements()]
+                != [g.sort_key() for g in theirs.elements()]):
+            bad.append(f"{mine.side}: elements")
+        else:
+            built = enumerate_subgroups(mine)
+            subgroups += len(built)
+            if built != enumerate_subgroups(theirs):
+                bad.append(f"{mine.side}: subgroups")
+        if mine._transforms() != theirs._transforms():
+            bad.append(f"{mine.side}: U and V")
+    return bad, subgroups
+
+
+def composed_group_counts(polynomials, atoms):
+    """(sums, subgroups, sums with a mismatch) of
+    ``composed_group_mismatches`` over the sums among ``polynomials``."""
+    sums = subgroups = mismatches = 0
+    for f in polynomials:
+        if len(_diagonal_blocks(f.exponents)) > 1:
+            bad, count = composed_group_mismatches(f, atoms)
+            sums += 1
+            subgroups += count
+            mismatches += bool(bad)
+    return sums, subgroups, mismatches
+
+
+def carried_dual_mismatches(rep):
+    """(terms, terms whose carried dual differs) over the reduced zeta
+    of a report: a sum's terms carry the dual of each key, which must be
+    the key ``dual_subgroup`` gives on a fresh Smith-form presentation,
+    over the report's dual side; a single block's carry none."""
+    p = rep.group
+    terms = rep.reduced.terms
+    if len(_diagonal_blocks(rep.polynomial.exponents)) == 1:
+        return len(terms), sum(k._dual is not None for k in terms)
+    fresh = GroupPresentation(p.constraint, p.side)
+    mismatches = 0
+    for key in terms:
+        dual = key._dual
+        mismatches += (dual is None or dual.presentation is not p.dual()
+                       or dual != dual_subgroup(SubgroupKey(fresh, key.basis))
+                       or dual.order != SubgroupKey(p.dual(),
+                                                    dual.basis).order)
+    return len(terms), mismatches
+
+
+def carried_dual_counts(batch):
+    """(sum sides, their terms, terms with a wrong or missing dual, single
+    sides with a carried dual) over the records of a batch."""
+    sums = terms = mismatches = singles = 0
+    for f, _, rep in sides(batch):
+        count, bad = carried_dual_mismatches(rep)
+        if len(_diagonal_blocks(f.exponents)) > 1:
+            sums += 1
+            terms += count
+            mismatches += bad
+        else:
+            singles += bad
+    return sums, terms, mismatches, singles
 
 
 @pytest.fixture(scope="module")
@@ -416,6 +506,24 @@ class TestCorpusDifferential:
     def test_sums_sample_composed_facts_match_replaced_forms(
             self, batch55_sample):
         assert composed_fact_counts(batch55_sample) == (300, 0)
+
+    def test_composed_groups_match_smith_form(self, corpus45):
+        # Every corpus45 sum, both sides, composed from a fresh cache.
+        assert composed_group_counts(corpus45, AtomRecords(4)) == (
+            1132, 76204, 0)
+
+    def test_sums_sample_composed_groups_match_smith_form(
+            self, batch55_sample):
+        polynomials = [r.polynomial for r in batch55_sample.records]
+        assert composed_group_counts(polynomials, AtomRecords(5)) == (
+            125, 22778, 0)
+
+    def test_carried_duals_match_dual_subgroup(self, batch45):
+        assert carried_dual_counts(batch45) == (2264, 17720, 0, 0)
+
+    def test_sums_sample_carried_duals_match_dual_subgroup(
+            self, batch55_sample):
+        assert carried_dual_counts(batch55_sample) == (250, 2696, 0, 0)
 
 
 @st.composite
@@ -735,13 +843,18 @@ class TestAtomComposition:
     def test_block_sums_match_direct_loop(self, f):
         p = symmetry_group(f)
         assert len(_diagonal_blocks(f.exponents)) > 1
+        # The composed group, each side filling U and V first once.
+        for atoms, dual_first in ((AtomRecords(), False),
+                                  (BATCH_ATOMS, True)):
+            assert composed_group_mismatches(f, atoms, dual_first,
+                                             max_listed=200)[0] == []
         for g, q in ((f, p), (f.transpose(), p.dual())):
-            rep = equivariant_zeta(g, q)
-            assert composed_fact_mismatches(rep) == []
-            assert not differs_from_direct_loop(rep)
-            rep = equivariant_zeta(g, q, BATCH_ATOMS)
-            assert composed_fact_mismatches(rep) == []
-            assert not differs_from_direct_loop(rep)
+            for rep in (equivariant_zeta(g, q),
+                        equivariant_zeta(g, q, BATCH_ATOMS)):
+                assert composed_fact_mismatches(rep) == []
+                assert not differs_from_direct_loop(rep)
+                terms, bad = carried_dual_mismatches(rep)
+                assert bad == 0 and terms == len(rep.reduced.terms)
 
     @pytest.mark.parametrize("text, blocks", [
         ("x1^2*x3 + x2^3 + x3^3", [(0, 3)]),  # interleaved components

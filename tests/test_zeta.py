@@ -18,11 +18,19 @@ from saitodual.errors import DegenerateError, NonCyclicError
 from saitodual.groups import (enumerate_subgroups, full_subgroup,
                               monodromy_element, subgroup_generated_by,
                               symmetry_group, trivial_subgroup)
-from saitodual.polynomials import parse_polynomial
+from saitodual.polynomials import InvertiblePolynomial, parse_polynomial
 from saitodual.zeta import (AtomRecords, DualPair, _diagonal_blocks,
                             classical_saito_dual, classical_zeta,
                             equivariant_zeta, milnor_number,
                             verify_root_duality, verify_zeta_duality)
+
+from oracles import direct_equivariant_zeta
+
+
+def diagonal_block_matrices(e):
+    """The diagonal blocks of ``e`` (see ``_diagonal_blocks``)."""
+    return [e.submatrix(range(a, b), range(a, b))
+            for a, b in _diagonal_blocks(e)]
 
 
 class TestEquivariantZeta:
@@ -254,7 +262,8 @@ class TestDualPair:
         f = parse_polynomial("x^2 + y^2")
         pair = DualPair(f)
         assert pair.roots == []
-        assert {"group", "roots"} == set(vars(pair)) - {"f"}
+        # The group of a sum is composed from its atoms' records.
+        assert {"atoms", "group", "roots"} == set(vars(pair)) - {"f"}
         assert pair.group_t is pair.group.dual()
         assert pair.group_t == symmetry_group(pair.ft)
         assert pair.ft.exponents == f.exponents.transpose()
@@ -271,26 +280,40 @@ class TestDualPair:
                         for f in singles)
         assert (len(corpus), len(singles), symmetric) == (117, 56, 9)
         counts = count_calls(monkeypatch, "equivariant_zeta",
-                             "symmetry_group", "canonical_weights",
-                             "geometric_roots", "element_zeta")
+                             "symmetry_group", "smith_normal_form",
+                             "canonical_weights", "geometric_roots",
+                             "element_zeta")
         report = run_batch(corpus)
         assert report.ok and report.corollary_checked > 0
         # The root duality is checked in closed form: no root is listed.
+        # Only a single block runs a Smith form; a sum's group is composed
+        # from its blocks', which are the records of single blocks.
         assert counts == {"equivariant_zeta": 2 * len(corpus),
-                          "symmetry_group": len(corpus),
+                          "symmetry_group": len(singles),
+                          "smith_normal_form": len(singles),
                           "canonical_weights": 2 * len(singles) - symmetric,
                           "geometric_roots": 0,
                           "element_zeta": 0}
 
     def test_batch_builds_no_dual_subgroup(self, monkeypatch):
-        # The zeta duality is decided by the annihilator pairing: a passing
-        # check neither applies the transform nor builds a dual lattice.
+        # A passing check applies no transform and builds no dual subgroup
+        # of a polynomial's group.  A single block's terms are paired by
+        # the annihilator test; a sum's terms carry their duals, products
+        # of one dual per merged subgroup of each summand block, that is
+        # per term of the block's reduced zeta, made once per batch.
         corpus, _ = generate_corpus(3, 4, include_sums=True)
+        summands = {block for f in corpus for g in (f, f.transpose())
+                    for block in diagonal_block_matrices(g.exponents)
+                    if block.nrows < g.nvars}
+        per_summand = sum(
+            len(direct_equivariant_zeta(InvertiblePolynomial(b)).reduced.terms)
+            for b in summands)
+        assert (len(summands), per_summand) == (27, 72)
         counts = count_calls(monkeypatch, "dual_subgroup", "saito_dual",
                              "equivariant_zeta")
         report = run_batch(corpus)
         assert report.ok and report.theorem_pass == len(corpus)
-        assert counts == {"dual_subgroup": 0, "saito_dual": 0,
+        assert counts == {"dual_subgroup": per_summand, "saito_dual": 0,
                           "equivariant_zeta": 2 * len(corpus)}
 
     def test_batch_atom_cache_lives_for_one_call(self, monkeypatch):
