@@ -427,8 +427,8 @@ def burnside_from_cyclotomic(phi, presentation):
         raise StructureError(
             f"modulus {phi.modulus} does not equal the group order {d}")
     # The last Smith generator of a cyclic group has order d.
-    generator = GroupElement._wrap(presentation, tuple(
-        x % d for x in presentation._scaled_gens().column(presentation.rank - 1)))
+    column = presentation._scaled_gens().column(presentation.rank - 1)
+    generator = GroupElement._wrap(presentation, tuple(x % d for x in column))
     terms = {}
     for m, s in phi.factors.items():
         key = subgroup_generated_by(presentation, [m * generator])

@@ -59,8 +59,8 @@ from .groups import (GroupPresentation, SubgroupKey, _block_rows,
                      geometric_roots, isotropy_subgroup, monodromy_element,
                      symmetry_group)
 from .linalg import IntMatrix, determinant
-from .polynomials import (InvertiblePolynomial, WeightSystem,
-                          canonical_weights, decompose, direct_sum_weights)
+from .polynomials import (InvertiblePolynomial, canonical_weights,
+                          decompose, direct_sum_weights)
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ class AtomRecord:
         merged = {}
         for indices, _, rows, r, index in entries:
             c = merged[rows][0] if rows in merged else 0
-            merged[rows] = (c + (-1 if len(indices) % 2 else 1), r, index)
+            merged[rows] = (c + (-1) ** len(indices), r, index)
         self.merged = tuple((rows, c, r, index)
                             for rows, (c, r, index) in merged.items() if c)
         self._duals = None
@@ -268,13 +268,10 @@ def _subset_terms(p, blocks, records):
     n, d = p.rank, p.order
     products = None
     for (start, stop), record in zip(blocks, records):
-        entries = [(indices, det, rows, index)
+        scale = d // record.presentation.order
+        entries = [(tuple(start + i for i in indices), det,
+                    _block_rows(rows, scale, start, n - stop), index)
                    for indices, det, rows, _, index in record.entries]
-        if stop - start < n:
-            scale = d // record.presentation.order
-            entries = [(tuple(start + i for i in indices), det,
-                        _block_rows(rows, scale, start, n - stop), index)
-                       for indices, det, rows, index in entries]
         products = entries if products is None else [
             (indices + more, det * factor, rows + block_rows,
              index * block_index)
