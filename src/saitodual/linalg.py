@@ -104,9 +104,7 @@ class IntMatrix:
         return tuple(x for r in self._rows for x in r)
 
     def transpose(self):
-        return IntMatrix._wrap(tuple(
-            tuple(self._rows[i][j] for i in range(self.nrows))
-            for j in range(self.ncols)))
+        return IntMatrix._wrap(tuple(zip(*self._rows)))
 
     def submatrix(self, row_indices, col_indices):
         return IntMatrix([[self._rows[i][j] for j in col_indices]

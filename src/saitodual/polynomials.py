@@ -77,8 +77,15 @@ class InvertiblePolynomial:
         return self._weights
 
     def transpose(self):
-        """The polynomial with transposed exponent matrix, same variables."""
-        return InvertiblePolynomial(self._exponents.transpose(), self._variables)
+        """The polynomial with transposed exponent matrix, same variables.
+        The transpose of a valid matrix is valid and has the same
+        determinant, so nothing is checked or computed again."""
+        t = object.__new__(InvertiblePolynomial)
+        t._exponents = self._exponents.transpose()
+        t._variables = self._variables
+        t._det = self._det
+        t._weights = None
+        return t
 
     def text(self):
         """Render as a sum of `*`-separated power factors."""
