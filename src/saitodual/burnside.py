@@ -345,8 +345,9 @@ def is_saito_dual(a, b):
     rows = p.constraint.rows
     candidates = None
     for h, c in a._terms.items():
-        if h._dual is not None:
-            if b._terms.get(h._dual) != c:
+        dual = h._carried_dual()
+        if dual is not None:
+            if b._terms.get(dual) != c:
                 return False
             continue
         if candidates is None:

@@ -365,9 +365,9 @@ class SubgroupKey:
     For a subgroup H = L_H / Z^n of a group of order d, the key stores the
     canonical basis of the integer lattice d*L_H, which satisfies
     d*Z^n <= d*L_H <= d*L.  Equal subgroups have identical keys.  A key
-    built as a product of subgroups of a sum's blocks may carry the key
-    of its dual H~ (see ``zeta.equivariant_zeta``); equality and hashing
-    ignore it.
+    built as a product of subgroups of a sum's blocks carries its dual H~
+    (see ``zeta.equivariant_zeta``), built on first use by
+    ``_carried_dual``; equality and hashing ignore it.
     """
 
     __slots__ = ("_presentation", "_basis", "_order", "_hash", "_dual")
@@ -386,8 +386,8 @@ class SubgroupKey:
     def _wrap(cls, presentation, basis, order, dual=None):
         """Trusted constructor: ``basis`` must be the canonical basis of a
         subgroup of ``order`` elements, as when the order is read off a
-        product of subgroups, and ``dual``, when given, the key of its
-        dual subgroup."""
+        product of subgroups, and ``dual``, when given, a function of no
+        arguments that returns the key of its dual subgroup."""
         key = object.__new__(cls)
         key._presentation = presentation
         key._basis = basis
@@ -395,6 +395,14 @@ class SubgroupKey:
         key._hash = None
         key._dual = dual
         return key
+
+    def _carried_dual(self):
+        """The key of the dual subgroup that this key carries, built the
+        first time it is asked for, or None for a key that carries none."""
+        if self._dual is not None and not isinstance(self._dual,
+                                                     SubgroupKey):
+            self._dual = self._dual()
+        return self._dual
 
     @property
     def presentation(self):

@@ -171,7 +171,8 @@ class AtomRecord:
     def duals(self):
         """The rows of the scaled basis of the dual H~ of each merged
         subgroup H, on the dual side of this block's presentation: one
-        ``dual_subgroup`` each, the first time the block is a summand."""
+        ``dual_subgroup`` each, the first time a term of a sum needs
+        one (see ``_SumDuals``)."""
         if self._duals is None:
             q = self.presentation
             self._duals = tuple(
@@ -196,8 +197,8 @@ def equivariant_zeta(f, group=None, atoms=None):
     give distinct products, so no two terms meet.  The equivariant zeta
     is the reduced one plus [G/G], and the classical zeta gains (1 - t)
     for it.  A key of a sum of two or more blocks carries its dual H~,
-    the product of the blocks' duals (``AtomRecord.duals``), which
-    ``burnside.is_saito_dual`` looks up.
+    the product of the blocks' duals (``AtomRecord.duals``), built when
+    ``burnside.is_saito_dual`` first looks it up (``_SumDuals``).
 
     A polynomial that is one block has its record computed over the
     given presentation, with no second Smith form.  Without ``group``, a
@@ -225,27 +226,25 @@ def equivariant_zeta(f, group=None, atoms=None):
     if f._weights is None:
         f._weights = (records[0].weights if len(records) == 1 else
                       direct_sum_weights([r.weights for r in records]))
-    # A sum's keys carry their duals, on the dual side q.
-    q = p.dual() if len(records) > 1 else None
+    # Each product records which merged subgroup of each block it took.
     products = [((), (), -1, 1, 1)]
     for (start, stop), record in zip(blocks, records):
         scale = d // record.presentation.order
-        duals = (record.duals() if q is not None
-                 else ((),) * len(record.merged))
-        block = [(_block_rows(rows, scale, start, n - stop),
-                  _block_rows(dual, scale, start, n - stop), c, r, index)
-                 for (rows, c, r, index), dual in zip(record.merged, duals)]
-        products = [(rows + more, dual + more_dual, c * bc, lcm(r, br),
+        block = [(_block_rows(rows, scale, start, n - stop), (i,), c, r,
+                  index)
+                 for i, (rows, c, r, index) in enumerate(record.merged)]
+        products = [(rows + more, combo + more_combo, c * bc, lcm(r, br),
                      index * bi)
-                    for rows, dual, c, r, index in products
-                    for more, more_dual, bc, br, bi in block]
+                    for rows, combo, c, r, index in products
+                    for more, more_combo, bc, br, bi in block]
+    duals = _SumDuals(p, blocks, records) if len(records) > 1 else None
     wrap = SubgroupKey._wrap
     reduced = {}
     factors = {1: 1}
-    for rows, dual, c, r, index in products:
+    for rows, combo, c, r, index in products:
         reduced[wrap(p, IntMatrix._wrap(rows), d // index,
-                     None if q is None
-                     else wrap(q, IntMatrix._wrap(dual), index))] = c
+                     None if duals is None
+                     else partial(duals.key, combo, index))] = c
         factors[r] = factors.get(r, 0) + c * (index // r)
     scope = full_subgroup(p)
     equivariant = dict(reduced)
@@ -257,6 +256,38 @@ def equivariant_zeta(f, group=None, atoms=None):
     return ZetaReport(f, p, BurnsideElement._wrap(scope, equivariant),
                       BurnsideElement._wrap(scope, reduced), classical,
                       partial(_subset_terms, p, blocks, records))
+
+
+class _SumDuals:
+    """The dual keys of the terms of one sum's report over ``p``, built
+    when first asked for (by ``burnside.is_saito_dual``).  The pairing is
+    a sum over the blocks, so the dual of the product of one merged
+    subgroup H_a of each block is the product of their duals,
+    diag((d/d_a)*B_a~) on the dual side, with each B_a~ from the block's
+    ``AtomRecord.duals``."""
+
+    __slots__ = ("_p", "_blocks", "_records", "_padded")
+
+    def __init__(self, p, blocks, records):
+        self._p = p
+        self._blocks = blocks
+        self._records = records
+        self._padded = None
+
+    def key(self, combo, index):
+        """The dual of the term made of merged subgroup ``combo[a]`` of
+        each block a, which has ``index`` elements."""
+        q = self._p.dual()
+        if self._padded is None:
+            n, d = q.rank, q.order
+            self._padded = [
+                [_block_rows(rows, d // record.presentation.order, start,
+                             n - stop) for rows in record.duals()]
+                for (start, stop), record in zip(self._blocks,
+                                                 self._records)]
+        return SubgroupKey._wrap(q, IntMatrix._wrap(tuple(
+            row for block, i in zip(self._padded, combo)
+            for row in block[i])), index)
 
 
 def _subset_terms(p, blocks, records):

@@ -262,11 +262,11 @@ def carried_dual_mismatches(rep):
     p = rep.group
     terms = rep.reduced.terms
     if len(_diagonal_blocks(rep.polynomial.exponents)) == 1:
-        return len(terms), sum(k._dual is not None for k in terms)
+        return len(terms), sum(k._carried_dual() is not None for k in terms)
     fresh = GroupPresentation(p.constraint, p.side)
     mismatches = 0
     for key in terms:
-        dual = key._dual
+        dual = key._carried_dual()
         mismatches += (dual is None or dual.presentation is not p.dual()
                        or dual != dual_subgroup(SubgroupKey(fresh, key.basis))
                        or dual.order != SubgroupKey(p.dual(),
