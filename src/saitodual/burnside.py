@@ -319,20 +319,19 @@ def saito_dual(a):
 
 
 def is_saito_dual(a, b):
-    """Whether ``b == saito_dual(a)``, decided without building any dual
-    subgroup.
+    """Whether ``b == saito_dual(a)``, decided without building the
+    transform.  ``zeta.verify_zeta_duality`` decides the duality of two
+    zeta reports on their product forms; this decides it for any pair of
+    elements, and is its oracle.
 
-    A term c*[G/H] of ``a`` whose key carries its dual H~ (a product key
-    of a direct sum, see ``zeta.equivariant_zeta``) must be the term
-    c*[G*/H~] of ``b``: one lookup.  Any other term must meet a term
-    c*[G*/K] of ``b`` with |H|*|K| = d and K inside the annihilator H~.
-    The rows of d^2*(C*B_H)^-1 span the scaled lattice of H~
-    (``dual_subgroup``), so for the scaled bases B_H, B_K and the
-    constraint C, K lies in H~ exactly when B_K^T*C*B_H = 0 mod d^2, and
-    the orders make it H~.  A bucket of more than MAX_PAIRED_BUCKET
-    candidates looks up H~ itself, so the check stays linear.  The
-    transform is injective, so with as many terms on both sides every
-    term of ``b`` is then matched."""
+    A term c*[G/H] of ``a`` must meet a term c*[G*/K] of ``b`` with
+    |H|*|K| = d and K inside the annihilator H~.  The rows of
+    d^2*(C*B_H)^-1 span the scaled lattice of H~ (``dual_subgroup``), so
+    for the scaled bases B_H, B_K and the constraint C, K lies in H~
+    exactly when B_K^T*C*B_H = 0 mod d^2, and the orders make it H~.  A
+    bucket of more than MAX_PAIRED_BUCKET candidates looks up H~ itself,
+    so the check stays linear.  The transform is injective, so with as
+    many terms on both sides every term of ``b`` is then matched."""
     if not a.scope.is_full():
         raise StructureError("the duality transform is defined over the full group")
     p = a.scope.presentation
@@ -343,18 +342,11 @@ def is_saito_dual(a, b):
     d = p.order
     dd = d * d
     rows = p.constraint.rows
-    candidates = None
+    candidates = {}
+    for k, kc in b._terms.items():
+        candidates.setdefault((kc, k.order), []).append(
+            list(zip(*k.basis.rows)))
     for h, c in a._terms.items():
-        dual = h._carried_dual()
-        if dual is not None:
-            if b._terms.get(dual) != c:
-                return False
-            continue
-        if candidates is None:
-            candidates = {}
-            for k, kc in b._terms.items():
-                candidates.setdefault((kc, k.order), []).append(
-                    list(zip(*k.basis.rows)))
         bucket = candidates.get((c, d // h.order), ())
         if len(bucket) > MAX_PAIRED_BUCKET:
             if b._terms.get(dual_subgroup(h)) != c:

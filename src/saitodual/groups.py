@@ -87,14 +87,15 @@ class GroupPresentation:
         self._setup(c, side, tuple(s.entry(i, i) for i in range(s.nrows)),
                     u, v)
 
-    def _setup(self, constraint, side, factors, u, v, ambient=None,
-               parts=None, dual=None):
+    def _setup(self, constraint, side, factors, u, v, parts=None,
+               dual=None):
         """Fill in the presentation from the diagonal ``factors`` d_j of a
         Smith form S = U*C*V.  The group is V*S^-1*Z^n / Z^n: an element x
         is the sum of a_j times the generators V*e_j/d_j (of order d_j) for
         its SNF coordinates a = U*C*x; the d-scaled generators span d*L.
-        A composed presentation passes its ``ambient`` basis and its
-        block ``parts`` instead of U and V (see ``_transforms``)."""
+        A composed presentation passes its block ``parts`` instead of U
+        and V (see ``_transforms``), and its dual passes neither; the
+        ambient basis of each waits for its first read."""
         self._constraint = constraint
         self._side = side
         self._order = prod(factors)
@@ -103,7 +104,7 @@ class GroupPresentation:
         self._v = v
         self._gens = None
         self._parts = parts
-        self._ambient = ambient if ambient is not None else lattice_basis(
+        self._ambient = None if u is None else lattice_basis(
             self._scaled_gens().columns(), constraint.nrows)
         self._dual = dual
         self._full_key = None
@@ -139,7 +140,14 @@ class GroupPresentation:
 
     @property
     def ambient_basis(self):
-        """Canonical basis of the scaled ambient lattice d*L."""
+        """Canonical basis of the scaled ambient lattice d*L.  A composed
+        presentation reads it off its blocks' on first use, and its dual
+        off the blocks' duals (see ``_block_diagonal``)."""
+        if self._ambient is None:
+            parts = self._parts or [part.dual() for part in self._dual._parts]
+            self._ambient = _block_diagonal(
+                [(part.ambient_basis, part.order) for part in parts],
+                self._order)
         return self._ambient
 
     def dual(self):
@@ -155,10 +163,7 @@ class GroupPresentation:
                          self._v.transpose(), self._u.transpose(), dual=self)
             else:
                 q._setup(self._constraint.transpose(), flipped, self._factors,
-                         None, None, _block_diagonal(
-                             [(part.dual().ambient_basis, part.order)
-                              for part in self._parts], self._order),
-                         dual=self)
+                         None, None, dual=self)
         return self._dual
 
     def _transforms(self):
@@ -229,7 +234,7 @@ class GroupPresentation:
     def elements(self):
         """All group elements, one per class; order of iteration is the
         product order over the invariant-factor generators."""
-        for vec in _enumerate_quotient(self, self._ambient):
+        for vec in _enumerate_quotient(self, self.ambient_basis):
             yield GroupElement._wrap(self, vec)
 
     def __eq__(self, other):
@@ -364,13 +369,10 @@ class SubgroupKey:
 
     For a subgroup H = L_H / Z^n of a group of order d, the key stores the
     canonical basis of the integer lattice d*L_H, which satisfies
-    d*Z^n <= d*L_H <= d*L.  Equal subgroups have identical keys.  A key
-    built as a product of subgroups of a sum's blocks carries its dual H~
-    (see ``zeta.equivariant_zeta``), built on first use by
-    ``_carried_dual``; equality and hashing ignore it.
+    d*Z^n <= d*L_H <= d*L.  Equal subgroups have identical keys.
     """
 
-    __slots__ = ("_presentation", "_basis", "_order", "_hash", "_dual")
+    __slots__ = ("_presentation", "_basis", "_order", "_hash")
 
     def __init__(self, presentation, basis):
         self._presentation = presentation
@@ -380,29 +382,18 @@ class SubgroupKey:
             det *= basis.entry(i, i)
         self._order = presentation.order ** basis.nrows // det
         self._hash = None
-        self._dual = None
 
     @classmethod
-    def _wrap(cls, presentation, basis, order, dual=None):
+    def _wrap(cls, presentation, basis, order):
         """Trusted constructor: ``basis`` must be the canonical basis of a
         subgroup of ``order`` elements, as when the order is read off a
-        product of subgroups, and ``dual``, when given, a function of no
-        arguments that returns the key of its dual subgroup."""
+        product of subgroups."""
         key = object.__new__(cls)
         key._presentation = presentation
         key._basis = basis
         key._order = order
         key._hash = None
-        key._dual = dual
         return key
-
-    def _carried_dual(self):
-        """The key of the dual subgroup that this key carries, built the
-        first time it is asked for, or None for a key that carries none."""
-        if self._dual is not None and not isinstance(self._dual,
-                                                     SubgroupKey):
-            self._dual = self._dual()
-        return self._dual
 
     @property
     def presentation(self):
@@ -527,17 +518,14 @@ def _direct_sum(constraint, parts):
     from ``parts``, presentations of its diagonal blocks in order, with
     no Smith form: G = G_1 x ... x G_k has order d = prod d_a, the
     invariant factors of all the blocks' merged by ``_chain_factors``,
-    and ambient basis diag((d/d_a)*A_a).  U, V and the generators come
-    on first use (``GroupPresentation._transforms``)."""
-    d = prod(part.order for part in parts)
+    and ambient basis diag((d/d_a)*A_a).  The ambient basis, U, V and
+    the generators come on first use (``GroupPresentation._transforms``).
+    """
     p = object.__new__(GroupPresentation)
     p._setup(constraint, "direct",
              _chain_factors([f for part in parts
                              for f in part.invariant_factors]),
-             None, None,
-             _block_diagonal([(part.ambient_basis, part.order)
-                              for part in parts], d),
-             tuple(parts))
+             None, None, tuple(parts))
     return p
 
 

@@ -28,7 +28,7 @@ class InvertiblePolynomial:
     entries non-negative.
     """
 
-    __slots__ = ("_exponents", "_variables", "_det", "_weights")
+    __slots__ = ("_exponents", "_variables", "_det", "_weights", "_blocks")
 
     def __init__(self, exponents, variables=None):
         e = exponents if isinstance(exponents, IntMatrix) else IntMatrix(exponents)
@@ -52,6 +52,7 @@ class InvertiblePolynomial:
         self._variables = variables
         self._det = det
         self._weights = None
+        self._blocks = None
 
     @property
     def exponents(self):
@@ -79,12 +80,18 @@ class InvertiblePolynomial:
     def transpose(self):
         """The polynomial with transposed exponent matrix, same variables.
         The transpose of a valid matrix is valid and has the same
-        determinant, so nothing is checked or computed again."""
+        determinant, so nothing is checked or computed again.  Its
+        diagonal blocks, when this polynomial's are known (see
+        ``zeta.equivariant_zeta``), are theirs transposed."""
         t = object.__new__(InvertiblePolynomial)
         t._exponents = self._exponents.transpose()
         t._variables = self._variables
         t._det = self._det
         t._weights = None
+        blocks = self._blocks
+        t._blocks = (blocks if blocks is None else
+                     (t._exponents,) if len(blocks) == 1 else
+                     tuple(block.transpose() for block in blocks))
         return t
 
     def text(self):

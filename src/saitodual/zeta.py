@@ -33,8 +33,13 @@ order, is assembled from its atoms by the product rule
   the classical zeta, whose modulus is the lcm of the atoms' monodromy
   orders.
 - The duality: the pairing a^T*E*b is a sum over the blocks, so the dual
-  of H1 x ... x Hk is H1~ x ... x Hk~, with the same scaling.  Each term
-  of a sum carries its dual, and ``burnside.is_saito_dual`` looks it up.
+  of H1 x ... x Hk is H1~ x ... x Hk~, with the same scaling.  A report
+  keeps its reduced zeta in this product form, one coefficient per choice
+  of one merged subgroup of each block, and builds the subgroup keys only
+  when they are read.  ``verify_zeta_duality`` decides the duality on
+  that form: one table per pair of a block and its transpose maps each
+  merged subgroup to the position of its dual (``AtomRecord.dual_map``),
+  and each term is one lookup.  A single block is the case k = 1.
 
 The canonical weights of the sum are those of its atoms scaled to the
 common degree: d = d1*...*dk and w = ((d/d1)*w1, ..., (d/dk)*wk).  A
@@ -48,16 +53,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 from .burnside import (BurnsideElement, CyclotomicProduct, _coset_order,
-                       is_saito_dual, saito_dual)
+                       saito_dual)
 from .errors import DegenerateError, NonCyclicError
 from .groups import (GroupPresentation, SubgroupKey, _block_rows,
-                     _direct_sum, dual_subgroup, full_subgroup,
-                     geometric_roots, isotropy_subgroup, monodromy_element,
-                     symmetry_group)
+                     _direct_sum, full_subgroup, geometric_roots,
+                     isotropy_subgroup, monodromy_element, symmetry_group)
 from .linalg import IntMatrix, determinant
 from .polynomials import (InvertiblePolynomial, canonical_weights,
                           decompose, direct_sum_weights)
@@ -94,21 +99,58 @@ class SubsetTerm:
 @dataclass(frozen=True)
 class ZetaReport:
     """Equivariant, reduced, and classical zeta data of one polynomial.
-    ``_audit`` builds the per-subset audit, ``subset_terms``, on first
-    read: a passing batch check never reads it."""
+
+    The reduced zeta is kept in product form: ``_records`` holds the
+    ``AtomRecord`` of each diagonal block in order, and ``_terms`` maps
+    each choice of one merged subgroup per block, a tuple of positions
+    in the blocks' ``merged``, to its coefficient.  ``reduced``,
+    ``equivariant`` and the per-subset audit ``subset_terms`` build their
+    subgroup keys on first read: a passing batch check reads none."""
 
     polynomial: object
     group: object
-    equivariant: BurnsideElement
-    reduced: BurnsideElement
     classical: CyclotomicProduct
-    _audit: object = field(repr=False, compare=False)
+    _records: tuple = field(repr=False, compare=False)
+    _terms: dict = field(repr=False, compare=False)
+
+    @cached_property
+    def reduced(self):
+        """The key of the term that takes merged subgroup H_a of each
+        block a is that of H_1 x ... x H_k, diag((d/d_a)*B_a), of order
+        d / ([G_1:H_1]*...*[G_k:H_k])."""
+        p = self.group
+        n, d = p.rank, p.order
+        blocks = [[(_block_rows(rows, d // record.presentation.order,
+                                start, n - stop), index)
+                   for rows, _, _, index in record.merged]
+                  for (start, stop), record in _spans(self._records)]
+        wrap = SubgroupKey._wrap
+        terms = {}
+        for combo, c in self._terms.items():
+            rows, index = (), 1
+            for block, i in zip(blocks, combo):
+                block_rows, block_index = block[i]
+                rows += block_rows
+                index *= block_index
+            terms[wrap(p, IntMatrix._wrap(rows), d // index)] = c
+        return BurnsideElement._wrap(full_subgroup(p), terms)
+
+    @cached_property
+    def equivariant(self):
+        """The reduced zeta plus [G/G]."""
+        reduced = self.reduced
+        scope = reduced.scope
+        terms = reduced.terms
+        c = terms.pop(scope, 0) + 1
+        if c:
+            terms[scope] = c
+        return BurnsideElement._wrap(scope, terms)
 
     @cached_property
     def subset_terms(self):
         """One ``SubsetTerm`` per contributing subset, by (size,
         indices)."""
-        return self._audit()
+        return _subset_terms(self.group, self._records)
 
     def to_json(self):
         return {
@@ -153,7 +195,7 @@ class AtomRecord:
     [G/G] - (equivariant zeta), that is minus the reduced zeta."""
 
     __slots__ = ("presentation", "weights", "monodromy_order", "entries",
-                 "merged", "_duals")
+                 "merged", "_dual_map")
 
     def __init__(self, presentation, weights, monodromy_order, entries):
         self.presentation = presentation
@@ -166,20 +208,39 @@ class AtomRecord:
             merged[rows] = (c + (-1) ** len(indices), r, index)
         self.merged = tuple((rows, c, r, index)
                             for rows, (c, r, index) in merged.items() if c)
-        self._duals = None
+        self._dual_map = None
 
-    def duals(self):
-        """The rows of the scaled basis of the dual H~ of each merged
-        subgroup H, on the dual side of this block's presentation: one
-        ``dual_subgroup`` each, the first time a term of a sum needs
-        one (see ``_SumDuals``)."""
-        if self._duals is None:
+    def dual_map(self, partner):
+        """For each merged subgroup H of this block, in order, the
+        position of its dual H~ among the merged subgroups of
+        ``partner``, the record of the transposed block, or None when H~
+        is not one of them.
+
+        K is H~ exactly when |H|*|K| = d and K lies in the annihilator of
+        H: for the scaled bases B_H, B_K and the block C,
+        B_K^T*C*B_H = 0 (mod d^2) (see ``burnside.is_saito_dual``).  The
+        merged subgroups of a block do not depend on the presentation
+        its record was made over, so the map depends only on the block
+        and is kept after the first call."""
+        if self._dual_map is None:
             q = self.presentation
-            self._duals = tuple(
-                dual_subgroup(SubgroupKey._wrap(
-                    q, IntMatrix._wrap(rows), q.order // index)).basis.rows
-                for rows, _, _, index in self.merged)
-        return self._duals
+            d = q.order
+            dd = d * d
+            constraint = q.constraint.rows
+            candidates = {}
+            for j, (rows, _, _, index) in enumerate(partner.merged):
+                candidates.setdefault(index, []).append(
+                    (j, list(zip(*rows))))
+            duals = []
+            for rows, _, _, index in self.merged:
+                image = [[sum(map(mul, row, col)) for row in constraint]
+                         for col in zip(*rows)]
+                duals.append(next(
+                    (j for j, cols in candidates.get(d // index, ())
+                     if all(sum(map(mul, u, v)) % dd == 0
+                            for u in cols for v in image)), None))
+            self._dual_map = tuple(duals)
+        return self._dual_map
 
 
 def equivariant_zeta(f, group=None, atoms=None):
@@ -190,107 +251,65 @@ def equivariant_zeta(f, group=None, atoms=None):
     The reduced zeta is -(M_1 x ... x M_k), the external product of the
     ``merged`` maps M_a = -reduced_a of the diagonal blocks' records
     (``AtomRecord``): each product of one merged subgroup per block is
-    one term, with the key of the product subgroup, coefficient minus the
-    product of the blocks' coefficients, and classical factor
-    (1 - t^r)^(coefficient*[G:H]/r) with r the lcm of the blocks' orders
-    and [G:H] the product of their indices.  Distinct merged subgroups
-    give distinct products, so no two terms meet.  The equivariant zeta
-    is the reduced one plus [G/G], and the classical zeta gains (1 - t)
-    for it.  A key of a sum of two or more blocks carries its dual H~,
-    the product of the blocks' duals (``AtomRecord.duals``), built when
-    ``burnside.is_saito_dual`` first looks it up (``_SumDuals``).
+    one term, with coefficient minus the product of the blocks'
+    coefficients and classical factor (1 - t^r)^(coefficient*[G:H]/r),
+    with r the lcm of the blocks' orders and [G:H] the product of their
+    indices.  Distinct merged subgroups give distinct products, so no two
+    terms meet.  The equivariant zeta is the reduced one plus [G/G], and
+    the classical zeta gains (1 - t) for it.  The report keeps the
+    product form and the classical zeta; the subgroup keys wait for the
+    first read (see ``ZetaReport``).
 
     A polynomial that is one block has its record computed over the
     given presentation, with no second Smith form.  Without ``group``, a
     sum's presentation is composed from its blocks' (see
     ``groups._direct_sum``).  ``atoms`` is the ``AtomRecords`` of the
-    batch; without one the call keeps its own.  A sum's weight system is
-    composed from its blocks' and kept on ``f``.  The per-subset audit
-    (``ZetaReport.subset_terms``) is built only when read."""
+    batch; without one the call keeps its own.  The diagonal blocks and,
+    for a sum, the weight system composed from the blocks' are kept on
+    ``f``."""
     if atoms is None:
         atoms = AtomRecords()
     p = group if group is not None else _symmetry_group(f, atoms)
-    e = f.exponents
-    n, d = f.nvars, p.order
-    blocks = _diagonal_blocks(e)
+    blocks = _blocks_of(f)
     if len(blocks) == 1:
+        (e,) = blocks
         record = atoms.get(e)
         if record is None:
             record = _atom_record(e, p, f.weights)
-            if n < atoms.keep_below:
+            if f.nvars < atoms.keep_below:
                 atoms[e] = record
-        records = [record]
+        records = (record,)
     else:
-        records = [_summand_record(_block(e, start, stop), atoms)
-                   for start, stop in blocks]
+        records = _summand_records(f, atoms)
     if f._weights is None:
         f._weights = (records[0].weights if len(records) == 1 else
                       direct_sum_weights([r.weights for r in records]))
-    # Each product records which merged subgroup of each block it took.
-    products = [((), (), -1, 1, 1)]
-    for (start, stop), record in zip(blocks, records):
-        scale = d // record.presentation.order
-        block = [(_block_rows(rows, scale, start, n - stop), (i,), c, r,
-                  index)
-                 for i, (rows, c, r, index) in enumerate(record.merged)]
-        products = [(rows + more, combo + more_combo, c * bc, lcm(r, br),
-                     index * bi)
-                    for rows, combo, c, r, index in products
-                    for more, more_combo, bc, br, bi in block]
-    duals = _SumDuals(p, blocks, records) if len(records) > 1 else None
-    wrap = SubgroupKey._wrap
-    reduced = {}
+    products = [((), -1, 1, 1)]
+    for record in records:
+        products = [(combo + (i,), c * bc, lcm(r, br), index * bi)
+                    for combo, c, r, index in products
+                    for i, (_, bc, br, bi) in enumerate(record.merged)]
+    terms = {}
     factors = {1: 1}
-    for rows, combo, c, r, index in products:
-        reduced[wrap(p, IntMatrix._wrap(rows), d // index,
-                     None if duals is None
-                     else partial(duals.key, combo, index))] = c
+    for combo, c, r, index in products:
+        terms[combo] = c
         factors[r] = factors.get(r, 0) + c * (index // r)
-    scope = full_subgroup(p)
-    equivariant = dict(reduced)
-    c = equivariant.pop(scope, 0) + 1
-    if c:
-        equivariant[scope] = c
     classical = CyclotomicProduct(
         lcm(*(record.monodromy_order for record in records)), factors)
-    return ZetaReport(f, p, BurnsideElement._wrap(scope, equivariant),
-                      BurnsideElement._wrap(scope, reduced), classical,
-                      partial(_subset_terms, p, blocks, records))
+    return ZetaReport(f, p, classical, records, terms)
 
 
-class _SumDuals:
-    """The dual keys of the terms of one sum's report over ``p``, built
-    when first asked for (by ``burnside.is_saito_dual``).  The pairing is
-    a sum over the blocks, so the dual of the product of one merged
-    subgroup H_a of each block is the product of their duals,
-    diag((d/d_a)*B_a~) on the dual side, with each B_a~ from the block's
-    ``AtomRecord.duals``."""
-
-    __slots__ = ("_p", "_blocks", "_records", "_padded")
-
-    def __init__(self, p, blocks, records):
-        self._p = p
-        self._blocks = blocks
-        self._records = records
-        self._padded = None
-
-    def key(self, combo, index):
-        """The dual of the term made of merged subgroup ``combo[a]`` of
-        each block a, which has ``index`` elements."""
-        q = self._p.dual()
-        if self._padded is None:
-            n, d = q.rank, q.order
-            self._padded = [
-                [_block_rows(rows, d // record.presentation.order, start,
-                             n - stop) for rows in record.duals()]
-                for (start, stop), record in zip(self._blocks,
-                                                 self._records)]
-        return SubgroupKey._wrap(q, IntMatrix._wrap(tuple(
-            row for block, i in zip(self._padded, combo)
-            for row in block[i])), index)
+def _spans(records):
+    """((start, stop), record) for each diagonal block's record, in
+    order."""
+    start = 0
+    for record in records:
+        stop = start + record.presentation.rank
+        yield (start, stop), record
+        start = stop
 
 
-def _subset_terms(p, blocks, records):
+def _subset_terms(p, records):
     """The audit of a report over ``p``: the product of one entry of each
     block's record is one contributing subset I = I_1 u ... u I_k, with
     the product of their determinants and the key of the product of
@@ -298,7 +317,7 @@ def _subset_terms(p, blocks, records):
     first, is not a term.  Sorted by (size, indices)."""
     n, d = p.rank, p.order
     products = None
-    for (start, stop), record in zip(blocks, records):
+    for (start, stop), record in _spans(records):
         scale = d // record.presentation.order
         entries = [(tuple(start + i for i in indices), det,
                     _block_rows(rows, scale, start, n - stop), index)
@@ -319,23 +338,28 @@ def _subset_terms(p, blocks, records):
     return tuple(audit)
 
 
-def _block(e, start, stop):
-    """The diagonal block of ``e`` on positions start..stop-1."""
-    return IntMatrix._wrap(tuple(row[start:stop]
-                                 for row in e.rows[start:stop]))
+def _blocks_of(f):
+    """The diagonal blocks of the exponent matrix of ``f`` in order (see
+    ``_diagonal_blocks``), made on first use and kept on ``f``, whose
+    transpose takes them transposed; one block is the matrix itself."""
+    if f._blocks is None:
+        e = f.exponents
+        spans = _diagonal_blocks(e)
+        f._blocks = ((e,) if len(spans) == 1 else tuple(
+            IntMatrix._wrap(tuple(row[start:stop]
+                                  for row in e.rows[start:stop]))
+            for start, stop in spans))
+    return f._blocks
 
 
 def _symmetry_group(f, atoms):
     """The symmetry group of ``f``: ``symmetry_group`` for one block, and
     for a sum the presentation composed from its blocks' records in
     ``atoms`` (``groups._direct_sum``)."""
-    e = f.exponents
-    blocks = _diagonal_blocks(e)
-    if len(blocks) == 1:
+    if len(_blocks_of(f)) == 1:
         return symmetry_group(f)
-    return _direct_sum(e, [_summand_record(_block(e, start, stop),
-                                           atoms).presentation
-                           for start, stop in blocks])
+    return _direct_sum(f.exponents, [record.presentation for record
+                                     in _summand_records(f, atoms)])
 
 
 def _diagonal_blocks(e):
@@ -362,6 +386,16 @@ def _diagonal_blocks(e):
             blocks.append((start, i + 1))
             start = i + 1
     return blocks
+
+
+def _summand_records(f, atoms):
+    """The records of the diagonal blocks of the sum ``f`` (see
+    ``_summand_record``).  ``f`` then keeps as its blocks the equal
+    matrices of its records' presentations, which the batch keeps
+    anyway, so the blocks split from ``f`` do not outlive the call."""
+    records = tuple(_summand_record(block, atoms) for block in _blocks_of(f))
+    f._blocks = tuple(record.presentation.constraint for record in records)
+    return records
 
 
 def _summand_record(block, atoms):
@@ -420,15 +454,25 @@ def classical_saito_dual(phi):
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one duality check; ``witness`` carries the difference
-    when the two sides disagree."""
+    when the two sides disagree.  A passing zeta-duality check keeps no
+    sides of its own: both are the transposed side's reduced zeta,
+    ``lhs_report.reduced``, built when first read."""
 
     kind: str  # "theorem" | "corollary"
-    lhs: object
-    rhs: object
     equal: bool
     witness: object = None
     lhs_report: ZetaReport = None
     rhs_report: ZetaReport = None
+    _sides: tuple = field(default=None, repr=False, compare=False)
+
+    @property
+    def lhs(self):
+        return (self.lhs_report.reduced if self._sides is None
+                else self._sides[0])
+
+    @property
+    def rhs(self):
+        return self.lhs if self._sides is None else self._sides[1]
 
     def to_json(self, include_reports=False):
         out = {
@@ -450,10 +494,11 @@ class DualPair:
     """The Berglund-Hubsch pair (f, f^T): the symmetry group G of f and its
     dual G^T (the group of f^T), the monodromy element of f, each side's
     zeta report, and the geometric roots of f.  Each field is computed on
-    first use and then shared; each side's weight system is kept on ``f``
-    and ``ft`` (``InvertiblePolynomial.weights``), where every library call
-    reaches it.  ``atoms`` is the ``AtomRecords`` of the batch the pair
-    belongs to; without one the pair keeps its own."""
+    first use and then shared; each side's weight system and diagonal
+    blocks are kept on ``f`` and ``ft``, where every library call reaches
+    them, and the blocks are split once per pair: ``ft`` takes those of
+    ``f`` transposed.  ``atoms`` is the ``AtomRecords`` of the batch the
+    pair belongs to; without one the pair keeps its own."""
 
     def __init__(self, f, atoms=None):
         self.f = f
@@ -468,6 +513,7 @@ class DualPair:
 
     @cached_property
     def ft(self):
+        _blocks_of(self.f)
         return self.f.transpose()
 
     @cached_property
@@ -500,22 +546,31 @@ def verify_zeta_duality(pair):
     polynomial equals (-1)^n times the duality transform of the reduced
     equivariant zeta function of the polynomial itself.
 
-    The check builds no dual subgroup of the polynomial's group:
-    ``is_saito_dual`` looks up the dual each term of a sum carries, and
-    tests each pair of terms of a single block by the annihilator
-    pairing.  When it holds, the right side is the left side.  Only a
-    failing check builds the transform, for the report and its
-    witness."""
+    The check reads both reports' product forms and builds no subgroup
+    key: the transform takes the term of merged subgroups (H_1, ..., H_k)
+    to that of their duals, so it holds exactly when both sides have as
+    many terms and each term's image under the blocks' ``dual_map`` is a
+    term of the transposed side with (-1)^n times its coefficient.  Only
+    a failing check builds the elements and the transform, for the
+    report and its witness."""
     rep, rep_t = pair.report, pair.report_t
     sign = -1 if pair.f.nvars % 2 else 1
-    lhs = rhs = rep_t.reduced
-    equal = is_saito_dual(rep.reduced, sign * lhs)
-    witness = None
-    if not equal:
-        rhs = sign * saito_dual(rep.reduced)
-        witness = {"difference": (lhs - rhs).to_json()}
-    return VerificationReport("theorem", lhs, rhs, equal, witness,
-                              lhs_report=rep_t, rhs_report=rep)
+    terms, terms_t = rep._terms, rep_t._terms
+    equal = len(terms) == len(terms_t)
+    if equal:
+        maps = [record.dual_map(partner) for record, partner
+                in zip(rep._records, rep_t._records)]
+        get = terms_t.get
+        equal = all(get(tuple(m[i] for m, i in zip(maps, combo))) == sign * c
+                    for combo, c in terms.items())
+    if equal:
+        return VerificationReport("theorem", True, lhs_report=rep_t,
+                                  rhs_report=rep)
+    lhs = rep_t.reduced
+    rhs = sign * saito_dual(rep.reduced)
+    return VerificationReport("theorem", False,
+                              {"difference": (lhs - rhs).to_json()},
+                              rep_t, rep, (lhs, rhs))
 
 
 def generating_root_exists(report):
@@ -533,10 +588,17 @@ def generating_root_zeta(report):
     """Zeta function of a generating root on the reduced zeta
     sum c_H [G/H] of the report's cyclic group G of order d: a generator
     permutes G/H in one cycle of length |G/H|, so every generating root
-    gives prod (1 - t^(d/|H|))^(c_H), with modulus d."""
-    d = report.group.order
-    return CyclotomicProduct(
-        d, {d // h.order: c for h, c in report.reduced.terms.items()})
+    gives prod (1 - t^(d/|H|))^(c_H), with modulus d.  Each |G/H| is the
+    product of the blocks' indices, read off the product form."""
+    indices = [[index for _, _, _, index in record.merged]
+               for record in report._records]
+    factors = {}
+    for combo, c in report._terms.items():
+        index = 1
+        for block, i in zip(indices, combo):
+            index *= block[i]
+        factors[index] = c
+    return CyclotomicProduct(report.group.order, factors)
 
 
 def verify_root_duality(pair):
@@ -570,8 +632,8 @@ def verify_root_duality(pair):
     witness = None
     if not equal:
         witness = {"ratio": (lhs / rhs).to_json()}
-    return VerificationReport("corollary", lhs, rhs, equal, witness,
-                              lhs_report=rep_t, rhs_report=rep)
+    return VerificationReport("corollary", equal, witness, rep_t, rep,
+                              (lhs, rhs))
 
 
 def milnor_number(f):

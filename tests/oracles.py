@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -666,5 +667,20 @@ def direct_equivariant_zeta(f, group=None):
     equivariant = BurnsideElement(scope, terms)
     reduced = equivariant - BurnsideElement.unit(scope)
     classical = element_zeta(monodromy_element(f, p), equivariant)
-    return ZetaReport(f, p, equivariant, reduced, classical,
-                      lambda: tuple(audit))
+    return DirectZetaReport(f, p, equivariant, reduced, classical,
+                            tuple(audit))
+
+
+@dataclass(frozen=True)
+class DirectZetaReport:
+    """A zeta report with its elements and audit built outright, written
+    out as ``ZetaReport.to_json`` writes a report."""
+
+    polynomial: object
+    group: object
+    equivariant: BurnsideElement
+    reduced: BurnsideElement
+    classical: CyclotomicProduct
+    subset_terms: tuple
+
+    to_json = ZetaReport.to_json

@@ -1,5 +1,6 @@
 """Burnside-ring arithmetic, the duality transform, and cyclotomic products."""
 
+import copy
 import itertools
 import time
 from collections import Counter
@@ -11,12 +12,12 @@ from saitodual.burnside import (MAX_PAIRED_BUCKET, BurnsideElement,
                                 element_zeta, is_saito_dual, mark,
                                 multiply, restrict, saito_dual)
 from saitodual.errors import OwnershipError, StructureError
-from saitodual.groups import (SubgroupKey, enumerate_subgroups,
-                              full_subgroup, monodromy_element,
-                              subgroup_generated_by, symmetry_group,
-                              trivial_subgroup)
+from saitodual.groups import (enumerate_subgroups, full_subgroup,
+                              monodromy_element, subgroup_generated_by,
+                              symmetry_group, trivial_subgroup)
 from saitodual.polynomials import parse_polynomial
-from saitodual.zeta import equivariant_zeta
+from saitodual.zeta import (AtomRecords, DualPair, equivariant_zeta,
+                            verify_zeta_duality)
 
 from oracles import (brute_element_zeta, brute_mark, brute_multiply,
                      brute_restrict, induce)
@@ -284,13 +285,6 @@ def eleven_squares():
     return p, q, a, b
 
 
-def fresh_keys(a):
-    """``a`` over keys rebuilt from their bases, which carry no dual."""
-    p = a.scope.presentation
-    return BurnsideElement(a.scope, {SubgroupKey(p, k.basis): c
-                                     for k, c in a.terms.items()})
-
-
 def large_bucket_cases(q, b):
     """Two elements that are not the transform, each differing from
     ``b`` in a bucket of more than MAX_PAIRED_BUCKET candidates: a term of
@@ -308,28 +302,49 @@ def large_bucket_cases(q, b):
 
 
 class TestIsSaitoDualLargeBuckets:
-    def test_sum_of_eleven_squares(self, eleven_squares):
-        # Z2^11: 2,048 reduced zeta terms, each a product of the blocks'
-        # subgroups that carries its dual, which is looked up.
-        _, q, a, b = eleven_squares
-        assert len(a.terms) == 2048
-        assert all(k._carried_dual() is not None for k in a.terms)
+    def test_sum_of_eleven_squares(self, eleven_squares, monkeypatch):
+        # Z2^11: 2,048 reduced zeta terms, each a product of one merged
+        # subgroup of each of the eleven blocks x_i^2.  The zeta check
+        # reads one dual map, of that block's record and itself, and one
+        # lookup per term: no dual subgroup and no key.  Its verdicts
+        # agree with is_saito_dual on the built elements, on a
+        # transposed side rebuilt from a copy of the block's record with
+        # a coefficient negated too.
+        import saitodual.burnside
+        p, q, a, b = eleven_squares
+        calls = []
+        original = saitodual.burnside.dual_subgroup
+        monkeypatch.setattr(saitodual.burnside, "dual_subgroup",
+                            lambda h: calls.append(h) or original(h))
+        pair = DualPair(parse_polynomial(
+            " + ".join(f"x{i}^2" for i in range(1, 12))))
         start = time.perf_counter()
-        assert is_saito_dual(a, b)
+        assert verify_zeta_duality(pair).equal
         assert time.perf_counter() - start < 5
-        for wrong in large_bucket_cases(q, b):
-            assert not is_saito_dual(a, wrong)
+        rep, rep_t = pair.report, pair.report_t
+        assert calls == [] and "reduced" not in vars(rep)
+        assert len(rep._terms) == 2048
+        (record,) = set(rep._records) | set(rep_t._records)
+        assert record.dual_map(record) == (1, 0)
+        assert rep.reduced == a and -rep_t.reduced == b
+        assert is_saito_dual(a, -rep_t.reduced)
+        negated = copy.copy(record)
+        (rows, c, r, index), other = record.merged
+        negated.merged = ((rows, -c, r, index), other)
+        atoms = AtomRecords()
+        atoms[record.presentation.constraint] = negated
+        pair.report_t = equivariant_zeta(pair.ft, pair.group_t, atoms)
+        assert not verify_zeta_duality(pair).equal
+        assert not is_saito_dual(a, -pair.report_t.reduced)
 
     def test_sum_of_eleven_squares_without_carried_duals(
             self, eleven_squares, monkeypatch):
-        # The same terms on keys that carry no dual: buckets of up to 462
-        # candidates, each term of a bucket above MAX_PAIRED_BUCKET
-        # matched by its dual subgroup and every other by the pairing.
+        # The same terms through is_saito_dual, the zeta check's oracle:
+        # buckets of up to 462 candidates, each term of a bucket above
+        # MAX_PAIRED_BUCKET matched by its dual subgroup and every other
+        # by the pairing.
         import saitodual.burnside
         p, q, a, b = eleven_squares
-        a = fresh_keys(a)
-        assert a == eleven_squares[2]
-        assert all(k._carried_dual() is None for k in a.terms)
         buckets = Counter((c, k.order) for k, c in b.terms.items())
         assert max(buckets.values()) == 462
         looked_up = sum(buckets[c, p.order // h.order] > MAX_PAIRED_BUCKET

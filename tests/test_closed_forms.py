@@ -2,9 +2,10 @@
 count and the root duality, the subgroups built in SNF coordinates, the
 one integer solver of ``linalg``, the integer element arithmetic on
 d-scaled vectors, the annihilator test of the zeta duality, the group,
-zeta report, classical zeta, weights and carried dual keys of a direct
-sum assembled from its atoms, and the meets, dual subgroups and
-containment read off cached scaled inverses, checked against the
+zeta report, classical zeta, weights and dual maps of a direct sum
+assembled from its atoms, the duality verdicts on product forms, and
+the meets, dual subgroups and containment read off cached scaled
+inverses, checked against the
 searches, root lists, join closure, rational elimination, rational
 element arithmetic, dual lattices, whole-matrix Smith forms, full subset
 loop, ``element_zeta``, ``canonical_weights``, whole-matrix dual
@@ -12,6 +13,7 @@ subgroups, dual-lattice HNFs, inverses of C*B and lattice solves they
 replaced (kept in ``oracles`` or in the package): over the whole
 acceptance corpus on both sides, and on random integer matrices."""
 
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -36,9 +38,10 @@ from saitodual.linalg import (IntMatrix, determinant, lattice_basis,
 from saitodual.enumeration import generate_corpus, run_batch
 from saitodual.polynomials import (InvertiblePolynomial, canonical_weights,
                                    parse_polynomial)
-from saitodual.zeta import (AtomRecords, _diagonal_blocks, _symmetry_group,
-                            equivariant_zeta, generating_root_exists,
-                            generating_root_zeta)
+from saitodual.zeta import (AtomRecords, DualPair, _diagonal_blocks,
+                            _symmetry_group, equivariant_zeta,
+                            generating_root_exists, generating_root_zeta,
+                            verify_zeta_duality)
 
 from conftest import distinct_groups
 from oracles import (RationalElement, ambient_quotient_data, brute_roots,
@@ -253,39 +256,64 @@ def composed_group_counts(polynomials, atoms):
     return sums, subgroups, mismatches
 
 
-def carried_dual_mismatches(rep):
-    """(terms, terms whose carried dual differs) over the reduced zeta
-    of a report: a sum's terms carry the dual of each key, which must be
-    the key ``dual_subgroup`` gives on a fresh Smith-form presentation,
-    over the report's dual side; a single block's carry none."""
+def dual_map_mismatches(rep, rep_t):
+    """(terms, terms whose dual under the blocks' dual maps is wrong) over
+    the reduced zeta of a report: each term's image, the term of the
+    transposed report ``rep_t`` that the maps give, must have the key
+    ``dual_subgroup`` gives on a fresh Smith-form presentation of the
+    whole matrix, over the report's dual side, with its order."""
     p = rep.group
-    terms = rep.reduced.terms
-    if len(_diagonal_blocks(rep.polynomial.exponents)) == 1:
-        return len(terms), sum(k._carried_dual() is not None for k in terms)
     fresh = GroupPresentation(p.constraint, p.side)
+    maps = [record.dual_map(partner)
+            for record, partner in zip(rep._records, rep_t._records)]
+    keys_t = dict(zip(rep_t._terms, rep_t.reduced.terms))
     mismatches = 0
-    for key in terms:
-        dual = key._carried_dual()
+    for combo, key in zip(rep._terms, rep.reduced.terms):
+        dual = keys_t.get(tuple(m[i] for m, i in zip(maps, combo)))
         mismatches += (dual is None or dual.presentation is not p.dual()
                        or dual != dual_subgroup(SubgroupKey(fresh, key.basis))
                        or dual.order != SubgroupKey(p.dual(),
                                                     dual.basis).order)
-    return len(terms), mismatches
+    return len(rep._terms), mismatches
 
 
-def carried_dual_counts(batch):
-    """(sum sides, their terms, terms with a wrong or missing dual, single
-    sides with a carried dual) over the records of a batch."""
+def dual_map_counts(batch):
+    """(sum sides, their terms, their terms with a wrong dual, single
+    sides' terms with a wrong dual) of ``dual_map_mismatches`` over the
+    records of a batch, each side against the other."""
     sums = terms = mismatches = singles = 0
-    for f, _, rep in sides(batch):
-        count, bad = carried_dual_mismatches(rep)
-        if len(_diagonal_blocks(f.exponents)) > 1:
-            sums += 1
-            terms += count
-            mismatches += bad
-        else:
-            singles += bad
+    for record in batch.records:
+        rep, rep_t = record.theorem.rhs_report, record.theorem.lhs_report
+        for side, other in ((rep, rep_t), (rep_t, rep)):
+            count, bad = dual_map_mismatches(side, other)
+            if len(side._records) > 1:
+                sums += 1
+                terms += count
+                mismatches += bad
+            else:
+                singles += bad
     return sums, terms, mismatches, singles
+
+
+def verdict_counts(batch):
+    """(checks, checks that hold, verdicts of ``verify_zeta_duality``
+    that differ from comparing the built elements) over the records of a
+    batch: each polynomial with its transposed side as the batch made it
+    and with every coefficient of that side negated."""
+    checked = holds = mismatches = 0
+    for record in batch.records:
+        rep, rep_t = record.theorem.rhs_report, record.theorem.lhs_report
+        sign = -1 if rep.polynomial.nvars % 2 else 1
+        negated = dataclasses.replace(
+            rep_t, _terms={combo: -c for combo, c in rep_t._terms.items()})
+        for side_t in (rep_t, negated):
+            pair = DualPair(rep.polynomial)
+            pair.report, pair.report_t = rep, side_t
+            oracle = side_t.reduced == sign * saito_dual(rep.reduced)
+            checked += 1
+            holds += oracle
+            mismatches += verify_zeta_duality(pair).equal != oracle
+    return checked, holds, mismatches
 
 
 @pytest.fixture(scope="module")
@@ -518,11 +546,24 @@ class TestCorpusDifferential:
             125, 22778, 0)
 
     def test_carried_duals_match_dual_subgroup(self, batch45):
-        assert carried_dual_counts(batch45) == (2264, 17720, 0, 0)
+        # Every term of every corpus side, sums and single blocks: its
+        # dual through the blocks' dual maps against dual_subgroup on the
+        # whole matrix.
+        assert dual_map_counts(batch45) == (2264, 17720, 0, 0)
 
     def test_sums_sample_carried_duals_match_dual_subgroup(
             self, batch55_sample):
-        assert carried_dual_counts(batch55_sample) == (250, 2696, 0, 0)
+        assert dual_map_counts(batch55_sample) == (250, 2696, 0, 0)
+
+    def test_verdicts_match_built_transform(self, batch45):
+        # Every corpus polynomial, with its transposed side and with that
+        # side negated: the check on the product forms against comparing
+        # the built elements with the transform.
+        assert verdict_counts(batch45) == (3152, 1576, 0)
+
+    def test_sums_sample_verdicts_match_built_transform(self,
+                                                        batch55_sample):
+        assert verdict_counts(batch55_sample) == (300, 150, 0)
 
 
 @st.composite
@@ -847,13 +888,14 @@ class TestAtomComposition:
                                   (BATCH_ATOMS, True)):
             assert composed_group_mismatches(f, atoms, dual_first,
                                              max_listed=200)[0] == []
-        for g, q in ((f, p), (f.transpose(), p.dual())):
-            for rep in (equivariant_zeta(g, q),
-                        equivariant_zeta(g, q, BATCH_ATOMS)):
-                assert composed_fact_mismatches(rep) == []
-                assert not differs_from_direct_loop(rep)
-                terms, bad = carried_dual_mismatches(rep)
-                assert bad == 0 and terms == len(rep.reduced.terms)
+        for atoms in (None, BATCH_ATOMS):
+            rep = equivariant_zeta(f, p, atoms)
+            rep_t = equivariant_zeta(f.transpose(), p.dual(), atoms)
+            for side, other in ((rep, rep_t), (rep_t, rep)):
+                assert composed_fact_mismatches(side) == []
+                assert not differs_from_direct_loop(side)
+                assert dual_map_mismatches(side, other) == (
+                    len(side.reduced.terms), 0)
 
     @pytest.mark.parametrize("text, blocks", [
         ("x1^2*x3 + x2^3 + x3^3", [(0, 3)]),  # interleaved components

@@ -1,6 +1,7 @@
 """Equivariant/classical zeta functions, duality verifiers, Milnor numbers."""
 
 import contextlib
+import copy
 import dataclasses
 import io
 import json
@@ -15,11 +16,13 @@ from saitodual import enumeration
 from saitodual.cli import main
 from saitodual.enumeration import generate_corpus, run_batch
 from saitodual.errors import DegenerateError, NonCyclicError
-from saitodual.groups import (enumerate_subgroups, full_subgroup,
-                              monodromy_element, subgroup_generated_by,
-                              symmetry_group, trivial_subgroup)
+from saitodual.groups import (SubgroupKey, enumerate_subgroups,
+                              full_subgroup, monodromy_element,
+                              subgroup_generated_by, symmetry_group,
+                              trivial_subgroup)
 from saitodual.polynomials import InvertiblePolynomial, parse_polynomial
-from saitodual.zeta import (AtomRecords, DualPair, _diagonal_blocks,
+from saitodual.zeta import (AtomRecords, DualPair, _blocks_of,
+                            _diagonal_blocks,
                             classical_saito_dual, classical_zeta,
                             equivariant_zeta, milnor_number,
                             verify_root_duality, verify_zeta_duality)
@@ -166,34 +169,62 @@ class TestZetaDuality:
     @pytest.mark.parametrize("text", [
         "x^3*y + y^5*x + z^2",          # Z2 x Z14, odd n
         "x^3*y + y^5*x + z^2*w + w^3",  # Z2 x Z42, even n
+        "x^3*y + y^3",                  # one block, Z9
     ])
     def test_failing_check_reports_the_transform(self, text, monkeypatch):
-        # A transposed side perturbed two ways, a coefficient negated and a
-        # term moved to another subgroup of the same order: the check
-        # fails, and only then builds the transform, for the right side and
-        # the witness exactly as the direct comparison gives them.
+        # Three perturbations of one side's product form: the transposed
+        # side rebuilt from a copy of one block's record with a
+        # coefficient negated or a merged subgroup dropped, and the
+        # direct side with one entry of a block's dual map dropped.  The
+        # check fails, and only then builds the transform, for the right
+        # side and the witness exactly as the materialized comparison
+        # gives them.
         pair = DualPair(parse_polynomial(text))
-        rep_t = pair.report_t
+        rep, rep_t = pair.report, pair.report_t
         sign = -1 if pair.f.nvars % 2 else 1
-        transform = sign * saito_dual(pair.report.reduced)
-        scope_t = full_subgroup(pair.group_t)
-        subgroups_t = enumerate_subgroups(pair.group_t)
-        k, c, moved_to = next(
-            (k, c, h) for k, c in rep_t.reduced.sorted_terms()
-            for h in subgroups_t if h.order == k.order and h != k)
-        negated = rep_t.reduced - BurnsideElement.orbit(scope_t, k, 2 * c)
-        moved = rep_t.reduced + BurnsideElement(
-            scope_t, {k: -c, moved_to: c})
+        assert verify_zeta_duality(pair).equal
+        blocks_t = _blocks_of(pair.ft)
+        last = len(blocks_t) - 1
+
+        def rebuilt_t(merged):
+            atoms = AtomRecords()
+            atoms.update(zip(blocks_t, rep_t._records))
+            record = atoms[blocks_t[last]] = copy.copy(rep_t._records[last])
+            record.merged = merged(record.merged)
+            return equivariant_zeta(pair.ft, pair.group_t, atoms)
+
+        negated = rebuilt_t(lambda m: ((m[0][0], -m[0][1]) + m[0][2:],)
+                            + m[1:])
+        dropped = rebuilt_t(lambda m: m[:-1])
+        record = copy.copy(rep._records[last])
+        record._dual_map = record.dual_map(rep_t._records[last])[:-1] + (
+            None,)
+        unpaired = dataclasses.replace(
+            rep, _records=rep._records[:last] + (record,))
         counts = count_calls(monkeypatch, "saito_dual")
-        for perturbed in (negated, moved):
-            pair.report_t = dataclasses.replace(rep_t, reduced=perturbed)
+        for side, side_t in ((rep, negated), (rep, dropped),
+                             (unpaired, rep_t)):
+            pair.report, pair.report_t = side, side_t
             report = verify_zeta_duality(pair)
+            lhs = side_t.reduced
+            transform = sign * saito_dual(side.reduced)
             assert not report.equal
-            assert report.lhs == perturbed
-            assert report.rhs == transform
-            assert report.witness == \
-                {"difference": (perturbed - transform).to_json()}
-        assert counts == {"saito_dual": 2}
+            assert report.lhs == lhs and report.rhs == transform
+            assert report.witness == {
+                "difference": (lhs - transform).to_json()}
+            expected = {"kind": "theorem", "lhs": lhs.to_json(),
+                        "rhs": transform.to_json(), "equal": False,
+                        "witness": report.witness,
+                        "lhsReport": side_t.to_json(),
+                        "rhsReport": side.to_json()}
+            assert (json.dumps(report.to_json(include_reports=True))
+                    == json.dumps(expected))
+        # Negating or dropping a term changes the transposed side; a
+        # dropped dual leaves both sides as they were.
+        assert negated.reduced != rep_t.reduced
+        assert len(dropped.reduced.terms) < len(rep_t.reduced.terms)
+        assert unpaired.reduced == rep.reduced
+        assert counts == {"saito_dual": 3}
 
     def test_passing_check_reports_the_left_side(self):
         pair = DualPair(parse_polynomial("x^2*y + y^3*z + z^2*w + w^3"))
@@ -283,8 +314,14 @@ class TestDualPair:
                              "symmetry_group", "smith_normal_form",
                              "canonical_weights", "geometric_roots",
                              "element_zeta")
+        split = []
+        monkeypatch.setattr(saitodual.zeta, "_diagonal_blocks",
+                            lambda e, _split=_diagonal_blocks:
+                            split.append(e) or _split(e))
         report = run_batch(corpus)
         assert report.ok and report.corollary_checked > 0
+        # Each pair splits its blocks once: f^T takes f's transposed.
+        assert len(split) == len(corpus)
         # The root duality is checked in closed form: no root is listed.
         # Only a single block runs a Smith form; a sum's group is composed
         # from its blocks', which are the records of single blocks.
@@ -296,26 +333,31 @@ class TestDualPair:
                           "element_zeta": 0}
 
     def test_batch_builds_no_dual_subgroup(self, monkeypatch):
-        # A passing check applies no transform and builds no dual subgroup
-        # of a polynomial's group.  A single block's terms are paired by
-        # the annihilator test.  A sum's terms carry their duals, products
-        # of one dual per merged subgroup of each block, that is per term
-        # of the block's reduced zeta, made once per batch and only for
-        # the blocks of the side whose duals the check looks up, f.
+        # A passing check applies no transform and builds no dual
+        # subgroup and no key of any reduced zeta term: it reads both
+        # reports' product forms and one dual map per pair of a block and
+        # its transpose.  So no atom presentation keeps dual rows or a
+        # scaled inverse.
         corpus, _ = generate_corpus(3, 4, include_sums=True)
-        summands = {block for f in corpus
-                    for block in diagonal_block_matrices(f.exponents)
-                    if block.nrows < f.nvars}
-        per_summand = sum(
-            len(direct_equivariant_zeta(InvertiblePolynomial(b)).reduced.terms)
-            for b in summands)
-        assert (len(summands), per_summand) == (18, 45)
         counts = count_calls(monkeypatch, "dual_subgroup", "saito_dual",
                              "equivariant_zeta")
-        report = run_batch(corpus)
+        keys = []
+        wrap = SubgroupKey._wrap.__func__
+        monkeypatch.setattr(SubgroupKey, "_wrap", classmethod(
+            lambda cls, *args: keys.append(args) or wrap(cls, *args)))
+        report = run_batch(corpus, keep_records=True)
         assert report.ok and report.theorem_pass == len(corpus)
-        assert counts == {"dual_subgroup": per_summand, "saito_dual": 0,
+        assert counts == {"dual_subgroup": 0, "saito_dual": 0,
                           "equivariant_zeta": 2 * len(corpus)}
+        assert keys == []
+        presentations = {id(r.presentation): r.presentation
+                         for v in report.records
+                         for rep in (v.theorem.lhs_report,
+                                     v.theorem.rhs_report)
+                         for r in rep._records}
+        assert len(presentations) == 103
+        assert all(not q._dual_rows_cache and q._inverse is None
+                   for q in presentations.values())
 
     def test_batch_atom_cache_lives_for_one_call(self, monkeypatch):
         # Each batch builds its own atom records: a second batch in the
