@@ -22,9 +22,8 @@ from saitodual.groups import (SubgroupKey, enumerate_subgroups,
                               trivial_subgroup)
 from saitodual.polynomials import InvertiblePolynomial, parse_polynomial
 from saitodual.zeta import (AtomRecords, DualPair, _blocks_of,
-                            _diagonal_blocks,
-                            classical_saito_dual, classical_zeta,
-                            equivariant_zeta, milnor_number,
+                            _diagonal_blocks, classical_saito_dual,
+                            classical_zeta, equivariant_zeta, milnor_number,
                             verify_root_duality, verify_zeta_duality)
 
 from oracles import direct_equivariant_zeta
