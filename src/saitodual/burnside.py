@@ -246,8 +246,11 @@ class BurnsideElement:
         return " ".join(parts)
 
     def to_json(self):
-        return [{"subgroup": k.to_json(), "coeff": v}
-                for k, v in self.sorted_terms()]
+        # The order of ``sorted_terms``, with each key's basis flattened
+        # once for both the sort and the output.
+        keyed = sorted((k.sort_key(), v) for k, v in self._terms.items())
+        return [{"subgroup": {"order": order, "basis": list(basis)},
+                 "coeff": v} for (order, basis), v in keyed]
 
     def __repr__(self):
         return f"BurnsideElement({self.format()!r})"

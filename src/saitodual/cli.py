@@ -7,8 +7,9 @@ supports --json; enumerate drives the batch verification harness.
 Exit codes: 0 all checks passed; 1 input or usage error, or standard
 output closed before the report was written (as by `| head -1`; no
 traceback); 2 zeta-duality failures; 3 root-duality failures; 4 resource
-bound hit (truncated run, or more geometric roots than MAX_LISTED_ROOTS,
-of which only the count is reported).
+bound hit (truncated run, more geometric roots than MAX_LISTED_ROOTS, or
+a zeta report of more entries than MAX_REPORT_ENTRIES, of which only the
+count is reported).
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ import sys
 from . import __version__
 from .enumeration import generate_corpus, run_batch
 from .errors import SaitoDualError
-from .groups import MAX_LISTED_ROOTS, root_count
+from .groups import MAX_LISTED_ROOTS, _root_vectors, root_count
+from .linalg import _format_vectors
 from .polynomials import decompose, parse_polynomial
-from .zeta import DualPair, verify_root_duality, verify_zeta_duality
+from .zeta import (MAX_REPORT_ENTRIES, DualPair, _report_head,
+                   verify_root_duality, verify_zeta_duality)
 
 TOOL_NAME = "saitodual"
 
@@ -121,9 +124,33 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
+def _report_count_note(count):
+    print(f"note: {count} report entries exceed the report bound "
+          f"{MAX_REPORT_ENTRIES}; only their count is reported",
+          file=sys.stderr)
+
+
 def cmd_zeta(args):
-    f = parse_polynomial(args.polynomial)
-    report = DualPair(f).report
+    pair = DualPair(parse_polynomial(args.polynomial))
+    f = pair.f
+    count = pair._entry_count()
+    if count > MAX_REPORT_ENTRIES:
+        # The report is not built: its fields are null and only its
+        # entry count is given, as `roots` gives `rootCount`.
+        if args.json:
+            result = _report_head(f, pair.group)
+            result.update({"equivariant": None, "reduced": None,
+                           "classical": None, "perSubsetTerms": None,
+                           "entryCount": count})
+            _emit(_envelope("zeta", args.polynomial, result))
+        else:
+            print(f"polynomial:  {f.text()}")
+            print(f"group:       {pair.group.structure_name()} "
+                  f"(order {pair.group.order})")
+            print(f"entries:     {count} (not listed)")
+        _report_count_note(count)
+        return EXIT_RESOURCE
+    report = pair.report
     if args.json:
         _emit(_envelope("zeta", args.polynomial, report.to_json()))
         return EXIT_OK
@@ -145,6 +172,19 @@ def cmd_zeta(args):
 def cmd_dual(args):
     pair = DualPair(parse_polynomial(args.polynomial))
     f = pair.f
+    count = max(pair._entry_count(), pair._entry_count(transposed=True))
+    if count > MAX_REPORT_ENTRIES:
+        # Neither report is built, so the duality is not checked.
+        if args.json:
+            _emit(_envelope("dual", args.polynomial, {
+                "kind": "theorem", "lhs": None, "rhs": None, "equal": None,
+                "witness": None, "entryCount": count}))
+        else:
+            print(f"polynomial:  {f.text()}")
+            print(f"transpose:   {pair.ft.text()}")
+            print(f"entries:     {count} (not listed)")
+        _report_count_note(count)
+        return EXIT_RESOURCE
     report = verify_zeta_duality(pair)
     if args.json:
         _emit(_envelope("dual", args.polynomial,
@@ -166,7 +206,8 @@ def cmd_roots(args):
     count = root_count(f, p)
     corollary = verify_root_duality(pair) if count else None
     listed = count <= MAX_LISTED_ROOTS
-    roots = pair.roots if listed else None
+    # Each root is formatted from its d-scaled vector: no element is built.
+    roots = _format_vectors(_root_vectors(f, p), p.order) if listed else None
     if args.json:
         result = {
             "polynomial": f.text(),
@@ -174,7 +215,7 @@ def cmd_roots(args):
             "monodromy": str(h),
             "monodromyOrder": h.order,
             "group": _group_json(p),
-            "roots": [str(r) for r in roots] if listed else None,
+            "roots": roots,
             "corollary": corollary.to_json() if corollary else None,
         }
         if not listed:
@@ -187,7 +228,7 @@ def cmd_roots(args):
         print(f"monodromy:   {h} (order {h.order}), root degree "
               f"{ws.gcd_factor}")
         if count:
-            print("roots:       " + ("; ".join(str(r) for r in roots)
+            print("roots:       " + ("; ".join(roots)
                                      if listed else f"{count} (not listed)"))
             print(f"root duality: {'PASS' if corollary.equal else 'FAIL'} "
                   f"({corollary.lhs.format()} vs {corollary.rhs.format()})")

@@ -29,12 +29,12 @@ DEFAULT_MAX_GROUP_ORDER = 10_000
 _MAX_ORDER_ENV = "SAITO_MAX_GROUP_ORDER"
 
 # Most geometric roots that `geometric_roots` lists; above it only
-# `root_count` answers.  Listing and printing cost about 7 us and 0.5 KiB
+# `root_count` answers.  Listing and printing cost about 2 us and 0.4 KiB
 # per root: `roots --json` on the 3-loop at p = 131, 200 and 300 (17,031,
-# 39,801 and 89,701 roots, the last with the bound lifted) took 0.21, 0.39
-# and 0.72 s at 25, 36 and 63 MiB peak RSS, whole process, best of 3
-# (Python 3.11, one core of a shared 2-CPU x86-64 host).  The bound keeps
-# a listing under about 0.5 s and 45 MiB.
+# 39,801 and 89,701 roots, the last with the bound lifted) took 0.068,
+# 0.104 and 0.201 s at 24, 31 and 54 MiB peak RSS, whole process, best
+# of 3 (Python 3.11, one core of a shared 2-CPU x86-64 host).  The bound
+# keeps a listing under about 0.15 s and 40 MiB.
 MAX_LISTED_ROOTS = 50_000
 
 
@@ -826,6 +826,15 @@ def geometric_roots(f, group=None):
     has an order-3 solution.  A cyclic group always has a generating root,
     and the root duality needs no list: see ``zeta.verify_root_duality``."""
     p = group if group is not None else symmetry_group(f)
+    wrap = GroupElement._wrap
+    return [wrap(p, v) for v in _root_vectors(f, p)]
+
+
+def _root_vectors(f, p):
+    """The geometric roots of ``f`` in its group ``p`` as sorted d-scaled
+    integer vectors, the order of ``GroupElement.sort_key``: what
+    ``geometric_roots`` wraps, and what the ``roots`` command formats with
+    no element per root."""
     c = f.weights.gcd_factor
     h = monodromy_element(f, p)
     count = root_count(f, p)
@@ -845,8 +854,7 @@ def geometric_roots(f, group=None):
     # with x_j ranging over the solutions of c*x_j = t_j (mod o_j), that
     # is over range(x0, o_j, o_j/gcd(c, o_j)).  The roots are built as
     # d-scaled integers reduced mod d, one list per coordinate, then
-    # sorted as tuples (the order of ``GroupElement.sort_key``) and only
-    # then wrapped.
+    # sorted as tuples (the order of ``GroupElement.sort_key``).
     coords = [[0] for _ in range(n)]
     for col, o, tj in zip(zip(*p._scaled_gens().rows), p._factors, t):
         g = gcd(c, o)
@@ -855,5 +863,4 @@ def geometric_roots(f, group=None):
         xs = range(x0, o, step)
         coords = [[(v + x * a) % d for v in vs for x in xs]
                   for vs, a in zip(coords, col)]
-    wrap = GroupElement._wrap
-    return [wrap(p, v) for v in sorted(zip(*coords))]
+    return sorted(zip(*coords))

@@ -562,10 +562,24 @@ class RationalVector:
         return format_fractions(self._nums, self._den)
 
 
+def _fraction_text(x, den):
+    """x/den in lowest terms, as ``str(Fraction(x, den))`` writes it;
+    ``den`` must be positive."""
+    g = gcd(x, den)
+    return str(x // den) if g == den else f"{x // g}/{den // g}"
+
+
 def format_fractions(nums, den):
     """The vector of fractions x/den for x in ``nums``, written as
     "(a/b, c, ...)" with each coordinate in lowest terms; ``den`` must be
     positive."""
-    return "(" + ", ".join(
-        [str(x // den) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}"
-         for x in nums]) + ")"
+    return f"({', '.join([_fraction_text(x, den) for x in nums])})"
+
+
+def _format_vectors(vectors, den):
+    """``format_fractions(v, den)`` for each v in ``vectors``: each
+    distinct value is written once, and each vector joins the texts of
+    its values."""
+    texts = {x: _fraction_text(x, den) for x in set().union(*vectors)}
+    text = texts.__getitem__
+    return [f"({', '.join(map(text, vec))})" for vec in vectors]

@@ -13,10 +13,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from saitodual import (PolynomialParseError, __version__, cli,
-                       generate_corpus, milnor_number, parse_polynomial)
+from saitodual import (DualPair, PolynomialParseError, __version__, cli,
+                       generate_corpus, milnor_number, parse_polynomial, zeta)
 from saitodual.cli import MAX_WORKERS, main
 from saitodual.errors import SaitoDualError
+from saitodual.groups import GroupElement
+from saitodual.zeta import MAX_REPORT_ENTRIES
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +159,54 @@ class TestDual:
             assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
+def squares(n):
+    return " + ".join(f"x{i}^2" for i in range(1, n + 1))
+
+
+class TestReportBound:
+    """`zeta` and `dual` read a report's entry count off its blocks'
+    records and, above ``MAX_REPORT_ENTRIES``, report only the count,
+    with exit 4 and one `note:` line, before either report is built."""
+
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_refused_with_count(self, capsys, monkeypatch, n):
+        built = []
+        monkeypatch.setattr(zeta, "equivariant_zeta",
+                            lambda *args: built.append(args))
+        note = (f"note: {2 ** n} report entries exceed the report bound "
+                f"{MAX_REPORT_ENTRIES}; only their count is reported\n")
+        code, out, err = run_cli(capsys, "zeta", squares(n), "--json")
+        result = json.loads(out)["result"]
+        assert (code, err, result["entryCount"]) == (4, note, 2 ** n)
+        assert result["group"]["order"] == 2 ** n
+        assert all(result[k] is None for k in (
+            "equivariant", "reduced", "classical", "perSubsetTerms"))
+        code, out, err = run_cli(capsys, "dual", squares(n), "--json")
+        result = json.loads(out)["result"]
+        assert (code, err, result["entryCount"]) == (4, note, 2 ** n)
+        assert result["equal"] is None and result["lhs"] is None
+        for command in ("zeta", "dual"):
+            code, out, err = run_cli(capsys, command, squares(n))
+            assert (code, err) == (4, note)
+            assert f"entries:     {2 ** n} (not listed)" in out
+        assert built == []
+
+    def test_bound_is_inclusive(self, capsys, monkeypatch):
+        # Three squares have 8 entries, four have 16.
+        monkeypatch.setattr(cli, "MAX_REPORT_ENTRIES", 8)
+        for command in ("zeta", "dual"):
+            code, _, err = run_cli(capsys, command, squares(3), "--json")
+            assert (code, err) == (0, "")
+            assert run_cli(capsys, command, squares(4))[0] == 4
+
+    def test_twelve_variables_are_admitted(self):
+        # The 12-variable `dual` and `zeta` that CI runs: 4,096 entries
+        # on each side; no polynomial of at most 12 variables has more.
+        pair = DualPair(parse_polynomial(squares(12)))
+        assert pair._entry_count() == pair._entry_count(True) == 2 ** 12
+        assert 2 ** 12 <= MAX_REPORT_ENTRIES < 2 ** 13
+
+
 class TestRoots:
     def test_cyclic_with_roots(self, capsys):
         code, out, _ = run_cli(capsys, "roots", "x^3+x*y^2")
@@ -218,6 +268,46 @@ class TestRootsPinned:
         code, out, err = run_cli(capsys, "roots", text, "--json")
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[text]
+
+    # sha256 of standard output, text and --json, taken while each root
+    # was still built as an element and printed by ``str``: 813 roots of
+    # the 3-loop at p = 29, 17,031 at p = 131, and the non-cyclic
+    # Z2 x Z42 side with 4 roots, which exits 1 before listing any.
+    PINNED_BOTH = {
+        "x^29*y + y^29*z + z^29*x": (0, "", (
+            "4c3b453d8fabeacf8b335a93de989635c61271fced328d6cf1b92f129f508e4c",
+            "6ad017e1ae753dd86394496744b08843c36814e3773973fa30544cf50c4f0b32")),
+        "x^131*y + y^131*z + z^131*x": (0, "", (
+            "1e8ff92dd0d933b2f25224721ad547536cd7278942bea6c60ffcda9dac67c52b",
+            "780ba48fc5f728f8b45385044186a4d29c0699f50e3e0be5b861f2761e550b37")),
+        "x^3*y + y^5*x + z^2*w + w^3": (
+            1, "error: geometric roots require a cyclic symmetry group; "
+               "invariant factors are (1, 1, 2, 42)\n", (
+                hashlib.sha256(b"").hexdigest(),
+                hashlib.sha256(b"").hexdigest())),
+    }
+
+    @pytest.mark.parametrize("text", PINNED_BOTH)
+    def test_text_and_json_output_pinned(self, capsys, text):
+        code, err, shas = self.PINNED_BOTH[text]
+        for argv, sha in zip(([], ["--json"]), shas):
+            got = run_cli(capsys, "roots", text, *argv)
+            assert (got[0], got[2]) == (code, err)
+            assert hashlib.sha256(got[1].encode()).hexdigest() == sha
+
+    def test_no_element_per_listed_root(self, capsys, monkeypatch):
+        # The listing formats the roots' d-scaled vectors: the elements
+        # built are the monodromy and the group's generators, whatever
+        # the number of roots (813 here).
+        wraps = []
+        wrap = GroupElement._wrap.__func__
+        monkeypatch.setattr(GroupElement, "_wrap", classmethod(
+            lambda cls, *args: wraps.append(args) or wrap(cls, *args)))
+        for argv in ([], ["--json"]):
+            wraps.clear()
+            code, _, _ = run_cli(capsys, "roots",
+                                 "x^29*y + y^29*z + z^29*x", *argv)
+            assert code == 0 and len(wraps) <= 5
 
 
 class TestMatrixLiteral:

@@ -27,14 +27,15 @@ from saitodual.burnside import (BurnsideElement, _coset_order,
                                 is_saito_dual, saito_dual)
 from saitodual.errors import SingularMatrixError, StructureError
 from saitodual.groups import (GroupElement, GroupPresentation,
-                              SubgroupKey, dual_subgroup, enumerate_subgroups,
-                              full_subgroup, geometric_roots,
+                              SubgroupKey, _root_vectors, dual_subgroup,
+                              enumerate_subgroups, full_subgroup,
+                              geometric_roots,
                               isotropy_subgroup, monodromy_element, pairing,
                               root_count, subgroup_generated_by,
                               subgroup_meet, symmetry_group,
                               trivial_subgroup)
-from saitodual.linalg import (IntMatrix, determinant, lattice_basis,
-                              lattice_solve, scaled_inverse)
+from saitodual.linalg import (IntMatrix, _format_vectors, determinant,
+                              lattice_basis, lattice_solve, scaled_inverse)
 from saitodual.enumeration import generate_corpus, run_batch
 from saitodual.polynomials import (InvertiblePolynomial, canonical_weights,
                                    parse_polynomial)
@@ -388,13 +389,20 @@ class TestCorpusDifferential:
 
     def test_root_count_matches_listing(self, batch45):
         # Every corpus group, both sides; 12 non-cyclic sides have roots.
+        # The `roots` command formats the sorted vectors of
+        # ``_root_vectors`` with no element per root: the same texts as
+        # the listed elements.
         checked = mismatches = non_cyclic_with_roots = 0
         for f, p, _ in sides(batch45):
             listed = coordinate_roots(f, p)
             count = root_count(f, p)
+            vectors = _root_vectors(f, p)
             checked += 1
             mismatches += (count != len(listed)
-                           or geometric_roots(f, p) != listed)
+                           or geometric_roots(f, p) != listed
+                           or vectors != [r.scaled() for r in listed]
+                           or _format_vectors(vectors, p.order)
+                           != [str(r) for r in listed])
             non_cyclic_with_roots += bool(count) and not p.is_cyclic
         assert (checked, mismatches, non_cyclic_with_roots) == (3152, 0, 12)
 
@@ -840,6 +848,7 @@ class TestRandomMatrices:
         brute = brute_roots(f, p)
         assert root_count(f, p) == len(brute)
         assert geometric_roots(f, p) == coordinate_roots(f, p) == brute
+        assert _root_vectors(f, p) == [r.scaled() for r in brute]
         if p.is_cyclic:
             rep = equivariant_zeta(f, p)
             oracle = listed_root_zeta(rep)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from saitodual.errors import DimensionError, RankError, SingularMatrixError
-from saitodual.linalg import (IntMatrix, RationalVector, determinant,
-                              extended_gcd, format_fractions,
+from saitodual.linalg import (IntMatrix, RationalVector, _format_vectors,
+                              determinant, extended_gcd, format_fractions,
                               hermite_normal_form, invariant_factors,
                               lattice_basis, lattice_solve, scaled_inverse,
                               smith_normal_form)
@@ -259,3 +259,47 @@ class TestFormatFractions:
         den, nums = case
         expected = "(" + ", ".join(str(Fraction(x, den)) for x in nums) + ")"
         assert format_fractions(nums, den) == expected
+
+
+def fraction_texts(vectors, den):
+    return ["(" + ", ".join(str(Fraction(x, den)) for x in vec) + ")"
+            for vec in vectors]
+
+
+def formatter_cases(den):
+    """(den, vectors): up to six vectors of one dimension, with values
+    drawn among 0, multiples of den and any numerator within 3*den."""
+    values = st.one_of(st.integers(-3 * den, 3 * den),
+                       st.integers(-3, 3).map(lambda k: k * den),
+                       st.sampled_from([0, den - 1, 1 - den]))
+    return st.integers(1, 5).flatmap(lambda dim: st.tuples(
+        st.just(den), st.lists(st.lists(values, min_size=dim, max_size=dim),
+                               max_size=6)))
+
+
+class TestFormatVectors:
+    """``_format_vectors``, which writes each distinct value once, against
+    ``str`` of each ``Fraction`` and against ``format_fractions`` on each
+    vector."""
+
+    # den = 1, small dens, and dens near the largest group order of the
+    # big-determinant queries (about 4e12).
+    @given(st.one_of(st.just(1), st.integers(2, 10 ** 7),
+                     st.integers(4 * 10 ** 12 - 10 ** 6,
+                                 4 * 10 ** 12 + 10 ** 6)).flatmap(
+        formatter_cases))
+    @example((1, [[0, 1, -1], [2, 0, 5]]))
+    @example((4 * 10 ** 12, [[0, 4 * 10 ** 12, 10 ** 12],
+                             [2 * 10 ** 12, 4 * 10 ** 12 - 1, -8 * 10 ** 12]]))
+    @example((6, []))
+    @example((6, [[]]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_text(self, case):
+        den, vectors = case
+        texts = _format_vectors(vectors, den)
+        assert texts == fraction_texts(vectors, den)
+        assert texts == [format_fractions(v, den) for v in vectors]
+
+    def test_repeated_values(self):
+        assert _format_vectors([(3, 0, 3), (0, 6, 9), (3, 3, 3)], 6) == [
+            "(1/2, 0, 1/2)", "(0, 1, 3/2)", "(1/2, 1/2, 1/2)"]

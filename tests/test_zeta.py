@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 from collections import Counter
+from math import prod
 
 import pytest
 
@@ -20,10 +21,12 @@ from saitodual.groups import (SubgroupKey, enumerate_subgroups,
                               full_subgroup, monodromy_element,
                               subgroup_generated_by, symmetry_group,
                               trivial_subgroup)
+from saitodual.linalg import IntMatrix
 from saitodual.polynomials import InvertiblePolynomial, parse_polynomial
-from saitodual.zeta import (AtomRecords, DualPair, _blocks_of,
-                            _diagonal_blocks, classical_saito_dual,
-                            classical_zeta, equivariant_zeta, milnor_number,
+from saitodual.zeta import (MAX_REPORT_ENTRIES, AtomRecords, DualPair,
+                            _blocks_of, _diagonal_blocks,
+                            classical_saito_dual, classical_zeta,
+                            equivariant_zeta, milnor_number,
                             verify_root_duality, verify_zeta_duality)
 
 from oracles import direct_equivariant_zeta
@@ -275,7 +278,8 @@ def count_calls(monkeypatch, *names):
     modules = [saitodual.burnside, saitodual.cli, saitodual.enumeration,
                saitodual.groups, saitodual.polynomials, saitodual.zeta]
     for name in names:
-        original = getattr(saitodual, name)
+        original = next(getattr(module, name) for module in modules
+                        if hasattr(module, name))
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
@@ -291,9 +295,9 @@ class TestDualPair:
     def test_fields_computed_on_first_use(self):
         f = parse_polynomial("x^2 + y^2")
         pair = DualPair(f)
-        assert pair.roots == []
+        assert pair.group.order == 4
         # The group of a sum is composed from its atoms' records.
-        assert {"atoms", "group", "roots"} == set(vars(pair)) - {"f"}
+        assert {"atoms", "group"} == set(vars(pair)) - {"f"}
         assert pair.group_t is pair.group.dual()
         assert pair.group_t == symmetry_group(pair.ft)
         assert pair.ft.exponents == f.exponents.transpose()
@@ -397,15 +401,39 @@ class TestDualPair:
         pooled = run_batch(corpus, workers=2)
         assert json.dumps(pooled.to_json()) == json.dumps(report.to_json())
 
+    def test_entry_count_is_read_off_the_records(self, monkeypatch):
+        # One entry per contributing subset and one for the empty subset,
+        # on both sides of the (3,4) sums corpus; a sum's count is read
+        # before its report is built.
+        corpus, _ = generate_corpus(3, 4, include_sums=True)
+        sums = 0
+        for f in corpus:
+            pair = DualPair(f)
+            counts = [pair._entry_count(), pair._entry_count(True)]
+            sums += "report" not in vars(pair)
+            assert counts == [len(rep.subset_terms) + 1
+                              for rep in (pair.report, pair.report_t)]
+            assert counts[1] >= len(pair.report_t.reduced.terms)
+        assert sums == len(corpus) - 56
+
+    def test_corpus_reports_are_below_the_report_bound(self, batch45):
+        counts = [prod(len(r.entries) for r in rep._records)
+                  for record in batch45.records
+                  for rep in (record.theorem.rhs_report,
+                              record.theorem.lhs_report)]
+        assert (len(counts), max(counts)) == (3152, 16)
+        assert max(counts) <= MAX_REPORT_ENTRIES
+
     def test_roots_command_computes_roots_once_per_side(self, monkeypatch):
-        # `roots` lists the roots of f only; the transposed side enters the
-        # corollary through its zeta report.
-        counts = count_calls(monkeypatch, "geometric_roots",
+        # `roots` lists the roots of f only, as the sorted vectors of
+        # ``_root_vectors``; the transposed side enters the corollary
+        # through its zeta report.
+        counts = count_calls(monkeypatch, "_root_vectors",
                              "canonical_weights")
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(["roots", "x^3*y + y^3*z + z^3*x", "--json"])
         assert code == 0
-        assert counts == {"geometric_roots": 1, "canonical_weights": 2}
+        assert counts == {"_root_vectors": 1, "canonical_weights": 2}
 
 
 class TestEdgeCaseInvertibles:
@@ -464,3 +492,37 @@ class TestReports:
         assert data["kind"] == "theorem"
         assert data["equal"] is True
         assert "lhsReport" in data and "rhsReport" in data
+
+    def test_element_json_flattens_each_key_once(self, monkeypatch):
+        # The terms in ``sorted_terms`` order, each as its key's own JSON,
+        # on both sides' equivariant and reduced zeta over the (3,4) sums
+        # corpus.
+        corpus, _ = generate_corpus(3, 4, include_sums=True)
+        elements = [element for f in corpus
+                    for rep in (equivariant_zeta(f),
+                                equivariant_zeta(f.transpose()))
+                    for element in (rep.equivariant, rep.reduced)]
+        expected = [[{"subgroup": k.to_json(), "coeff": v}
+                     for k, v in element.sorted_terms()]
+                    for element in elements]
+        flat = []
+        original = IntMatrix.flat
+        monkeypatch.setattr(IntMatrix, "flat",
+                            lambda m: flat.append(m) or original(m))
+        assert [element.to_json() for element in elements] == expected
+        assert len(flat) == sum(len(element.terms) for element in elements)
+
+    def test_passing_check_writes_its_side_once(self, monkeypatch):
+        # Both keys of a passing check hold one list, built with one
+        # flattening per term: the transform of the reduced zeta (n = 8
+        # is even, so no sign).
+        report = verify_zeta_duality(DualPair(parse_polynomial(
+            " + ".join(f"x{i}^2" for i in range(1, 9)))))
+        flat = []
+        original = IntMatrix.flat
+        monkeypatch.setattr(IntMatrix, "flat",
+                            lambda m: flat.append(m) or original(m))
+        data = report.to_json()
+        assert data["equal"] is True and data["lhs"] is data["rhs"]
+        assert len(flat) == len(data["lhs"]) == 256
+        assert data["rhs"] == saito_dual(report.rhs_report.reduced).to_json()
