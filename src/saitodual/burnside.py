@@ -249,8 +249,8 @@ class BurnsideElement:
         # The order of ``sorted_terms``, with each key's basis flattened
         # once for both the sort and the output.
         keyed = sorted((k.sort_key(), v) for k, v in self._terms.items())
-        return [{"subgroup": {"order": order, "basis": list(basis)},
-                 "coeff": v} for (order, basis), v in keyed]
+        json_of = SubgroupKey._json_of
+        return [{"subgroup": json_of(key), "coeff": v} for key, v in keyed]
 
     def __repr__(self):
         return f"BurnsideElement({self.format()!r})"

@@ -26,8 +26,8 @@ from .errors import SaitoDualError
 from .groups import MAX_LISTED_ROOTS, _root_vectors, root_count
 from .linalg import _format_vectors
 from .polynomials import decompose, parse_polynomial
-from .zeta import (MAX_REPORT_ENTRIES, DualPair, _report_head,
-                   verify_root_duality, verify_zeta_duality)
+from .zeta import (MAX_REPORT_ENTRIES, DualPair, VerificationReport,
+                   ZetaReport, verify_root_duality, verify_zeta_duality)
 
 TOOL_NAME = "saitodual"
 
@@ -138,11 +138,8 @@ def cmd_zeta(args):
         # The report is not built: its fields are null and only its
         # entry count is given, as `roots` gives `rootCount`.
         if args.json:
-            result = _report_head(f, pair.group)
-            result.update({"equivariant": None, "reduced": None,
-                           "classical": None, "perSubsetTerms": None,
-                           "entryCount": count})
-            _emit(_envelope("zeta", args.polynomial, result))
+            _emit(_envelope("zeta", args.polynomial,
+                            ZetaReport._refused_json(f, pair.group, count)))
         else:
             print(f"polynomial:  {f.text()}")
             print(f"group:       {pair.group.structure_name()} "
@@ -176,9 +173,8 @@ def cmd_dual(args):
     if count > MAX_REPORT_ENTRIES:
         # Neither report is built, so the duality is not checked.
         if args.json:
-            _emit(_envelope("dual", args.polynomial, {
-                "kind": "theorem", "lhs": None, "rhs": None, "equal": None,
-                "witness": None, "entryCount": count}))
+            _emit(_envelope("dual", args.polynomial,
+                            VerificationReport._refused_json(count)))
         else:
             print(f"polynomial:  {f.text()}")
             print(f"transpose:   {pair.ft.text()}")

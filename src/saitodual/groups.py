@@ -450,7 +450,14 @@ class SubgroupKey:
         return (self._order, self._basis.flat())
 
     def to_json(self):
-        return {"order": self._order, "basis": list(self._basis.flat())}
+        return self._json_of(self.sort_key())
+
+    @staticmethod
+    def _json_of(sort_key):
+        """The JSON of the key whose ``sort_key()`` is ``sort_key``: its
+        order and flattened basis."""
+        order, flat = sort_key
+        return {"order": order, "basis": list(flat)}
 
     def __eq__(self, other):
         return (isinstance(other, SubgroupKey)

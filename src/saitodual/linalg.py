@@ -562,24 +562,18 @@ class RationalVector:
         return format_fractions(self._nums, self._den)
 
 
-def _fraction_text(x, den):
-    """x/den in lowest terms, as ``str(Fraction(x, den))`` writes it;
-    ``den`` must be positive."""
-    g = gcd(x, den)
-    return str(x // den) if g == den else f"{x // g}/{den // g}"
-
-
 def format_fractions(nums, den):
     """The vector of fractions x/den for x in ``nums``, written as
     "(a/b, c, ...)" with each coordinate in lowest terms; ``den`` must be
-    positive."""
-    return f"({', '.join([_fraction_text(x, den) for x in nums])})"
+    positive.  The one-vector case of ``_format_vectors``."""
+    return _format_vectors([nums], den)[0]
 
 
 def _format_vectors(vectors, den):
     """``format_fractions(v, den)`` for each v in ``vectors``: each
-    distinct value is written once, and each vector joins the texts of
-    its values."""
-    texts = {x: _fraction_text(x, den) for x in set().union(*vectors)}
+    distinct value x is written once, as ``str(Fraction(x, den))`` writes
+    it, and each vector joins the texts of its values."""
+    texts = {x: str(x // den) if (g := gcd(x, den)) == den
+             else f"{x // g}/{den // g}" for x in set().union(*vectors)}
     text = texts.__getitem__
     return [f"({', '.join(map(text, vec))})" for vec in vectors]

@@ -173,6 +173,17 @@ class ZetaReport:
         })
         return out
 
+    @staticmethod
+    def _refused_json(f, p, count):
+        """The JSON of the zeta report of ``f`` over ``p`` when its
+        ``count`` entries exceed ``MAX_REPORT_ENTRIES`` and it is not
+        built: the fields of ``to_json``, those of the report null, and
+        ``entryCount``."""
+        out = _report_head(f, p)
+        out.update({"equivariant": None, "reduced": None, "classical": None,
+                    "perSubsetTerms": None, "entryCount": count})
+        return out
+
 
 def _report_head(f, p):
     """The fields of the JSON of a zeta report of ``f`` over ``p`` that
@@ -509,6 +520,15 @@ class VerificationReport:
             if self.rhs_report is not None:
                 out["rhsReport"] = self.rhs_report.to_json()
         return out
+
+    @staticmethod
+    def _refused_json(count):
+        """The JSON of a zeta-duality check that is not run because a
+        side's report has ``count`` entries, more than
+        ``MAX_REPORT_ENTRIES``: the fields of ``to_json``, null, and
+        ``entryCount``."""
+        return {"kind": "theorem", "lhs": None, "rhs": None, "equal": None,
+                "witness": None, "entryCount": count}
 
 
 class DualPair:

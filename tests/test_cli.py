@@ -192,12 +192,18 @@ class TestReportBound:
         assert built == []
 
     def test_bound_is_inclusive(self, capsys, monkeypatch):
-        # Three squares have 8 entries, four have 16.
+        # Three squares have 8 entries, four have 16.  A refused report
+        # has the fields of a built one and its count.
         monkeypatch.setattr(cli, "MAX_REPORT_ENTRIES", 8)
         for command in ("zeta", "dual"):
-            code, _, err = run_cli(capsys, command, squares(3), "--json")
+            code, out, err = run_cli(capsys, command, squares(3), "--json")
             assert (code, err) == (0, "")
+            built = json.loads(out)["result"]
             assert run_cli(capsys, command, squares(4))[0] == 4
+            code, out, _ = run_cli(capsys, command, squares(4), "--json")
+            refused = json.loads(out)["result"]
+            assert code == 4
+            assert set(refused) == set(built) | {"entryCount"}
 
     def test_twelve_variables_are_admitted(self):
         # The 12-variable `dual` and `zeta` that CI runs: 4,096 entries

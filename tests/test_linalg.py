@@ -247,7 +247,8 @@ def fraction_vectors(den):
 
 
 class TestFormatFractions:
-    """``format_fractions`` against ``str`` of each ``Fraction``."""
+    """``format_fractions``, the one-vector case of ``_format_vectors``,
+    against ``str`` of each ``Fraction``."""
 
     @given(st.integers(1, 10 ** 7).flatmap(
         lambda den: st.tuples(st.just(den), fraction_vectors(den))))
@@ -279,8 +280,8 @@ def formatter_cases(den):
 
 class TestFormatVectors:
     """``_format_vectors``, which writes each distinct value once, against
-    ``str`` of each ``Fraction`` and against ``format_fractions`` on each
-    vector."""
+    ``str`` of each ``Fraction`` and against its one-vector case
+    ``format_fractions`` on each vector."""
 
     # den = 1, small dens, and dens near the largest group order of the
     # big-determinant queries (about 4e12).
