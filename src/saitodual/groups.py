@@ -23,7 +23,8 @@ from operator import mul
 from .errors import (ConfigurationError, IndexBoundsError, OwnershipError,
                      ResourceBoundError, SingularMatrixError)
 from .linalg import (IntMatrix, RationalVector, format_fractions,
-                     lattice_basis, scaled_inverse, smith_normal_form)
+                     lattice_basis, scaled_inverse, smith_normal_form,
+                     triangular_dual_basis, triangular_join)
 
 DEFAULT_MAX_GROUP_ORDER = 10_000
 _MAX_ORDER_ENV = "SAITO_MAX_GROUP_ORDER"
@@ -71,7 +72,7 @@ class GroupPresentation:
 
     Each presentation keeps the scaled inverses its subgroup lattices use
     (see ``_dual_rows``), its meets by operand pair and by dual lattice
-    (see ``subgroup_meet``), and d*C^-1.
+    (see ``subgroup_meet``), and the columns of d*C^-1.
     """
 
     __slots__ = ("_constraint", "_side", "_order", "_factors", "_u", "_v",
@@ -186,20 +187,21 @@ class GroupPresentation:
                                             self._factors, self._order)
         return self._gens
 
-    def _scaled_inverse(self):
-        """d*C^-1 for the constraint C, read off the Smith form as
-        V*diag(d/d_j)*U."""
+    def _inverse_columns(self):
+        """The columns of d*C^-1 for the constraint C, read off the Smith
+        form as V*diag(d/d_j)*U, made once per presentation."""
         if self._inverse is None:
-            self._inverse = self._scaled_gens() * self._transforms()[0]
+            self._inverse = (self._scaled_gens()
+                             * self._transforms()[0]).columns()
         return self._inverse
 
     def _dual_rows(self, basis):
         """Rows spanning d*M^* for the scaled lattice M of ``basis``
         (dZ^n <= M <= Z^n, so d*M^* lies between the same two): the rows
         of d*B^-1, one back-substitution for an upper-triangular HNF B.
-        Only their span matters, so a meet stores its join instead (see
-        ``subgroup_meet``).  A vector v lies in M exactly when every row
-        r has r.v = 0 (mod d)."""
+        They are upper triangular, and a meet stores the triangular basis
+        of their join instead (see ``subgroup_meet``).  A vector v lies in
+        M exactly when every row r has r.v = 0 (mod d)."""
         rows = self._dual_rows_cache.get(basis)
         if rows is None:
             rows = scaled_inverse(basis, self._order).rows
@@ -229,7 +231,7 @@ class GroupPresentation:
         reduced mod 1.  From the Smith form, d*C^-1 = V*diag(d/d_j)*U."""
         d = self._order
         return [GroupElement._wrap(self, tuple(x % d for x in col))
-                for col in self._scaled_inverse().columns()]
+                for col in self._inverse_columns()]
 
     def elements(self):
         """All group elements, one per class; order of iteration is the
@@ -598,23 +600,32 @@ def subgroup_generated_by(presentation, generators):
 
 def subgroup_meet(a, b):
     """Intersection of two subgroups, via duality of scaled lattices: the
-    dual of M_H n M_K is M_H^* + M_K^*, so one HNF J of the rows of
-    d*B_H^-1 and d*B_K^-1 spans d*(M_H n M_K)^*, and the rows of d*J^-1
-    span the meet's scaled lattice.  Meets are kept by operand pair and
-    by J, which different pairs share; J is also the meet's dual rows."""
+    dual of M_H n M_K is M_H^* + M_K^*.  The rows of d*B_H^-1 and
+    d*B_K^-1 (``_dual_rows``) are upper triangular, so merging them by
+    leading position (``linalg.triangular_join``) gives the canonical
+    triangular basis J of d*(M_H n M_K)^*, and the columns of d*J^-1,
+    upper triangular too, reduce to the meet's basis with no gcd step
+    (``linalg.triangular_dual_basis``); its order is the product of J's
+    pivots.  A full, trivial or equal operand decides the meet at once.
+    Other meets are kept by operand pair and by J, which different pairs
+    share; J's rows are also the meet's dual rows."""
     p = a.presentation
     if b.presentation != p:
         raise OwnershipError("subgroups belong to different groups")
-    pair = frozenset((a.basis, b.basis))
+    if a._order == p.order or b._order == 1 or a._basis == b._basis:
+        return b
+    if b._order == p.order or a._order == 1:
+        return a
+    pair = frozenset((a._basis, b._basis))
     meet = p._meet_cache.get(pair)
     if meet is None:
-        n = p.rank
-        join = lattice_basis(p._dual_rows(a.basis) + p._dual_rows(b.basis), n)
+        join = triangular_join(p._dual_rows(a._basis), p._dual_rows(b._basis))
         meet = p._dual_meet_cache.get(join)
         if meet is None:
-            basis = lattice_basis(scaled_inverse(join, p.order).rows, n)
-            p._dual_rows_cache.setdefault(basis, tuple(zip(*join.rows)))
-            meet = p._dual_meet_cache[join] = SubgroupKey(p, basis)
+            basis = triangular_dual_basis(join, p.order)
+            p._dual_rows_cache.setdefault(basis, join.rows)
+            meet = p._dual_meet_cache[join] = SubgroupKey._wrap(
+                p, basis, prod(row[i] for i, row in enumerate(join.rows)))
         p._meet_cache[pair] = meet
     return meet
 
@@ -659,7 +670,7 @@ def dual_subgroup(key):
     rows of d^2*(C*B)^-1 = (d*B^-1)*(d*C^-1): the key's dual rows times
     the presentation's d*C^-1, with no inverse of C*B."""
     p = key.presentation
-    inverse = p._scaled_inverse().columns()
+    inverse = p._inverse_columns()
     basis = lattice_basis(
         ([sum(map(mul, r, c)) for c in inverse]
          for r in p._dual_rows(key.basis)), p.rank)

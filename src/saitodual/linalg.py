@@ -4,7 +4,9 @@ Everything here works on arbitrary-precision Python integers; there is no
 floating point anywhere.  The module provides fraction-free determinants,
 a column-style Hermite normal form, the Smith normal form with transform
 accumulation, and the small set of lattice primitives the group layer is
-built on.
+built on.  Two triangular row bases are joined by a top-down merge
+(``triangular_join``), and the dual of the join needs only the reduction
+pass of the HNF (``triangular_dual_basis``).
 
 One solver: every scaled inverse and lattice solve ends in integer
 upper-triangular back-substitution.  An upper-triangular input (every HNF
@@ -191,41 +193,48 @@ def determinant(m):
     return sign * a[n - 1][n - 1]
 
 
-def _column_combine(h, u, j_keep, j_kill, i):
-    """Unimodular column operation zeroing h[i][j_kill] into h[i][j_keep]."""
-    a = h[i][j_keep]
-    b = h[i][j_kill]
-    if b == 0:
-        return
+def _column_combine(rows, j_keep, j_kill, i):
+    """Unimodular column operation on the row lists ``rows`` zeroing
+    rows[i][j_kill], which is nonzero, into rows[i][j_keep]."""
+    a = rows[i][j_keep]
+    b = rows[i][j_kill]
     if a != 0 and b % a == 0:
         # Elementary operation; leaves the kept column untouched.
         q = b // a
-        for mats in (h, u) if u is not None else (h,):
-            for row in mats:
-                row[j_kill] -= q * row[j_keep]
+        for row in rows:
+            row[j_kill] -= q * row[j_keep]
         return
     g, x, y = extended_gcd(a, b)
     ag = a // g
     bg = b // g
-    for mats in (h, u) if u is not None else (h,):
-        for row in mats:
-            ck, cl = row[j_keep], row[j_kill]
-            row[j_keep] = x * ck + y * cl
-            row[j_kill] = ag * cl - bg * ck
+    for row in rows:
+        ck, cl = row[j_keep], row[j_kill]
+        row[j_keep] = x * ck + y * cl
+        row[j_kill] = ag * cl - bg * ck
 
 
-def _negate_column(h, u, j):
-    for mats in (h, u) if u is not None else (h,):
-        for row in mats:
-            row[j] = -row[j]
+def _live_rows(h, u, i):
+    """The rows a column operation of step i changes: rows 0..i of h,
+    below which every column it combines is zero, and all of u."""
+    return h[:i + 1] if u is None else h[:i + 1] + u
 
 
-def _add_column_multiple(h, u, j_target, j_source, q):
-    if q == 0:
-        return
-    for mats in (h, u) if u is not None else (h,):
-        for row in mats:
-            row[j_target] -= q * row[j_source]
+def _reduce_right(h, u, pivots):
+    """The reduction pass of a column HNF: every entry right of a pivot
+    (i, j), bottom pivot first, into [0, pivot) by subtracting multiples
+    of column j, which is zero below row i."""
+    ncols = len(h[0])
+    for i, j in pivots:
+        row_i = h[i]
+        p = row_i[j]
+        live = None
+        for j2 in range(j + 1, ncols):
+            q = row_i[j2] // p
+            if q:
+                if live is None:
+                    live = _live_rows(h, u, i)
+                for row in live:
+                    row[j2] -= q * row[j]
 
 
 def _hnf_core(m, accumulate):
@@ -233,6 +242,9 @@ def _hnf_core(m, accumulate):
 
     Returns (h, u, pivots) where pivots is a list of (row, col) pairs from
     bottom to top and u is None unless transform accumulation was requested.
+    Rows are eliminated bottom-up; when row i is reached every column left
+    of the boundary is zero below it, so each step touches only the live
+    rows (see ``_live_rows``).
     """
     nrows = len(m)
     ncols = len(m[0])
@@ -245,18 +257,20 @@ def _hnf_core(m, accumulate):
         if boundary == 0:
             break
         target = boundary - 1
+        row_i = h[i]
+        live = None
         for j in range(target):
-            _column_combine(h, u, target, j, i)
-        if h[i][target] < 0:
-            _negate_column(h, u, target)
-        if h[i][target] != 0:
+            if row_i[j]:
+                if live is None:
+                    live = _live_rows(h, u, i)
+                _column_combine(live, target, j, i)
+        if row_i[target] < 0:
+            for row in live or _live_rows(h, u, i):
+                row[target] = -row[target]
+        if row_i[target] != 0:
             pivots.append((i, target))
             boundary -= 1
-    # Reduce entries right of each pivot, bottom pivot first.
-    for i, j in pivots:
-        p = h[i][j]
-        for j2 in range(j + 1, ncols):
-            _add_column_multiple(h, u, j2, j, h[i][j2] // p)
+    _reduce_right(h, u, pivots)
     return h, u, pivots
 
 
@@ -293,6 +307,69 @@ def lattice_basis(columns, dim):
         raise RankError("generators do not span a full-rank lattice")
     drop = len(cols) - dim
     return IntMatrix._wrap(tuple(tuple(row[drop:]) for row in h))
+
+
+def triangular_join(a, b):
+    """Canonical row basis of the lattice spanned by the rows of ``a`` and
+    ``b``, two sequences of n rows of length n, each upper triangular with
+    a nonzero diagonal: row i is zero before position i.
+
+    The rows of b are merged into those of a top-down by leading
+    position: row k of b meets the current row i of the basis at each
+    position i >= k, by a division when row i's pivot divides its entry
+    and otherwise by the unimodular gcd step that leaves the gcd as row
+    i's pivot and a remainder zero up to position i.  That is n(n+1)/2
+    steps and no general HNF.  The result, an upper-triangular IntMatrix
+    with positive pivots and each entry above a pivot reduced into
+    [0, pivot), is the row HNF of the lattice: two pairs spanning the
+    same lattice give the identical matrix."""
+    n = len(a)
+    rows = [list(r) for r in a]
+    for k, r in enumerate(b):
+        v = list(r)
+        for i in range(k, n):
+            y = v[i]
+            if not y:
+                continue
+            row = rows[i]
+            x = row[i]
+            if y % x == 0:
+                q = y // x
+                for j in range(i + 1, n):
+                    v[j] -= q * row[j]
+            else:
+                g, s, t = extended_gcd(x, y)
+                xg, yg = x // g, y // g
+                for j in range(i, n):
+                    rj, vj = row[j], v[j]
+                    row[j] = s * rj + t * vj
+                    v[j] = xg * vj - yg * rj
+    # Bottom row first, so that each row is reduced by reduced rows.
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        if row[i] < 0:
+            row[i:] = [-x for x in row[i:]]
+        for k in range(i + 1, n):
+            q = row[k] // rows[k][k]
+            if q:
+                below = rows[k]
+                for j in range(k, n):
+                    row[j] -= q * below[j]
+    return IntMatrix._wrap(tuple(map(tuple, rows)))
+
+
+def triangular_dual_basis(join, scalar):
+    """Canonical HNF basis of the column lattice of scalar * J^-1 for an
+    upper-triangular J with positive diagonal (a ``triangular_join``).
+
+    The columns of scalar * J^-1 (``scaled_inverse``: one
+    back-substitution each) are upper triangular already, with the
+    positive pivots scalar / J_ii, so the reduction pass of the HNF
+    (``_reduce_right``) alone makes them the basis, with no gcd step.
+    Raises ValueError when scalar * J^-1 is not integral."""
+    h = [list(r) for r in scaled_inverse(join, scalar).rows]
+    _reduce_right(h, None, [(i, i) for i in range(len(h) - 1, -1, -1)])
+    return IntMatrix._wrap(tuple(map(tuple, h)))
 
 
 def smith_normal_form(m):
@@ -414,13 +491,14 @@ def invariant_factors(m):
     return tuple(s.entry(i, i) for i in range(s.nrows))
 
 
-def _solve_upper_triangular(rows, col, n):
-    """Solve R*x = col for upper-triangular R with exact integer result."""
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
+def _solve_upper_triangular(rows, col, last):
+    """Solve R*x = col for upper-triangular R with exact integer result,
+    or None.  ``col`` is zero after position ``last``, and so is x."""
+    x = [0] * len(rows)
+    for i in range(last, -1, -1):
         acc = col[i]
         row = rows[i]
-        for j in range(i + 1, n):
+        for j in range(i + 1, last + 1):
             acc -= row[j] * x[j]
         q, r = divmod(acc, row[i])
         if r != 0:
@@ -464,7 +542,7 @@ def scaled_inverse(m, scalar):
     cols = []
     for j in range(n):
         e = [scalar if i == j else 0 for i in range(n)]
-        x = _solve_upper_triangular(rows, e, n)
+        x = _solve_upper_triangular(rows, e, j)
         if x is None:
             raise ValueError("scaled inverse is not integral")
         cols.append(x)
@@ -487,7 +565,7 @@ def lattice_solve(basis, vector):
     if len(vector) != n:
         raise DimensionError(
             f"vector has {len(vector)} coordinates, basis has {n} rows")
-    x = _solve_upper_triangular(rows, vector, n)
+    x = _solve_upper_triangular(rows, vector, n - 1)
     if x is None or u is None:
         return x
     return list(u.apply_to_vector(x))

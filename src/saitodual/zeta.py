@@ -44,13 +44,13 @@ order, is assembled from its atoms by the product rule
 The canonical weights of the sum are those of its atoms scaled to the
 common degree: d = d1*...*dk and w = ((d/d1)*w1, ..., (d/dk)*wk).  A
 matrix that is not block diagonal in its given order, such as that of
-x1^2*x3 + x2^3 + x3^3, is one atom, whose record is the subset loop over
-the polynomial's own presentation.
+x1^2*x3 + x2^3 + x3^3, is one atom, whose record lists its contributing
+subsets (``_contributing_subsets``) over the polynomial's own
+presentation.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -111,17 +111,20 @@ class ZetaReport:
     """Equivariant, reduced, and classical zeta data of one polynomial.
 
     The reduced zeta is kept in product form: ``_records`` holds the
-    ``AtomRecord`` of each diagonal block in order, and ``_terms`` maps
-    each choice of one merged subgroup per block, a tuple of positions
-    in the blocks' ``merged``, to its coefficient.  ``reduced``,
-    ``equivariant`` and the per-subset audit ``subset_terms`` build their
-    subgroup keys on first read: a passing batch check reads none."""
+    ``AtomRecord`` of each diagonal block in order, ``_terms`` maps each
+    choice of one merged subgroup per block, a tuple of positions in the
+    blocks' ``merged``, to its coefficient, and ``_indices`` holds each
+    term's index [G:H], the product of the blocks', in the order of
+    ``_terms``.  ``reduced``, ``equivariant`` and the per-subset audit
+    ``subset_terms`` build their subgroup keys on first read: a passing
+    batch check reads none."""
 
     polynomial: object
     group: object
     classical: CyclotomicProduct
     _records: tuple = field(repr=False, compare=False)
     _terms: dict = field(repr=False, compare=False)
+    _indices: list = field(repr=False, compare=False)
 
     @cached_property
     def reduced(self):
@@ -130,18 +133,16 @@ class ZetaReport:
         d / ([G_1:H_1]*...*[G_k:H_k])."""
         p = self.group
         n, d = p.rank, p.order
-        blocks = [[(_block_rows(rows, d // record.presentation.order,
-                                start, n - stop), index)
-                   for rows, _, _, index in record.merged]
+        blocks = [[_block_rows(rows, d // record.presentation.order,
+                               start, n - stop)
+                   for rows, _, _, _ in record.merged]
                   for (start, stop), record in _spans(self._records)]
         wrap = SubgroupKey._wrap
         terms = {}
-        for combo, c in self._terms.items():
-            rows, index = (), 1
+        for (combo, c), index in zip(self._terms.items(), self._indices):
+            rows = ()
             for block, i in zip(blocks, combo):
-                block_rows, block_index = block[i]
-                rows += block_rows
-                index *= block_index
+                rows += block[i]
             terms[wrap(p, IntMatrix._wrap(rows), d // index)] = c
         return BurnsideElement._wrap(full_subgroup(p), terms)
 
@@ -320,13 +321,15 @@ def equivariant_zeta(f, group=None, atoms=None):
                     for combo, c, r, index in products
                     for i, (_, bc, br, bi) in enumerate(record.merged)]
     terms = {}
+    indices = []
     factors = {1: 1}
     for combo, c, r, index in products:
         terms[combo] = c
+        indices.append(index)
         factors[r] = factors.get(r, 0) + c * (index // r)
     classical = CyclotomicProduct(
         lcm(*(record.monodromy_order for record in records)), factors)
-    return ZetaReport(f, p, classical, records, terms)
+    return ZetaReport(f, p, classical, records, terms, indices)
 
 
 def _spans(records):
@@ -448,24 +451,89 @@ def _atom_record(e, q, weights):
     ``weights``: the monodromy is the element w/d, its scaled vector the
     canonical weights w reduced mod d, and its order the reduced
     degree."""
-    n = e.nrows
     d = q.order
     monodromy = tuple(w % d for w in weights.canonical_weights)
-    support = [frozenset(j for j in range(n) if e.entry(i, j))
-               for i in range(n)]
     entries = [((), 1, q.ambient_basis.rows, 1, 1)]
-    for k in range(1, n + 1):
-        for subset in itertools.combinations(range(n), k):
-            sset = frozenset(subset)
-            rows_in = [i for i in range(n) if support[i] <= sset]
-            if len(rows_in) != k:
-                continue
-            iso = isotropy_subgroup(q, subset)
-            entries.append((subset,
-                            determinant(e.submatrix(rows_in, subset)),
-                            iso.basis.rows, _coset_order(iso.basis, monodromy),
-                            iso.index))
+    for subset, rows_in in _contributing_subsets(e):
+        iso = isotropy_subgroup(q, subset)
+        entries.append((subset,
+                        determinant(e.submatrix(rows_in, subset)),
+                        iso.basis.rows, _coset_order(iso.basis, monodromy),
+                        iso.index))
     return AtomRecord(q, weights, weights.reduced_degree, tuple(entries))
+
+
+def _contributing_subsets(e):
+    """(I, R) for each nonempty variable subset I that contributes to the
+    zeta function of the invertible matrix ``e``, by (size, indices): the
+    rows R whose support lies inside I number |I|.  R is sorted.
+
+    det E != 0 gives a perfect matching of variables to rows inside the
+    support: variable j to a row m(j) with a nonzero entry at j.  I
+    contributes exactly when it is closed under j -> support of row
+    m(j): a closed I has the |I| rows m(I) inside it, and no invertible
+    matrix has more than |I| rows supported in |I| columns; conversely,
+    if R has |I| rows, the columns off I meet only rows off R, so the
+    matching puts m(I) = R.  The closed subsets are the unions of the
+    closures of single variables, so they are grown from the empty set
+    one closure at a time, at a cost that follows their number and not
+    2^n."""
+    n = e.nrows
+    rows = e.rows
+    owner = [None] * n  # owner[i]: the variable matched to row i
+    for j in range(n):
+        if rows[j][j] and owner[j] is None:
+            # A free diagonal row is an augmenting path of length one.
+            owner[j] = j
+        else:
+            _augment(rows, owner, j, set())
+    # Bit masks: each row's support, and the closure of each variable
+    # (Warshall's transitive closure from j -> support of row m(j)).
+    supports = []
+    for row in rows:
+        mask = 0
+        for k, x in enumerate(row):
+            if x:
+                mask |= 1 << k
+        supports.append(mask)
+    closure = [0] * n
+    for i, j in enumerate(owner):
+        closure[j] = supports[i]
+    for k in range(n):
+        for j in range(n):
+            if closure[j] >> k & 1:
+                closure[j] |= closure[k]
+    closed = set()
+    frontier = [0]
+    while frontier:
+        grown = []
+        for mask in frontier:
+            for c in closure:
+                union = mask | c
+                if union not in closed:
+                    closed.add(union)
+                    grown.append(union)
+        frontier = grown
+    keyed = []
+    for mask in closed:
+        subset = tuple(j for j in range(n) if mask >> j & 1)
+        keyed.append((len(subset), subset,
+                       [i for i, s in enumerate(supports) if not s & ~mask]))
+    keyed.sort()
+    return [(subset, rows_in) for _, subset, rows_in in keyed]
+
+
+def _augment(rows, owner, j, seen):
+    """Kuhn's augmenting path from variable j in the bipartite graph of
+    the nonzero entries of ``rows``: True when j is matched, owner[i]
+    being the variable matched to row i; rows in ``seen`` are skipped."""
+    for i, row in enumerate(rows):
+        if row[j] and i not in seen:
+            seen.add(i)
+            if owner[i] is None or _augment(rows, owner, owner[i], seen):
+                owner[i] = j
+                return True
+    return False
 
 
 def classical_zeta(f):
@@ -639,16 +707,10 @@ def generating_root_zeta(report):
     sum c_H [G/H] of the report's cyclic group G of order d: a generator
     permutes G/H in one cycle of length |G/H|, so every generating root
     gives prod (1 - t^(d/|H|))^(c_H), with modulus d.  Each |G/H| is the
-    product of the blocks' indices, read off the product form."""
-    indices = [[index for _, _, _, index in record.merged]
-               for record in report._records]
-    factors = {}
-    for combo, c in report._terms.items():
-        index = 1
-        for block, i in zip(indices, combo):
-            index *= block[i]
-        factors[index] = c
-    return CyclotomicProduct(report.group.order, factors)
+    index the report keeps for its term."""
+    return CyclotomicProduct(report.group.order,
+                             dict(zip(report._indices,
+                                      report._terms.values())))
 
 
 def verify_root_duality(pair):

@@ -145,8 +145,9 @@ def differs_from_direct_loop(rep):
 def lattice_mismatches(subgroups, terms, sampled):
     """Counts (duals, meet pairs, containment tests, mismatches) of the
     dual of every subgroup against ``inverse_dual``, and of the meet of
-    each sampled (subgroup, term) pair against ``hnf_meet`` and the
-    containment of each in the other against ``solve_contains``.  Pair
+    each sampled (subgroup, term) pair, key and order, against
+    ``hnf_meet`` and the containment of each in the other against
+    ``solve_contains``.  Pair
     (i, j) of the i-th subgroup and the j-th term is sampled when
     ``sampled(i, j)``."""
     pairs = mismatches = 0
@@ -157,7 +158,8 @@ def lattice_mismatches(subgroups, terms, sampled):
             if not sampled(i, j):
                 continue
             pairs += 1
-            mismatches += (subgroup_meet(h, k) != hnf_meet(h, k)
+            meet, oracle = subgroup_meet(h, k), hnf_meet(h, k)
+            mismatches += (meet != oracle or meet.order != oracle.order
                            or h.contains(k) != solve_contains(h, k)
                            or k.contains(h) != solve_contains(k, h))
     return len(subgroups), pairs, 2 * pairs, mismatches
@@ -695,7 +697,62 @@ def solver_matrices(draw):
     return IntMatrix(rows)
 
 
+@st.composite
+def meet_groups(draw):
+    """A presentation of a nonsingular n x n matrix, n <= 5: a random one
+    with |det| <= 10,000, or a loop, chain or diagonal matrix of order
+    near 4e12."""
+    n = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["random", "random", "loop", "chain",
+                                  "diagonal"]))
+    if shape == "random":
+        rows = draw(st.lists(st.lists(st.integers(-3, 6), min_size=n,
+                                      max_size=n), min_size=n, max_size=n))
+        det = determinant(rows)
+        assume(det != 0 and abs(det) <= 10_000)
+    else:
+        a = round(4e12 ** (1 / n))
+        rows = [[a if i == j else 0 for j in range(n)] for i in range(n)]
+        if n > 1 and shape != "diagonal":
+            for i in range(n if shape == "loop" else n - 1):
+                rows[i][(i + 1) % n] = 1
+    return GroupPresentation(rows)
+
+
+def drawn_subgroups(p, data):
+    """The full and trivial subgroups of ``p``, four generated by one or
+    two drawn elements (random combinations of the generators, times a
+    drawn small factor), and one drawn isotropy subgroup."""
+    gens = p.generators()
+    subgroups = [full_subgroup(p), trivial_subgroup(p)]
+    for _ in range(4):
+        elements = []
+        for _ in range(data.draw(st.integers(1, 2))):
+            g = p.identity()
+            for x in gens:
+                g = g + data.draw(st.integers(0, p.order - 1)) * x
+            elements.append(data.draw(st.sampled_from([1, 2, 3, 6, 1000]))
+                            * g)
+        subgroups.append(subgroup_generated_by(p, elements))
+    subgroups.append(isotropy_subgroup(
+        p, data.draw(st.sets(st.integers(0, p.rank - 1)))))
+    return subgroups
+
+
 class TestRandomMatrices:
+    @settings(max_examples=150, deadline=None)
+    @given(meet_groups(), st.data())
+    def test_meet_matches_dual_lattice_hnfs(self, p, data):
+        # Every ordered pair of drawn subgroups, equal, full and trivial
+        # operands among them, on a fresh presentation: the merged meet is
+        # the one of three dual-lattice HNFs, with its order.
+        subgroups = drawn_subgroups(p, data)
+        for h in subgroups:
+            for k in subgroups:
+                meet, oracle = subgroup_meet(h, k), hnf_meet(h, k)
+                assert meet == oracle and meet.order == oracle.order
+                assert subgroup_meet(k, h) == meet
+
     @settings(max_examples=150, deadline=None)
     @given(small_groups(), st.data())
     def test_isotropy_matches_meet(self, p, data):

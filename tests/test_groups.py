@@ -22,8 +22,8 @@ from saitodual.linalg import IntMatrix, RationalVector
 from saitodual.polynomials import canonical_weights, parse_polynomial
 
 from conftest import distinct_groups
-from oracles import (brute_roots, coordinate_roots, divisors, kernel_dual,
-                     kernel_dual_all_pairs, subgroup_join)
+from oracles import (brute_roots, coordinate_roots, divisors, hnf_meet,
+                     kernel_dual, kernel_dual_all_pairs, subgroup_join)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +150,27 @@ class TestSubgroups:
         assert [s.order for s in enumerate_subgroups(z9)] == [1, 3, 9]
         klein = symmetry_group(parse_polynomial("x^2 + y^2"))
         assert len(enumerate_subgroups(klein)) == 5
+
+    def test_meet_miss_runs_no_hnf(self, monkeypatch):
+        # A meet that misses both caches merges the operands' triangular
+        # dual rows and reduces the columns of d*J^-1: no lattice_basis and
+        # no HNF of any kind.  Z4 x Z8 has 22 subgroups; 190 unordered
+        # pairs reach the merge and give 18 distinct joins.
+        p = symmetry_group(parse_polynomial("x^3*y + y^3*x + z^4"))
+        subgroups = enumerate_subgroups(p)
+
+        def refuse(*args):
+            raise AssertionError("a meet ran an HNF")
+
+        monkeypatch.setattr(groups, "lattice_basis", refuse)
+        monkeypatch.setattr(linalg, "_hnf_core", refuse)
+        meets = {(h, k): subgroup_meet(h, k)
+                 for h in subgroups for k in subgroups}
+        assert (len(p._meet_cache), len(p._dual_meet_cache)) == (190, 18)
+        monkeypatch.undo()
+        for (h, k), meet in meets.items():
+            oracle = hnf_meet(h, k)
+            assert meet == oracle and meet.order == oracle.order
 
     def test_enumeration_bound(self, z6, monkeypatch):
         monkeypatch.setenv("SAITO_MAX_GROUP_ORDER", "5")

@@ -2,15 +2,19 @@
 
 from fractions import Fraction
 
+import itertools
+from math import gcd
+
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from saitodual.errors import DimensionError, RankError, SingularMatrixError
 from saitodual.linalg import (IntMatrix, RationalVector, _format_vectors,
                               determinant, extended_gcd, format_fractions,
                               hermite_normal_form, invariant_factors,
                               lattice_basis, lattice_solve, scaled_inverse,
-                              smith_normal_form)
+                              smith_normal_form, triangular_dual_basis,
+                              triangular_join)
 
 from oracles import (laplace_determinant, lattice_basis_by_enumeration,
                      lattice_member, matrix_from_columns)
@@ -26,6 +30,53 @@ def square_matrices(max_n=4, lo=-9, hi=9):
 def nonsingular_matrices(max_n=3, lo=-6, hi=6):
     return square_matrices(max_n, lo, hi).filter(
         lambda rows: laplace_determinant(rows) != 0)
+
+
+@st.composite
+def generator_sets(draw, max_dim=4, lo=-6, hi=6):
+    """(columns, dim): 1 to dim + 2 integer vectors of length dim, with a
+    repeated or combined column and a zero row now and then, so that
+    rank-deficient sets are common."""
+    dim = draw(st.integers(1, max_dim))
+    count = draw(st.integers(1, dim + 2))
+    entries = st.integers(lo, hi)
+    cols = [[draw(entries) for _ in range(dim)] for _ in range(count)]
+    if count > 1 and draw(st.booleans()):
+        k = draw(st.integers(-2, 2))
+        cols[-1] = [a + k * b for a, b in zip(cols[0], cols[-2])]
+    if draw(st.booleans()):
+        row = draw(st.integers(0, dim - 1))
+        for c in cols:
+            c[row] = 0
+    return cols, dim
+
+
+def minors_gcd(cols, dim):
+    """The gcd of the dim x dim minors of the matrix with columns
+    ``cols``: the index of their lattice in Z^dim, 0 below full rank."""
+    g = 0
+    for pick in itertools.combinations(cols, dim):
+        g = gcd(g, laplace_determinant([list(r) for r in zip(*pick)]))
+    return g
+
+
+def assert_column_hnf(h):
+    """The package's HNF convention: upper triangular, positive pivots,
+    each entry right of a pivot in [0, pivot)."""
+    assert h.is_upper_triangular()
+    for i in range(h.nrows):
+        assert h.entry(i, i) > 0
+        for j in range(i + 1, h.ncols):
+            assert 0 <= h.entry(i, j) < h.entry(i, i)
+
+
+@st.composite
+def upper_triangular(draw, n, lo=-9, hi=9):
+    """Rows of an n x n upper-triangular matrix with a nonzero diagonal."""
+    entries = st.integers(lo, hi)
+    return [[draw(entries.filter(bool)) if j == i else
+             draw(entries) if j > i else 0 for j in range(n)]
+            for i in range(n)]
 
 
 class TestDeterminant:
@@ -105,6 +156,52 @@ class TestHermiteNormalForm:
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankError):
             hermite_normal_form(IntMatrix([[1, 2], [2, 4]]))
+
+    @given(st.integers(1, 5).flatmap(lambda rows: st.tuples(
+        st.just(rows), st.integers(1, rows))), st.data())
+    @settings(max_examples=150, deadline=None)
+    @example((3, 2), None)
+    def test_random_transform_relation(self, shape, data):
+        # A random rows x cols matrix, cols <= rows, of full column rank or
+        # not: H = M*U with U unimodular and H in the convention's echelon
+        # form, or RankError exactly when the columns are dependent.
+        nrows, ncols = shape
+        if data is None:
+            # The zero row between two pivots: the live rows skip it.
+            rows = [[2, 4], [0, 0], [3, 1]]
+        else:
+            entries = st.integers(-7, 7)
+            rows = [[data.draw(entries) for _ in range(ncols)]
+                    for _ in range(nrows)]
+            if ncols > 1 and data.draw(st.booleans()):
+                k = data.draw(st.integers(-2, 2))
+                for r in rows:
+                    r[-1] = r[0] * k
+        m = IntMatrix(rows)
+        cols = [list(c) for c in zip(*rows)]
+        rank_full = any(
+            laplace_determinant([[r[j] for j in range(ncols)]
+                                 for r in pick])
+            for pick in itertools.combinations(rows, ncols))
+        if not rank_full:
+            with pytest.raises(RankError):
+                hermite_normal_form(m)
+            return
+        h, u = hermite_normal_form(m)
+        assert m * u == h
+        assert determinant(u) in (1, -1)
+        # Column echelon: the pivot of each column strictly below the
+        # previous one, positive, with the entries right of it reduced.
+        pivots = []
+        for j in range(ncols):
+            col = h.column(j)
+            i = max(r for r in range(nrows) if col[r])
+            assert col[i] > 0 and all(not x for x in col[i + 1:])
+            pivots.append(i)
+            for j2 in range(j + 1, ncols):
+                assert 0 <= h.entry(i, j2) < col[i]
+        assert pivots == sorted(set(pivots))
+        assert hermite_normal_form(matrix_from_columns(cols[::-1]))[0] == h
 
     @given(nonsingular_matrices(), st.lists(
         st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2),
@@ -197,6 +294,36 @@ class TestScaledInverseAndLattices:
         with pytest.raises(RankError):
             lattice_basis([(2, 4)], 2)
 
+    # Three generators cost the oracle 49^3 points, about 0.1 s.
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                    min_size=2, max_size=3))
+    @settings(max_examples=30, deadline=None)
+    @example([(0, 2), (0, 3), (5, 0)])
+    def test_lattice_basis_matches_enumeration(self, cols):
+        assume(minors_gcd(cols, 2))
+        assert (lattice_basis(cols, 2).to_lists()
+                == lattice_basis_by_enumeration(cols, 2))
+
+    @given(generator_sets())
+    @settings(max_examples=200, deadline=None)
+    @example(([[0, 1, 0], [0, 0, 2], [0, 3, 3], [4, 0, 0]], 3))
+    @example(([[2, 0], [4, 0], [0, 3]], 2))
+    def test_lattice_basis_random_generators(self, case):
+        # Full rank: a canonical basis of a lattice holding every generator
+        # with the index of theirs (the gcd of their maximal minors), so
+        # it is their lattice.  Rank-deficient: RankError.
+        cols, dim = case
+        index = minors_gcd(cols, dim)
+        if not index:
+            with pytest.raises(RankError):
+                lattice_basis(cols, dim)
+            return
+        basis = lattice_basis(cols, dim)
+        assert_column_hnf(basis)
+        assert determinant(basis) == index
+        assert all(lattice_member(basis, c) for c in cols)
+        assert lattice_basis(cols[::-1] + cols, dim) == basis
+
     def test_lattice_solve_and_membership(self):
         basis = IntMatrix([[9, 2], [0, 3]])
         assert lattice_solve(basis, (11, 3)) == [1, 1]
@@ -220,6 +347,49 @@ class TestScaledInverseAndLattices:
             g, x, y = extended_gcd(a, b)
             assert g == a * x + b * y
             assert g >= 0
+
+
+class TestTriangularJoin:
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        upper_triangular(n), upper_triangular(n))))
+    @settings(max_examples=200, deadline=None)
+    @example(([[4, 1], [0, 6]], [[6, 5], [0, -4]]))
+    @example(([[4, 2, 2], [0, 4, 2], [0, 0, 4]],
+              [[4, 2, 2], [0, 4, 2], [0, 0, 4]]))
+    def test_join_is_the_row_hnf_of_both(self, case):
+        # The same lattice as the HNF of all the rows, in the canonical
+        # row form, and independent of the order of the operands.
+        a, b = case
+        n = len(a)
+        join = triangular_join(a, b)
+        # Upper triangular, positive pivots, each entry above a pivot in
+        # [0, pivot).
+        assert join.is_upper_triangular()
+        for k in range(n):
+            assert join.entry(k, k) > 0
+            for i in range(k):
+                assert 0 <= join.entry(i, k) < join.entry(k, k)
+        assert lattice_basis(join.rows, n) == lattice_basis(a + b, n)
+        assert triangular_join(b, a) == join
+        assert triangular_join(join.rows, a) == join
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        upper_triangular(n), upper_triangular(n))), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_dual_basis_matches_hnf_of_scaled_inverse(self, case, k):
+        a, b = case
+        join = triangular_join(a, b)
+        n = join.nrows
+        scalar = k * determinant(join)
+        assert (triangular_dual_basis(join, scalar)
+                == lattice_basis(scaled_inverse(join, scalar).columns(), n))
+
+    def test_dual_basis_rejects_non_integral(self):
+        join = triangular_join([[2, 1], [0, 3]], [[2, 1], [0, 3]])
+        # 6*J^-1 = [[3, -1], [0, 2]], the -1 reduced mod 3.
+        assert triangular_dual_basis(join, 6) == IntMatrix([[3, 2], [0, 2]])
+        with pytest.raises(ValueError):
+            triangular_dual_basis(join, 3)
 
 
 class TestRationalVector:

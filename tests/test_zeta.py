@@ -4,11 +4,13 @@ import contextlib
 import copy
 import dataclasses
 import io
+import itertools
 import json
 from collections import Counter
 from math import prod
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import saitodual
 from saitodual.burnside import (BurnsideElement, CyclotomicProduct,
@@ -21,10 +23,11 @@ from saitodual.groups import (SubgroupKey, enumerate_subgroups,
                               full_subgroup, monodromy_element,
                               subgroup_generated_by, symmetry_group,
                               trivial_subgroup)
-from saitodual.linalg import IntMatrix
+from saitodual.linalg import IntMatrix, determinant
 from saitodual.polynomials import InvertiblePolynomial, parse_polynomial
 from saitodual.zeta import (MAX_REPORT_ENTRIES, AtomRecords, DualPair,
-                            _blocks_of, _diagonal_blocks,
+                            _blocks_of, _contributing_subsets,
+                            _diagonal_blocks,
                             classical_saito_dual, classical_zeta,
                             equivariant_zeta, milnor_number,
                             verify_root_duality, verify_zeta_duality)
@@ -98,6 +101,60 @@ class TestEquivariantZeta:
                 comp_cols = [j for j in range(n) if j not in inside]
                 block = e.submatrix(comp_rows, comp_cols)
                 assert t.isotropy.order == abs(determinant(block))
+
+
+def subset_loop(e):
+    """(I, rows inside I) for every nonempty subset I with as many rows
+    supported inside it as it has variables: the loop over all 2^n
+    subsets that ``_contributing_subsets`` replaced."""
+    n = e.nrows
+    support = [{j for j in range(n) if e.entry(i, j)} for i in range(n)]
+    for k in range(1, n + 1):
+        for subset in itertools.combinations(range(n), k):
+            rows_in = [i for i in range(n) if support[i] <= set(subset)]
+            if len(rows_in) == k:
+                yield subset, rows_in
+
+
+@st.composite
+def sparse_invertible(draw):
+    """A nonsingular non-negative n x n matrix, n <= 7: a nonzero
+    diagonal, sparse entries off it (often none below it, so that many
+    subsets contribute), then rows and columns permuted, so the diagonal
+    of the result is often zero."""
+    n = draw(st.integers(1, 7))
+    lower = draw(st.booleans())
+    entries = st.sampled_from([0, 0, 0, 0, 1, 2])
+    rows = [[draw(st.integers(1, 4)) if i == j
+             else 0 if lower and j < i else draw(entries)
+             for j in range(n)] for i in range(n)]
+    rp = draw(st.permutations(range(n)))
+    cp = draw(st.permutations(range(n)))
+    rows = [[rows[i][j] for j in cp] for i in rp]
+    assume(determinant(rows) != 0)
+    return rows
+
+
+class TestContributingSubsets:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_invertible())
+    # x1^2*x3 + x2^3 + x3^3, and rows given out of diagonal order.
+    @example([[2, 0, 1], [0, 3, 0], [0, 0, 3]])
+    @example([[0, 3, 0], [2, 0, 1], [0, 0, 3]])
+    @example([[1, 1], [1, 2]])
+    def test_matches_subset_loop(self, rows):
+        e = IntMatrix(rows)
+        assert _contributing_subsets(e) == list(subset_loop(e))
+
+    def test_chain_lists_only_its_suffixes(self):
+        # x1^2*x2 + ... + x21^2*x22 + x22^2: 22 entries, not a loop over
+        # 2^22 subsets.
+        n = 22
+        f = parse_polynomial(" + ".join(
+            [f"x{i}^2*x{i + 1}" for i in range(1, n)] + [f"x{n}^2"]))
+        rep = equivariant_zeta(f)
+        assert [t.indices for t in rep.subset_terms] == [
+            tuple(range(n - k, n)) for k in range(1, n + 1)]
 
 
 class TestClassicalZeta:
