@@ -10,11 +10,11 @@ from .burnside import (BurnsideElement, CyclotomicProduct,
 from .enumeration import (BatchReport, atom_specs, build_polynomial,
                           canonical_matrix_key, chain_matrix, generate_corpus,
                           loop_matrix, run_batch, verify_polynomial)
-from .errors import (CoefficientWarning, ConfigurationError,
-                     DegenerateError, DimensionError, IndexBoundsError,
-                     NonCyclicError, OwnershipError, PolynomialParseError,
-                     RankError, ResourceBoundError, SaitoDualError,
-                     ShapeError, SingularMatrixError, StructureError)
+from .errors import (CoefficientWarning, DegenerateError, DimensionError,
+                     IndexBoundsError, NonCyclicError, OwnershipError,
+                     PolynomialParseError, RankError, ResourceBoundError,
+                     SaitoDualError, ShapeError, SingularMatrixError,
+                     StructureError)
 from .groups import (GroupElement, GroupPresentation, SubgroupKey,
                      dual_subgroup, enumerate_subgroups, full_subgroup,
                      geometric_roots, isotropy_subgroup, monodromy_element,

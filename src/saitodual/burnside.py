@@ -11,18 +11,11 @@ modulus d -- and the correspondence between the two for cyclic groups.
 from __future__ import annotations
 
 from math import gcd
-from operator import mul
 
 from .errors import OwnershipError, StructureError
 from .groups import (GroupElement, GroupPresentation, SubgroupKey,
-                     dual_subgroup, full_subgroup, subgroup_generated_by,
-                     subgroup_meet)
-
-
-# Most candidate terms ``is_saito_dual`` scans by the annihilator pairing;
-# a term with more is looked up by its dual subgroup, which costs about as
-# much as scanning 15 to 20 candidates (the crossover is in CHANGES.md).
-MAX_PAIRED_BUCKET = 16
+                     _dual_positions, dual_subgroup, full_subgroup,
+                     subgroup_generated_by, subgroup_meet)
 
 
 class CyclotomicProduct:
@@ -176,9 +169,6 @@ class BurnsideElement:
     def terms(self):
         return dict(self._terms)
 
-    def coefficient(self, key):
-        return self._terms.get(key, 0)
-
     def sorted_terms(self):
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
 
@@ -327,14 +317,12 @@ def is_saito_dual(a, b):
     zeta reports on their product forms; this decides it for any pair of
     elements, and is its oracle.
 
-    A term c*[G/H] of ``a`` must meet a term c*[G*/K] of ``b`` with
-    |H|*|K| = d and K inside the annihilator H~.  The rows of
-    d^2*(C*B_H)^-1 span the scaled lattice of H~ (``dual_subgroup``), so
-    for the scaled bases B_H, B_K and the constraint C, K lies in H~
-    exactly when B_K^T*C*B_H = 0 mod d^2, and the orders make it H~.  A
-    bucket of more than MAX_PAIRED_BUCKET candidates looks up H~ itself,
-    so the check stays linear.  The transform is injective, so with as
-    many terms on both sides every term of ``b`` is then matched."""
+    Each term c*[G/H] of ``a`` must meet the term c*[G*/H~] of ``b``,
+    found by the annihilator pairing or, in a bucket of more than
+    ``groups.MAX_PAIRED_BUCKET`` candidates of one coefficient and order,
+    by its dual subgroup (``groups._dual_positions``).  The transform is
+    injective, so with as many terms on both sides every term of ``b`` is
+    then matched."""
     if not a.scope.is_full():
         raise StructureError("the duality transform is defined over the full group")
     p = a.scope.presentation
@@ -342,26 +330,9 @@ def is_saito_dual(a, b):
             or b.scope != full_subgroup(p.dual())
             or len(a._terms) != len(b._terms)):
         return False
-    d = p.order
-    dd = d * d
-    rows = p.constraint.rows
-    candidates = {}
-    for k, kc in b._terms.items():
-        candidates.setdefault((kc, k.order), []).append(
-            list(zip(*k.basis.rows)))
-    for h, c in a._terms.items():
-        bucket = candidates.get((c, d // h.order), ())
-        if len(bucket) > MAX_PAIRED_BUCKET:
-            if b._terms.get(dual_subgroup(h)) != c:
-                return False
-            continue
-        image = [[sum(map(mul, row, col)) for row in rows]
-                 for col in zip(*h.basis.rows)]
-        if not any(all(sum(map(mul, u, v)) % dd == 0
-                       for u in k_cols for v in image)
-                   for k_cols in bucket):
-            return False
-    return True
+    return None not in _dual_positions(
+        p, [(c, h.basis.rows, h.order) for h, c in a._terms.items()],
+        [(c, k.basis.rows, k.order) for k, c in b._terms.items()])
 
 
 def _coset_order(basis, vec):

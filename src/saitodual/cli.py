@@ -27,7 +27,8 @@ from .groups import MAX_LISTED_ROOTS, _root_vectors, root_count
 from .linalg import _format_vectors
 from .polynomials import decompose, parse_polynomial
 from .zeta import (MAX_REPORT_ENTRIES, DualPair, VerificationReport,
-                   ZetaReport, verify_root_duality, verify_zeta_duality)
+                   ZetaReport, _group_head, _polynomial_head,
+                   verify_root_duality, verify_zeta_duality)
 
 TOOL_NAME = "saitodual"
 
@@ -71,13 +72,12 @@ def _weights_line(ws):
 
 
 def _group_json(p):
-    return {
-        "order": p.order,
-        "invariantFactors": list(p.invariant_factors),
-        "structure": p.structure_name(),
+    out = _group_head(p)
+    out.update({
         "cyclic": p.is_cyclic,
         "generators": [str(g) for g in p.generators()],
-    }
+    })
+    return out
 
 
 def cmd_analyze(args):
@@ -86,10 +86,8 @@ def cmd_analyze(args):
     ws, ws_t = f.weights, ft.weights
     dec = decompose(f)
     if args.json:
-        result = {
-            "polynomial": f.text(),
-            "variables": list(f.variables),
-            "E": [list(r) for r in f.exponents.rows],
+        result = _polynomial_head(f)
+        result.update({
             "weights": ws.to_json(),
             "decomposition": dec.to_json(f.variables),
             "group": _group_json(p),
@@ -99,7 +97,7 @@ def cmd_analyze(args):
                 "weights": ws_t.to_json(),
                 "group": _group_json(p_t),
             },
-        }
+        })
         _emit(_envelope("analyze", args.polynomial, result))
         return EXIT_OK
     print(f"polynomial:  {f.text()}")

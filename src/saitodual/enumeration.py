@@ -22,8 +22,8 @@ from functools import partial
 
 from .linalg import IntMatrix
 from .polynomials import InvertiblePolynomial
-from .zeta import (AtomRecords, DualPair, verify_root_duality,
-                   verify_zeta_duality)
+from .zeta import (AtomRecords, DualPair, _polynomial_head,
+                   verify_root_duality, verify_zeta_duality)
 
 
 def chain_matrix(exponents):
@@ -176,13 +176,10 @@ def verify_polynomial(f, atoms=None):
 
 
 def _failure_entry(f, kind, report):
-    return {
-        "polynomial": f.text(),
-        "variables": list(f.variables),
-        "E": [list(r) for r in f.exponents.rows],
-        "kind": kind,
-        "report": report.to_json(include_reports=True),
-    }
+    out = _polynomial_head(f)
+    out.update({"kind": kind,
+                "report": report.to_json(include_reports=True)})
+    return out
 
 
 @dataclass
@@ -250,9 +247,9 @@ def run_batch(polynomials, workers=1, keep_records=False, truncated=False):
     reports.  Pool workers send back no records.
 
     The polynomials share one ``zeta.AtomRecords``, made for this call:
-    one per worker process in a pool.  It keeps the record of a
-    single-block polynomial smaller than the largest polynomial, which
-    may be a summand of a later one.  Nothing of it outlives the call."""
+    one per worker process in a pool.  It keeps the record of each block
+    smaller than the largest polynomial, which may be a summand of a
+    later one.  Nothing of it outlives the call."""
     if keep_records and workers > 1:
         raise ValueError("keep_records=True needs workers=1")
     report = BatchReport(total=len(polynomials), truncated=truncated,

@@ -53,10 +53,6 @@ class ResourceBoundError(SaitoDualError):
     """A configured resource bound (group order, corpus size) was exceeded."""
 
 
-class ConfigurationError(SaitoDualError):
-    """An environment setting the package reads has an invalid value."""
-
-
 class DegenerateError(SaitoDualError):
     """The polynomial fails a non-degeneracy requirement; message carries
     the diagnostic."""

@@ -15,19 +15,18 @@ order.  All values are immutable.
 from __future__ import annotations
 
 import itertools
-import os
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
-from .errors import (ConfigurationError, IndexBoundsError, OwnershipError,
-                     ResourceBoundError, SingularMatrixError)
+from .errors import (IndexBoundsError, OwnershipError, ResourceBoundError,
+                     SingularMatrixError)
 from .linalg import (IntMatrix, RationalVector, format_fractions,
                      lattice_basis, scaled_inverse, smith_normal_form,
                      triangular_dual_basis, triangular_join)
 
-DEFAULT_MAX_GROUP_ORDER = 10_000
-_MAX_ORDER_ENV = "SAITO_MAX_GROUP_ORDER"
+# Largest group whose subgroups ``enumerate_subgroups`` lists.
+MAX_SUBGROUP_ORDER = 10_000
 
 # Most geometric roots that `geometric_roots` lists; above it only
 # `root_count` answers.  Listing and printing cost about 2 us and 0.4 KiB
@@ -38,29 +37,21 @@ _MAX_ORDER_ENV = "SAITO_MAX_GROUP_ORDER"
 # keeps a listing under about 0.15 s and 40 MiB.
 MAX_LISTED_ROOTS = 50_000
 
-
-def _max_group_order():
-    raw = os.environ.get(_MAX_ORDER_ENV, str(DEFAULT_MAX_GROUP_ORDER))
-    try:
-        bound = int(raw)
-    except ValueError:
-        bound = 0
-    if bound < 1:
-        raise ConfigurationError(
-            f"{_MAX_ORDER_ENV} must be a positive integer, got {raw!r}")
-    return bound
+# Most candidates ``_dual_positions`` scans by the annihilator pairing; a
+# subgroup whose bucket holds more is matched by its dual subgroup, which
+# costs about as much as scanning 15 to 20 candidates (the crossover is in
+# CHANGES.md).
+MAX_PAIRED_BUCKET = 16
 
 
 class GroupPresentation:
     """A finite abelian group presented as E^{-1}Z^n / Z^n.
 
     ``constraint`` is the integer matrix whose integrality condition cuts
-    out the group; ``side`` records whether this is the symmetry group of
-    the polynomial itself ("direct") or of its transpose ("transposed").
-    Equality and hashing use the constraint matrix only, so the direct
-    presentation of the transposed polynomial and the transposed
-    presentation of the original compare equal -- they are literally the
-    same subgroup of the torus.
+    out the group.  Equality and hashing use the constraint matrix only,
+    so the presentation of the transposed polynomial and the ``dual()``
+    of the original compare equal -- they are literally the same subgroup
+    of the torus.
 
     The constructor runs one Smith form S = U*C*V, and ``dual()`` reads
     the transposed one from it.  A block-diagonal constraint can instead
@@ -75,21 +66,19 @@ class GroupPresentation:
     (see ``subgroup_meet``), and the columns of d*C^-1.
     """
 
-    __slots__ = ("_constraint", "_side", "_order", "_factors", "_u", "_v",
+    __slots__ = ("_constraint", "_order", "_factors", "_u", "_v",
                  "_gens", "_ambient", "_parts", "_dual", "_full_key",
                  "_trivial_key", "_inverse", "_dual_rows_cache",
                  "_meet_cache", "_dual_meet_cache")
 
-    def __init__(self, constraint, side="direct"):
+    def __init__(self, constraint):
         c = constraint if isinstance(constraint, IntMatrix) else IntMatrix(constraint)
         if not c.is_square():
             raise SingularMatrixError("constraint matrix must be square")
         s, u, v = smith_normal_form(c)
-        self._setup(c, side, tuple(s.entry(i, i) for i in range(s.nrows)),
-                    u, v)
+        self._setup(c, tuple(s.entry(i, i) for i in range(s.nrows)), u, v)
 
-    def _setup(self, constraint, side, factors, u, v, parts=None,
-               dual=None):
+    def _setup(self, constraint, factors, u, v, parts=None, dual=None):
         """Fill in the presentation from the diagonal ``factors`` d_j of a
         Smith form S = U*C*V.  The group is V*S^-1*Z^n / Z^n: an element x
         is the sum of a_j times the generators V*e_j/d_j (of order d_j) for
@@ -98,7 +87,6 @@ class GroupPresentation:
         and V (see ``_transforms``), and its dual passes neither; the
         ambient basis of each waits for its first read."""
         self._constraint = constraint
-        self._side = side
         self._order = prod(factors)
         self._factors = factors
         self._u = u
@@ -118,10 +106,6 @@ class GroupPresentation:
     @property
     def constraint(self):
         return self._constraint
-
-    @property
-    def side(self):
-        return self._side
 
     @property
     def order(self):
@@ -157,13 +141,12 @@ class GroupPresentation:
         The dual of a composed presentation is composed from its blocks'
         duals."""
         if self._dual is None:
-            flipped = "transposed" if self._side == "direct" else "direct"
             q = self._dual = object.__new__(GroupPresentation)
             if self._parts is None:
-                q._setup(self._constraint.transpose(), flipped, self._factors,
+                q._setup(self._constraint.transpose(), self._factors,
                          self._v.transpose(), self._u.transpose(), dual=self)
             else:
-                q._setup(self._constraint.transpose(), flipped, self._factors,
+                q._setup(self._constraint.transpose(), self._factors,
                          None, None, dual=self)
         return self._dual
 
@@ -247,7 +230,7 @@ class GroupPresentation:
         return hash(self._constraint)
 
     def __repr__(self):
-        return (f"GroupPresentation(side={self._side!r}, order={self._order}, "
+        return (f"GroupPresentation(order={self._order}, "
                 f"structure={self.structure_name()!r})")
 
 
@@ -531,9 +514,8 @@ def _direct_sum(constraint, parts):
     the generators come on first use (``GroupPresentation._transforms``).
     """
     p = object.__new__(GroupPresentation)
-    p._setup(constraint, "direct",
-             _chain_factors([f for part in parts
-                             for f in part.invariant_factors]),
+    p._setup(constraint, _chain_factors([f for part in parts
+                                         for f in part.invariant_factors]),
              None, None, tuple(parts))
     return p
 
@@ -568,7 +550,7 @@ def _enumerate_quotient(presentation, basis):
 def symmetry_group(f):
     """Symmetry group presentation of an invertible polynomial; its
     ``dual()`` is the group of the transpose (the character-group side)."""
-    return GroupPresentation(f.exponents, "direct")
+    return GroupPresentation(f.exponents)
 
 
 def full_subgroup(presentation):
@@ -677,6 +659,41 @@ def dual_subgroup(key):
     return SubgroupKey(p.dual(), basis)
 
 
+def _dual_positions(p, subgroups, candidates):
+    """For each (label, rows, order) of ``subgroups``, a subgroup H of
+    ``p`` of that order with the rows of its scaled basis, the position
+    in ``candidates``, subgroups of ``p.dual()`` given alike, of the one
+    with the same label that is the dual H~, or None; yielded in order.
+
+    K is H~ exactly when |H|*|K| = d and K lies in the annihilator of H.
+    The rows of d^2*(C*B_H)^-1 span the scaled lattice of H~
+    (``dual_subgroup``), so for the scaled bases B_H, B_K and the
+    constraint C, K lies in H~ exactly when B_K^T*C*B_H = 0 (mod d^2),
+    and the orders make it H~.  Candidates are bucketed by label and
+    order; a subgroup whose bucket holds more than MAX_PAIRED_BUCKET
+    looks up H~ itself, so the match stays linear."""
+    d = p.order
+    dd = d * d
+    constraint = p.constraint.rows
+    buckets = {}
+    named = {}
+    for j, (label, rows, order) in enumerate(candidates):
+        buckets.setdefault((label, order), []).append((j, list(zip(*rows))))
+        named[label, rows] = j
+    for label, rows, order in subgroups:
+        bucket = buckets.get((label, d // order), ())
+        if len(bucket) > MAX_PAIRED_BUCKET:
+            dual = dual_subgroup(SubgroupKey._wrap(p, IntMatrix._wrap(rows),
+                                                   order))
+            yield named.get((label, dual.basis.rows))
+            continue
+        image = [[sum(map(mul, row, col)) for row in constraint]
+                 for col in zip(*rows)]
+        yield next((j for j, cols in bucket
+                    if all(sum(map(mul, u, v)) % dd == 0
+                           for u in cols for v in image)), None)
+
+
 def pairing(a, b):
     """Exact value in [0, 1) of the bilinear pairing between an element of
     a group and an element of its character group: a^T * E * b mod 1 where
@@ -756,8 +773,7 @@ def _hnf_lattices(orders):
 def enumerate_subgroups(presentation):
     """All subgroups, each exactly once, sorted by (order, basis).
 
-    Refuses groups larger than the SAITO_MAX_GROUP_ORDER environment
-    variable (default 10000).
+    Refuses groups larger than MAX_SUBGROUP_ORDER.
 
     In the SNF coordinates of the presentation the group is the sum of
     the Z/o_j, and every subgroup is the product of one subgroup of each
@@ -766,10 +782,9 @@ def enumerate_subgroups(presentation):
     and its subgroups are the lattices listed by ``_hnf_lattices``.  Each
     product is mapped back through those generators, together with the
     columns d*e_i, and named by one HNF."""
-    bound = _max_group_order()
-    if presentation.order > bound:
-        raise ResourceBoundError(
-            f"group order {presentation.order} exceeds bound {bound}")
+    if presentation.order > MAX_SUBGROUP_ORDER:
+        raise ResourceBoundError(f"group order {presentation.order} exceeds "
+                                 f"bound {MAX_SUBGROUP_ORDER}")
     d = presentation.order
     n = presentation.rank
     gens, orders = presentation._scaled_gens(), presentation._factors

@@ -89,9 +89,6 @@ class IntMatrix:
     def entry(self, i, j):
         return self._rows[i][j]
 
-    def row(self, i):
-        return self._rows[i]
-
     def column(self, j):
         return tuple(r[j] for r in self._rows)
 
@@ -618,10 +615,6 @@ class RationalVector:
     @property
     def denominator(self):
         return self._den
-
-    @property
-    def dim(self):
-        return len(self._nums)
 
     def fractions(self):
         return tuple(Fraction(x, self._den) for x in self._nums)

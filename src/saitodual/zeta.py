@@ -54,15 +54,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
-from operator import mul
+from math import gcd, inf, lcm, prod
 
 from .burnside import (BurnsideElement, CyclotomicProduct, _coset_order,
                        saito_dual)
 from .errors import DegenerateError, NonCyclicError
 from .groups import (GroupPresentation, SubgroupKey, _block_rows,
-                     _direct_sum, full_subgroup, isotropy_subgroup,
-                     monodromy_element, symmetry_group)
+                     _direct_sum, _dual_positions, full_subgroup,
+                     isotropy_subgroup, monodromy_element, symmetry_group)
 from .linalg import IntMatrix, determinant
 from .polynomials import (InvertiblePolynomial, canonical_weights,
                           decompose, direct_sum_weights)
@@ -189,26 +188,37 @@ class ZetaReport:
 def _report_head(f, p):
     """The fields of the JSON of a zeta report of ``f`` over ``p`` that
     need no report: the polynomial and its group."""
+    out = _polynomial_head(f)
+    out["group"] = _group_head(p)
+    return out
+
+
+def _polynomial_head(f):
+    """The fields of a JSON report that name the polynomial ``f``."""
     return {
         "polynomial": f.text(),
         "variables": list(f.variables),
         "E": [list(r) for r in f.exponents.rows],
-        "group": {
-            "order": p.order,
-            "invariantFactors": list(p.invariant_factors),
-            "structure": p.structure_name(),
-        },
+    }
+
+
+def _group_head(p):
+    """The fields of a JSON report that name the group ``p``."""
+    return {
+        "order": p.order,
+        "invariantFactors": list(p.invariant_factors),
+        "structure": p.structure_name(),
     }
 
 
 class AtomRecords(dict):
     """The atom records of one batch, keyed by exponent block (see
-    ``equivariant_zeta``).  Every block of a sum is kept.  A single-block
-    polynomial's record is kept only when it has fewer than
-    ``keep_below`` variables: no polynomial of a batch whose largest one
-    has n variables has a summand of n variables."""
+    ``equivariant_zeta``).  A block's record is kept when the block has
+    fewer than ``keep_below`` variables, and by default every one is.  A
+    batch passes the size of its largest polynomial: no polynomial of it
+    has a summand that large."""
 
-    def __init__(self, keep_below=0):
+    def __init__(self, keep_below=inf):
         super().__init__()
         self.keep_below = keep_below
 
@@ -245,32 +255,17 @@ class AtomRecord:
         """For each merged subgroup H of this block, in order, the
         position of its dual H~ among the merged subgroups of
         ``partner``, the record of the transposed block, or None when H~
-        is not one of them.
-
-        K is H~ exactly when |H|*|K| = d and K lies in the annihilator of
-        H: for the scaled bases B_H, B_K and the block C,
-        B_K^T*C*B_H = 0 (mod d^2) (see ``burnside.is_saito_dual``).  The
-        merged subgroups of a block do not depend on the presentation
-        its record was made over, so the map depends only on the block
-        and is kept after the first call."""
+        is not one of them (see ``groups._dual_positions``).  The merged
+        subgroups of a block do not depend on the presentation its record
+        was made over, so the map depends only on the block and is kept
+        after the first call."""
         if self._dual_map is None:
             q = self.presentation
             d = q.order
-            dd = d * d
-            constraint = q.constraint.rows
-            candidates = {}
-            for j, (rows, _, _, index) in enumerate(partner.merged):
-                candidates.setdefault(index, []).append(
-                    (j, list(zip(*rows))))
-            duals = []
-            for rows, _, _, index in self.merged:
-                image = [[sum(map(mul, row, col)) for row in constraint]
-                         for col in zip(*rows)]
-                duals.append(next(
-                    (j for j, cols in candidates.get(d // index, ())
-                     if all(sum(map(mul, u, v)) % dd == 0
-                            for u in cols for v in image)), None))
-            self._dual_map = tuple(duals)
+            subgroups, candidates = (
+                [(None, rows, d // index) for rows, _, _, index in r.merged]
+                for r in (self, partner))
+            self._dual_map = tuple(_dual_positions(q, subgroups, candidates))
         return self._dual_map
 
 
@@ -291,30 +286,19 @@ def equivariant_zeta(f, group=None, atoms=None):
     product form and the classical zeta; the subgroup keys wait for the
     first read (see ``ZetaReport``).
 
-    A polynomial that is one block has its record computed over the
-    given presentation, with no second Smith form.  Without ``group``, a
-    sum's presentation is composed from its blocks' (see
-    ``groups._direct_sum``).  ``atoms`` is the ``AtomRecords`` of the
-    batch; without one the call keeps its own.  The diagonal blocks and,
-    for a sum, the weight system composed from the blocks' are kept on
-    ``f``."""
+    The records come from ``_block_records``: a polynomial that is one
+    block has its record computed over the given presentation, with no
+    second Smith form.  Without ``group``, a sum's presentation is
+    composed from its blocks' (see ``groups._direct_sum``).  ``atoms`` is
+    the ``AtomRecords`` of the batch; without one the call keeps its own.
+    The diagonal blocks and, unless ``f`` has one, the weight system
+    composed from the blocks' are kept on ``f``."""
     if atoms is None:
         atoms = AtomRecords()
     p = group if group is not None else _symmetry_group(f, atoms)
-    blocks = _blocks_of(f)
-    if len(blocks) == 1:
-        (e,) = blocks
-        record = atoms.get(e)
-        if record is None:
-            record = _atom_record(e, p, f.weights)
-            if f.nvars < atoms.keep_below:
-                atoms[e] = record
-        records = (record,)
-    else:
-        records = _summand_records(f, atoms)
+    records = _block_records(f, atoms, p)
     if f._weights is None:
-        f._weights = (records[0].weights if len(records) == 1 else
-                      direct_sum_weights([r.weights for r in records]))
+        f._weights = direct_sum_weights([r.weights for r in records])
     products = [((), -1, 1, 1)]
     for record in records:
         products = [(combo + (i,), c * bc, lcm(r, br), index * bi)
@@ -392,7 +376,7 @@ def _symmetry_group(f, atoms):
     if len(_blocks_of(f)) == 1:
         return symmetry_group(f)
     return _direct_sum(f.exponents, [record.presentation for record
-                                     in _summand_records(f, atoms)])
+                                     in _block_records(f, atoms)])
 
 
 def _diagonal_blocks(e):
@@ -421,28 +405,36 @@ def _diagonal_blocks(e):
     return blocks
 
 
-def _summand_records(f, atoms):
-    """The records of the diagonal blocks of the sum ``f`` (see
-    ``_summand_record``).  ``f`` then keeps as its blocks the equal
-    matrices of its records' presentations, which the batch keeps
-    anyway, so the blocks split from ``f`` do not outlive the call."""
-    records = tuple(_summand_record(block, atoms) for block in _blocks_of(f))
+def _block_records(f, atoms, group=None):
+    """The records of the diagonal blocks of ``f``, from ``atoms`` or made
+    and, for a block of fewer than ``atoms.keep_below`` variables, kept
+    there.  A block without a record has it made over ``group``, the
+    presentation of ``f``, when ``f`` is one block, whose weights it
+    takes; otherwise over the ``dual()`` of its transposed block's
+    record's presentation, with no second Smith form; otherwise over its
+    own.  ``f`` then keeps as its blocks the equal matrices of its
+    records' presentations, which the batch keeps anyway, so the blocks
+    split from ``f`` do not outlive the call."""
+    blocks = _blocks_of(f)
+    single = len(blocks) == 1
+    records = []
+    for block in blocks:
+        record = atoms.get(block)
+        if record is None:
+            if single and group is not None:
+                q = group
+            else:
+                partner = atoms.get(block.transpose())
+                q = (partner.presentation.dual() if partner is not None
+                     else GroupPresentation(block))
+            weights = (f.weights if single else
+                       canonical_weights(InvertiblePolynomial(block)))
+            record = _atom_record(block, q, weights)
+            if block.nrows < atoms.keep_below:
+                atoms[block] = record
+        records.append(record)
     f._blocks = tuple(record.presentation.constraint for record in records)
-    return records
-
-
-def _summand_record(block, atoms):
-    """The record of one block of a sum, from ``atoms`` or made and kept
-    there.  A block whose transpose has a record takes its presentation
-    from that record's ``dual()``, with no second Smith form."""
-    record = atoms.get(block)
-    if record is None:
-        partner = atoms.get(block.transpose())
-        q = (partner.presentation.dual() if partner is not None
-             else GroupPresentation(block))
-        record = atoms[block] = _atom_record(
-            block, q, canonical_weights(InvertiblePolynomial(block)))
-    return record
+    return tuple(records)
 
 
 def _atom_record(e, q, weights):
@@ -647,16 +639,12 @@ class DualPair:
 
     def _entry_count(self, transposed=False):
         """The number of entries of the zeta report of ``f`` (of ``ft``
-        when ``transposed``), the empty subset included: the product of
-        its diagonal blocks' entry counts.  A sum's are read off its
-        blocks' records before any product of them is formed; a single
-        block's record is its report's."""
+        when ``transposed``), the empty subset included: the product over
+        its diagonal blocks of one more than their contributing subsets,
+        counted with no record and no isotropy subgroup."""
         f = self.ft if transposed else self.f
-        if len(_blocks_of(f)) > 1:
-            records = _summand_records(f, self.atoms)
-        else:
-            records = (self.report_t if transposed else self.report)._records
-        return prod(len(record.entries) for record in records)
+        return prod(1 + len(_contributing_subsets(block))
+                    for block in _blocks_of(f))
 
 
 def verify_zeta_duality(pair):

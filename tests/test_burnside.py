@@ -7,14 +7,15 @@ from collections import Counter
 
 import pytest
 
-from saitodual.burnside import (MAX_PAIRED_BUCKET, BurnsideElement,
-                                CyclotomicProduct, burnside_from_cyclotomic,
-                                element_zeta, is_saito_dual, mark,
-                                multiply, restrict, saito_dual)
+from saitodual.burnside import (BurnsideElement, CyclotomicProduct,
+                                burnside_from_cyclotomic, element_zeta,
+                                is_saito_dual, mark, multiply, restrict,
+                                saito_dual)
 from saitodual.errors import OwnershipError, StructureError
-from saitodual.groups import (enumerate_subgroups, full_subgroup,
-                              monodromy_element, subgroup_generated_by,
-                              symmetry_group, trivial_subgroup)
+from saitodual.groups import (MAX_PAIRED_BUCKET, enumerate_subgroups,
+                              full_subgroup, monodromy_element,
+                              subgroup_generated_by, symmetry_group,
+                              trivial_subgroup)
 from saitodual.polynomials import parse_polynomial
 from saitodual.zeta import (AtomRecords, DualPair, equivariant_zeta,
                             verify_zeta_duality)
@@ -310,11 +311,11 @@ class TestIsSaitoDualLargeBuckets:
         # agree with is_saito_dual on the built elements, on a
         # transposed side rebuilt from a copy of the block's record with
         # a coefficient negated too.
-        import saitodual.burnside
+        import saitodual.groups
         p, q, a, b = eleven_squares
         calls = []
-        original = saitodual.burnside.dual_subgroup
-        monkeypatch.setattr(saitodual.burnside, "dual_subgroup",
+        original = saitodual.groups.dual_subgroup
+        monkeypatch.setattr(saitodual.groups, "dual_subgroup",
                             lambda h: calls.append(h) or original(h))
         pair = DualPair(parse_polynomial(
             " + ".join(f"x{i}^2" for i in range(1, 12))))
@@ -343,15 +344,15 @@ class TestIsSaitoDualLargeBuckets:
         # buckets of up to 462 candidates, each term of a bucket above
         # MAX_PAIRED_BUCKET matched by its dual subgroup and every other
         # by the pairing.
-        import saitodual.burnside
+        import saitodual.groups
         p, q, a, b = eleven_squares
         buckets = Counter((c, k.order) for k, c in b.terms.items())
         assert max(buckets.values()) == 462
         looked_up = sum(buckets[c, p.order // h.order] > MAX_PAIRED_BUCKET
                         for h, c in a.terms.items())
         calls = []
-        original = saitodual.burnside.dual_subgroup
-        monkeypatch.setattr(saitodual.burnside, "dual_subgroup",
+        original = saitodual.groups.dual_subgroup
+        monkeypatch.setattr(saitodual.groups, "dual_subgroup",
                             lambda h: calls.append(h) or original(h))
         start = time.perf_counter()
         assert is_saito_dual(a, b)

@@ -165,8 +165,9 @@ def squares(n):
 
 class TestReportBound:
     """`zeta` and `dual` read a report's entry count off its blocks'
-    records and, above ``MAX_REPORT_ENTRIES``, report only the count,
-    with exit 4 and one `note:` line, before either report is built."""
+    contributing subsets and, above ``MAX_REPORT_ENTRIES``, report only
+    the count, with exit 4 and one `note:` line, before either report or
+    any block's record is built."""
 
     @pytest.mark.parametrize("n", [14, 16])
     def test_refused_with_count(self, capsys, monkeypatch, n):
@@ -190,6 +191,20 @@ class TestReportBound:
             assert (code, err) == (4, note)
             assert f"entries:     {2 ** n} (not listed)" in out
         assert built == []
+
+    def test_wide_block_is_refused_with_no_isotropy(self, capsys,
+                                                    monkeypatch):
+        # x1^2*x14 + x2^2 + ... + x14^2 is one block of 12,288 entries on
+        # each side: both commands count them with no isotropy subgroup.
+        calls = []
+        monkeypatch.setattr(zeta, "isotropy_subgroup",
+                            lambda *args: calls.append(args))
+        text = " + ".join(["x1^2*x14"] + [f"x{i}^2" for i in range(2, 15)])
+        for command in ("zeta", "dual"):
+            code, out, _ = run_cli(capsys, command, text, "--json")
+            assert code == 4
+            assert json.loads(out)["result"]["entryCount"] == 12288
+        assert calls == []
 
     def test_bound_is_inclusive(self, capsys, monkeypatch):
         # Three squares have 8 entries, four have 16.  A refused report

@@ -84,7 +84,7 @@ def factorization_mismatches(p):
     bad = []
     if q.dual() is not p:
         bad.append("dual of dual")
-    fresh = GroupPresentation(p.constraint.transpose(), q.side)
+    fresh = GroupPresentation(p.constraint.transpose())
     if (q.invariant_factors, q.ambient_basis) != (
             fresh.invariant_factors, fresh.ambient_basis):
         bad.append("fresh Smith form of C^T")
@@ -218,31 +218,32 @@ def composed_group_mismatches(f, atoms, dual_first=False,
     V, filled on first use.  Returns (mismatches, subgroups)."""
     composed = _symmetry_group(f, atoms)
     fresh = GroupPresentation(f.exponents)
-    pairs = [(composed, fresh), (composed.dual(), fresh.dual())]
+    pairs = [("direct", composed, fresh),
+             ("transposed", composed.dual(), fresh.dual())]
     if dual_first:
         pairs.reverse()
-    bad = [f"{mine.side}: transforms before first use"
-           for mine, _ in pairs
+    bad = [f"{side}: transforms before first use"
+           for side, mine, _ in pairs
            if mine._u is not None or mine._gens is not None]
     subgroups = 0
-    for mine, theirs in pairs:
+    for side, mine, theirs in pairs:
         if (mine.order, mine.invariant_factors, mine.ambient_basis) != (
                 theirs.order, theirs.invariant_factors,
                 theirs.ambient_basis):
-            bad.append(f"{mine.side}: order, factors or ambient basis")
+            bad.append(f"{side}: order, factors or ambient basis")
         if ([g.sort_key() for g in mine.generators()]
                 != [g.sort_key() for g in theirs.generators()]):
-            bad.append(f"{mine.side}: generators")
+            bad.append(f"{side}: generators")
         if max_listed is None or mine.order <= max_listed:
             if ([g.sort_key() for g in mine.elements()]
                     != [g.sort_key() for g in theirs.elements()]):
-                bad.append(f"{mine.side}: elements")
+                bad.append(f"{side}: elements")
             built = enumerate_subgroups(mine)
             subgroups += len(built)
             if built != enumerate_subgroups(theirs):
-                bad.append(f"{mine.side}: subgroups")
+                bad.append(f"{side}: subgroups")
         if mine._transforms() != theirs._transforms():
-            bad.append(f"{mine.side}: U and V")
+            bad.append(f"{side}: U and V")
     return bad, subgroups
 
 
@@ -266,7 +267,7 @@ def dual_map_mismatches(rep, rep_t):
     ``dual_subgroup`` gives on a fresh Smith-form presentation of the
     whole matrix, over the report's dual side, with its order."""
     p = rep.group
-    fresh = GroupPresentation(p.constraint, p.side)
+    fresh = GroupPresentation(p.constraint)
     maps = [record.dual_map(partner)
             for record, partner in zip(rep._records, rep_t._records)]
     keys_t = dict(zip(rep_t._terms, rep_t.reduced.terms))
@@ -433,7 +434,7 @@ class TestCorpusDifferential:
         totals = [len(reps), 0, 0, 0, 0]
         for rep in reps.values():
             p = rep.group
-            fresh = GroupPresentation(p.constraint, p.side)
+            fresh = GroupPresentation(p.constraint)
             counts = lattice_mismatches(
                 enumerate_subgroups(fresh),
                 sorted(rep.equivariant.terms, key=SubgroupKey.sort_key),

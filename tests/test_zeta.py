@@ -6,6 +6,7 @@ import dataclasses
 import io
 import itertools
 import json
+import time
 from collections import Counter
 from math import prod
 
@@ -19,8 +20,9 @@ from saitodual import enumeration
 from saitodual.cli import main
 from saitodual.enumeration import generate_corpus, run_batch
 from saitodual.errors import DegenerateError, NonCyclicError
-from saitodual.groups import (SubgroupKey, enumerate_subgroups,
-                              full_subgroup, monodromy_element,
+from saitodual.groups import (MAX_PAIRED_BUCKET, SubgroupKey,
+                              enumerate_subgroups, full_subgroup,
+                              monodromy_element,
                               subgroup_generated_by, symmetry_group,
                               trivial_subgroup)
 from saitodual.linalg import IntMatrix, determinant
@@ -460,18 +462,43 @@ class TestDualPair:
 
     def test_entry_count_is_read_off_the_records(self, monkeypatch):
         # One entry per contributing subset and one for the empty subset,
-        # on both sides of the (3,4) sums corpus; a sum's count is read
-        # before its report is built.
+        # on both sides of the (3,4) sums corpus; every count is read off
+        # the blocks' contributing subsets before any record or report is
+        # built.
         corpus, _ = generate_corpus(3, 4, include_sums=True)
-        sums = 0
+        unbuilt = 0
         for f in corpus:
             pair = DualPair(f)
             counts = [pair._entry_count(), pair._entry_count(True)]
-            sums += "report" not in vars(pair)
+            unbuilt += not pair.atoms and "report" not in vars(pair)
             assert counts == [len(rep.subset_terms) + 1
                               for rep in (pair.report, pair.report_t)]
             assert counts[1] >= len(pair.report_t.reduced.terms)
-        assert sums == len(corpus) - 56
+        assert unbuilt == len(corpus) == 117
+
+    def test_wide_block_dual_map_looks_up_large_buckets(self, monkeypatch):
+        # x1^2*x11 + x2^2 + ... + x11^2 is one block whose transpose has
+        # up to 336 merged subgroups of one order.  The dual map matches
+        # each subgroup of this block whose bucket holds more than
+        # MAX_PAIRED_BUCKET by its dual subgroup, once, and every other by
+        # the pairing; the verdict is that of the built transform.
+        f = parse_polynomial(" + ".join(
+            ["x1^2*x11"] + [f"x{i}^2" for i in range(2, 12)]))
+        pair = DualPair(f)
+        rep, rep_t = pair.report, pair.report_t
+        (record,), (partner,) = rep._records, rep_t._records
+        d = record.presentation.order
+        sizes = Counter(index for _, _, _, index in partner.merged)
+        looked_up = sum(sizes[d // index] > MAX_PAIRED_BUCKET
+                        for _, _, _, index in record.merged)
+        assert max(sizes.values()) == 336 and looked_up > 0
+        counts = count_calls(monkeypatch, "dual_subgroup")
+        start = time.perf_counter()
+        assert verify_zeta_duality(pair).equal
+        assert time.perf_counter() - start < 5
+        assert counts == {"dual_subgroup": looked_up}
+        monkeypatch.undo()
+        assert rep_t.reduced == -saito_dual(rep.reduced)
 
     def test_corpus_reports_are_below_the_report_bound(self, batch45):
         counts = [prod(len(r.entries) for r in rep._records)
