@@ -54,8 +54,8 @@ class GroupPresentation:
     of the torus.
 
     The constructor runs one Smith form S = U*C*V, and ``dual()`` reads
-    the transposed one from it.  A block-diagonal constraint can instead
-    be composed from presentations of its blocks (``_direct_sum``): its
+    the transposed one from it.  A constraint of several blocks can be
+    composed from presentations of its blocks (``_direct_sum``): its
     order, invariant factors and ambient basis are read off the blocks',
     and U, V and the generators wait for the first caller that needs
     them, which then runs the Smith form of the composed side's
@@ -129,10 +129,11 @@ class GroupPresentation:
         presentation reads it off its blocks' on first use, and its dual
         off the blocks' duals (see ``_block_diagonal``)."""
         if self._ambient is None:
-            parts = self._parts or [part.dual() for part in self._dual._parts]
+            parts = self._parts or [(part.dual(), rows, cols)
+                                    for part, cols, rows in self._dual._parts]
             self._ambient = _block_diagonal(
-                [(part.ambient_basis, part.order) for part in parts],
-                self._order)
+                [(part.ambient_basis, part.order, cols)
+                 for part, cols, _ in parts], self._order)
         return self._ambient
 
     def dual(self):
@@ -466,29 +467,36 @@ def _scaled_generators(v, orders, d):
                                  for row in v.rows))
 
 
-def _block_rows(rows, scale, left, right):
-    """The rows of one block of a block-diagonal matrix: ``rows`` times
-    ``scale``, padded with ``left`` zeros before and ``right`` after."""
-    pad_left, pad_right = (0,) * left, (0,) * right
-    if scale == 1:
-        return tuple(pad_left + row + pad_right for row in rows)
-    return tuple(pad_left + tuple(map(scale.__mul__, row)) + pad_right
-                 for row in rows)
+def _block_rows(rows, scale, positions, n):
+    """``rows`` times ``scale``, the rows of one block of an n x n matrix,
+    with entry k of each moved to column positions[k]."""
+    if len(positions) == n:  # the only block
+        return rows
+    out = []
+    for row in rows:
+        full = [0] * n
+        for j, x in zip(positions, row):
+            full[j] = scale * x
+        out.append(tuple(full))
+    return tuple(out)
+
+
+def _stacked(rows):
+    """The matrix of ``rows``, those of upper-triangular bases with
+    positive pivots placed at distinct positions, in pivot order: each is
+    larger than every later one, which is zero up to its pivot."""
+    return IntMatrix._wrap(tuple(sorted(rows, reverse=True)))
 
 
 def _block_diagonal(blocks, d):
-    """diag((d/d_a)*B_a) for the (B_a, d_a) in ``blocks``, each B_a a
-    scaled basis of a subgroup of a group of order d_a dividing d: the
-    scaled basis of the product of those subgroups.  A block diagonal of
-    upper-triangular HNFs is one."""
-    n = sum(b.nrows for b, _ in blocks)
-    rows = []
-    start = 0
-    for b, order in blocks:
-        stop = start + b.nrows
-        rows.extend(_block_rows(b.rows, d // order, start, n - stop))
-        start = stop
-    return IntMatrix._wrap(tuple(rows))
+    """The matrix with (d/d_a)*B_a at rows and columns ``positions_a``,
+    for the (B_a, d_a, positions_a) in ``blocks``, B_a the scaled basis of
+    a subgroup of a group of order d_a dividing d: that of the product of
+    those subgroups.  At sorted positions each upper-triangular HNF keeps
+    its pivots and its reduced entries right of them: the whole is one."""
+    n = sum(b.nrows for b, _, _ in blocks)
+    return _stacked([row for b, order, positions in blocks
+                     for row in _block_rows(b.rows, d // order, positions, n)])
 
 
 def _chain_factors(orders):
@@ -506,15 +514,15 @@ def _chain_factors(orders):
 
 
 def _direct_sum(constraint, parts):
-    """The presentation of the block-diagonal ``constraint`` composed
-    from ``parts``, presentations of its diagonal blocks in order, with
-    no Smith form: G = G_1 x ... x G_k has order d = prod d_a, the
-    invariant factors of all the blocks' merged by ``_chain_factors``,
-    and ambient basis diag((d/d_a)*A_a).  The ambient basis, U, V and
-    the generators come on first use (``GroupPresentation._transforms``).
-    """
+    """The presentation of ``constraint`` composed with no Smith form from
+    ``parts``, (presentation, columns, rows) of each of its blocks:
+    G = G_1 x ... x G_k has order d = prod d_a, the invariant factors of
+    all the blocks' merged by ``_chain_factors``, and ambient basis the
+    (d/d_a)*A_a at their columns, and its dual's at their rows.  The
+    ambient basis, U, V and the generators come on first use
+    (``GroupPresentation._transforms``)."""
     p = object.__new__(GroupPresentation)
-    p._setup(constraint, _chain_factors([f for part in parts
+    p._setup(constraint, _chain_factors([f for part, _, _ in parts
                                          for f in part.invariant_factors]),
              None, None, tuple(parts))
     return p

@@ -81,17 +81,15 @@ class InvertiblePolynomial:
         """The polynomial with transposed exponent matrix, same variables.
         The transpose of a valid matrix is valid and has the same
         determinant, so nothing is checked or computed again.  Its
-        diagonal blocks, when this polynomial's are known (see
-        ``zeta.equivariant_zeta``), are theirs transposed."""
+        blocks, when this polynomial's are known, are theirs transposed,
+        in the same order."""
         t = object.__new__(InvertiblePolynomial)
         t._exponents = self._exponents.transpose()
         t._variables = self._variables
         t._det = self._det
         t._weights = None
-        blocks = self._blocks
-        t._blocks = (blocks if blocks is None else
-                     (t._exponents,) if len(blocks) == 1 else
-                     tuple(block.transpose() for block in blocks))
+        t._blocks = self._blocks and tuple(
+            block.transpose() for block in self._blocks)
         return t
 
     def text(self):
@@ -148,14 +146,17 @@ def canonical_weights(f):
         tuple(sum(row) for row in scaled_inverse(f.exponents, d).rows), d)
 
 
-def direct_sum_weights(systems):
-    """Weight system of a direct sum from its summands' systems, in
-    variable order: the degree is d = d_1*...*d_k, and summand a's weights
-    are scaled by d/d_a."""
+def direct_sum_weights(systems, positions):
+    """Weight system of a direct sum from its summands' systems, summand
+    a's on the variables at ``positions[a]``: the degree is
+    d = d_1*...*d_k, and summand a's weights are scaled by d/d_a."""
     d = prod(ws.canonical_degree for ws in systems)
-    return _weight_system(tuple(d // ws.canonical_degree * w
-                                for ws in systems
-                                for w in ws.canonical_weights), d)
+    weights = [0] * sum(map(len, positions))
+    for ws, cols in zip(systems, positions):
+        scale = d // ws.canonical_degree
+        for j, w in zip(cols, ws.canonical_weights):
+            weights[j] = scale * w
+    return _weight_system(tuple(weights), d)
 
 
 def _weight_system(weights, d):
@@ -215,7 +216,7 @@ class Atom:
 
 @dataclass(frozen=True)
 class AtomicDecomposition:
-    """Result of the loop/chain block search."""
+    """The loop/chain atoms of a polynomial's blocks (see ``decompose``)."""
 
     atoms: tuple
     non_degenerate: bool
@@ -227,103 +228,118 @@ class AtomicDecomposition:
         }
 
 
+class _Block:
+    """One block of an exponent matrix (see ``_blocks_of``): its
+    submatrix, and the positions in the whole matrix of its monomials
+    ``rows`` and its variables ``cols``, each in their original order."""
+
+    __slots__ = ("matrix", "rows", "cols")
+
+    def __init__(self, matrix, rows, cols):
+        self.matrix, self.rows, self.cols = matrix, rows, cols
+
+    def transpose(self):
+        return _Block(self.matrix.transpose(), self.cols, self.rows)
+
+
+def _blocks_of(f):
+    """The blocks of ``f``, made on first use by ``_components`` and kept
+    on ``f``, whose transpose takes them transposed.  They are its
+    Thom-Sebastiani summands, whatever the order of its variables and
+    monomials (Kreuzer-Skarke, Comm. Math. Phys. 150, 1992)."""
+    if f._blocks is None:
+        f._blocks = _components(f.exponents)
+    return f._blocks
+
+
+def _components(e):
+    """A ``_Block`` per connected component of the graph that joins the
+    variables of each row of the invertible ``e`` (square, as det E != 0
+    matches its rows to its variables), by least variable: a union over
+    each row's support labels each variable with the least joined one."""
+    rows, n = e.rows, e.ncols
+    label = list(range(n))
+    for row in rows:
+        joined = {label[j] for j, x in enumerate(row) if x}
+        if len(joined) > 1:
+            least = min(joined)
+            label = [least if c in joined else c for c in label]
+    if not any(label):  # one component: the matrix is its own block
+        everything = tuple(range(n))
+        return (_Block(e, everything, everything),)
+    # Label c first appears at variable c, so the parts come in order.
+    parts = {j: ([], []) for j, c in enumerate(label) if c == j}
+    for j, c in enumerate(label):
+        parts[c][1].append(j)
+    for i, row in enumerate(rows):  # the label of any variable of the row
+        parts[label[row.index(max(row))]][0].append(i)
+    return tuple(_Block(IntMatrix._wrap(tuple(
+        tuple(map(rows[i].__getitem__, cols)) for i in at)),
+        tuple(at), tuple(cols)) for at, cols in parts.values())
+
+
 def decompose(f):
-    """Split ``f`` into loop/chain blocks when a simultaneous row/column
-    permutation exhibits the exponent matrix as block diagonal with each
-    block of loop form (rows x_i^{p_i} x_{i+1 mod m}) or chain form (rows
-    x_i^{p_i} x_{i+1}, last row a pure power).
+    """Split ``f`` into loop atoms (rows x_i^{p_i} x_{i+1 mod m}) and
+    chain atoms (rows x_i^{p_i} x_{i+1}, the last a pure power), one per
+    block (``_blocks_of``) in any order of its variables and monomials,
+    sorted by first index, with non_degenerate=True; if a block is
+    neither, no atoms and non_degenerate=False.
 
-    Returns atoms with non_degenerate=True on success, otherwise an empty
-    decomposition with non_degenerate=False.
-    """
-    e = f.exponents
-    n = e.ncols
-    # Candidate (own variable, successor) readings of each monomial.
-    candidates = []
-    for i in range(n):
-        nz = [(j, e.entry(i, j)) for j in range(n) if e.entry(i, j) != 0]
-        opts = []
-        if len(nz) == 1:
-            j, p = nz[0]
-            opts.append((j, p, None))
-        elif len(nz) == 2:
-            (j1, p1), (j2, p2) = nz
-            if p2 == 1:
-                opts.append((j1, p1, j2))
-            if p1 == 1:
-                opts.append((j2, p2, j1))
-        if not opts:
-            return AtomicDecomposition((), False)
-        candidates.append(opts)
-
-    own = [None] * n        # own[i] = variable owned by monomial i
-    succ = [None] * n       # succ[i] = successor variable of monomial i
-    used = [False] * n
-
-    def assign(i):
-        if i == n:
-            return _validate_structure(own, succ, n)
-        for j, p, nxt in candidates[i]:
-            if used[j]:
-                continue
-            used[j] = True
-            own[i], succ[i] = j, nxt
-            atoms = assign(i + 1)
-            if atoms is not None:
-                return atoms
-            used[j] = False
-            own[i] = succ[i] = None
-        return None
-
-    def _validate_structure(own, succ, n):
-        exponent_of = {}
-        next_of = {}
-        for i in range(n):
-            exponent_of[own[i]] = e.entry(i, own[i])
-            next_of[own[i]] = succ[i]
-        indegree = {v: 0 for v in range(n)}
-        for v in range(n):
-            if next_of[v] is not None:
-                indegree[next_of[v]] += 1
-        if any(c > 1 for c in indegree.values()):
-            return None
-        atoms = []
-        seen = set()
-        # Chains: walk forward from each in-degree-zero variable.
-        for v in range(n):
-            if indegree[v] == 0:
-                path = []
-                cur = v
-                while cur is not None:
-                    if cur in seen:
-                        return None  # path runs into a cycle
-                    seen.add(cur)
-                    path.append(cur)
-                    cur = next_of[cur]
-                atoms.append(Atom("chain", tuple(path),
-                                  tuple(exponent_of[x] for x in path)))
-        # Remaining variables must form disjoint cycles.
-        for v in range(n):
-            if v not in seen:
-                cycle = []
-                cur = v
-                while cur not in seen:
-                    seen.add(cur)
-                    cycle.append(cur)
-                    cur = next_of[cur]
-                if cur != cycle[0] or len(cycle) < 2:
-                    return None
-                start = cycle.index(min(cycle))
-                cycle = cycle[start:] + cycle[:start]
-                atoms.append(Atom("loop", tuple(cycle),
-                                  tuple(exponent_of[x] for x in cycle)))
-        atoms.sort(key=lambda a: a.indices[0])
-        return tuple(atoms)
-
-    atoms = assign(0)
-    if atoms is None:
+    A block whose rows have at most two variables has at most one row of
+    one variable, a chain's terminal, or else is a loop.  ``_walk`` reads
+    it from one row, which forces the others.  A loop row x_i*x_j reads
+    both ways: the block's first row owns its lower variable if it can."""
+    atoms = [_atom_of(block) for block in _blocks_of(f)]
+    if None in atoms:
         return AtomicDecomposition((), False)
-    return AtomicDecomposition(atoms, True)
+    atoms.sort(key=lambda a: a.indices[0])
+    return AtomicDecomposition(tuple(atoms), True)
+
+
+def _atom_of(block):
+    """The ``Atom`` that ``block`` reads as, or None."""
+    rows = block.matrix.rows
+    supports = [[j for j, x in enumerate(row) if x] for row in rows]
+    if any(len(s) > 2 for s in supports):
+        return None
+    holders = [[i for i, s in enumerate(supports) if j in s]
+               for j in range(len(rows))]
+    ends = [i for i, s in enumerate(supports) if len(s) == 1]
+    if ends:
+        starts = [(ends[0], supports[ends[0]][0])]
+    else:
+        a, b = supports[0]
+        starts = [(0, own) for own, other in ((a, b), (b, a))
+                  if rows[0][other] == 1]
+    for i, j in starts:
+        owned = _walk(rows, holders, i, j, loop=not ends)
+        if owned is not None:
+            k = 0 if ends else owned.index(min(owned))  # loops: least first
+            owned = owned[k:] + owned[:k]
+            return Atom("chain" if ends else "loop",
+                        tuple(block.cols[j] for j, _ in owned),
+                        tuple(p for _, p in owned))
+    return None
+
+
+def _walk(rows, holders, i, j, loop):
+    """The (variable, exponent) each row owns, in successor order and
+    ending with row i's, when row i owns variable j: walking back, the
+    other row holding the last owned variable has exponent 1 at it and
+    owns its other one.  None unless a chain ends at a variable held
+    once, or a ``loop`` back at row i."""
+    owned, start = [], i
+    while True:
+        owned.append((j, rows[i][j]))
+        others = [k for k in holders[j] if k != i]
+        if len(others) != 1:
+            return owned[::-1] if not (others or loop) else None
+        (i,) = others
+        if rows[i][j] != 1:
+            return None
+        if i == start:
+            return owned[::-1] if loop else None
+        (j,) = [k for k, x in enumerate(rows[i]) if x and k != j]
 
 
 class _Token:

@@ -9,24 +9,24 @@ permutation); G^I is the isotropy subgroup of the I-coordinate subtorus.
 The fibre itself is never constructed -- only the Euler characteristics
 of its torus strata enter, and those are exact determinants.
 
-A direct (Thom-Sebastiani) sum f = f1 + ... + fk, read off as the finest
-block-diagonal form of the exponent matrix in its given row and column
-order, is assembled from its atoms by the product rule
-(Ebeling-Gusein-Zade, arXiv:1105.1964; Sebastiani-Thom, Invent. Math. 13,
-1971).  Three facts factor over the atoms, and each atom's record
-(``AtomRecord``, computed once per batch: ``equivariant_zeta``'s
-``atoms``) holds its share of each:
+A direct (Thom-Sebastiani) sum f = f1 + ... + fk, whose summands are the
+connected components of the exponent matrix in any order of its
+variables and monomials (``polynomials._blocks_of``), is assembled from
+its atoms by the product rule (Ebeling-Gusein-Zade, arXiv:1105.1964;
+Sebastiani-Thom, Invent. Math. 13, 1971).  Three facts factor over the
+atoms, and each atom's record (``AtomRecord``, computed once per batch:
+``equivariant_zeta``'s ``atoms``) holds its share of each:
 
 - The group: G = G1 x ... x Gk, of order d = d1*...*dk, with the
   invariant factors and ambient basis read off the atoms' presentations
   (``groups._direct_sum``); no Smith form of the whole matrix is run
   unless a caller needs generators or coordinates.
 - The reduced zeta: a subset I = I1 u ... u Ik contributes exactly when
-  each part Ia does or is empty, G^I = G1^I1 x ... x Gk^Ik, and the
-  I-block determinant is the product of the Ia-block determinants.  So
+  each part does or is empty, G^I = G1^I1 x ... x Gk^Ik, and the I-block
+  determinant is the product of the Ia-blocks' up to sign.  So
   reduced(f) = -((-reduced(f1)) x ... x (-reduced(fk))), the external
-  product [G1/H1] x [G2/H2] = [G/(H1 x H2)].  The key of H1 x ... x Hk is
-  diag((d/d1)*B1, ..., (d/dk)*Bk), already a column HNF, and its order is
+  product [G1/H1] x [G2/H2] = [G/(H1 x H2)].  The key of H1 x ... x Hk
+  has (d/da)*Ba at the variables of block a, and its order is
   d / ([G1:H1]*...*[Gk:Hk]).  The monodromy of the sum is
   h = (h1, ..., hk), so its order in G/(H1 x ... x Hk) is
   r = lcm(r1, ..., rk), and the term contributes (1 - t^r)^(c*[G:H]/r) to
@@ -42,11 +42,9 @@ order, is assembled from its atoms by the product rule
   and each term is one lookup.  A single block is the case k = 1.
 
 The canonical weights of the sum are those of its atoms scaled to the
-common degree: d = d1*...*dk and w = ((d/d1)*w1, ..., (d/dk)*wk).  A
-matrix that is not block diagonal in its given order, such as that of
-x1^2*x3 + x2^3 + x3^3, is one atom, whose record lists its contributing
-subsets (``_contributing_subsets``) over the polynomial's own
-presentation.
+common degree d = d1*...*dk, (d/da)*wa at the variables of block a.  So
+x1^2*x3 + x2^3 + x3^3 is the sum of x1^2*x3 + x3^3 and x2^3.  A record
+lists its block's contributing subsets (``_contributing_subsets``).
 """
 
 from __future__ import annotations
@@ -54,17 +52,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import gcd, inf, lcm, prod
 
 from .burnside import (BurnsideElement, CyclotomicProduct, _coset_order,
                        saito_dual)
 from .errors import DegenerateError, NonCyclicError
 from .groups import (GroupPresentation, SubgroupKey, _block_rows,
-                     _direct_sum, _dual_positions, full_subgroup,
+                     _direct_sum, _dual_positions, _stacked, full_subgroup,
                      isotropy_subgroup, monodromy_element, symmetry_group)
-from .linalg import IntMatrix, determinant
-from .polynomials import (InvertiblePolynomial, canonical_weights,
-                          decompose, direct_sum_weights)
+from .linalg import determinant
+from .polynomials import (InvertiblePolynomial, _blocks_of,
+                          canonical_weights, decompose, direct_sum_weights)
 
 
 # Most entries a zeta report is expanded to (``DualPair._entry_count``: one
@@ -110,13 +109,13 @@ class ZetaReport:
     """Equivariant, reduced, and classical zeta data of one polynomial.
 
     The reduced zeta is kept in product form: ``_records`` holds the
-    ``AtomRecord`` of each diagonal block in order, ``_terms`` maps each
-    choice of one merged subgroup per block, a tuple of positions in the
-    blocks' ``merged``, to its coefficient, and ``_indices`` holds each
-    term's index [G:H], the product of the blocks', in the order of
-    ``_terms``.  ``reduced``, ``equivariant`` and the per-subset audit
-    ``subset_terms`` build their subgroup keys on first read: a passing
-    batch check reads none."""
+    ``AtomRecord`` of each block of the polynomial (``_blocks_of``) in
+    order, ``_terms`` maps each choice of one merged subgroup per block,
+    a tuple of positions in the blocks' ``merged``, to its coefficient,
+    and ``_indices`` holds each term's index [G:H], the product of the
+    blocks', in the order of ``_terms``.  ``reduced``, ``equivariant`` and
+    the per-subset audit ``subset_terms`` build their subgroup keys on
+    first read: a passing batch check reads none."""
 
     polynomial: object
     group: object
@@ -128,21 +127,23 @@ class ZetaReport:
     @cached_property
     def reduced(self):
         """The key of the term that takes merged subgroup H_a of each
-        block a is that of H_1 x ... x H_k, diag((d/d_a)*B_a), of order
-        d / ([G_1:H_1]*...*[G_k:H_k])."""
+        block a is that of H_1 x ... x H_k, of order d / prod [G_a:H_a]:
+        (d/d_a)*B_a at the variables of block a, an HNF as it stands
+        (see ``groups._block_diagonal``)."""
         p = self.group
         n, d = p.rank, p.order
         blocks = [[_block_rows(rows, d // record.presentation.order,
-                               start, n - stop)
+                               block.cols, n)
                    for rows, _, _, _ in record.merged]
-                  for (start, stop), record in _spans(self._records)]
+                  for record, block in zip(self._records,
+                                           _blocks_of(self.polynomial))]
         wrap = SubgroupKey._wrap
         terms = {}
         for (combo, c), index in zip(self._terms.items(), self._indices):
             rows = ()
             for block, i in zip(blocks, combo):
                 rows += block[i]
-            terms[wrap(p, IntMatrix._wrap(rows), d // index)] = c
+            terms[wrap(p, _stacked(rows), d // index)] = c
         return BurnsideElement._wrap(full_subgroup(p), terms)
 
     @cached_property
@@ -160,7 +161,7 @@ class ZetaReport:
     def subset_terms(self):
         """One ``SubsetTerm`` per contributing subset, by (size,
         indices)."""
-        return _subset_terms(self.group, self._records)
+        return _subset_terms(self)
 
     def to_json(self):
         out = _report_head(self.polynomial, self.group)
@@ -225,10 +226,10 @@ class AtomRecords(dict):
 
 class AtomRecord:
     """One exponent block's presentation, weight system and monodromy
-    order, and its ``entries``: (I, det of the I-block, rows of the scaled
-    isotropy basis, order r of the monodromy modulo the isotropy, index
-    [G:G^I]) for the empty subset (the full group) and for each
-    contributing subset I, by (size, indices).
+    order, and its ``entries``: (I, the rows R inside I, det E[R, I],
+    rows of the scaled isotropy basis, order r of the monodromy modulo
+    the isotropy, index [G:G^I]) for the empty subset (the full group)
+    and for each contributing subset I, by (size, indices).
 
     ``merged`` sums the entries by isotropy subgroup: (rows, sum of
     (-1)^|I| over its entries, r, index), for the nonzero sums in order of
@@ -244,7 +245,7 @@ class AtomRecord:
         self.monodromy_order = monodromy_order
         self.entries = entries
         merged = {}
-        for indices, _, rows, r, index in entries:
+        for indices, _, _, rows, r, index in entries:
             c = merged[rows][0] if rows in merged else 0
             merged[rows] = (c + (-1) ** len(indices), r, index)
         self.merged = tuple((rows, c, r, index)
@@ -275,7 +276,7 @@ def equivariant_zeta(f, group=None, atoms=None):
     the exponent matrix of ``f``).
 
     The reduced zeta is -(M_1 x ... x M_k), the external product of the
-    ``merged`` maps M_a = -reduced_a of the diagonal blocks' records
+    ``merged`` maps M_a = -reduced_a of the blocks' records
     (``AtomRecord``): each product of one merged subgroup per block is
     one term, with coefficient minus the product of the blocks'
     coefficients and classical factor (1 - t^r)^(coefficient*[G:H]/r),
@@ -291,14 +292,15 @@ def equivariant_zeta(f, group=None, atoms=None):
     second Smith form.  Without ``group``, a sum's presentation is
     composed from its blocks' (see ``groups._direct_sum``).  ``atoms`` is
     the ``AtomRecords`` of the batch; without one the call keeps its own.
-    The diagonal blocks and, unless ``f`` has one, the weight system
-    composed from the blocks' are kept on ``f``."""
+    The blocks (``_blocks_of``) and, unless ``f`` has one, the weight
+    system composed from the blocks' are kept on ``f``."""
     if atoms is None:
         atoms = AtomRecords()
     p = group if group is not None else _symmetry_group(f, atoms)
     records = _block_records(f, atoms, p)
     if f._weights is None:
-        f._weights = direct_sum_weights([r.weights for r in records])
+        f._weights = direct_sum_weights([r.weights for r in records], [
+            block.cols for block in _blocks_of(f)])
     products = [((), -1, 1, 1)]
     for record in records:
         products = [(combo + (i,), c * bc, lcm(r, br), index * bi)
@@ -316,124 +318,97 @@ def equivariant_zeta(f, group=None, atoms=None):
     return ZetaReport(f, p, classical, records, terms, indices)
 
 
-def _spans(records):
-    """((start, stop), record) for each diagonal block's record, in
-    order."""
-    start = 0
-    for record in records:
-        stop = start + record.presentation.rank
-        yield (start, stop), record
-        start = stop
-
-
-def _subset_terms(p, records):
-    """The audit of a report over ``p``: the product of one entry of each
-    block's record is one contributing subset I = I_1 u ... u I_k, with
-    the product of their determinants and the key of the product of
-    their isotropy subgroups.  The product of the empty subsets, the
-    first, is not a term.  Sorted by (size, indices)."""
+def _subset_terms(report):
+    """The audit of a ``ZetaReport``: the product of one entry of each
+    block's record, at the block's positions, is one contributing subset
+    I = I_1 + ... + I_k over the rows R_1 + ... + R_k, with the key of the
+    product of their isotropy subgroups.  det E[R, I], R and I sorted, is
+    the product of the blocks' times the signs of the permutations that
+    sort the two sums.  The product of the empty subsets is no term.
+    Sorted by (size, indices)."""
+    p = report.group
     n, d = p.rank, p.order
     products = None
-    for (start, stop), record in _spans(records):
+    for record, block in zip(report._records,
+                             _blocks_of(report.polynomial)):
         scale = d // record.presentation.order
-        entries = [(tuple(start + i for i in indices), det,
-                    _block_rows(rows, scale, start, n - stop), index)
-                   for indices, det, rows, _, index in record.entries]
+        entries = [(tuple(block.cols[i] for i in indices),
+                    tuple(block.rows[i] for i in rows_in), det,
+                    _block_rows(rows, scale, block.cols, n), index)
+                   for indices, rows_in, det, rows, _, index
+                   in record.entries]
         products = entries if products is None else [
-            (indices + more, det * factor, rows + block_rows,
-             index * block_index)
-            for indices, det, rows, index in products
-            for more, factor, block_rows, block_index in entries]
+            (indices + more, rows_in + more_in, det * factor,
+             rows + block_rows, index * block_index)
+            for indices, rows_in, det, rows, index in products
+            for more, more_in, factor, block_rows, block_index in entries]
     audit = []
-    for indices, det, rows, index in products[1:]:
+    for indices, rows_in, det, rows, index in products[1:]:
         sign = 1 if len(indices) % 2 else -1
         audit.append(SubsetTerm(
-            indices, sign,
-            SubgroupKey._wrap(p, IntMatrix._wrap(rows), d // index),
-            sign * det))
+            tuple(sorted(indices)), sign,
+            SubgroupKey._wrap(p, _stacked(rows), d // index),
+            sign * _sign(indices) * _sign(rows_in) * det))
     audit.sort(key=lambda t: (len(t.indices), t.indices))
     return tuple(audit)
 
 
-def _blocks_of(f):
-    """The diagonal blocks of the exponent matrix of ``f`` in order (see
-    ``_diagonal_blocks``), made on first use and kept on ``f``, whose
-    transpose takes them transposed; one block is the matrix itself."""
-    if f._blocks is None:
-        e = f.exponents
-        spans = _diagonal_blocks(e)
-        f._blocks = ((e,) if len(spans) == 1 else tuple(
-            IntMatrix._wrap(tuple(row[start:stop]
-                                  for row in e.rows[start:stop]))
-            for start, stop in spans))
-    return f._blocks
+def _sign(seq):
+    """The sign of the permutation that sorts ``seq``."""
+    return -1 if sum(a > b for a, b in combinations(seq, 2)) % 2 else 1
 
 
 def _symmetry_group(f, atoms):
     """The symmetry group of ``f``: ``symmetry_group`` for one block, and
-    for a sum the presentation composed from its blocks' records in
-    ``atoms`` (``groups._direct_sum``)."""
-    if len(_blocks_of(f)) == 1:
+    for a sum the presentation composed from its blocks'
+    (``groups._direct_sum``), with no record made."""
+    blocks = _blocks_of(f)
+    if len(blocks) == 1:
         return symmetry_group(f)
-    return _direct_sum(f.exponents, [record.presentation for record
-                                     in _block_records(f, atoms)])
+    return _direct_sum(f.exponents, [
+        (_block_presentation(block.matrix, atoms), block.cols, block.rows)
+        for block in blocks])
 
 
-def _diagonal_blocks(e):
-    """(start, stop) of each block of the finest block-diagonal form of
-    the invertible matrix ``e`` in its given row and column order: the
-    matrix splits after position i when no nonzero entry of rows or
-    columns 0..i reaches past i."""
-    rows = e.rows
-    # reach[i]: the farthest position joined to i by a nonzero entry
-    # (i, j) or (j, i) with j > i.
-    reach = list(range(len(rows)))
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x:
-                if j > reach[i]:
-                    reach[i] = j
-                elif i > reach[j]:
-                    reach[j] = i
-    blocks = []
-    start = far = 0
-    for i, r in enumerate(reach):
-        far = max(far, r)
-        if far == i:
-            blocks.append((start, i + 1))
-            start = i + 1
-    return blocks
+def _block_presentation(e, atoms):
+    """A presentation of the group of the block ``e``: that of its record
+    in ``atoms``; otherwise the ``dual()`` of its transposed block's
+    record's, with no second Smith form; otherwise its own."""
+    record = atoms.get(e)
+    if record is not None:
+        return record.presentation
+    partner = atoms.get(e.transpose())
+    return (partner.presentation.dual() if partner is not None
+            else GroupPresentation(e))
 
 
 def _block_records(f, atoms, group=None):
-    """The records of the diagonal blocks of ``f``, from ``atoms`` or made
-    and, for a block of fewer than ``atoms.keep_below`` variables, kept
-    there.  A block without a record has it made over ``group``, the
-    presentation of ``f``, when ``f`` is one block, whose weights it
-    takes; otherwise over the ``dual()`` of its transposed block's
-    record's presentation, with no second Smith form; otherwise over its
-    own.  ``f`` then keeps as its blocks the equal matrices of its
-    records' presentations, which the batch keeps anyway, so the blocks
-    split from ``f`` do not outlive the call."""
+    """The records of the blocks of ``f``, from ``atoms`` or made and, for
+    a block of fewer than ``atoms.keep_below`` variables, kept there,
+    over the presentation ``group``, that of ``f``, gives the block: all
+    of it when ``f`` is one block, whose weights the record takes, or its
+    part when ``_symmetry_group`` composed it; else ``_block_presentation``.
+    The blocks of ``f`` take the records' equal matrices, which the batch
+    keeps anyway."""
     blocks = _blocks_of(f)
     single = len(blocks) == 1
+    given = [None] * len(blocks)
+    if group is not None and (single or group._parts):
+        given = [group] if single else [part for part, _, _ in group._parts]
     records = []
-    for block in blocks:
-        record = atoms.get(block)
+    for block, q in zip(blocks, given):
+        e = block.matrix
+        record = atoms.get(e)
         if record is None:
-            if single and group is not None:
-                q = group
-            else:
-                partner = atoms.get(block.transpose())
-                q = (partner.presentation.dual() if partner is not None
-                     else GroupPresentation(block))
+            if q is None:
+                q = _block_presentation(e, atoms)
             weights = (f.weights if single else
-                       canonical_weights(InvertiblePolynomial(block)))
-            record = _atom_record(block, q, weights)
-            if block.nrows < atoms.keep_below:
-                atoms[block] = record
+                       canonical_weights(InvertiblePolynomial(e)))
+            record = _atom_record(e, q, weights)
+            if e.nrows < atoms.keep_below:
+                atoms[e] = record
         records.append(record)
-    f._blocks = tuple(record.presentation.constraint for record in records)
+        block.matrix = record.presentation.constraint
     return tuple(records)
 
 
@@ -445,10 +420,10 @@ def _atom_record(e, q, weights):
     degree."""
     d = q.order
     monodromy = tuple(w % d for w in weights.canonical_weights)
-    entries = [((), 1, q.ambient_basis.rows, 1, 1)]
+    entries = [((), (), 1, q.ambient_basis.rows, 1, 1)]
     for subset, rows_in in _contributing_subsets(e):
         iso = isotropy_subgroup(q, subset)
-        entries.append((subset,
+        entries.append((subset, tuple(rows_in),
                         determinant(e.submatrix(rows_in, subset)),
                         iso.basis.rows, _coset_order(iso.basis, monodromy),
                         iso.index))
@@ -595,11 +570,11 @@ class DualPair:
     """The Berglund-Hubsch pair (f, f^T): the symmetry group G of f and its
     dual G^T (the group of f^T), the monodromy element of f and each
     side's zeta report.  Each field is computed on first use and then
-    shared; each side's weight system and diagonal
-    blocks are kept on ``f`` and ``ft``, where every library call reaches
-    them, and the blocks are split once per pair: ``ft`` takes those of
-    ``f`` transposed.  ``atoms`` is the ``AtomRecords`` of the batch the
-    pair belongs to; without one the pair keeps its own."""
+    shared; each side's weight system and blocks (``_blocks_of``) are
+    kept on ``f`` and ``ft``, where every library call reaches them, and
+    the blocks are split once per pair: ``ft`` takes those of ``f``
+    transposed, in the same order.  ``atoms`` is the ``AtomRecords`` of
+    the batch the pair belongs to; without one the pair keeps its own."""
 
     def __init__(self, f, atoms=None):
         self.f = f
@@ -640,10 +615,10 @@ class DualPair:
     def _entry_count(self, transposed=False):
         """The number of entries of the zeta report of ``f`` (of ``ft``
         when ``transposed``), the empty subset included: the product over
-        its diagonal blocks of one more than their contributing subsets,
-        counted with no record and no isotropy subgroup."""
+        its blocks of one more than their contributing subsets, counted
+        with no record and no isotropy subgroup."""
         f = self.ft if transposed else self.f
-        return prod(1 + len(_contributing_subsets(block))
+        return prod(1 + len(_contributing_subsets(block.matrix))
                     for block in _blocks_of(f))
 
 

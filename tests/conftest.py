@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from saitodual import generate_corpus, run_batch
+from saitodual import InvertiblePolynomial, generate_corpus, run_batch
 
 ACCEPTANCE_RESULTS = []
 
@@ -49,6 +49,16 @@ def distinct_groups(batch, max_order):
             if p.order <= max_order and p.constraint not in seen:
                 seen[p.constraint] = p
     return list(seen.values())
+
+
+def permuted(f, rng):
+    """``f`` with its monomials and its variables each in a random order,
+    drawn from ``rng``: a sum's blocks come interleaved."""
+    rows = list(f.exponents.rows)
+    rng.shuffle(rows)
+    cols = list(range(f.nvars))
+    rng.shuffle(cols)
+    return InvertiblePolynomial([[row[j] for j in cols] for row in rows])
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -26,6 +26,7 @@ from saitodual.errors import OwnershipError, SingularMatrixError
 from saitodual.linalg import (IntMatrix, RationalVector, determinant,
                               lattice_basis, lattice_solve, scaled_inverse,
                               smith_normal_form)
+from saitodual.polynomials import Atom, AtomicDecomposition
 from saitodual.zeta import SubsetTerm, ZetaReport
 
 _elements_cache = {}
@@ -684,3 +685,105 @@ class DirectZetaReport:
     subset_terms: tuple
 
     to_json = ZetaReport.to_json
+
+
+def search_decompose(f):
+    """The loop/chain decomposition by the backtracking search over the
+    readings of each monomial, in row order, that ``decompose`` ran before
+    it read the atoms off the components of the exponent matrix: split
+    ``f`` into loop/chain blocks when a simultaneous row/column
+    permutation exhibits the exponent matrix as block diagonal with each
+    block of loop form (rows x_i^{p_i} x_{i+1 mod m}) or chain form (rows
+    x_i^{p_i} x_{i+1}, last row a pure power).
+
+    Returns atoms with non_degenerate=True on success, otherwise an empty
+    decomposition with non_degenerate=False.
+    """
+    e = f.exponents
+    n = e.ncols
+    # Candidate (own variable, successor) readings of each monomial.
+    candidates = []
+    for i in range(n):
+        nz = [(j, e.entry(i, j)) for j in range(n) if e.entry(i, j) != 0]
+        opts = []
+        if len(nz) == 1:
+            j, p = nz[0]
+            opts.append((j, p, None))
+        elif len(nz) == 2:
+            (j1, p1), (j2, p2) = nz
+            if p2 == 1:
+                opts.append((j1, p1, j2))
+            if p1 == 1:
+                opts.append((j2, p2, j1))
+        if not opts:
+            return AtomicDecomposition((), False)
+        candidates.append(opts)
+
+    own = [None] * n        # own[i] = variable owned by monomial i
+    succ = [None] * n       # succ[i] = successor variable of monomial i
+    used = [False] * n
+
+    def assign(i):
+        if i == n:
+            return _validate_structure(own, succ, n)
+        for j, p, nxt in candidates[i]:
+            if used[j]:
+                continue
+            used[j] = True
+            own[i], succ[i] = j, nxt
+            atoms = assign(i + 1)
+            if atoms is not None:
+                return atoms
+            used[j] = False
+            own[i] = succ[i] = None
+        return None
+
+    def _validate_structure(own, succ, n):
+        exponent_of = {}
+        next_of = {}
+        for i in range(n):
+            exponent_of[own[i]] = e.entry(i, own[i])
+            next_of[own[i]] = succ[i]
+        indegree = {v: 0 for v in range(n)}
+        for v in range(n):
+            if next_of[v] is not None:
+                indegree[next_of[v]] += 1
+        if any(c > 1 for c in indegree.values()):
+            return None
+        atoms = []
+        seen = set()
+        # Chains: walk forward from each in-degree-zero variable.
+        for v in range(n):
+            if indegree[v] == 0:
+                path = []
+                cur = v
+                while cur is not None:
+                    if cur in seen:
+                        return None  # path runs into a cycle
+                    seen.add(cur)
+                    path.append(cur)
+                    cur = next_of[cur]
+                atoms.append(Atom("chain", tuple(path),
+                                  tuple(exponent_of[x] for x in path)))
+        # Remaining variables must form disjoint cycles.
+        for v in range(n):
+            if v not in seen:
+                cycle = []
+                cur = v
+                while cur not in seen:
+                    seen.add(cur)
+                    cycle.append(cur)
+                    cur = next_of[cur]
+                if cur != cycle[0] or len(cycle) < 2:
+                    return None
+                start = cycle.index(min(cycle))
+                cycle = cycle[start:] + cycle[:start]
+                atoms.append(Atom("loop", tuple(cycle),
+                                  tuple(exponent_of[x] for x in cycle)))
+        atoms.sort(key=lambda a: a.indices[0])
+        return tuple(atoms)
+
+    atoms = assign(0)
+    if atoms is None:
+        return AtomicDecomposition((), False)
+    return AtomicDecomposition(atoms, True)

@@ -15,7 +15,7 @@ from saitodual.groups import (dual_subgroup, enumerate_subgroups,
                               full_subgroup, isotropy_subgroup,
                               monodromy_element, subgroup_generated_by)
 from saitodual.linalg import determinant
-from saitodual.polynomials import canonical_weights
+from saitodual.polynomials import canonical_weights, decompose
 from saitodual.zeta import classical_saito_dual
 
 from conftest import distinct_groups, record_acceptance
@@ -51,7 +51,6 @@ def test_criterion_2_corollary_suite(corpus45, batch45):
             group = v.theorem.rhs_report.group
             # Pure loop/chain types have cyclic symmetry groups and are
             # therefore all covered, as are all cyclic 3-variable cases.
-            from saitodual.polynomials import decompose
             if len(decompose(f).atoms) == 1:
                 assert group.is_cyclic
                 assert v.corollary_checked

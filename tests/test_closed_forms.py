@@ -16,6 +16,7 @@ acceptance corpus on both sides, and on random integer matrices."""
 import dataclasses
 import itertools
 import json
+import random
 from fractions import Fraction
 
 from hypothesis import assume, example, given, settings, strategies as st
@@ -37,14 +38,15 @@ from saitodual.groups import (GroupElement, GroupPresentation,
 from saitodual.linalg import (IntMatrix, _format_vectors, determinant,
                               lattice_basis, lattice_solve, scaled_inverse)
 from saitodual.enumeration import generate_corpus, run_batch
-from saitodual.polynomials import (InvertiblePolynomial, canonical_weights,
+from saitodual.polynomials import (InvertiblePolynomial, _blocks_of,
+                                   _components, canonical_weights,
                                    parse_polynomial)
-from saitodual.zeta import (AtomRecords, DualPair, _diagonal_blocks,
+from saitodual.zeta import (AtomRecords, DualPair,
                             _symmetry_group, equivariant_zeta,
                             generating_root_exists, generating_root_zeta,
                             verify_zeta_duality)
 
-from conftest import distinct_groups
+from conftest import distinct_groups, permuted
 from oracles import (RationalElement, ambient_quotient_data, brute_roots,
                      coordinate_roots, cramer_weights,
                      direct_equivariant_zeta, divisor_coset_order,
@@ -171,7 +173,7 @@ def composition_counts(batch):
     checked = sums = mismatches = 0
     for f, _, rep in sides(batch):
         checked += 1
-        sums += len(_diagonal_blocks(f.exponents)) > 1
+        sums += len(_blocks_of(f)) > 1
         mismatches += differs_from_direct_loop(rep)
     return checked, sums, mismatches
 
@@ -252,7 +254,7 @@ def composed_group_counts(polynomials, atoms):
     ``composed_group_mismatches`` over the sums among ``polynomials``."""
     sums = subgroups = mismatches = 0
     for f in polynomials:
-        if len(_diagonal_blocks(f.exponents)) > 1:
+        if len(_blocks_of(f)) > 1:
             bad, count = composed_group_mismatches(f, atoms)
             sums += 1
             subgroups += count
@@ -529,6 +531,20 @@ class TestCorpusDifferential:
         # Every corpus side, as the batch assembled it from its shared
         # atom records.
         assert composition_counts(batch45) == (3152, 2264, 0)
+
+    def test_interleaved_sums_match_direct_loop(self, corpus45):
+        # Every corpus45 sum with its monomials and its variables
+        # shuffled, so that its blocks interleave, through one batch: the
+        # reports against the full subset loop, with the signs of the
+        # shuffles in each torus Euler characteristic, and the duals
+        # through the blocks' dual maps.
+        rng = random.Random(1132)
+        sums = [permuted(f, rng) for f in corpus45
+                if len(_components(f.exponents)) > 1]
+        batch = run_batch(sums, keep_records=True)
+        assert batch.ok and batch.theorem_pass == len(sums) == 1132
+        assert composition_counts(batch) == (2264, 2264, 0)
+        assert dual_map_counts(batch) == (2264, 17720, 0, 0)
 
     def test_sums_sample_zeta_reports_match_direct_loop(self,
                                                         batch55_sample):
@@ -949,7 +965,7 @@ class TestAtomComposition:
                         SPECIAL_ATOMS[4], SPECIAL_ATOMS[5]]))
     def test_block_sums_match_direct_loop(self, f):
         p = symmetry_group(f)
-        assert len(_diagonal_blocks(f.exponents)) > 1
+        assert len(_components(f.exponents)) > 1
         # The composed group, each side filling U and V first once.
         for atoms, dual_first in ((AtomRecords(), False),
                                   (BATCH_ATOMS, True)):
@@ -965,20 +981,30 @@ class TestAtomComposition:
                     len(side.reduced.terms), 0)
 
     @pytest.mark.parametrize("text, blocks", [
-        ("x1^2*x3 + x2^3 + x3^3", [(0, 3)]),  # interleaved components
-        ("x^2*y + z^3 + y^3", [(0, 3)]),      # monomials out of order
-        ("x^2*y + y^3 + z^2", [(0, 2), (2, 3)]),
-        ("x^2 + y^2 + z^2 + w^2", [(0, 1), (1, 2), (2, 3), (3, 4)]),
-        ("x*y + x*y^2 + z^3", [(0, 2), (2, 3)]),
-        ("x^2*y + y^3 + z^2*w + w^2", [(0, 2), (2, 4)]),
-        ("x^2*y + y^3 + z^5", [(0, 2), (2, 3)]),
+        # (monomials, variables) of each block.  The first two and the
+        # last two interleave: each is the sum of two blocks.
+        ("x1^2*x3 + x2^3 + x3^3", [((0, 2), (0, 2)), ((1,), (1,))]),
+        ("x^2*y + z^3 + y^3", [((0, 2), (0, 1)), ((1,), (2,))]),
+        ("x^2*y + y^3 + z^2", [((0, 1), (0, 1)), ((2,), (2,))]),
+        ("x^2 + y^2 + z^2 + w^2", [((0,), (0,)), ((1,), (1,)),
+                                   ((2,), (2,)), ((3,), (3,))]),
+        ("x*y + x*y^2 + z^3", [((0, 1), (0, 1)), ((2,), (2,))]),
+        ("x^2*y + y^3 + z^2*w + w^2", [((0, 1), (0, 1)),
+                                       ((2, 3), (2, 3))]),
+        ("x^2*y + y^3 + z^5", [((0, 1), (0, 1)), ((2,), (2,))]),
+        ("x1^2*x3 + x3^3 + x2^3", [((0, 1), (0, 2)), ((2,), (1,))]),
+        ('{"E": [[0, 3], [2, 0]]}', [((1,), (0,)), ((0,), (1,))]),
     ])
     def test_fixed_cases_match_direct_loop(self, text, blocks):
         f = parse_polynomial(text)
-        assert _diagonal_blocks(f.exponents) == blocks
+        assert [(b.rows, b.cols) for b in _components(f.exponents)] == blocks
         p = symmetry_group(f)
+        # The transpose's own blocks swap each block's positions, ordered
+        # by its own least variable.
+        assert sorted((b.rows, b.cols)
+                      for b in _components(f.exponents.transpose())) == (
+            sorted((cols, rows) for rows, cols in blocks))
         for g, q in ((f, p), (f.transpose(), p.dual())):
-            assert _diagonal_blocks(g.exponents) == blocks
             rep = equivariant_zeta(g, q)
             assert composed_fact_mismatches(rep) == []
             assert not differs_from_direct_loop(rep)

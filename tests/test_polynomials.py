@@ -1,5 +1,6 @@
 """Parsing, weight systems, transposition, and block decomposition."""
 
+import random
 import warnings
 
 import pytest
@@ -8,8 +9,38 @@ from hypothesis import assume, given, settings, strategies as st
 from saitodual.errors import (CoefficientWarning, PolynomialParseError,
                               ShapeError, SingularMatrixError)
 from saitodual.linalg import IntMatrix, determinant
-from saitodual.polynomials import (InvertiblePolynomial, canonical_weights,
-                                   decompose, parse_polynomial)
+from saitodual.polynomials import (InvertiblePolynomial, _blocks_of,
+                                   canonical_weights, decompose,
+                                   parse_polynomial)
+
+from conftest import permuted
+from oracles import search_decompose
+
+
+def unit_loop(n):
+    """x1*x2 + x2*x3 + ... + xn*x1: every exponent 1, so each monomial
+    reads both ways."""
+    return parse_polynomial(" + ".join(
+        f"x{i}*x{i % n + 1}" for i in range(1, n + 1)))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """An invertible polynomial of 1 to 6 variables whose monomials have
+    one to three variables and exponents 1 to 3: mostly sums of loop and
+    chain atoms, some not, in any order."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(n):
+        size = draw(st.sampled_from([1, 2, 2, 2, 3]))
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=size, unique=True))
+        row = [0] * n
+        for j in support:
+            row[j] = draw(st.sampled_from([1, 1, 2, 3]))
+        rows.append(row)
+    assume(determinant(rows) != 0)
+    return InvertiblePolynomial(rows)
 
 
 class TestParser:
@@ -201,6 +232,58 @@ class TestDecompose:
         for f in corpus_sample:
             if decompose(f).non_degenerate:
                 assert decompose(f.transpose()).non_degenerate
+
+    def test_corpus_matches_search_in_any_order(self, corpus45):
+        # Every value decompose returns (non_degenerate, and each atom's
+        # kind, indices and exponents) is the backtracking search's, on
+        # each corpus polynomial as built and with its monomials and its
+        # variables shuffled.
+        rng = random.Random(45)
+        checked = mismatches = 0
+        for f in corpus45:
+            for g in (f, permuted(f, rng), permuted(f, rng)):
+                checked += 1
+                mismatches += decompose(g) != search_decompose(g)
+        assert (checked, mismatches) == (3 * len(corpus45), 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_matrices())
+    def test_random_matrices_match_search(self, f):
+        assert decompose(f) == search_decompose(f)
+
+    @pytest.mark.parametrize("f", [
+        unit_loop(3), unit_loop(5), unit_loop(7),
+        parse_polynomial("x*y + x*y^2"),
+        parse_polynomial("x*y + y^2"),
+        parse_polynomial("x^2*y + y"),
+    ], ids=["unit loop 3", "unit loop 5", "unit loop 7", "x*y + x*y^2",
+            "x*y + y^2", "x^2*y + y"])
+    def test_two_readings_break_like_the_search(self, f):
+        # A monomial with exponents 1 and 1 reads both ways; the first
+        # reading in row order that walks wins, as in the search.
+        rng = random.Random(7)
+        for g in (f, permuted(f, rng), permuted(f, rng), f.transpose()):
+            dec = decompose(g)
+            assert dec.non_degenerate
+            assert dec == search_decompose(g)
+
+    def test_interleaved_blocks_are_components(self):
+        # The blocks are the connected components, ordered by least
+        # variable, with the original positions of their monomials and
+        # variables; the transpose takes them transposed, in that order.
+        f = parse_polynomial("x2^3 + x1^2*x2 + x3^5")
+        assert [(b.rows, b.cols) for b in _blocks_of(f)] == [
+            ((0, 1), (0, 1)), ((2,), (2,))]
+        f = parse_polynomial('{"E": [[0, 3], [2, 0]]}')
+        blocks = _blocks_of(f)
+        assert [(b.matrix.rows, b.rows, b.cols) for b in blocks] == [
+            (((2,),), (1,), (0,)), (((3,),), (0,), (1,))]
+        assert [(b.matrix, b.rows, b.cols)
+                for b in _blocks_of(f.transpose())] == [
+            (b.matrix.transpose(), b.cols, b.rows) for b in blocks]
+        f = parse_polynomial("x1^2*x3 + x2^3 + x3^3")
+        assert [(b.rows, b.cols) for b in _blocks_of(f)] == [
+            ((0, 2), (0, 2)), ((1,), (1,))]
 
     def test_degenerate_suspect_flags(self):
         # Chain with unit terminal exponent.

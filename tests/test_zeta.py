@@ -26,21 +26,15 @@ from saitodual.groups import (MAX_PAIRED_BUCKET, SubgroupKey,
                               subgroup_generated_by, symmetry_group,
                               trivial_subgroup)
 from saitodual.linalg import IntMatrix, determinant
-from saitodual.polynomials import InvertiblePolynomial, parse_polynomial
+from saitodual.polynomials import (InvertiblePolynomial, _blocks_of,
+                                   _components, parse_polynomial)
 from saitodual.zeta import (MAX_REPORT_ENTRIES, AtomRecords, DualPair,
-                            _blocks_of, _contributing_subsets,
-                            _diagonal_blocks,
+                            _contributing_subsets,
                             classical_saito_dual, classical_zeta,
                             equivariant_zeta, milnor_number,
                             verify_root_duality, verify_zeta_duality)
 
 from oracles import direct_equivariant_zeta
-
-
-def diagonal_block_matrices(e):
-    """The diagonal blocks of ``e`` (see ``_diagonal_blocks``)."""
-    return [e.submatrix(range(a, b), range(a, b))
-            for a, b in _diagonal_blocks(e)]
 
 
 class TestEquivariantZeta:
@@ -64,6 +58,28 @@ class TestEquivariantZeta:
         # Subsets: {2} contributes +, {1} nothing, {1,2} contributes -.
         contributions = {t.indices: t.coefficient for t in rep.subset_terms}
         assert contributions == {(1,): 1, (0, 1): -1}
+
+    def test_interleaved_audit_signs_the_shuffles(self):
+        # {"E": [[0, 3], [2, 0]]} is x2^3 + x1^2: two blocks whose
+        # monomials come in the opposite order to their variables.  The
+        # torus Euler characteristic of I = {x1, x2} is -det E = 6; the
+        # product of the blocks' 2 and 3 without the sign of the shuffle
+        # that merges their monomials would give -6.
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["zeta", '{"E": [[0,3],[2,0]]}', "--json"]) == 0
+        terms = json.loads(out.getvalue())["result"]["perSubsetTerms"]
+        assert terms == [
+            {"I": [1], "coefficient": 1,
+             "isotropy": {"basis": [6, 0, 0, 2], "order": 3},
+             "torusEuler": 2, "variables": ["x1"]},
+            {"I": [2], "coefficient": 1,
+             "isotropy": {"basis": [3, 0, 0, 6], "order": 2},
+             "torusEuler": 3, "variables": ["x2"]},
+            {"I": [1, 2], "coefficient": -1,
+             "isotropy": {"basis": [6, 0, 0, 6], "order": 1},
+             "torusEuler": 6, "variables": ["x1", "x2"]},
+        ]
 
     def test_z6_example(self):
         f = parse_polynomial("x^3 + x*y^2")
@@ -244,7 +260,7 @@ class TestZetaDuality:
         rep, rep_t = pair.report, pair.report_t
         sign = -1 if pair.f.nvars % 2 else 1
         assert verify_zeta_duality(pair).equal
-        blocks_t = _blocks_of(pair.ft)
+        blocks_t = [block.matrix for block in _blocks_of(pair.ft)]
         last = len(blocks_t) - 1
 
         def rebuilt_t(merged):
@@ -367,8 +383,7 @@ class TestDualPair:
         # records, so only single-block sides compute weights, and a
         # symmetric matrix (a one-variable chain or a two-variable loop)
         # gives its transposed side the record its own side kept.
-        singles = [f for f in corpus
-                   if len(_diagonal_blocks(f.exponents)) == 1]
+        singles = [f for f in corpus if len(_components(f.exponents)) == 1]
         symmetric = sum(f.exponents == f.exponents.transpose()
                         for f in singles)
         assert (len(corpus), len(singles), symmetric) == (117, 56, 9)
@@ -377,8 +392,8 @@ class TestDualPair:
                              "canonical_weights", "geometric_roots",
                              "element_zeta")
         split = []
-        monkeypatch.setattr(saitodual.zeta, "_diagonal_blocks",
-                            lambda e, _split=_diagonal_blocks:
+        monkeypatch.setattr(saitodual.polynomials, "_components",
+                            lambda e, _split=_components:
                             split.append(e) or _split(e))
         report = run_batch(corpus)
         assert report.ok and report.corollary_checked > 0
@@ -454,7 +469,7 @@ class TestDualPair:
         assert atoms.keep_below == 3
         assert Counter(block.nrows for block in atoms) == {1: 3, 2: 24}
         small = {g.exponents for f in corpus if f.nvars < 3
-                 and len(_diagonal_blocks(f.exponents)) == 1
+                 and len(_components(f.exponents)) == 1
                  for g in (f, f.transpose())}
         assert small == set(atoms)
         pooled = run_batch(corpus, workers=2)
@@ -477,13 +492,14 @@ class TestDualPair:
         assert unbuilt == len(corpus) == 117
 
     def test_wide_block_dual_map_looks_up_large_buckets(self, monkeypatch):
-        # x1^2*x11 + x2^2 + ... + x11^2 is one block whose transpose has
-        # up to 336 merged subgroups of one order.  The dual map matches
-        # each subgroup of this block whose bucket holds more than
-        # MAX_PAIRED_BUCKET by its dual subgroup, once, and every other by
-        # the pairing; the verdict is that of the built transform.
+        # The star x1^2 + x1*x2^2 + ... + x1*x9^2 is one block, neither a
+        # loop nor a chain, whose transpose has up to 70 merged subgroups
+        # of one order.  The dual map matches each subgroup of this block
+        # whose bucket holds more than MAX_PAIRED_BUCKET by its dual
+        # subgroup, once, and every other by the pairing; the verdict is
+        # that of the built transform.
         f = parse_polynomial(" + ".join(
-            ["x1^2*x11"] + [f"x{i}^2" for i in range(2, 12)]))
+            ["x1^2"] + [f"x1*x{i}^2" for i in range(2, 10)]))
         pair = DualPair(f)
         rep, rep_t = pair.report, pair.report_t
         (record,), (partner,) = rep._records, rep_t._records
@@ -491,7 +507,8 @@ class TestDualPair:
         sizes = Counter(index for _, _, _, index in partner.merged)
         looked_up = sum(sizes[d // index] > MAX_PAIRED_BUCKET
                         for _, _, _, index in record.merged)
-        assert max(sizes.values()) == 336 and looked_up > 0
+        assert max(sizes.values()) == 70
+        assert 0 < looked_up < len(record.merged)
         counts = count_calls(monkeypatch, "dual_subgroup")
         start = time.perf_counter()
         assert verify_zeta_duality(pair).equal
