@@ -7,9 +7,10 @@ supports --json; enumerate drives the batch verification harness.
 Exit codes: 0 all checks passed; 1 input or usage error, or standard
 output closed before the report was written (as by `| head -1`; no
 traceback); 2 zeta-duality failures; 3 root-duality failures; 4 resource
-bound hit (truncated run, more geometric roots than MAX_LISTED_ROOTS, or
-a zeta report of more entries than MAX_REPORT_ENTRIES, of which only the
-count is reported).
+bound hit (truncated run, more geometric roots than MAX_LISTED_ROOTS, a
+zeta report of more entries than MAX_REPORT_ENTRIES, or a corpus of more
+atom specs than enumeration.MAX_CORPUS_SPECS, of which only the counts are
+reported).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import os
 import sys
 
 from . import __version__
-from .enumeration import generate_corpus, run_batch
+from .enumeration import (BatchReport, CorpusBoundError, generate_corpus,
+                          run_batch)
 from .errors import SaitoDualError
 from .groups import MAX_LISTED_ROOTS, _root_vectors, root_count
 from .linalg import _format_vectors
@@ -263,11 +265,6 @@ def cmd_enumerate(args):
 
 
 def _run_enumerate(args, out):
-    corpus, truncated = generate_corpus(
-        args.max_vars, args.max_exp, include_sums=args.sums,
-        include_chains=not args.no_chains, include_loops=not args.no_loops,
-        limit=args.limit, sample=args.sample, seed=args.seed)
-    report = run_batch(corpus, workers=args.workers, truncated=truncated)
     bounds = {
         "maxVars": args.max_vars,
         "maxExp": args.max_exp,
@@ -278,6 +275,25 @@ def _run_enumerate(args, out):
         "sample": args.sample,
         "seed": args.seed,
     }
+    try:
+        corpus, truncated = generate_corpus(
+            args.max_vars, args.max_exp, include_sums=args.sums,
+            include_chains=not args.no_chains,
+            include_loops=not args.no_loops,
+            limit=args.limit, sample=args.sample, seed=args.seed)
+    except CorpusBoundError as exc:
+        # Nothing is listed or verified: only the closed-form counts are
+        # reported, as `zeta` reports only an entry count.
+        if args.json or out:
+            result = {"bounds": bounds}
+            result.update(BatchReport._refused_json(exc.specs, exc.size))
+            _emit(_envelope("enumerate", bounds, result), out)
+        else:
+            print(f"polynomials:      {exc.size} (not enumerated)")
+            print(f"atom specs:       {exc.specs}")
+        print(f"note: {exc}; only the counts are reported", file=sys.stderr)
+        return EXIT_RESOURCE
+    report = run_batch(corpus, workers=args.workers, truncated=truncated)
     if args.json or out:
         result = {"bounds": bounds}
         result.update(report.to_json())

@@ -8,22 +8,53 @@ The corpus has no duplicates by construction: a loop/chain decomposition
 with exponents >= 2 is unique up to relabeling (Kreuzer-Skarke, "On the
 classification of quasihomogeneous functions", CMP 1992), chains are
 emitted head to tail, loops as their least rotation and sums as multisets
-of blocks.  The corpus is ordered by (nvars, sorted atom signatures);
-``--sample`` and ``--limit`` select from that order before any polynomial
-is built.
+of blocks.  The corpus is ordered by (nvars, sorted atom signatures): by
+total size, then by the sorted list of its blocks' ``(kind, exponents)``
+specs.
+
+It is addressed by rank, and no list of its members or of their block
+combinations is made.  Its size is counted in closed form, with
+k = max_exp - 1: chains on m variables number k^m, loops are necklaces,
+(1/m) sum_{e | m} phi(e) k^(m/e) (Polya), and sums are the multisets of
+specs, c_m of size m, counted by prod_m (1 - z^m)^(-c_m).  The one list
+held is the spec table.  A corpus of more than ``MAX_CORPUS_SPECS`` specs
+is refused (``CorpusBoundError``) before it is listed.  A ``Corpus`` builds
+the member at a rank when read, by bisecting a table of cumulative counts
+of multisets by first spec, one row per remaining size (``_Ranking``).
+``--sample`` draws ranks and ``--limit`` keeps a prefix of them.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
+from math import comb, gcd
 
+from .errors import ResourceBoundError
 from .linalg import IntMatrix
-from .polynomials import InvertiblePolynomial
+from .polynomials import InvertiblePolynomial, _Block
 from .zeta import (AtomRecords, DualPair, _polynomial_head,
                    verify_root_duality, verify_zeta_duality)
+
+# The most atom specs a corpus may have: its spec table and rank table are
+# held in memory.  (6,9) has 351,208 specs and (8,6) 551,849; (7,8) has
+# 1,102,268 and (7,9) 2,747,960.
+MAX_CORPUS_SPECS = 1_000_000
+
+
+class CorpusBoundError(ResourceBoundError):
+    """A corpus has more than ``MAX_CORPUS_SPECS`` atom specs.  Carries the
+    closed-form counts: ``specs`` and ``size``, its number of members."""
+
+    def __init__(self, specs, size):
+        super().__init__(f"{specs} atom specs exceed the corpus bound "
+                         f"{MAX_CORPUS_SPECS}")
+        self.specs = specs
+        self.size = size
 
 
 def chain_matrix(exponents):
@@ -52,11 +83,27 @@ def loop_matrix(exponents):
 
 
 def _necklaces(length, values):
-    """Tuples over ``values`` up to cyclic rotation (canonical = minimal
-    rotation); relabeling a loop's variables only rotates its exponents."""
-    for tup in itertools.product(values, repeat=length):
-        if all(tup <= tup[k:] + tup[:k] for k in range(1, length)):
-            yield tup
+    """Tuples over ``values`` up to cyclic rotation, each as its least
+    rotation, in lexicographic order; relabeling a loop's variables only
+    rotates its exponents.  The FKM algorithm (Ruskey, Savage and Wang,
+    J. Algorithms 13, 1992): each prenecklace is extended periodically
+    from its last raised position i, and it is a necklace when its period
+    i + 1 divides the length."""
+    values = tuple(values)
+    top = len(values) - 1
+    a = [0] * length
+    yield tuple(values[x] for x in a)
+    while True:
+        i = length - 1
+        while i >= 0 and a[i] == top:
+            i -= 1
+        if i < 0:
+            return
+        a[i] += 1
+        for j in range(i + 1, length):
+            a[j] = a[j - i - 1]
+        if length % (i + 1) == 0:
+            yield tuple(values[x] for x in a)
 
 
 def atom_specs(max_vars, max_exp, include_chains=True, include_loops=True):
@@ -73,19 +120,157 @@ def atom_specs(max_vars, max_exp, include_chains=True, include_loops=True):
     return specs
 
 
-def build_polynomial(specs):
-    """Direct sum of the given blocks, on variables x1..xn."""
-    blocks = [chain_matrix(ps) if kind == "chain" else loop_matrix(ps)
-              for kind, ps in specs]
-    n = sum(b.nrows for b in blocks)
-    rows = [[0] * n for _ in range(n)]
-    offset = 0
-    for b in blocks:
-        for i in range(b.nrows):
-            for j in range(b.ncols):
-                rows[offset + i][offset + j] = b.entry(i, j)
-        offset += b.nrows
-    return InvertiblePolynomial(IntMatrix(rows))
+def corpus_counts(max_vars, max_exp, include_sums=False, include_chains=True,
+                  include_loops=True):
+    """(number of atom specs, number of corpus members), in closed form,
+    with k = max_exp - 1: on m variables there are k^m chains and
+    (1/m) sum_{e | m} phi(e) k^(m/e) loops (m >= 2); with sums, the
+    members on s variables are the coefficient of z^s in
+    prod_m (1 - z^m)^(-c_m), c_m being the specs on m variables."""
+    k = max_exp - 1
+    counts = [0] * (max_vars + 1)
+    for m in range(1, max_vars + 1):
+        if include_chains:
+            counts[m] += k ** m
+        if include_loops and m >= 2:
+            counts[m] += sum(
+                sum(gcd(e, i) == 1 for i in range(e)) * k ** (m // e)
+                for e in range(1, m + 1) if m % e == 0) // m
+    if not include_sums:
+        return sum(counts), sum(counts)
+    series = [1] + [0] * max_vars
+    for m, c in enumerate(counts):
+        if c:
+            # (1 - z^m)^(-c) = sum_t C(c + t - 1, t) z^(m t)
+            series = [sum(series[s - m * t] * comb(c + t - 1, t)
+                          for t in range(s // m + 1))
+                      for s in range(max_vars + 1)]
+    return sum(counts), sum(series) - 1  # less the empty multiset
+
+
+class _Ranking:
+    """The corpus order as a rank table over ``specs``, the spec table in
+    spec order.  A member is a multiset of specs (one spec without sums),
+    written as the non-decreasing list of its positions in ``specs``;
+    members are ordered by total size, then lexicographically, the order
+    of their sorted spec lists.
+
+    Row s serves a remaining size s: ``first[s]``, the positions that can
+    start it (those of size <= s, or of size s without sums), and
+    ``cum[s]``, the running count over them of the multisets of total s
+    whose least position is that one: C(s - size(j), j), with C(r, j) the
+    number of multisets of total r of positions >= j.  ``starts[s]`` is
+    the number of members of size at most s.  ``matrices`` holds the block
+    matrices of the specs built so far (see ``build_polynomial``)."""
+
+    def __init__(self, specs, max_vars, include_sums):
+        self.specs = specs
+        self.matrices = {}
+        self.sizes = sizes = [len(ps) for _, ps in specs]
+        by_size = [[] for _ in range(max_vars + 1)]
+        for j, m in enumerate(sizes):
+            by_size[m].append(j)
+        self.first = [None]
+        self.cum = [None]
+        for s in range(1, max_vars + 1):
+            if not include_sums:
+                first = by_size[s]
+                cum = range(len(first) + 1)
+            else:
+                first = (range(len(specs)) if s == max_vars
+                         else sorted(itertools.chain(*by_size[1:s + 1])))
+                cum = [0, *itertools.accumulate(
+                    1 if sizes[j] == s else self._count(s - sizes[j], j)
+                    for j in first)]
+            self.first.append(first)
+            self.cum.append(cum)
+        self.starts = [0, *itertools.accumulate(
+            cum[-1] for cum in self.cum[1:])]
+
+    def _count(self, r, j):
+        """C(r, j) for r >= 1, read off row r."""
+        cum = self.cum[r]
+        return cum[-1] - cum[bisect_left(self.first[r], j)]
+
+    def size_of(self, rank):
+        """The number of variables of the member at ``rank``."""
+        return bisect_right(self.starts, rank)
+
+    def member(self, rank):
+        """The specs of the member at ``rank``, in spec order: at each
+        remaining size, the least position whose multisets reach past the
+        rank left, counted from the last position taken."""
+        s = self.size_of(rank)
+        r = rank - self.starts[s - 1]
+        low = 0
+        picked = []
+        while s:
+            first, cum = self.first[s], self.cum[s]
+            target = cum[bisect_left(first, low)] + r
+            t = bisect_right(cum, target) - 1
+            low = first[t]
+            r = target - cum[t]
+            picked.append(self.specs[low])
+            s -= self.sizes[low]
+        return picked
+
+
+def _atom_order(spec):
+    """The position of ``spec`` in ``atom_specs`` order, as a sort key."""
+    kind, ps = spec
+    return kind, len(ps), ps
+
+
+class Corpus(Sequence):
+    """The members of a corpus at ``ranks`` (ascending), in corpus order.
+    Member i is built when read, from its blocks in ``atom_specs`` order;
+    a slice is the corpus at the sliced ranks, with nothing built."""
+
+    def __init__(self, ranking, ranks):
+        self._ranking = ranking
+        self.ranks = ranks
+
+    def __len__(self):
+        return len(self.ranks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Corpus(self._ranking, self.ranks[i])
+        ranking = self._ranking
+        return build_polynomial(sorted(ranking.member(self.ranks[i]),
+                                       key=_atom_order), ranking.matrices)
+
+    @property
+    def nvars(self):
+        """The most variables of any member: those of the last."""
+        return self._ranking.size_of(self.ranks[-1]) if self.ranks else 0
+
+
+def build_polynomial(specs, matrices=None):
+    """Direct sum of the given blocks, on variables x1..xn, in that order.
+    Its blocks (``polynomials._blocks_of``) are set as built, so none is
+    searched for: each spec's at the next positions.  ``matrices`` maps
+    each spec to its block matrix and takes those it lacks, so that the
+    polynomials built with one map share each spec's matrix."""
+    if matrices is None:
+        matrices = {}
+    n = sum(len(ps) for _, ps in specs)
+    rows = []
+    blocks = []
+    for kind, ps in specs:
+        spec = kind, tuple(ps)
+        b = matrices.get(spec)
+        if b is None:
+            b = matrices[spec] = (chain_matrix if kind == "chain"
+                                  else loop_matrix)(ps)
+        at = tuple(range(len(rows), len(rows) + b.nrows))
+        rows.extend([0] * at[0] + list(row) + [0] * (n - 1 - at[-1])
+                    for row in b.rows)
+        blocks.append(_Block(b, at, at))
+    f = InvertiblePolynomial(blocks[0].matrix if len(blocks) == 1
+                             else IntMatrix(rows))
+    f._blocks = tuple(blocks)
+    return f
 
 
 def canonical_matrix_key(e):
@@ -110,44 +295,30 @@ def canonical_matrix_key(e):
 def generate_corpus(max_vars, max_exp, include_sums=False,
                     include_chains=True, include_loops=True, limit=None,
                     sample=None, seed=0):
-    """Polynomial corpus ordered by (nvars, sorted atom signatures).
+    """Polynomial corpus ordered by (nvars, sorted atom signatures), as a
+    ``Corpus`` of ranks: nothing is built until read.
 
-    Works on block combinations and builds only the polynomials it
-    returns, each from its blocks in ``atom_specs`` order.  ``sample``
-    draws that many combinations pseudo-randomly (seeded, so reproducible)
-    and keeps them in corpus order; ``limit`` then keeps a prefix.
-    Returns (polynomials, truncated); ``truncated`` is True when ``limit``
-    cut the list short.
+    ``sample`` draws that many ranks pseudo-randomly (seeded, so
+    reproducible: ``random.Random(seed).sample(range(N), sample)`` for a
+    corpus of N) and keeps them in corpus order; ``limit`` then keeps a
+    prefix.  Returns (corpus, truncated); ``truncated`` is True when
+    ``limit`` cut the corpus short.  Raises ``CorpusBoundError`` above
+    ``MAX_CORPUS_SPECS`` atom specs, counted before any is listed.
     """
-    specs = atom_specs(max_vars, max_exp, include_chains, include_loops)
-    sizes = [len(ps) for _, ps in specs]
-    combos = [(i,) for i in range(len(specs))]
-    if include_sums:
-        by_size = sorted(range(len(specs)), key=sizes.__getitem__)
-
-        def extend(start, used, acc):
-            for k in range(start, len(by_size)):
-                i = by_size[k]
-                if used + sizes[i] > max_vars:
-                    break
-                acc.append(i)
-                if len(acc) >= 2:
-                    combos.append(tuple(sorted(acc)))
-                extend(k, used + sizes[i], acc)
-                acc.pop()
-
-        extend(0, 0, [])
-    combos.sort(key=lambda c: (sum(sizes[i] for i in c),
-                               sorted(specs[i] for i in c)))
-    if sample is not None and sample < len(combos):
-        picks = random.Random(seed).sample(range(len(combos)), sample)
-        combos = [combos[i] for i in sorted(picks)]
-    truncated = False
-    if limit is not None and len(combos) > limit:
-        combos = combos[:limit]
-        truncated = True
-    return ([build_polynomial([specs[i] for i in c]) for c in combos],
-            truncated)
+    specs, size = corpus_counts(max_vars, max_exp, include_sums,
+                                include_chains, include_loops)
+    if specs > MAX_CORPUS_SPECS:
+        raise CorpusBoundError(specs, size)
+    ranking = _Ranking(
+        sorted(atom_specs(max_vars, max_exp, include_chains, include_loops)),
+        max_vars, include_sums)
+    ranks = range(size)
+    if sample is not None and sample < len(ranks):
+        ranks = sorted(random.Random(seed).sample(ranks, sample))
+    truncated = limit is not None and len(ranks) > limit
+    if truncated:
+        ranks = ranks[:limit]
+    return Corpus(ranking, ranks), truncated
 
 
 @dataclass
@@ -212,10 +383,21 @@ class BatchReport:
             "truncated": self.truncated,
         }
 
+    @staticmethod
+    def _refused_json(specs, size):
+        """The JSON of a batch that is not run because its corpus has
+        ``specs`` atom specs, more than ``MAX_CORPUS_SPECS``: the fields
+        of ``to_json``, null, with ``specCount`` and ``corpusSize``."""
+        return {"total": None, "theoremPass": None, "theoremFail": None,
+                "corollaryChecked": None, "corollaryPass": None,
+                "corollaryFail": None, "failures": None, "truncated": None,
+                "specCount": specs, "corpusSize": size}
 
-def _verify_task(keep_record, atoms, f):
-    """Verify one polynomial: (theorem equal, corollary equal or None when
-    unchecked, failure entries, the record when ``keep_record``)."""
+
+def _verify_task(polynomials, keep_record, atoms, i):
+    """Verify polynomial ``i``: (theorem equal, corollary equal or None
+    when unchecked, failure entries, the record when ``keep_record``)."""
+    f = polynomials[i]
     v = verify_polynomial(f, atoms)
     failures = []
     if not v.theorem.equal:
@@ -232,19 +414,23 @@ def _verify_task(keep_record, atoms, f):
 _worker_task = None
 
 
-def _start_worker(keep_below):
+def _start_worker(polynomials, keep_below):
     global _worker_task
-    _worker_task = partial(_verify_task, False, AtomRecords(keep_below))
+    _worker_task = partial(_verify_task, polynomials, False,
+                           AtomRecords(keep_below))
 
 
-def _pooled_task(f):
-    return _worker_task(f)
+def _pooled_task(i):
+    return _worker_task(i)
 
 
 def run_batch(polynomials, workers=1, keep_records=False, truncated=False):
-    """Verify every polynomial, in a pool when ``workers`` > 1; aggregation
-    order follows the input order, so sorted input gives byte-stable
-    reports.  Pool workers send back no records.
+    """Verify every polynomial of the sequence ``polynomials`` (a list or
+    a ``Corpus``), in a pool when ``workers`` > 1; aggregation order
+    follows the input order, so sorted input gives byte-stable reports.
+    Both paths map over positions: each pool worker takes the sequence
+    when it starts and reads (for a ``Corpus``, builds) its own members,
+    and sends back no records.
 
     The polynomials share one ``zeta.AtomRecords``, made for this call:
     one per worker process in a pool.  It keeps the record of each block
@@ -254,16 +440,18 @@ def run_batch(polynomials, workers=1, keep_records=False, truncated=False):
         raise ValueError("keep_records=True needs workers=1")
     report = BatchReport(total=len(polynomials), truncated=truncated,
                          records=[] if keep_records else None)
-    keep_below = max((f.nvars for f in polynomials), default=0)
+    keep_below = (polynomials.nvars if isinstance(polynomials, Corpus)
+                  else max((f.nvars for f in polynomials), default=0))
+    positions = range(len(polynomials))
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers, _start_worker,
-                                  (keep_below,)) as pool:
-            outcomes = pool.map(_pooled_task, polynomials, chunksize=8)
+                                  (polynomials, keep_below)) as pool:
+            outcomes = pool.map(_pooled_task, positions, chunksize=8)
     else:
-        outcomes = map(partial(_verify_task, keep_records,
-                               AtomRecords(keep_below)), polynomials)
+        outcomes = map(partial(_verify_task, polynomials, keep_records,
+                               AtomRecords(keep_below)), positions)
     for theorem_equal, corollary_equal, failures, record in outcomes:
         report.theorem_pass += theorem_equal
         report.theorem_fail += not theorem_equal

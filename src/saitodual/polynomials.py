@@ -231,12 +231,15 @@ class AtomicDecomposition:
 class _Block:
     """One block of an exponent matrix (see ``_blocks_of``): its
     submatrix, and the positions in the whole matrix of its monomials
-    ``rows`` and its variables ``cols``, each in their original order."""
+    ``rows`` and its variables ``cols``, each in their original order.
+    ``subsets`` keeps its contributing subsets once listed
+    (``zeta._subsets_of``)."""
 
-    __slots__ = ("matrix", "rows", "cols")
+    __slots__ = ("matrix", "rows", "cols", "subsets")
 
     def __init__(self, matrix, rows, cols):
         self.matrix, self.rows, self.cols = matrix, rows, cols
+        self.subsets = None
 
     def transpose(self):
         return _Block(self.matrix.transpose(), self.cols, self.rows)

@@ -44,7 +44,8 @@ atoms, and each atom's record (``AtomRecord``, computed once per batch:
 The canonical weights of the sum are those of its atoms scaled to the
 common degree d = d1*...*dk, (d/da)*wa at the variables of block a.  So
 x1^2*x3 + x2^3 + x3^3 is the sum of x1^2*x3 + x3^3 and x2^3.  A record
-lists its block's contributing subsets (``_contributing_subsets``).
+lists its block's contributing subsets (``_contributing_subsets``), which
+the block keeps (``_subsets_of``) for the report's entry count too.
 """
 
 from __future__ import annotations
@@ -404,7 +405,7 @@ def _block_records(f, atoms, group=None):
                 q = _block_presentation(e, atoms)
             weights = (f.weights if single else
                        canonical_weights(InvertiblePolynomial(e)))
-            record = _atom_record(e, q, weights)
+            record = _atom_record(e, q, weights, _subsets_of(block))
             if e.nrows < atoms.keep_below:
                 atoms[e] = record
         records.append(record)
@@ -412,22 +413,31 @@ def _block_records(f, atoms, group=None):
     return tuple(records)
 
 
-def _atom_record(e, q, weights):
+def _atom_record(e, q, weights, subsets):
     """The ``AtomRecord`` of the exponent block ``e`` over a presentation
     ``q`` of its group, whose order d is the canonical degree of
-    ``weights``: the monodromy is the element w/d, its scaled vector the
-    canonical weights w reduced mod d, and its order the reduced
-    degree."""
+    ``weights``, from its contributing ``subsets``: the monodromy is the
+    element w/d, its scaled vector the canonical weights w reduced mod d,
+    and its order the reduced degree."""
     d = q.order
     monodromy = tuple(w % d for w in weights.canonical_weights)
     entries = [((), (), 1, q.ambient_basis.rows, 1, 1)]
-    for subset, rows_in in _contributing_subsets(e):
+    for subset, rows_in in subsets:
         iso = isotropy_subgroup(q, subset)
         entries.append((subset, tuple(rows_in),
                         determinant(e.submatrix(rows_in, subset)),
                         iso.basis.rows, _coset_order(iso.basis, monodromy),
                         iso.index))
     return AtomRecord(q, weights, weights.reduced_degree, tuple(entries))
+
+
+def _subsets_of(block):
+    """The contributing subsets of a ``_Block``, listed on first use and
+    kept on it, so that counting a report's entries and making its record
+    list them once."""
+    if block.subsets is None:
+        block.subsets = _contributing_subsets(block.matrix)
+    return block.subsets
 
 
 def _contributing_subsets(e):
@@ -618,8 +628,7 @@ class DualPair:
         its blocks of one more than their contributing subsets, counted
         with no record and no isotropy subgroup."""
         f = self.ft if transposed else self.f
-        return prod(1 + len(_contributing_subsets(block.matrix))
-                    for block in _blocks_of(f))
+        return prod(1 + len(_subsets_of(block)) for block in _blocks_of(f))
 
 
 def verify_zeta_duality(pair):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -452,6 +453,61 @@ def dedup_corpus(max_vars, max_exp, include_sums=False, include_chains=True,
         f = build_polynomial(combo)
         seen.setdefault((f.nvars, canonical_matrix_key(f.exponents)), f)
     return [seen[k] for k in sorted(seen)], len(combos)
+
+
+def brute_necklaces(length, values):
+    """Tuples over ``values`` that are their own least rotation, in
+    lexicographic order, by trying every tuple (``_necklaces`` as first
+    written, before the FKM algorithm)."""
+    for tup in itertools.product(values, repeat=length):
+        if all(tup <= tup[k:] + tup[:k] for k in range(1, length)):
+            yield tup
+
+
+def list_combinations(max_vars, max_exp, include_sums=False,
+                      include_chains=True, include_loops=True):
+    """The corpus as ``generate_corpus`` listed it before it ranked the
+    corpus: every block combination (index tuples into ``atom_specs``),
+    sorted by ``(nvars, sorted atom specs)``.  Returns (specs, combos)."""
+    specs = atom_specs(max_vars, max_exp, include_chains, include_loops)
+    sizes = [len(ps) for _, ps in specs]
+    combos = [(i,) for i in range(len(specs))]
+    if include_sums:
+        by_size = sorted(range(len(specs)), key=sizes.__getitem__)
+
+        def extend(start, used, acc):
+            for k in range(start, len(by_size)):
+                i = by_size[k]
+                if used + sizes[i] > max_vars:
+                    break
+                acc.append(i)
+                if len(acc) >= 2:
+                    combos.append(tuple(sorted(acc)))
+                extend(k, used + sizes[i], acc)
+                acc.pop()
+
+        extend(0, 0, [])
+    combos.sort(key=lambda c: (sum(sizes[i] for i in c),
+                               sorted(specs[i] for i in c)))
+    return specs, combos
+
+
+def list_corpus(max_vars, max_exp, include_sums=False, include_chains=True,
+                include_loops=True, limit=None, sample=None, seed=0):
+    """``generate_corpus`` before it ranked the corpus: list and sort every
+    block combination (``list_combinations``), then apply ``sample`` and
+    ``limit`` and build the picks.  Returns (polynomials, truncated)."""
+    specs, combos = list_combinations(max_vars, max_exp, include_sums,
+                                      include_chains, include_loops)
+    if sample is not None and sample < len(combos):
+        picks = random.Random(seed).sample(range(len(combos)), sample)
+        combos = [combos[i] for i in sorted(picks)]
+    truncated = False
+    if limit is not None and len(combos) > limit:
+        combos = combos[:limit]
+        truncated = True
+    return ([build_polynomial([specs[i] for i in c]) for c in combos],
+            truncated)
 
 
 def coordinate_roots(f, p):

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from saitodual import (DualPair, PolynomialParseError, __version__, cli,
                        generate_corpus, milnor_number, parse_polynomial, zeta)
 from saitodual.cli import MAX_WORKERS, main
+from saitodual.enumeration import MAX_CORPUS_SPECS
 from saitodual.errors import SaitoDualError
 from saitodual.groups import GroupElement
 from saitodual.zeta import MAX_REPORT_ENTRIES
@@ -31,6 +32,12 @@ def run_cli(capsys, *argv):
 # `enumerate --max-vars 2 --max-exp 3 --sums --json`.
 SUMS_2_3_PIN = ("bba393ac0144f0c51c729c513c8b673b"
                 "dbaa20469e474d3626cd8bef12499eb6")
+
+
+# sha256 of the whole standard output of
+# `enumerate --max-vars 5 --max-exp 5 --sums --sample 300 --seed 3 --json`.
+SAMPLE_55_PIN = ("b7b4e6cf316a72f5bdb356fed7cccf21"
+                 "29358332f41651b33d7e25bb69142587")
 
 
 def run_json(capsys, *argv):
@@ -219,6 +226,18 @@ class TestReportBound:
             refused = json.loads(out)["result"]
             assert code == 4
             assert set(refused) == set(built) | {"entryCount"}
+
+    def test_subsets_are_listed_once_per_block(self, capsys, monkeypatch):
+        # The entry count and the record of the star's one block (and of
+        # its transpose) share one listing of its contributing subsets.
+        calls = []
+        real = zeta._contributing_subsets
+        monkeypatch.setattr(zeta, "_contributing_subsets",
+                            lambda e: calls.append(e) or real(e))
+        star = " + ".join(["x1^2"] + [f"x1*x{i}^2" for i in range(2, 13)])
+        code, out, _ = run_cli(capsys, "dual", star, "--json")
+        assert code == 0 and json.loads(out)["result"]["equal"] is True
+        assert len(calls) == 2
 
     def test_twelve_variables_are_admitted(self):
         # The 12-variable `dual` and `zeta` that CI runs: 4,096 entries
@@ -456,6 +475,47 @@ class TestEnumerate:
             text = json.dumps(data["result"], sort_keys=True,
                               separators=(",", ":"))
             assert hashlib.sha256(text.encode()).hexdigest() == SUMS_2_3_PIN
+
+    @pytest.mark.parametrize("max_vars, specs, size", [
+        (7, 2747960, 31421016), (8, 21622860, 343255152)])
+    def test_corpus_above_the_spec_bound_is_refused(self, capsys, tmp_path,
+                                                    max_vars, specs, size):
+        # The counts come in closed form; nothing is listed or verified.
+        argv = ["enumerate", "--max-vars", str(max_vars), "--max-exp", "9",
+                "--sums", "--limit", "1"]
+        note = (f"note: {specs} atom specs exceed the corpus bound "
+                f"{MAX_CORPUS_SPECS}; only the counts are reported\n")
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert time.monotonic() - start < 0.5
+        assert (code, err) == (4, note)
+        refused = json.loads(out)["result"]
+        assert (refused["specCount"], refused["corpusSize"]) == (specs, size)
+        _, built = run_json(capsys, "enumerate", "--max-vars", "1",
+                            "--max-exp", "2", "--json")
+        assert set(refused) == set(built["result"]) | {"specCount",
+                                                       "corpusSize"}
+        assert refused["bounds"]["maxVars"] == max_vars
+        assert all(refused[k] is None for k in built["result"]
+                   if k != "bounds")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (4, note)
+        assert out == (f"polynomials:      {size} (not enumerated)\n"
+                       f"atom specs:       {specs}\n")
+        target = tmp_path / "refused.json"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out, err) == (4, "", note)
+        assert json.loads(target.read_text())["result"] == refused
+
+    def test_sampled_sums_corpus_is_pinned(self, capsys):
+        # The bytes CI pins, serial and with a pool whose workers build
+        # their own members from the ranks they are sent.
+        argv = ["enumerate", "--max-vars", "5", "--max-exp", "5", "--sums",
+                "--sample", "300", "--seed", "3", "--json"]
+        code, serial, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(serial.encode()).hexdigest() == SAMPLE_55_PIN
+        assert run_cli(capsys, *argv, "--workers", "2") == (0, serial, "")
 
     def assert_input_error(self, capsys, flag, *argv):
         code, out, err = run_cli(capsys, "enumerate", "--max-vars", "2",

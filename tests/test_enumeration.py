@@ -1,7 +1,9 @@
 """Corpus generation: block matrices, the corpus against the old
-build-key-dedup procedure, selection before building, determinism, batch
-engine."""
+build-key-dedup procedure and the old list-and-sort, closed-form counts,
+the spec bound, selection before building, determinism, batch engine."""
 
+import itertools
+import json
 import random
 import time
 from collections import Counter
@@ -9,13 +11,22 @@ from collections import Counter
 import pytest
 
 from saitodual import enumeration
-from saitodual.enumeration import (atom_specs, build_polynomial,
-                                   canonical_matrix_key, chain_matrix,
+from saitodual.enumeration import (MAX_CORPUS_SPECS, Corpus,
+                                   CorpusBoundError, _necklaces, atom_specs,
+                                   build_polynomial, canonical_matrix_key,
+                                   chain_matrix, corpus_counts,
                                    generate_corpus, loop_matrix, run_batch)
 from saitodual.linalg import IntMatrix, determinant
-from saitodual.polynomials import decompose
+from saitodual.polynomials import _components, decompose
 
-from oracles import dedup_corpus
+from oracles import (brute_necklaces, dedup_corpus, list_combinations,
+                     list_corpus)
+
+# Every combination of --sums, --no-chains and --no-loops, as the keyword
+# arguments of generate_corpus.
+FLAGS = [dict(include_sums=sums, include_chains=chains, include_loops=loops)
+         for sums, chains, loops in itertools.product([False, True],
+                                                      repeat=3)]
 
 
 def matrices(corpus):
@@ -169,9 +180,9 @@ class TestSelectBeforeBuild:
         calls = []
         real = enumeration.build_polynomial
 
-        def counting(specs):
+        def counting(specs, *matrices):
             calls.append(specs)
-            return real(specs)
+            return real(specs, *matrices)
 
         def refuse(e):
             raise AssertionError("generate_corpus computed a canonical key")
@@ -184,20 +195,175 @@ class TestSelectBeforeBuild:
         start = time.perf_counter()
         corpus, truncated = generate_corpus(5, 5, include_sums=True,
                                             sample=300, seed=7)
-        elapsed = time.perf_counter() - start
         assert len(corpus) == 300 and not truncated
-        assert len(builds) == 300
+        assert builds == []
+        members = list(corpus)
+        elapsed = time.perf_counter() - start
+        assert len(builds) == len(members) == 300
         # Building and keying all 9,260 members first takes about 8 s.
         assert elapsed < 1.0
 
     def test_limit_builds_only_the_prefix(self, builds):
         corpus, truncated = generate_corpus(5, 5, include_sums=True, limit=5)
         assert len(corpus) == 5 and truncated
-        assert len(builds) == 5
+        assert len(list(corpus)) == len(builds) == 5
 
     def test_full_corpus_builds_each_member_once(self, builds):
         corpus, _ = generate_corpus(4, 5, include_sums=True)
-        assert len(corpus) == len(builds) == 1576
+        assert builds == []
+        assert len(list(corpus)) == len(builds) == 1576
+
+
+class TestClosedFormCounts:
+    """The spec and corpus counts come in closed form, with no list."""
+
+    def test_necklaces_match_brute_force(self):
+        for length in range(1, 7):
+            for k in range(1, 9):
+                values = range(2, 2 + k)
+                assert list(_necklaces(length, values)) == \
+                    list(brute_necklaces(length, values))
+
+    def test_spec_counts_match_the_spec_table(self):
+        # Every accepted bound, up to the largest spec table.
+        for max_vars, max_exp in itertools.product(range(1, 9), range(2, 10)):
+            for chains, loops in itertools.product([False, True], repeat=2):
+                specs, _ = corpus_counts(max_vars, max_exp,
+                                         include_chains=chains,
+                                         include_loops=loops)
+                if specs > MAX_CORPUS_SPECS:
+                    continue
+                assert specs == len(atom_specs(max_vars, max_exp, chains,
+                                               loops))
+
+    def test_corpus_counts_match_the_listing(self):
+        # Every bound whose listing has at most 100,000 combinations,
+        # under every combination of the flags.  The rank table counts
+        # the same total.
+        checked = 0
+        for max_vars, max_exp in itertools.product(range(1, 9), range(2, 10)):
+            if corpus_counts(max_vars, max_exp, include_sums=True)[1] > \
+                    100_000:
+                continue
+            for flags in FLAGS:
+                specs, size = corpus_counts(max_vars, max_exp, **flags)
+                listed_specs, combos = list_combinations(max_vars, max_exp,
+                                                         **flags)
+                assert (specs, size) == (len(listed_specs), len(combos))
+                corpus, _ = generate_corpus(max_vars, max_exp, **flags)
+                assert corpus._ranking.starts[-1] == size
+                checked += 1
+        assert checked == 8 * 47
+
+    def test_known_sizes(self):
+        assert corpus_counts(5, 5, include_sums=True) == (1676, 9260)
+        assert corpus_counts(6, 9, include_sums=True) == (351208, 2826384)
+        assert corpus_counts(7, 9, include_sums=True) == (2747960, 31421016)
+
+
+class TestAgainstListOracle:
+    """``generate_corpus`` unranks what the old list-and-sort
+    (``oracles.list_corpus``) listed, member by member."""
+
+    @pytest.mark.parametrize("max_vars", range(1, 6))
+    def test_every_small_bound(self, max_vars):
+        for max_exp, flags in itertools.product(range(2, 6), FLAGS):
+            corpus, truncated = generate_corpus(max_vars, max_exp, **flags)
+            expected, _ = list_corpus(max_vars, max_exp, **flags)
+            assert not truncated
+            assert [f.exponents for f in corpus] == \
+                [f.exponents for f in expected]
+
+    @pytest.mark.parametrize("selection", [
+        dict(sample=300, seed=3), dict(sample=300, seed=11, limit=40),
+        dict(limit=0), dict(sample=0), dict(sample=0, limit=0),
+        dict(sample=9260), dict(sample=10_000, limit=9259),
+        dict(limit=9260), dict(limit=9261), dict(sample=1, seed=-4),
+    ])
+    def test_selection(self, selection):
+        corpus, truncated = generate_corpus(5, 5, include_sums=True,
+                                            **selection)
+        expected, expected_truncated = list_corpus(5, 5, include_sums=True,
+                                                   **selection)
+        assert truncated == expected_truncated
+        assert [f.exponents for f in corpus] == \
+            [f.exponents for f in expected]
+
+    @pytest.mark.parametrize("max_vars, flags", [
+        (3, dict(include_chains=False, include_loops=False)),
+        (1, dict(include_chains=False)),
+        (1, dict(include_chains=False, include_sums=True)),
+    ])
+    def test_empty_corpus(self, max_vars, flags):
+        for selection in ({}, dict(sample=3), dict(limit=2), dict(limit=0)):
+            corpus, truncated = generate_corpus(max_vars, 4, **flags,
+                                                **selection)
+            assert len(corpus) == 0 and not truncated
+            assert list(corpus) == [] and corpus.nvars == 0
+        assert run_batch(corpus).to_json() == run_batch([]).to_json()
+
+    def test_slices_are_corpora(self):
+        corpus, _ = generate_corpus(4, 5, include_sums=True)
+        part = corpus[100:200:7]
+        assert isinstance(part, Corpus)
+        assert [f.exponents for f in part] == \
+            [corpus[i].exponents for i in range(100, 200, 7)]
+        assert part.nvars == corpus[193].nvars
+        with pytest.raises(IndexError):
+            corpus[len(corpus)]
+
+
+class TestPresetBlocks:
+    """A built polynomial carries its blocks, with one shared matrix per
+    spec, as ``_components`` would split them."""
+
+    @pytest.mark.parametrize("max_vars, max_exp", [(4, 5), (5, 5)])
+    def test_blocks_are_the_components(self, max_vars, max_exp):
+        corpus, _ = generate_corpus(max_vars, max_exp, include_sums=True)
+        shared = {}
+        for f in corpus:
+            preset = f._blocks
+            assert [(b.matrix, b.rows, b.cols) for b in preset] == [
+                (b.matrix, b.rows, b.cols)
+                for b in _components(f.exponents)]
+            for b in preset:
+                assert shared.setdefault(b.matrix, b.matrix) is b.matrix
+        assert len(shared) == corpus_counts(max_vars, max_exp)[0]
+
+
+class TestCorpusBound:
+    """A corpus of more than ``MAX_CORPUS_SPECS`` atom specs is refused
+    from its closed-form counts, before any spec is listed."""
+
+    @pytest.fixture
+    def unlisted(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an atom spec was listed")
+
+        monkeypatch.setattr(enumeration, "atom_specs", refuse)
+
+    @pytest.mark.parametrize("max_vars, specs, size", [
+        (7, 2747960, 31421016), (8, 21622860, 343255152)])
+    def test_refused_with_counts(self, unlisted, max_vars, specs, size):
+        start = time.perf_counter()
+        with pytest.raises(CorpusBoundError) as info:
+            generate_corpus(max_vars, 9, include_sums=True, limit=1)
+        assert time.perf_counter() - start < 0.1
+        assert (info.value.specs, info.value.size) == (specs, size)
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        specs, size = corpus_counts(3, 4, include_sums=True)
+        monkeypatch.setattr(enumeration, "MAX_CORPUS_SPECS", specs)
+        corpus, _ = generate_corpus(3, 4, include_sums=True)
+        assert len(corpus) == size
+        monkeypatch.setattr(enumeration, "MAX_CORPUS_SPECS", specs - 1)
+        with pytest.raises(CorpusBoundError):
+            generate_corpus(3, 4, include_sums=True)
+
+    def test_largest_accepted_spec_table(self):
+        corpus, truncated = generate_corpus(6, 9, include_sums=True, limit=1)
+        assert truncated and len(corpus) == 1
+        assert corpus[0].text() == "x1^2"
 
 
 class TestRunBatch:
@@ -220,3 +386,20 @@ class TestRunBatch:
         assert serial.to_json() == parallel.to_json()
         with pytest.raises(ValueError):
             run_batch(corpus, workers=2, keep_records=True)
+
+    def test_pool_workers_build_their_own_members(self, monkeypatch):
+        # Workers take the corpus when they start and are sent positions:
+        # the calling process builds no member, and a list gives the
+        # same report as the corpus it was read from.
+        corpus, _ = generate_corpus(5, 5, include_sums=True, sample=60,
+                                    seed=5)
+        members = list(corpus)
+        builds = []
+        real = enumeration.build_polynomial
+        monkeypatch.setattr(enumeration, "build_polynomial",
+                            lambda *args: builds.append(args) or real(*args))
+        pooled = run_batch(corpus, workers=2)
+        assert builds == []
+        serial = run_batch(members)
+        assert json.dumps(pooled.to_json()) == json.dumps(serial.to_json())
+        assert run_batch(members, workers=2).to_json() == serial.to_json()

@@ -397,8 +397,8 @@ class TestDualPair:
                             split.append(e) or _split(e))
         report = run_batch(corpus)
         assert report.ok and report.corollary_checked > 0
-        # Each pair splits its blocks once: f^T takes f's transposed.
-        assert len(split) == len(corpus)
+        # A generated polynomial carries its blocks, so none is split.
+        assert split == []
         # The root duality is checked in closed form: no root is listed.
         # Only a single block runs a Smith form; a sum's group is composed
         # from its blocks', which are the records of single blocks.
@@ -408,6 +408,10 @@ class TestDualPair:
                           "canonical_weights": 2 * len(singles) - symmetric,
                           "geometric_roots": 0,
                           "element_zeta": 0}
+        # Parsed input splits once per pair: f^T takes f's transposed.
+        parsed = [InvertiblePolynomial(f.exponents) for f in corpus]
+        assert run_batch(parsed).to_json() == report.to_json()
+        assert len(split) == len(corpus)
 
     def test_batch_builds_no_dual_subgroup(self, monkeypatch):
         # A passing check applies no transform and builds no dual
