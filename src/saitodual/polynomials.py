@@ -233,16 +233,18 @@ class _Block:
     submatrix, and the positions in the whole matrix of its monomials
     ``rows`` and its variables ``cols``, each in their original order.
     ``subsets`` keeps its contributing subsets once listed
-    (``zeta._subsets_of``)."""
+    (``zeta._subsets_of``); a transposed block keeps the block it was
+    transposed from as its ``partner``, whose subsets give its own."""
 
-    __slots__ = ("matrix", "rows", "cols", "subsets")
+    __slots__ = ("matrix", "rows", "cols", "subsets", "partner")
 
-    def __init__(self, matrix, rows, cols):
+    def __init__(self, matrix, rows, cols, partner=None):
         self.matrix, self.rows, self.cols = matrix, rows, cols
         self.subsets = None
+        self.partner = partner
 
     def transpose(self):
-        return _Block(self.matrix.transpose(), self.cols, self.rows)
+        return _Block(self.matrix.transpose(), self.cols, self.rows, self)
 
 
 def _blocks_of(f):

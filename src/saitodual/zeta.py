@@ -3,11 +3,13 @@ duality transform on cyclotomic products, and the two duality verifiers.
 
 The equivariant zeta function is computed combinatorially: a nonempty
 variable subset I contributes (-1)^(|I|-1) * [G/G^I] exactly when the
-number of monomials supported inside I equals |I| (equivalently, the
-exponent matrix is block-triangular with an I-block after a simultaneous
-permutation); G^I is the isotropy subgroup of the I-coordinate subtorus.
-The fibre itself is never constructed -- only the Euler characteristics
-of its torus strata enter, and those are exact determinants.
+monomials R supported inside I number |I|.  They vanish on the
+complement J, so E is block-triangular with diagonal blocks E[R, I] and
+E[R', J] (R' the other rows), and the isotropy subgroup G^I of the
+I-coordinate subtorus is the group of E[R', J] placed at J, of index
+|det E[R, I]| (``_atom_record``).  The fibre itself is never constructed
+-- only the Euler characteristics of its torus strata enter, and those
+are exact determinants.
 
 A direct (Thom-Sebastiani) sum f = f1 + ... + fk, whose summands are the
 connected components of the exponent matrix in any order of its
@@ -45,7 +47,9 @@ The canonical weights of the sum are those of its atoms scaled to the
 common degree d = d1*...*dk, (d/da)*wa at the variables of block a.  So
 x1^2*x3 + x2^3 + x3^3 is the sum of x1^2*x3 + x3^3 and x2^3.  A record
 lists its block's contributing subsets (``_contributing_subsets``), which
-the block keeps (``_subsets_of``) for the report's entry count too.
+the block keeps (``_subsets_of``) for the report's entry count too; a
+transposed block reads its own off its partner's, as the complements of
+theirs (``_complement_subsets``).
 """
 
 from __future__ import annotations
@@ -56,12 +60,11 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd, inf, lcm, prod
 
-from .burnside import (BurnsideElement, CyclotomicProduct, _coset_order,
-                       saito_dual)
+from .burnside import BurnsideElement, CyclotomicProduct, saito_dual
 from .errors import DegenerateError, NonCyclicError
 from .groups import (GroupPresentation, SubgroupKey, _block_rows,
                      _direct_sum, _dual_positions, _stacked, full_subgroup,
-                     isotropy_subgroup, monodromy_element, symmetry_group)
+                     monodromy_element, symmetry_group)
 from .linalg import determinant
 from .polynomials import (InvertiblePolynomial, _blocks_of,
                           canonical_weights, decompose, direct_sum_weights)
@@ -215,22 +218,25 @@ def _group_head(p):
 
 class AtomRecords(dict):
     """The atom records of one batch, keyed by exponent block (see
-    ``equivariant_zeta``).  A block's record is kept when the block has
-    fewer than ``keep_below`` variables, and by default every one is.  A
-    batch passes the size of its largest polynomial: no polynomial of it
+    ``equivariant_zeta``), and the ``presentations`` of the complementary
+    blocks they read (see ``_atom_record``).  Either is kept for a block
+    of fewer than ``keep_below`` variables, and by default every one is.
+    A batch passes the size of its largest polynomial: no polynomial of it
     has a summand that large."""
 
     def __init__(self, keep_below=inf):
         super().__init__()
         self.keep_below = keep_below
+        self.presentations = {}
 
 
 class AtomRecord:
     """One exponent block's presentation, weight system and monodromy
-    order, and its ``entries``: (I, the rows R inside I, det E[R, I],
-    rows of the scaled isotropy basis, order r of the monodromy modulo
-    the isotropy, index [G:G^I]) for the empty subset (the full group)
-    and for each contributing subset I, by (size, indices).
+    order, and its ``entries``: (I, the rows R inside I, rows of the
+    scaled isotropy basis, order r of the monodromy modulo the isotropy,
+    index [G:G^I]) for the empty subset (the full group) and for each
+    contributing subset I, by (size, indices).  det E[R, I] is left to the
+    audit (``_subset_terms``).
 
     ``merged`` sums the entries by isotropy subgroup: (rows, sum of
     (-1)^|I| over its entries, r, index), for the nonzero sums in order of
@@ -246,7 +252,7 @@ class AtomRecord:
         self.monodromy_order = monodromy_order
         self.entries = entries
         merged = {}
-        for indices, _, _, rows, r, index in entries:
+        for indices, _, rows, r, index in entries:
             c = merged[rows][0] if rows in merged else 0
             merged[rows] = (c + (-1) ** len(indices), r, index)
         self.merged = tuple((rows, c, r, index)
@@ -324,20 +330,22 @@ def _subset_terms(report):
     block's record, at the block's positions, is one contributing subset
     I = I_1 + ... + I_k over the rows R_1 + ... + R_k, with the key of the
     product of their isotropy subgroups.  det E[R, I], R and I sorted, is
-    the product of the blocks' times the signs of the permutations that
-    sort the two sums.  The product of the empty subsets is no term.
-    Sorted by (size, indices)."""
+    the product of the blocks' det E_a[R_a, I_a], computed here, times the
+    signs of the permutations that sort the two sums.  The product of the
+    empty subsets is no term.  Sorted by (size, indices)."""
     p = report.group
     n, d = p.rank, p.order
     products = None
     for record, block in zip(report._records,
                              _blocks_of(report.polynomial)):
         scale = d // record.presentation.order
+        e = block.matrix
         entries = [(tuple(block.cols[i] for i in indices),
-                    tuple(block.rows[i] for i in rows_in), det,
+                    tuple(block.rows[i] for i in rows_in),
+                    determinant(e.submatrix(rows_in, indices))
+                    if indices else 1,
                     _block_rows(rows, scale, block.cols, n), index)
-                   for indices, rows_in, det, rows, _, index
-                   in record.entries]
+                   for indices, rows_in, rows, _, index in record.entries]
         products = entries if products is None else [
             (indices + more, rows_in + more_in, det * factor,
              rows + block_rows, index * block_index)
@@ -405,7 +413,7 @@ def _block_records(f, atoms, group=None):
                 q = _block_presentation(e, atoms)
             weights = (f.weights if single else
                        canonical_weights(InvertiblePolynomial(e)))
-            record = _atom_record(e, q, weights, _subsets_of(block))
+            record = _atom_record(e, q, weights, _subsets_of(block), atoms)
             if e.nrows < atoms.keep_below:
                 atoms[e] = record
         records.append(record)
@@ -413,31 +421,72 @@ def _block_records(f, atoms, group=None):
     return tuple(records)
 
 
-def _atom_record(e, q, weights, subsets):
+def _atom_record(e, q, weights, subsets, atoms):
     """The ``AtomRecord`` of the exponent block ``e`` over a presentation
     ``q`` of its group, whose order d is the canonical degree of
     ``weights``, from its contributing ``subsets``: the monodromy is the
-    element w/d, its scaled vector the canonical weights w reduced mod d,
-    and its order the reduced degree."""
+    element w/d, its scaled vector h the canonical weights w reduced mod
+    d, and its order the reduced degree.
+
+    G^I is read off the complementary block E[R', J] (module docstring):
+    its scaled basis is d*e_i for i in I and (d/d_J)*A_J at J, for A_J
+    the ambient basis of the presentation of E[R', J], of order d_J, that
+    ``atoms`` keeps (one per distinct block).  At sorted positions that is
+    already the column HNF, and [G:G^I] = d/d_J.  r*h lies in G^I when
+    r*h_I = 0 and r*E[R', J]*h_J = 0 (mod d); as E*w = d*1, the first
+    gives the second, so r = d/gcd(d, h_I)."""
     d = q.order
-    monodromy = tuple(w % d for w in weights.canonical_weights)
-    entries = [((), (), 1, q.ambient_basis.rows, 1, 1)]
+    n = e.nrows
+    h = tuple(w % d for w in weights.canonical_weights)
+    units = [tuple(d if k == i else 0 for k in range(n)) for i in range(n)]
+    kept = atoms.presentations
+    entries = [((), (), q.ambient_basis.rows, 1, 1)]
     for subset, rows_in in subsets:
-        iso = isotropy_subgroup(q, subset)
-        entries.append((subset, tuple(rows_in),
-                        determinant(e.submatrix(rows_in, subset)),
-                        iso.basis.rows, _coset_order(iso.basis, monodromy),
-                        iso.index))
+        r = d // gcd(d, *(h[i] for i in subset))
+        cols = [j for j in range(n) if j not in subset]
+        if not cols:
+            entries.append((subset, tuple(rows_in), tuple(units), r, d))
+            continue
+        rest = e.submatrix([i for i in range(n) if i not in rows_in], cols)
+        c = kept.get(rest)
+        if c is None:
+            c = _block_presentation(rest, atoms)
+            if len(cols) < atoms.keep_below:
+                kept[rest] = c
+        placed = iter(_block_rows(c.ambient_basis.rows, d // c.order, cols,
+                                  n))
+        rows = tuple(next(placed) if j in cols else units[j]
+                     for j in range(n))
+        entries.append((subset, tuple(rows_in), rows, r, d // c.order))
     return AtomRecord(q, weights, weights.reduced_degree, tuple(entries))
 
 
 def _subsets_of(block):
     """The contributing subsets of a ``_Block``, listed on first use and
     kept on it, so that counting a report's entries and making its record
-    list them once."""
+    list them once; a transposed block takes its partner's complements."""
     if block.subsets is None:
-        block.subsets = _contributing_subsets(block.matrix)
+        partner = block.partner
+        block.subsets = (
+            _contributing_subsets(block.matrix) if partner is None
+            else _complement_subsets(_subsets_of(partner), block.matrix.nrows))
     return block.subsets
+
+
+def _complement_subsets(subsets, n):
+    """The contributing (I, R) of E^T from those of the n x n invertible E,
+    ``subsets``, by (size, indices): (R', I') for each (I, R) with I short
+    of every variable, R' and I' the complements, and the full set.  The
+    columns I' of E vanish on the rows R, so as rows of E^T they lie
+    inside R', and |I'| = |R'|; applied to E^T the map gives E's back."""
+    full = tuple(range(n))
+    pairs = [(full, list(full))]
+    for subset, rows_in in subsets:
+        if len(subset) < n:
+            pairs.append((tuple(i for i in full if i not in rows_in),
+                          [j for j in full if j not in subset]))
+    pairs.sort(key=lambda pair: (len(pair[0]), pair[0]))
+    return pairs
 
 
 def _contributing_subsets(e):

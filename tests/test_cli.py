@@ -201,10 +201,11 @@ class TestReportBound:
 
     def test_wide_block_is_refused_with_no_isotropy(self, capsys,
                                                     monkeypatch):
-        # x1^2*x14 + x2^2 + ... + x14^2 is one block of 12,288 entries on
-        # each side: both commands count them with no isotropy subgroup.
+        # x1^2*x14 + x2^2 + ... + x14^2 has 12,288 entries on each side,
+        # 3 of its chain times 2 of each of 12 squares: both commands
+        # count them with no atom record, so with no isotropy subgroup.
         calls = []
-        monkeypatch.setattr(zeta, "isotropy_subgroup",
+        monkeypatch.setattr(zeta, "_atom_record",
                             lambda *args: calls.append(args))
         text = " + ".join(["x1^2*x14"] + [f"x{i}^2" for i in range(2, 15)])
         for command in ("zeta", "dual"):
@@ -228,8 +229,9 @@ class TestReportBound:
             assert set(refused) == set(built) | {"entryCount"}
 
     def test_subsets_are_listed_once_per_block(self, capsys, monkeypatch):
-        # The entry count and the record of the star's one block (and of
-        # its transpose) share one listing of its contributing subsets.
+        # The entry count and the records of the star's one block and of
+        # its transpose share one listing of its contributing subsets: the
+        # transposed block takes their complements.
         calls = []
         real = zeta._contributing_subsets
         monkeypatch.setattr(zeta, "_contributing_subsets",
@@ -237,7 +239,7 @@ class TestReportBound:
         star = " + ".join(["x1^2"] + [f"x1*x{i}^2" for i in range(2, 13)])
         code, out, _ = run_cli(capsys, "dual", star, "--json")
         assert code == 0 and json.loads(out)["result"]["equal"] is True
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_twelve_variables_are_admitted(self):
         # The 12-variable `dual` and `zeta` that CI runs: 4,096 entries

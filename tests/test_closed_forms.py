@@ -5,11 +5,14 @@ d-scaled vectors, the annihilator test of the zeta duality, the group,
 zeta report, classical zeta, weights and dual maps of a direct sum
 assembled from its atoms, the duality verdicts on product forms, and
 the meets, dual subgroups and containment read off cached scaled
-inverses, checked against the
+inverses, the atom records' isotropy subgroups read off complementary
+blocks and the transposed side's contributing subsets read off the
+complements of the direct side's, checked against the
 searches, root lists, join closure, rational elimination, rational
 element arithmetic, dual lattices, whole-matrix Smith forms, full subset
 loop, ``element_zeta``, ``canonical_weights``, whole-matrix dual
-subgroups, dual-lattice HNFs, inverses of C*B and lattice solves they
+subgroups, dual-lattice HNFs, inverses of C*B, lattice solves,
+``isotropy_subgroup``, ``_coset_order`` and subset listings they
 replaced (kept in ``oracles`` or in the package): over the whole
 acceptance corpus on both sides, and on random integer matrices."""
 
@@ -41,8 +44,9 @@ from saitodual.enumeration import generate_corpus, run_batch
 from saitodual.polynomials import (InvertiblePolynomial, _blocks_of,
                                    _components, canonical_weights,
                                    parse_polynomial)
-from saitodual.zeta import (AtomRecords, DualPair,
-                            _symmetry_group, equivariant_zeta,
+from saitodual.zeta import (AtomRecords, DualPair, _complement_subsets,
+                            _contributing_subsets, _symmetry_group,
+                            equivariant_zeta,
                             generating_root_exists, generating_root_zeta,
                             verify_zeta_duality)
 
@@ -322,6 +326,98 @@ def verdict_counts(batch):
     return checked, holds, mismatches
 
 
+def record_mismatches(record):
+    """(entries, mismatches) of an atom record against the forms its
+    entries replaced: each entry's basis rows and index against
+    ``isotropy_subgroup`` over the record's presentation, its monodromy
+    order against ``_coset_order`` and, every fifth entry, against
+    ``divisor_coset_order``; and for each contributing (I, R) the block
+    fact the entries rest on: E[R, J] = 0 and
+    |det E| = |det E[R, I]| * |det E[R', J]| for J the variables off I
+    and R' the rows off R."""
+    q = record.presentation
+    e = q.constraint
+    n, d = e.nrows, q.order
+    h = tuple(w % d for w in record.weights.canonical_weights)
+    g = GroupElement._wrap(q, h)
+    bad = []
+    for k, (subset, rows_in, rows, r, index) in enumerate(record.entries):
+        iso = isotropy_subgroup(q, subset)
+        if (rows, index, r) != (iso.basis.rows, iso.index,
+                                _coset_order(iso.basis, h)):
+            bad.append(f"entry {subset}")
+        if k % 5 == 0 and r != divisor_coset_order(g, iso):
+            bad.append(f"divisor search at {subset}")
+        if not subset:
+            continue
+        cols = [j for j in range(n) if j not in subset]
+        out = [i for i in range(n) if i not in rows_in]
+        if any(e.entry(i, j) for i in rows_in for j in cols):
+            bad.append(f"E[R, J] at {subset}")
+        inner = abs(determinant(e.submatrix(rows_in, subset)))
+        outer = abs(determinant(e.submatrix(out, cols))) if cols else 1
+        if abs(determinant(e)) != inner * outer:
+            bad.append(f"block determinants at {subset}")
+    return len(record.entries), bad
+
+
+def torus_euler_mismatches(rep):
+    """The audit terms of a zeta report whose torus Euler number, read on
+    demand, differs from (-1)^(|I|-1) det E[R, I] of the whole matrix,
+    R the rows supported inside I, both sorted."""
+    e = rep.polynomial.exponents
+    n = e.nrows
+    bad = []
+    for t in rep.subset_terms:
+        rows_in = [i for i in range(n)
+                   if all(e.entry(i, j) == 0
+                          for j in range(n) if j not in t.indices)]
+        sign = 1 if len(t.indices) % 2 else -1
+        if t.torus_euler != sign * determinant(e.submatrix(rows_in,
+                                                           t.indices)):
+            bad.append(t.indices)
+    return bad
+
+
+def record_counts(reports):
+    """(distinct records, their entries, mismatches of
+    ``record_mismatches``, reports whose audit has a torus Euler number
+    off ``torus_euler_mismatches``) over the zeta reports given."""
+    records = {}
+    audits = 0
+    for rep in reports:
+        for record in rep._records:
+            records[id(record)] = record
+        audits += bool(torus_euler_mismatches(rep))
+    entries = mismatches = 0
+    for record in records.values():
+        count, bad = record_mismatches(record)
+        entries += count
+        mismatches += len(bad)
+    return len(records), entries, mismatches, audits
+
+
+def complement_rule_counts(polynomials):
+    """(blocks, blocks whose transpose's contributing subsets are not the
+    complements of theirs) over the blocks of ``polynomials`` and of
+    their transposes."""
+    blocks = mismatches = 0
+    for f in polynomials:
+        for g in (f.exponents, f.exponents.transpose()):
+            for block in _components(g):
+                e = block.matrix
+                blocks += 1
+                mismatches += (
+                    _complement_subsets(_contributing_subsets(e), e.nrows)
+                    != _contributing_subsets(e.transpose()))
+    return blocks, mismatches
+
+
+# x1^2 + x1*x2^2 + ... + x1*x9^2: one block outside the Kreuzer-Skarke
+# classes, with 2^8 + 1 entries on each side.
+STAR9 = " + ".join(["x1^2"] + [f"x1*x{i}^2" for i in range(2, 10)])
+
+
 @pytest.fixture(scope="module")
 def batch55_sample():
     """One batch over a seeded sample of the (5,5) sums corpus."""
@@ -591,6 +687,28 @@ class TestCorpusDifferential:
     def test_sums_sample_verdicts_match_built_transform(self,
                                                         batch55_sample):
         assert verdict_counts(batch55_sample) == (300, 150, 0)
+
+    def test_record_entries_match_isotropy(self, batch45):
+        # Every entry of every record the batch made, both sides, and
+        # every side's audit.
+        reports = [rep for _, _, rep in sides(batch45)]
+        assert record_counts(reports) == (874, 3572, 0, 0)
+
+    def test_sums_sample_record_entries_match_isotropy(self,
+                                                       batch55_sample):
+        reports = [rep for _, _, rep in sides(batch55_sample)]
+        assert record_counts(reports)[2:] == (0, 0)
+
+    def test_star_record_entries_match_isotropy(self):
+        pair = DualPair(parse_polynomial(STAR9))
+        reports = [pair.report, pair.report_t]
+        assert record_counts(reports) == (2, 2 * (2 ** 8 + 1), 0, 0)
+
+    def test_transpose_takes_the_complements(self, corpus45,
+                                             batch55_sample):
+        assert complement_rule_counts(corpus45) == (6116, 0)
+        polynomials = [r.polynomial for r in batch55_sample.records]
+        assert complement_rule_counts(polynomials)[1] == 0
 
 
 @st.composite
@@ -948,6 +1066,23 @@ class TestRandomMatrices:
         for g, p in ((f, symmetry_group(f)),
                      (f.transpose(), symmetry_group(f).dual())):
             assert quotient_data_mismatches(g, p) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(exponent_matrices(), block_sums()))
+    # Torus Euler numbers 3, -6, -6, 6, 12, -12, -12, 24: a block outside
+    # the Kreuzer-Skarke classes with a zero on its diagonal.
+    @example(InvertiblePolynomial([[2, 0, 0, 3], [0, 2, 0, 3],
+                                   [0, 0, 0, 3], [0, 0, 2, 2]]))
+    @example(block_sum([SPECIAL_ATOMS[0], SPECIAL_ATOMS[3],
+                        SPECIAL_ATOMS[4]]))
+    def test_record_entries_match_isotropy(self, f):
+        # Both sides, over a fresh record cache and over one a batch
+        # shares; and the complement rule on every block.
+        for atoms in (None, BATCH_ATOMS):
+            pair = DualPair(f, atoms)
+            reports = [pair.report, pair.report_t]
+            assert record_counts(reports)[2:] == (0, 0)
+        assert complement_rule_counts([f])[1] == 0
 
 
 class TestAtomComposition:

@@ -29,7 +29,8 @@ from saitodual.linalg import IntMatrix, determinant
 from saitodual.polynomials import (InvertiblePolynomial, _blocks_of,
                                    _components, parse_polynomial)
 from saitodual.zeta import (MAX_REPORT_ENTRIES, AtomRecords, DualPair,
-                            _contributing_subsets,
+                            _complement_subsets, _contributing_subsets,
+                            _subsets_of,
                             classical_saito_dual, classical_zeta,
                             equivariant_zeta, milnor_number,
                             verify_root_duality, verify_zeta_duality)
@@ -163,6 +164,25 @@ class TestContributingSubsets:
     def test_matches_subset_loop(self, rows):
         e = IntMatrix(rows)
         assert _contributing_subsets(e) == list(subset_loop(e))
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_invertible())
+    @example([[2, 0, 0, 3], [0, 2, 0, 3], [0, 0, 0, 3], [0, 0, 2, 2]])
+    @example([[1]])
+    def test_transpose_takes_the_complements(self, rows):
+        # The pairs of E^T are (R', I') for the pairs (I, R) of E short of
+        # every variable, and the full set; a transposed block reads its
+        # own off its partner's, with no listing of its own.
+        e = IntMatrix(rows)
+        n = e.nrows
+        subsets = _contributing_subsets(e)
+        expected = _contributing_subsets(e.transpose())
+        assert _complement_subsets(subsets, n) == expected
+        assert _complement_subsets(expected, n) == subsets
+        blocks = _components(e)
+        if len(blocks) == 1:
+            assert _subsets_of(blocks[0].transpose()) == expected
+            assert blocks[0].subsets == subsets
 
     def test_chain_lists_only_its_suffixes(self):
         # x1^2*x2 + ... + x21^2*x22 + x22^2: 22 entries, not a loop over
@@ -339,11 +359,23 @@ class TestRootDuality:
         assert "2, 2" in str(info.value) or "(2, 2)" in str(info.value)
 
 
-# isotropy_subgroup calls of one batch over the (3,4) sums corpus: one
-# record per distinct block, whether of a single-block polynomial or of a
-# summand.  The atoms of its sums are the corpus's own one- and
-# two-variable polynomials, whose records the batch keeps.
-ISOTROPY_34 = 229
+def complementary_blocks(polynomials):
+    """The complementary blocks E[R', J] of the contributing subsets
+    I short of every variable of each block of each polynomial and its
+    transpose, J the variables off I and R' the rows off R: those whose
+    presentations the records of one batch over ``polynomials`` read."""
+    blocks = set()
+    for f in polynomials:
+        for g in (f.exponents, f.exponents.transpose()):
+            for block in _components(g):
+                e = block.matrix
+                n = e.nrows
+                for subset, rows_in in _contributing_subsets(e):
+                    if len(subset) < n:
+                        blocks.add(e.submatrix(
+                            [i for i in range(n) if i not in rows_in],
+                            [j for j in range(n) if j not in subset]))
+    return blocks
 
 
 def count_calls(monkeypatch, *names):
@@ -441,15 +473,28 @@ class TestDualPair:
                    for q in presentations.values())
 
     def test_batch_atom_cache_lives_for_one_call(self, monkeypatch):
-        # Each batch builds its own atom records: a second batch in the
-        # same process repeats the first's isotropy calls (the full subset
-        # loop makes 792 on this corpus), and a pool gives the same report.
+        # Each batch builds its own atom records and keeps the
+        # presentation of each distinct complementary block its records
+        # read, once: a second batch in the same process keeps its own
+        # copy of them all, and a pool gives the same report.  No record calls
+        # isotropy_subgroup.
+        made = []
+
+        class Recorded(AtomRecords):
+            def __init__(self, keep_below=0):
+                super().__init__(keep_below)
+                made.append(self)
+
+        monkeypatch.setattr(enumeration, "AtomRecords", Recorded)
         corpus, _ = generate_corpus(3, 4, include_sums=True)
         counts = count_calls(monkeypatch, "isotropy_subgroup")
+        blocks = complementary_blocks(corpus)
+        assert len(blocks) == 21
         first = run_batch(corpus)
-        assert counts == {"isotropy_subgroup": ISOTROPY_34}
         second = run_batch(corpus)
-        assert counts == {"isotropy_subgroup": 2 * ISOTROPY_34}
+        assert [set(atoms.presentations) for atoms in made] == [blocks] * 2
+        assert made[0].presentations is not made[1].presentations
+        assert counts == {"isotropy_subgroup": 0}
         pooled = run_batch(corpus, workers=2)
         assert enumeration._worker_task is None
         texts = {json.dumps(r.to_json()) for r in (first, second, pooled)}
