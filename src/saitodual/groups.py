@@ -10,6 +10,14 @@ with the character group of the direct side via the bilinear pairing
 Subgroups are intermediate lattices Z^n <= L_H <= L, named canonically by
 the Hermite normal form of the integer lattice d*L_H where d is the group
 order.  All values are immutable.
+
+Every subgroup is the product of its Sylow parts.  ``enumerate_subgroups``
+builds each one that way and keeps the structure on the presentation as
+its ``_SylowIndex``: meets, containment and duals of the keys it holds
+are then read off per-prime tables, each entry computed once on small
+lattices.  Keys of a presentation that was never listed (the whole corpus
+path) take the triangular path of ``subgroup_meet``,
+``SubgroupKey.contains`` and ``dual_subgroup``.
 """
 
 from __future__ import annotations
@@ -27,6 +35,16 @@ from .linalg import (IntMatrix, RationalVector, format_fractions,
 
 # Largest group whose subgroups ``enumerate_subgroups`` lists.
 MAX_SUBGROUP_ORDER = 10_000
+
+# Most subgroups that ``enumerate_subgroups`` lists, checked on their
+# closed-form ``subgroup_count`` before any key is built.  The order bound
+# alone does not bound the work: (Z/2)^13 has order 8,192 and 3.76e13
+# subgroups.  A listing costs about one rank-n HNF per subgroup:
+# x^6 + y^6 + z^6 + w^6 (rank 4, 14,204 subgroups) lists in 0.41 s at
+# 32 MiB peak RSS, and x1^2 + ... + x7^2 (rank 7, 29,212 subgroups, with
+# the bound lifted) in 4.9 s at 127 MiB, whole process, best of 3 (Python
+# 3.11, one core of a shared 2-CPU x86-64 host).
+MAX_LISTED_SUBGROUPS = 20_000
 
 # Most geometric roots that `geometric_roots` lists; above it only
 # `root_count` answers.  Listing and printing cost about 2 us and 0.4 KiB
@@ -63,13 +81,15 @@ class GroupPresentation:
 
     Each presentation keeps the scaled inverses its subgroup lattices use
     (see ``_dual_rows``), its meets by operand pair and by dual lattice
-    (see ``subgroup_meet``), and the columns of d*C^-1.
+    (see ``subgroup_meet``), and the columns of d*C^-1.  Once its
+    subgroups are listed, or an indexed dual lands on it, it also keeps
+    its ``_SylowIndex``.
     """
 
     __slots__ = ("_constraint", "_order", "_factors", "_u", "_v",
                  "_gens", "_ambient", "_parts", "_dual", "_full_key",
                  "_trivial_key", "_inverse", "_dual_rows_cache",
-                 "_meet_cache", "_dual_meet_cache")
+                 "_meet_cache", "_dual_meet_cache", "_index")
 
     def __init__(self, constraint):
         c = constraint if isinstance(constraint, IntMatrix) else IntMatrix(constraint)
@@ -102,6 +122,7 @@ class GroupPresentation:
         self._dual_rows_cache = {}
         self._meet_cache = {}
         self._dual_meet_cache = {}
+        self._index = None
 
     @property
     def constraint(self):
@@ -356,9 +377,12 @@ class SubgroupKey:
     For a subgroup H = L_H / Z^n of a group of order d, the key stores the
     canonical basis of the integer lattice d*L_H, which satisfies
     d*Z^n <= d*L_H <= d*L.  Equal subgroups have identical keys.
+
+    A key of an indexed presentation carries, once looked up, its
+    positions in the presentation's ``_SylowIndex``.
     """
 
-    __slots__ = ("_presentation", "_basis", "_order", "_hash")
+    __slots__ = ("_presentation", "_basis", "_order", "_hash", "_positions")
 
     def __init__(self, presentation, basis):
         self._presentation = presentation
@@ -368,6 +392,7 @@ class SubgroupKey:
             det *= basis.entry(i, i)
         self._order = presentation.order ** basis.nrows // det
         self._hash = None
+        self._positions = None
 
     @classmethod
     def _wrap(cls, presentation, basis, order):
@@ -379,6 +404,7 @@ class SubgroupKey:
         key._basis = basis
         key._order = order
         key._hash = None
+        key._positions = None
         return key
 
     @property
@@ -418,13 +444,19 @@ class SubgroupKey:
 
     def contains(self, other):
         """True when ``other`` is a subgroup of this subgroup: |K| divides
-        |H| and d*B_H^-1*B_K = 0 (mod d)."""
+        |H| and d*B_H^-1*B_K = 0 (mod d), or, when the presentation's
+        index holds both, each Sylow part of K lies in H's."""
         if other._presentation != self._presentation:
             raise OwnershipError("subgroups belong to different groups")
         if self.is_full():
             return True
         if self._order % other._order:
             return False
+        index = self._presentation._index
+        if index is not None:
+            held = index.contains(self, other)
+            if held is not None:
+                return held
         return self._holds(zip(*other._basis.rows))
 
     def elements(self):
@@ -596,9 +628,10 @@ def subgroup_meet(a, b):
     triangular basis J of d*(M_H n M_K)^*, and the columns of d*J^-1,
     upper triangular too, reduce to the meet's basis with no gcd step
     (``linalg.triangular_dual_basis``); its order is the product of J's
-    pivots.  A full, trivial or equal operand decides the meet at once.
-    Other meets are kept by operand pair and by J, which different pairs
-    share; J's rows are also the meet's dual rows."""
+    pivots.  A full, trivial or equal operand decides the meet at once,
+    and the presentation's index one whose operands it holds, Sylow part
+    by Sylow part.  Other meets are kept by operand pair and by J, which
+    different pairs share; J's rows are also the meet's dual rows."""
     p = a.presentation
     if b.presentation != p:
         raise OwnershipError("subgroups belong to different groups")
@@ -606,6 +639,10 @@ def subgroup_meet(a, b):
         return b
     if b._order == p.order or a._order == 1:
         return a
+    if p._index is not None:
+        meet = p._index.meet(a, b)
+        if meet is not None:
+            return meet
     pair = frozenset((a._basis, b._basis))
     meet = p._meet_cache.get(pair)
     if meet is None:
@@ -658,8 +695,14 @@ def dual_subgroup(key):
     the exact dual-lattice formula on the opposite-side presentation.  Its
     scaled lattice is spanned by the columns of d^2*(C*B)^-T, that is the
     rows of d^2*(C*B)^-1 = (d*B^-1)*(d*C^-1): the key's dual rows times
-    the presentation's d*C^-1, with no inverse of C*B."""
+    the presentation's d*C^-1, with no inverse of C*B.  A key the
+    presentation's index holds takes each Sylow part's dual from the
+    index (``_SylowIndex.dual``)."""
     p = key.presentation
+    if p._index is not None:
+        dual = p._index.dual(key)
+        if dual is not None:
+            return dual
     inverse = p._inverse_columns()
     basis = lattice_basis(
         ([sum(map(mul, r, c)) for c in inverse]
@@ -719,8 +762,7 @@ def pairing(a, b):
 
 
 def _prime_factors(m):
-    """The distinct primes of m, by trial division (m is at most the group
-    order, which ``enumerate_subgroups`` bounds before it calls this)."""
+    """The distinct primes of m, by trial division up to sqrt(m)."""
     primes = []
     q = 2
     while q * q <= m:
@@ -734,24 +776,90 @@ def _prime_factors(m):
     return primes
 
 
-def _hnf_lattices(orders):
-    """Column HNF bases of every lattice M with diag(orders)Z^k <= M <= Z^k,
-    each yielded once as its list of columns.
+def _valuations(factors, q):
+    """(j, v_j) for each invariant factor o_j that q divides, v_j the
+    q-adic valuation of o_j."""
+    out = []
+    for j, o in enumerate(factors):
+        v = 0
+        while o % q == 0:
+            o //= q
+            v += 1
+        if v:
+            out.append((j, v))
+    return out
 
-    M's basis H is upper triangular with pivots h_ii | o_i and the entries
-    right of each pivot in [0, h_ii); the rows are chosen bottom-up.  The
+
+def _gaussian_binomial(n, k, q):
+    """The number of k-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _sylow_subgroup_count(q, exponents):
+    """The number of subgroups of the sum of the Z/q^e for e in
+    ``exponents``, an abelian q-group of type lambda: Birkhoff's count of
+    its subgroups of type mu,
+
+        prod_i q^(mu'_{i+1} * (lambda'_i - mu'_i))
+               * [lambda'_i - mu'_{i+1} choose mu'_i - mu'_{i+1}]_q
+
+    over the conjugate partitions, summed over every mu inside lambda in
+    one pass down the columns i: ``sums[a]`` adds up the products over
+    the columns from i on of the mu with mu'_i = a."""
+    top = max(exponents)
+    conj = [sum(1 for e in exponents if e >= i) for i in range(1, top + 2)]
+    sums = [1]  # past the last column, mu' is 0
+    for i in range(top - 1, -1, -1):
+        width, after = conj[i], conj[i + 1]
+        sums = [sum(q ** (b * (width - a))
+                    * _gaussian_binomial(width - b, a - b, q) * sums[b]
+                    for b in range(min(a, after) + 1))
+                for a in range(width + 1)]
+    return sum(sums)
+
+
+def subgroup_count(presentation):
+    """The number of subgroups, in closed form with no key built: each is
+    the product of one subgroup of every Sylow part, so this is the
+    product of the counts of the Sylow q-parts
+    (``_sylow_subgroup_count``) over the primes q of the order, found by
+    trial division of the largest invariant factor."""
+    factors = presentation.invariant_factors
+    count = 1
+    for q in _prime_factors(max(factors, default=1)):
+        count *= _sylow_subgroup_count(
+            q, [v for _, v in _valuations(factors, q)])
+    return count
+
+
+def _hnf_lattices(orders):
+    """Every lattice M with diag(orders)Z^k <= M <= Z^k, each yielded once
+    as the columns of its column HNF H and the rows of s*H^-1, for s the
+    largest order.
+
+    H is upper triangular with pivots h_ii | o_i and the entries right of
+    each pivot in [0, h_ii); the rows are chosen bottom-up.  The
     coefficients c of o_j e_j = H c are solved along the way (c_j =
     o_j / h_jj, and row i < j needs h_ii c_i = -sum_{l > i} h_il c_l), so
     each entry h_ij is drawn only from the solutions of the congruence that
-    puts o_j e_j in the span, and a row with none is dropped at once."""
+    puts o_j e_j in the span, and a row with none is dropped at once.
+    Those coefficients are the columns of H^-1*diag(orders), which gives
+    s*H^-1 with no inverse."""
     k = len(orders)
+    s = max(orders)
     pivots = [[t for t in range(1, o + 1) if o % t == 0] for o in orders]
     h = [[0] * k for _ in range(k)]
     coeffs = [[0] * k for _ in range(k)]  # coeffs[j]: o_j e_j = H coeffs[j]
 
     def choose_row(i):
         if i < 0:
-            yield [[h[r][c] for r in range(c + 1)] for c in range(k)]
+            yield ([tuple(h[r][c] for r in range(k)) for c in range(k)],
+                   [[coeffs[j][r] * (s // orders[j]) for j in range(k)]
+                    for r in range(k)])
             return
         for pivot in pivots[i]:
             h[i][i] = pivot
@@ -778,10 +886,229 @@ def _hnf_lattices(orders):
     yield from choose_row(k - 1)
 
 
+class _SylowPart:
+    """The subgroups of one Sylow q-part of a presentation met so far, with
+    their meets and duals, each computed once.
+
+    In the SNF coordinates the q-part is the sum of the Z/q_j, q_j the
+    q-part of the invariant factor o_j, generated by h_j = u_j*g_j for the
+    j-th generator g_j and u_j = o_j/q_j.  A subgroup is the lattice M
+    with diag(q)Z^k <= M <= Z^k of the coefficients of the h_j that land
+    in it.  The exponent s = max q_j kills the part, so s*Z^k <= M, and M
+    is named as in ``subgroup_meet``: by the canonical row basis J of
+    s*M^*.  A lattice gets a position when first met, which keeps J and
+    generators of M (for a listed M, the columns of its HNF).
+
+    - The meet of M and K is named by the ``triangular_join`` of their
+      J's, and K lies in M exactly when that meet is K.
+    - The pairing of the SNF generators of the two sides is diag(1/o_j)
+      (U*C*V = S, and the dual side's Smith form is its transpose), so h_i
+      and the dual side's h*_j pair to delta_ij * w_j / s with the weights
+      w_j = u_j*s/q_j.  The annihilator N of M, in the dual side's
+      coordinates, is the x with c^T*diag(w)*x = 0 (mod s) for every
+      generator c of M: its J is the join of s*I with the rows
+      c^T*diag(w).  And x lies in N exactly when diag(u)*x lies in
+      diag(q/s)*(s*M^*), so the rows r of M's J give N's generators
+      diag(u^-1 mod q)*diag(q/s)*r, with the q_j e_j, which are zero.
+
+    So no part runs an inverse or an HNF, except for the generators of a
+    meet that lands off every known lattice: the columns of s*J^-1
+    (``triangular_dual_basis``), made when first needed."""
+
+    __slots__ = ("_orders", "_scalar", "_weights", "_inverses", "_gens",
+                 "_modulus", "sizes", "_names", "_generators", "_vectors",
+                 "_positions", "_meets", "_duals")
+
+    def __init__(self, factors, gens, q):
+        valuations = _valuations(factors, q)
+        orders = self._orders = [q ** v for _, v in valuations]
+        s = self._scalar = max(orders)
+        units = [factors[j] // t for (j, _), t in zip(valuations, orders)]
+        self._weights = [u % t * (s // t) for u, t in zip(units, orders)]
+        self._inverses = [pow(u, -1, t) for u, t in zip(units, orders)]
+        self._gens = [[u * x for x in gens.column(j)]
+                      for (j, _), u in zip(valuations, units)]
+        self._modulus = prod(factors)
+        self.sizes = []
+        self._names = []
+        self._generators = []
+        self._vectors = []
+        self._positions = {}
+        self._meets = {}
+        self._duals = {}
+
+    def listing(self):
+        """The positions of all subgroups of the part, in the order of
+        ``_hnf_lattices``."""
+        return [self.position(triangular_join(rows, ()), columns)
+                for columns, rows in _hnf_lattices(self._orders)]
+
+    def position(self, name, generators=None):
+        """The position of the lattice named ``name``; one met for the
+        first time keeps ``generators``, when the caller has them."""
+        i = self._positions.get(name)
+        if i is None:
+            i = self._positions[name] = len(self._names)
+            self._names.append(name)
+            self._generators.append(generators)
+            self._vectors.append(None)
+            # |M / diag(q)Z^k| = prod q / det H, and det J = s^k / det H.
+            self.sizes.append(prod(self._orders) * prod(
+                row[j] for j, row in enumerate(name.rows))
+                // self._scalar ** len(self._orders))
+        return i
+
+    def generators(self, i):
+        """Generators of the lattice at ``i``."""
+        gens = self._generators[i]
+        if gens is None:
+            gens = self._generators[i] = triangular_dual_basis(
+                self._names[i], self._scalar).columns()
+        return gens
+
+    def meet(self, i, j):
+        """The position of the meet of the lattices at ``i`` and ``j``."""
+        if i == j:
+            return i
+        pair = (i, j) if i < j else (j, i)
+        m = self._meets.get(pair)
+        if m is None:
+            m = self._meets[pair] = self.position(
+                triangular_join(self._names[i].rows, self._names[j].rows))
+        return m
+
+    def contains(self, i, j):
+        """Whether the lattice at ``i`` contains the one at ``j``."""
+        return self.sizes[i] % self.sizes[j] == 0 and self.meet(i, j) == j
+
+    def dual(self, i, other):
+        """The position in ``other``, the same prime's part of the dual
+        side, of the annihilator of the lattice at ``i``."""
+        m = self._duals.get(i)
+        if m is None:
+            s = self._scalar
+            k = len(self._orders)
+            scaled = [[s if r == c else 0 for c in range(k)]
+                      for r in range(k)]
+            paired = [[x * w % s for x, w in zip(c, self._weights)]
+                      for c in self.generators(i)]
+            m = self._duals[i] = other.position(
+                triangular_join(scaled, paired),
+                [[r_j * t // s * v % t for r_j, t, v
+                  in zip(r, self._orders, self._inverses)]
+                 for r in self._names[i].rows])
+        return m
+
+    def vectors(self, i):
+        """The nonzero d-scaled vectors, reduced mod the group order d, of
+        the generators of the lattice at ``i`` mapped through the h_j."""
+        out = self._vectors[i]
+        if out is None:
+            d = self._modulus
+            out = self._vectors[i] = []
+            for c in self.generators(i):
+                vec = tuple(sum(map(mul, c, row)) % d
+                            for row in zip(*self._gens))
+                if any(vec):
+                    out.append(vec)
+        return out
+
+
+class _SylowIndex:
+    """The subgroups of a presentation met so far as products of their
+    Sylow parts, one ``_SylowPart`` per prime of the order: each key's
+    basis maps to its tuple of positions, one per part, and each tuple to
+    its key.  A meet, a containment or a dual of keys the index holds is
+    read part by part off the parts' tables, and names its result by its
+    tuple, so each pair of positions of one part is computed once.  A
+    tuple met for the first time costs the one HNF that names its key.
+
+    ``enumerate_subgroups`` fills the index with every subgroup; an
+    indexed dual fills the dual side's with the duals it lands on.  A
+    key of a presentation with no index, or one its index does not hold,
+    takes the triangular path of ``subgroup_meet``, ``SubgroupKey.contains``
+    and ``dual_subgroup``."""
+
+    __slots__ = ("_presentation", "parts", "_base", "_keys", "_tuples",
+                 "listed")
+
+    def __init__(self, presentation):
+        factors = presentation.invariant_factors
+        gens = presentation._scaled_gens()
+        self._presentation = presentation
+        self.parts = [_SylowPart(factors, gens, q)
+                      for q in _prime_factors(max(factors, default=1))]
+        n, d = presentation.rank, presentation.order
+        self._base = [tuple(d if r == i else 0 for r in range(n))
+                      for i in range(n)]
+        self._keys = {}
+        self._tuples = {}
+        self.listed = None
+
+    def positions_of(self, key):
+        """The tuple of positions of ``key``, or None."""
+        if key._presentation is not self._presentation:
+            return self._tuples.get(key._basis)
+        t = key._positions
+        if t is None:
+            t = key._positions = self._tuples.get(key._basis)
+        return t
+
+    def key(self, positions):
+        """The key of the product of the parts at ``positions``."""
+        key = self._keys.get(positions)
+        if key is None:
+            p = self._presentation
+            columns = list(self._base)
+            order = 1
+            for part, i in zip(self.parts, positions):
+                columns += part.vectors(i)
+                order *= part.sizes[i]
+            basis = lattice_basis(columns, p.rank)
+            key = self._keys[positions] = SubgroupKey._wrap(p, basis, order)
+            key._positions = positions
+            self._tuples[basis] = positions
+        return key
+
+    def meet(self, a, b):
+        ta, tb = self.positions_of(a), self.positions_of(b)
+        if ta is None or tb is None:
+            return None
+        return self.key(tuple(part.meet(i, j) for part, i, j
+                              in zip(self.parts, ta, tb)))
+
+    def contains(self, h, k):
+        th, tk = self.positions_of(h), self.positions_of(k)
+        if th is None or tk is None:
+            return None
+        return all(part.contains(i, j) for part, i, j
+                   in zip(self.parts, th, tk))
+
+    def dual(self, key):
+        """The dual of ``key`` on the dual side, whose index it fills: each
+        part's annihilator is read off this side's pairing
+        (``_SylowPart.dual``), never off the dual side's table."""
+        t = self.positions_of(key)
+        if t is None:
+            return None
+        other = _sylow_index(self._presentation.dual())
+        return other.key(tuple(part.dual(i, dual_part) for part, dual_part, i
+                               in zip(self.parts, other.parts, t)))
+
+
+def _sylow_index(presentation):
+    """The presentation's ``_SylowIndex``, made on first use."""
+    if presentation._index is None:
+        presentation._index = _SylowIndex(presentation)
+    return presentation._index
+
+
 def enumerate_subgroups(presentation):
     """All subgroups, each exactly once, sorted by (order, basis).
 
-    Refuses groups larger than MAX_SUBGROUP_ORDER.
+    Refuses groups larger than MAX_SUBGROUP_ORDER, and groups with more
+    than MAX_LISTED_SUBGROUPS subgroups, counted in closed form
+    (``subgroup_count``) before any key is built.
 
     In the SNF coordinates of the presentation the group is the sum of
     the Z/o_j, and every subgroup is the product of one subgroup of each
@@ -789,40 +1116,24 @@ def enumerate_subgroups(presentation):
     valuation of o_j), generated by (o_j / p^v_j) times the j-th generator,
     and its subgroups are the lattices listed by ``_hnf_lattices``.  Each
     product is mapped back through those generators, together with the
-    columns d*e_i, and named by one HNF."""
+    columns d*e_i, and named by one HNF.  The listing fills the
+    presentation's ``_SylowIndex``, which then serves meets, containment
+    and duals of these keys from per-prime tables; a second call returns
+    the same keys."""
     if presentation.order > MAX_SUBGROUP_ORDER:
         raise ResourceBoundError(f"group order {presentation.order} exceeds "
                                  f"bound {MAX_SUBGROUP_ORDER}")
-    d = presentation.order
-    n = presentation.rank
-    gens, orders = presentation._scaled_gens(), presentation._factors
-    parts = []
-    for q in _prime_factors(max(orders)):
-        part_gens, part_orders = [], []
-        for j, o in enumerate(orders):
-            power = 1
-            while o % (power * q) == 0:
-                power *= q
-            if power > 1:
-                part_gens.append([o // power * x for x in gens.column(j)])
-                part_orders.append(power)
-        subgroups = []
-        for columns in _hnf_lattices(part_orders):
-            vectors = []
-            for col in columns:
-                vec = tuple(sum(c * g[i] for c, g in zip(col, part_gens)) % d
-                            for i in range(n))
-                if any(vec):
-                    vectors.append(vec)
-            subgroups.append(vectors)
-        parts.append(subgroups)
-    base = [tuple(d if r == i else 0 for r in range(n)) for i in range(n)]
-    keys = [SubgroupKey(presentation,
-                        lattice_basis(base + [v for vs in combo for v in vs],
-                                      n))
-            for combo in itertools.product(*parts)]
-    keys.sort(key=lambda key: key.sort_key())
-    return keys
+    count = subgroup_count(presentation)
+    if count > MAX_LISTED_SUBGROUPS:
+        raise ResourceBoundError(f"{count} subgroups exceed the listing "
+                                 f"bound {MAX_LISTED_SUBGROUPS}")
+    index = _sylow_index(presentation)
+    if index.listed is None:
+        keys = [index.key(positions) for positions in itertools.product(
+            *(part.listing() for part in index.parts))]
+        keys.sort(key=SubgroupKey.sort_key)
+        index.listed = keys
+    return list(index.listed)
 
 
 def monodromy_element(f, group=None):

@@ -308,23 +308,25 @@ def lattice_basis(columns, dim):
 
 def triangular_join(a, b):
     """Canonical row basis of the lattice spanned by the rows of ``a`` and
-    ``b``, two sequences of n rows of length n, each upper triangular with
-    a nonzero diagonal: row i is zero before position i.
+    ``b``: ``a`` is n rows of length n, upper triangular with a nonzero
+    diagonal (row i is zero before position i), and ``b`` any rows of
+    length n, usually another such basis.
 
     The rows of b are merged into those of a top-down by leading
-    position: row k of b meets the current row i of the basis at each
-    position i >= k, by a division when row i's pivot divides its entry
-    and otherwise by the unimodular gcd step that leaves the gcd as row
-    i's pivot and a remainder zero up to position i.  That is n(n+1)/2
-    steps and no general HNF.  The result, an upper-triangular IntMatrix
-    with positive pivots and each entry above a pivot reduced into
-    [0, pivot), is the row HNF of the lattice: two pairs spanning the
-    same lattice give the identical matrix."""
+    position: a row of b meets the current row i of the basis at each
+    position i where it is nonzero, by a division when row i's pivot
+    divides its entry and otherwise by the unimodular gcd step that
+    leaves the gcd as row i's pivot and a remainder zero up to position
+    i.  For a triangular b that is n(n+1)/2 steps and no general HNF.
+    The result, an upper-triangular IntMatrix with positive pivots and
+    each entry above a pivot reduced into [0, pivot), is the row HNF of
+    the lattice: two pairs spanning the same lattice give the identical
+    matrix."""
     n = len(a)
     rows = [list(r) for r in a]
-    for k, r in enumerate(b):
+    for r in b:
         v = list(r)
-        for i in range(k, n):
+        for i in range(n):
             y = v[i]
             if not y:
                 continue

@@ -150,24 +150,36 @@ def differs_from_direct_loop(rep):
 
 def lattice_mismatches(subgroups, terms, sampled):
     """Counts (duals, meet pairs, containment tests, mismatches) of the
-    dual of every subgroup against ``inverse_dual``, and of the meet of
-    each sampled (subgroup, term) pair, key and order, against
-    ``hnf_meet`` and the containment of each in the other against
-    ``solve_contains``.  Pair
-    (i, j) of the i-th subgroup and the j-th term is sampled when
-    ``sampled(i, j)``."""
+    dual of every subgroup, and its dual back, against ``inverse_dual``,
+    and of the meet of each sampled (subgroup, term) pair, key and order,
+    against ``hnf_meet`` and the containment of each in the other against
+    ``solve_contains``.  Each is also checked against the triangular path
+    on a fresh presentation of the same constraint, which is never listed
+    and so keeps no index.  Pair (i, j) of the i-th subgroup and the j-th
+    term is sampled when ``sampled(i, j)``."""
+    fresh = GroupPresentation(subgroups[0].presentation.constraint)
+    plain = {h: SubgroupKey(fresh, h.basis) for h in subgroups + terms}
     pairs = mismatches = 0
     for h in subgroups:
-        mismatches += dual_subgroup(h) != inverse_dual(h)
+        dual, unlisted = dual_subgroup(h), dual_subgroup(plain[h])
+        mismatches += (dual != inverse_dual(h) or dual != unlisted
+                       or dual.order != unlisted.order
+                       or dual_subgroup(dual) != h)
     for i, h in enumerate(subgroups):
         for j, k in enumerate(terms):
             if not sampled(i, j):
                 continue
             pairs += 1
             meet, oracle = subgroup_meet(h, k), hnf_meet(h, k)
+            unlisted = subgroup_meet(plain[h], plain[k])
             mismatches += (meet != oracle or meet.order != oracle.order
+                           or meet != unlisted
+                           or meet.order != unlisted.order
                            or h.contains(k) != solve_contains(h, k)
-                           or k.contains(h) != solve_contains(k, h))
+                           or k.contains(h) != solve_contains(k, h)
+                           or h.contains(k) != plain[h].contains(plain[k])
+                           or k.contains(h) != plain[k].contains(plain[h]))
+    assert fresh._index is None and fresh.dual()._index is None
     return len(subgroups), pairs, 2 * pairs, mismatches
 
 
@@ -520,10 +532,12 @@ class TestCorpusDifferential:
 
     def test_subgroup_lattice_matches_replaced_forms(self, batch45):
         # Every distinct corpus group of order <= 200, both sides, on a
-        # fresh presentation whose caches go with it: the dual of each
-        # subgroup, and the meet and both containments of a rotating
-        # quarter of the (subgroup, equivariant zeta term) pairs, every
-        # subgroup and every term among them.  All 370,259 pairs take
+        # fresh presentation whose caches and index go with it: the dual
+        # of each subgroup, and the meet and both containments of a
+        # rotating quarter of the (subgroup, equivariant zeta term) pairs,
+        # every subgroup and every term among them, read off the index
+        # of the listing and checked against the oracles and against a
+        # second, never listed presentation.  All 370,259 pairs take
         # about 50 s.
         reps = {}
         for _, p, rep in sides(batch45):
@@ -982,7 +996,8 @@ class TestRandomMatrices:
     @example(GroupPresentation(IntMatrix.diagonal([2, 2, 2, 2])))
     def test_subgroup_lattice_matches_replaced_forms(self, p):
         # Every subgroup's dual; the meet and both containments of every
-        # pair of subgroups; every element in every subgroup.
+        # pair of subgroups, from the index and on a never listed copy;
+        # every element in every subgroup.
         subgroups = enumerate_subgroups(p)
         n = len(subgroups)
         assert lattice_mismatches(subgroups, subgroups,

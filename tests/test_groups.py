@@ -12,11 +12,13 @@ from saitodual.burnside import (CyclotomicProduct, burnside_from_cyclotomic,
                                 element_zeta)
 from saitodual.errors import (IndexBoundsError, OwnershipError,
                               ResourceBoundError)
-from saitodual.groups import (MAX_LISTED_ROOTS, MAX_SUBGROUP_ORDER,
-                              dual_subgroup, enumerate_subgroups,
-                              full_subgroup, geometric_roots,
-                              isotropy_subgroup, monodromy_element, pairing,
-                              root_count, subgroup_generated_by,
+from saitodual.groups import (MAX_LISTED_ROOTS, MAX_LISTED_SUBGROUPS,
+                              MAX_SUBGROUP_ORDER, GroupPresentation,
+                              SubgroupKey, dual_subgroup,
+                              enumerate_subgroups, full_subgroup,
+                              geometric_roots, isotropy_subgroup,
+                              monodromy_element, pairing, root_count,
+                              subgroup_count, subgroup_generated_by,
                               subgroup_meet, symmetry_group,
                               trivial_subgroup)
 from saitodual.linalg import IntMatrix, RationalVector
@@ -155,9 +157,13 @@ class TestSubgroups:
         # A meet that misses both caches merges the operands' triangular
         # dual rows and reduces the columns of d*J^-1: no lattice_basis and
         # no HNF of any kind.  Z4 x Z8 has 22 subgroups; 190 unordered
-        # pairs reach the merge and give 18 distinct joins.
+        # pairs reach the merge and give 18 distinct joins.  The listed
+        # presentation meets them from its index instead, also with no
+        # HNF; the triangular path runs on an unlisted copy of it.
         p = symmetry_group(parse_polynomial("x^3*y + y^3*x + z^4"))
         subgroups = enumerate_subgroups(p)
+        q = GroupPresentation(p.constraint)
+        copies = [SubgroupKey(q, h.basis) for h in subgroups]
 
         def refuse(*args):
             raise AssertionError("a meet ran an HNF")
@@ -165,9 +171,12 @@ class TestSubgroups:
         monkeypatch.setattr(groups, "lattice_basis", refuse)
         monkeypatch.setattr(linalg, "_hnf_core", refuse)
         meets = {(h, k): subgroup_meet(h, k)
-                 for h in subgroups for k in subgroups}
-        assert (len(p._meet_cache), len(p._dual_meet_cache)) == (190, 18)
+                 for h in copies for k in copies}
+        indexed = [subgroup_meet(h, k) for h in subgroups for k in subgroups]
+        assert (len(q._meet_cache), len(q._dual_meet_cache)) == (190, 18)
+        assert (q._index, len(p._meet_cache)) == (None, 0)
         monkeypatch.undo()
+        assert indexed == list(meets.values())
         for (h, k), meet in meets.items():
             oracle = hnf_meet(h, k)
             assert meet == oracle and meet.order == oracle.order
@@ -227,6 +236,11 @@ class TestSubgroups:
         assert keys.pop() == full_subgroup(z6)
 
 
+def squares(k):
+    """x1^2 + ... + xk^2, whose group is (Z/2)^k."""
+    return parse_polynomial(" + ".join(f"x{i}^2" for i in range(1, k + 1)))
+
+
 def gaussian_binomial(n, k, q):
     """Number of k-dimensional subspaces of F_q^n."""
     num = den = 1
@@ -265,6 +279,42 @@ class TestSubgroupCounts:
             assert sum(1 for h in subs if h.order == q ** k) == \
                 gaussian_binomial(4, k, q)
 
+    def test_closed_form_count_matches_listing(self, batch45):
+        # Every distinct corpus group of order <= 200, both sides, and
+        # (Z/2)^k for k <= 6: the count read off the invariant factors
+        # is the length of the listing.
+        found = distinct_groups(batch45, max_order=200)
+        counts = [subgroup_count(p) for p in found]
+        listed = [len(enumerate_subgroups(p)) for p in found]
+        assert counts == listed
+        assert (len(found), sum(listed)) == (2331, 48191)
+        for k in range(1, 7):
+            p = symmetry_group(squares(k))
+            assert subgroup_count(p) == len(enumerate_subgroups(p)) == sum(
+                gaussian_binomial(k, j, 2) for j in range(k + 1))
+
+    def test_listing_refused_by_count_before_any_key(self, monkeypatch):
+        # (Z/2)^8 has order 256 and 417,199 subgroups, (Z/2)^13 order
+        # 8,192 and 3.76e13: both are refused from their counts, with no
+        # key and no index built.  The pinned Z6^4 is inside the bound.
+        def refuse(*args):
+            raise AssertionError("a key was built")
+
+        refused = [(symmetry_group(squares(k)), count)
+                   for k, count in [(8, 417199), (13, 37558989808526)]]
+        z6 = symmetry_group(parse_polynomial("x^6 + y^6 + z^6 + w^6"))
+        monkeypatch.setattr(groups, "lattice_basis", refuse)
+        monkeypatch.setattr(SubgroupKey, "_wrap", classmethod(refuse))
+        for p, count in refused:
+            assert p.order <= MAX_SUBGROUP_ORDER
+            assert subgroup_count(p) == count > MAX_LISTED_SUBGROUPS
+            with pytest.raises(ResourceBoundError) as info:
+                enumerate_subgroups(p)
+            assert f"{count} subgroups" in str(info.value)
+            assert str(MAX_LISTED_SUBGROUPS) in str(info.value)
+            assert p._index is None
+        assert subgroup_count(z6) == 14204 <= MAX_LISTED_SUBGROUPS
+
     def test_z6_fourth_power_within_five_seconds(self):
         # Order 1296: 67 * 212 = 14,204 subgroups, one per pair of a
         # subgroup of Z2^4 and one of Z3^4.
@@ -274,6 +324,100 @@ class TestSubgroupCounts:
         elapsed = time.perf_counter() - start
         assert len(subs) == len(set(subs)) == 14204
         assert elapsed < 5.0
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the HNFs (``lattice_basis``) and scaled inverses the
+    package runs from here on."""
+    counts = {"lattice_basis": 0, "scaled_inverse": 0}
+
+    def counting(module, name):
+        run = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return run(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(groups, "lattice_basis")
+    counting(groups, "scaled_inverse")
+    counting(linalg, "scaled_inverse")
+    return counts
+
+
+class TestSylowIndex:
+    """Meets, containment and duals of listed subgroups, read off the
+    per-prime tables of the presentation's index."""
+
+    F = "x^6 + y^6"  # Z6 x Z6: 30 subgroups, 5 of Z2^2 times 6 of Z3^2
+
+    def test_unlisted_presentation_keeps_triangular_path(self, calls):
+        # One HNF and one scaled inverse per dual, both ways, and one
+        # inverse per new meet: the parent's calls.  No index is made.
+        f = parse_polynomial(self.F)
+        bases = [h.basis for h in enumerate_subgroups(symmetry_group(f))]
+        p = GroupPresentation(symmetry_group(f).constraint)
+        keys = [SubgroupKey(p, b) for b in bases]
+        p.dual()  # whose ambient basis is one HNF
+        calls.update(lattice_basis=0, scaled_inverse=0)
+        duals = [dual_subgroup(h) for h in keys]
+        assert calls == {"lattice_basis": 30, "scaled_inverse": 30}
+        assert [dual_subgroup(k) for k in duals] == keys
+        assert calls == {"lattice_basis": 60, "scaled_inverse": 60}
+        for h in keys:
+            for k in keys:
+                subgroup_meet(h, k)
+                h.contains(k)
+        assert calls == {"lattice_basis": 60, "scaled_inverse": 82}
+        assert p._index is None and p.dual()._index is None
+
+    def test_one_dual_after_listing_runs_at_most_one_hnf(self, calls):
+        # A dual names its key on the dual side with one HNF and no
+        # inverse, and lists nothing there; the dual back lands on the
+        # listed key itself.  Meets and containment run neither.
+        p = symmetry_group(parse_polynomial(self.F))
+        subs = enumerate_subgroups(p)
+        p.dual()  # whose ambient basis is one HNF
+        calls.update(lattice_basis=0, scaled_inverse=0)
+        dual = dual_subgroup(subs[7])
+        assert calls == {"lattice_basis": 1, "scaled_inverse": 0}
+        assert len(p.dual()._index._keys) == 1
+        assert p.dual()._index.listed is None
+        for h in subs:
+            calls.update(lattice_basis=0)
+            dual = dual_subgroup(h)
+            assert calls["lattice_basis"] <= 1
+            assert dual_subgroup(dual) is h
+            assert calls["lattice_basis"] <= 1
+        assert len(p.dual()._index._keys) == 30
+        calls.update(lattice_basis=0)
+        for h in subs:
+            for k in subs:
+                subgroup_meet(h, k)
+                h.contains(k)
+        assert calls == {"lattice_basis": 0, "scaled_inverse": 0}
+
+    def test_listing_twice_returns_the_same_keys(self):
+        p = symmetry_group(parse_polynomial(self.F))
+        first = enumerate_subgroups(p)
+        second = enumerate_subgroups(p)
+        assert first == second and first is not second
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_keys_of_another_presentation_object_are_looked_up(self):
+        # An operand from an equal presentation object is found by its
+        # basis; one the index never met takes the triangular path.
+        f = parse_polynomial(self.F)
+        p = symmetry_group(f)
+        subs = enumerate_subgroups(p)
+        other = symmetry_group(f)
+        for h in subs:
+            for k in subs:
+                twin = SubgroupKey(other, k.basis)
+                assert subgroup_meet(h, twin) == hnf_meet(h, k)
+                assert h.contains(twin) == h.contains(k)
+        assert other._index is None
 
 
 class TestIsotropy:
