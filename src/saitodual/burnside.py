@@ -14,8 +14,8 @@ from math import gcd
 
 from .errors import OwnershipError, StructureError
 from .groups import (GroupElement, GroupPresentation, SubgroupKey,
-                     _dual_positions, dual_subgroup, full_subgroup,
-                     subgroup_generated_by, subgroup_meet)
+                     dual_subgroup, full_subgroup, subgroup_generated_by,
+                     subgroup_meet)
 
 
 class CyclotomicProduct:
@@ -309,30 +309,6 @@ def saito_dual(a):
     dual_scope = full_subgroup(a.scope.presentation.dual())
     return BurnsideElement(dual_scope,
                            {dual_subgroup(k): v for k, v in a.terms.items()})
-
-
-def is_saito_dual(a, b):
-    """Whether ``b == saito_dual(a)``, decided without building the
-    transform.  ``zeta.verify_zeta_duality`` decides the duality of two
-    zeta reports on their product forms; this decides it for any pair of
-    elements, and is its oracle.
-
-    Each term c*[G/H] of ``a`` must meet the term c*[G*/H~] of ``b``,
-    found by the annihilator pairing or, in a bucket of more than
-    ``groups.MAX_PAIRED_BUCKET`` candidates of one coefficient and order,
-    by its dual subgroup (``groups._dual_positions``).  The transform is
-    injective, so with as many terms on both sides every term of ``b`` is
-    then matched."""
-    if not a.scope.is_full():
-        raise StructureError("the duality transform is defined over the full group")
-    p = a.scope.presentation
-    if (not isinstance(b, BurnsideElement)
-            or b.scope != full_subgroup(p.dual())
-            or len(a._terms) != len(b._terms)):
-        return False
-    return None not in _dual_positions(
-        p, [(c, h.basis.rows, h.order) for h, c in a._terms.items()],
-        [(c, k.basis.rows, k.order) for k, c in b._terms.items()])
 
 
 def _coset_order(basis, vec):

@@ -55,12 +55,6 @@ MAX_LISTED_SUBGROUPS = 20_000
 # keeps a listing under about 0.15 s and 40 MiB.
 MAX_LISTED_ROOTS = 50_000
 
-# Most candidates ``_dual_positions`` scans by the annihilator pairing; a
-# subgroup whose bucket holds more is matched by its dual subgroup, which
-# costs about as much as scanning 15 to 20 candidates (the crossover is in
-# CHANGES.md).
-MAX_PAIRED_BUCKET = 16
-
 
 class GroupPresentation:
     """A finite abelian group presented as E^{-1}Z^n / Z^n.
@@ -710,39 +704,27 @@ def dual_subgroup(key):
     return SubgroupKey(p.dual(), basis)
 
 
-def _dual_positions(p, subgroups, candidates):
-    """For each (label, rows, order) of ``subgroups``, a subgroup H of
-    ``p`` of that order with the rows of its scaled basis, the position
-    in ``candidates``, subgroups of ``p.dual()`` given alike, of the one
-    with the same label that is the dual H~, or None; yielded in order.
+def _is_dual(p, rows, index, dual_rows, dual_index):
+    """Whether the subgroup K of ``p.dual()`` with the rows ``dual_rows``
+    of its scaled basis and index ``dual_index`` is the dual H~ of the
+    subgroup H of ``p`` given alike by ``rows`` and ``index``.
 
-    K is H~ exactly when |H|*|K| = d and K lies in the annihilator of H.
-    The rows of d^2*(C*B_H)^-1 span the scaled lattice of H~
-    (``dual_subgroup``), so for the scaled bases B_H, B_K and the
-    constraint C, K lies in H~ exactly when B_K^T*C*B_H = 0 (mod d^2),
-    and the orders make it H~.  Candidates are bucketed by label and
-    order; a subgroup whose bucket holds more than MAX_PAIRED_BUCKET
-    looks up H~ itself, so the match stays linear."""
+    K is H~ exactly when |H|*|K| = d, that is index*dual_index = d, and K
+    lies in the annihilator of H.  The rows of d^2*(C*B_H)^-1 span the
+    scaled lattice of H~ (``dual_subgroup``), so for the scaled bases B_H,
+    B_K and the constraint C, K lies in H~ exactly when
+    B_K^T*C*B_H = 0 (mod d^2).  A column divisible by d scales an integer
+    vector, which pairs to 0 with every element of the other side, so
+    only the other columns are paired."""
     d = p.order
+    if index * dual_index != d:
+        return False
     dd = d * d
-    constraint = p.constraint.rows
-    buckets = {}
-    named = {}
-    for j, (label, rows, order) in enumerate(candidates):
-        buckets.setdefault((label, order), []).append((j, list(zip(*rows))))
-        named[label, rows] = j
-    for label, rows, order in subgroups:
-        bucket = buckets.get((label, d // order), ())
-        if len(bucket) > MAX_PAIRED_BUCKET:
-            dual = dual_subgroup(SubgroupKey._wrap(p, IntMatrix._wrap(rows),
-                                                   order))
-            yield named.get((label, dual.basis.rows))
-            continue
-        image = [[sum(map(mul, row, col)) for row in constraint]
-                 for col in zip(*rows)]
-        yield next((j for j, cols in bucket
-                    if all(sum(map(mul, u, v)) % dd == 0
-                           for u in cols for v in image)), None)
+    image = [[sum(map(mul, row, col)) for row in p.constraint.rows]
+             for col in zip(*rows) if any(map(d.__rmod__, col))]
+    return all(sum(map(mul, u, v)) % dd == 0
+               for u in zip(*dual_rows) if any(map(d.__rmod__, u))
+               for v in image)
 
 
 def pairing(a, b):

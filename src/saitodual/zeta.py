@@ -41,7 +41,10 @@ atoms, and each atom's record (``AtomRecord``, computed once per batch:
   when they are read.  ``verify_zeta_duality`` decides the duality on
   that form: one table per pair of a block and its transpose maps each
   merged subgroup to the position of its dual (``AtomRecord.dual_map``),
-  and each term is one lookup.  A single block is the case k = 1.
+  and each term is one lookup.  The table is read off the lemma of the
+  duality proof: if I contributes for E through the rows R, the dual of
+  G^I is the isotropy subgroup of E^T at the complement R', and R'
+  contributes for E^T.  A single block is the case k = 1.
 
 The canonical weights of the sum are those of its atoms scaled to the
 common degree d = d1*...*dk, (d/da)*wa at the variables of block a.  So
@@ -63,7 +66,7 @@ from math import gcd, inf, lcm, prod
 from .burnside import BurnsideElement, CyclotomicProduct, saito_dual
 from .errors import DegenerateError, NonCyclicError
 from .groups import (GroupPresentation, SubgroupKey, _block_rows,
-                     _direct_sum, _dual_positions, _stacked, full_subgroup,
+                     _direct_sum, _is_dual, _stacked, full_subgroup,
                      monodromy_element, symmetry_group)
 from .linalg import determinant
 from .polynomials import (InvertiblePolynomial, _blocks_of,
@@ -241,7 +244,9 @@ class AtomRecord:
     ``merged`` sums the entries by isotropy subgroup: (rows, sum of
     (-1)^|I| over its entries, r, index), for the nonzero sums in order of
     first appearance.  As an element of the Burnside ring that sum is
-    [G/G] - (equivariant zeta), that is minus the reduced zeta."""
+    [G/G] - (equivariant zeta), that is minus the reduced zeta.
+    ``dual_map`` pairs the merged subgroups with those of the transposed
+    block's record by the complement of each one's rows R."""
 
     __slots__ = ("presentation", "weights", "monodromy_order", "entries",
                  "merged", "_dual_map")
@@ -262,18 +267,37 @@ class AtomRecord:
     def dual_map(self, partner):
         """For each merged subgroup H of this block, in order, the
         position of its dual H~ among the merged subgroups of
-        ``partner``, the record of the transposed block, or None when H~
-        is not one of them (see ``groups._dual_positions``).  The merged
-        subgroups of a block do not depend on the presentation its record
-        was made over, so the map depends only on the block and is kept
-        after the first call."""
+        ``partner``, the record of the transposed block, or None when the
+        complement lemma names no dual there.
+
+        The lemma (arXiv:1105.1964): for an entry (I, R), the dual of
+        G^I is the transposed block's isotropy subgroup at the complement
+        R' of R, whose entry the partner lists (``_complement_subsets``);
+        the empty subset pairs with the full set.  So H, taken at its
+        first entry, has as candidate the partner's merged subgroup of
+        the entry at R', accepted only when the pairing says it is H~
+        (``groups._is_dual``).  The merged subgroups of a block do not
+        depend on the presentation its record was made over, so the map
+        depends only on the block and is kept after the first call."""
         if self._dual_map is None:
             q = self.presentation
-            d = q.order
-            subgroups, candidates = (
-                [(None, rows, d // index) for rows, _, _, index in r.merged]
-                for r in (self, partner))
-            self._dual_map = tuple(_dual_positions(q, subgroups, candidates))
+            full = range(q.rank)
+            position = {rows: j for j, (rows, _, _, _)
+                        in enumerate(partner.merged)}
+            at = {subset: position.get(rows)
+                  for subset, _, rows, _, _ in partner.entries}
+            first = {}
+            for _, rows_in, rows, _, _ in self.entries:
+                first.setdefault(rows, rows_in)
+            dual_map = []
+            for rows, _, _, index in self.merged:
+                j = at.get(tuple(i for i in full if i not in first[rows]))
+                if j is not None:
+                    dual_rows, _, _, dual_index = partner.merged[j]
+                    if not _is_dual(q, rows, index, dual_rows, dual_index):
+                        j = None
+                dual_map.append(j)
+            self._dual_map = tuple(dual_map)
         return self._dual_map
 
 
@@ -685,13 +709,15 @@ def verify_zeta_duality(pair):
     polynomial equals (-1)^n times the duality transform of the reduced
     equivariant zeta function of the polynomial itself.
 
-    The check reads both reports' product forms and builds no subgroup
-    key: the transform takes the term of merged subgroups (H_1, ..., H_k)
-    to that of their duals, so it holds exactly when both sides have as
-    many terms and each term's image under the blocks' ``dual_map`` is a
-    term of the transposed side with (-1)^n times its coefficient.  Only
-    a failing check builds the elements and the transform, for the
-    report and its witness."""
+    The check first reads both reports' product forms and builds no
+    subgroup key: the transform takes the term of merged subgroups
+    (H_1, ..., H_k) to that of their duals, so it holds when both sides
+    have as many terms and each term's image under the blocks'
+    ``dual_map`` is a term of the transposed side with (-1)^n times its
+    coefficient.  Otherwise both elements and the transform are built
+    and compared, so a dual the maps miss costs time but never decides
+    the verdict; a failing check keeps them for the report and its
+    witness."""
     rep, rep_t = pair.report, pair.report_t
     sign = -1 if pair.f.nvars % 2 else 1
     terms, terms_t = rep._terms, rep_t._terms
@@ -702,11 +728,13 @@ def verify_zeta_duality(pair):
         get = terms_t.get
         equal = all(get(tuple(m[i] for m, i in zip(maps, combo))) == sign * c
                     for combo, c in terms.items())
+    if not equal:
+        lhs = rep_t.reduced
+        rhs = sign * saito_dual(rep.reduced)
+        equal = lhs == rhs
     if equal:
         return VerificationReport("theorem", True, lhs_report=rep_t,
                                   rhs_report=rep)
-    lhs = rep_t.reduced
-    rhs = sign * saito_dual(rep.reduced)
     return VerificationReport("theorem", False,
                               {"difference": (lhs - rhs).to_json()},
                               rep_t, rep, (lhs, rhs))

@@ -3,8 +3,10 @@
 import time
 
 import pytest
+from hypothesis import assume, strategies as st
 
-from saitodual import InvertiblePolynomial, generate_corpus, run_batch
+from saitodual import (InvertiblePolynomial, determinant, generate_corpus,
+                       run_batch)
 
 ACCEPTANCE_RESULTS = []
 
@@ -59,6 +61,25 @@ def permuted(f, rng):
     cols = list(range(f.nvars))
     rng.shuffle(cols)
     return InvertiblePolynomial([[row[j] for j in cols] for row in rows])
+
+
+@st.composite
+def sparse_invertible(draw):
+    """A nonsingular non-negative n x n matrix, n <= 7: a nonzero
+    diagonal, sparse entries off it (often none below it, so that many
+    subsets contribute), then rows and columns permuted, so the diagonal
+    of the result is often zero."""
+    n = draw(st.integers(1, 7))
+    lower = draw(st.booleans())
+    entries = st.sampled_from([0, 0, 0, 0, 1, 2])
+    rows = [[draw(st.integers(1, 4)) if i == j
+             else 0 if lower and j < i else draw(entries)
+             for j in range(n)] for i in range(n)]
+    rp = draw(st.permutations(range(n)))
+    cp = draw(st.permutations(range(n)))
+    rows = [[rows[i][j] for j in cp] for i in rp]
+    assume(determinant(rows) != 0)
+    return rows
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -11,7 +11,7 @@ from collections import Counter
 from math import prod
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 import saitodual
 from saitodual.burnside import (BurnsideElement, CyclotomicProduct,
@@ -20,12 +20,11 @@ from saitodual import enumeration
 from saitodual.cli import main
 from saitodual.enumeration import generate_corpus, run_batch
 from saitodual.errors import DegenerateError, NonCyclicError
-from saitodual.groups import (MAX_PAIRED_BUCKET, SubgroupKey,
-                              enumerate_subgroups, full_subgroup,
-                              monodromy_element,
+from saitodual.groups import (SubgroupKey, enumerate_subgroups,
+                              full_subgroup, monodromy_element,
                               subgroup_generated_by, symmetry_group,
                               trivial_subgroup)
-from saitodual.linalg import IntMatrix, determinant
+from saitodual.linalg import IntMatrix
 from saitodual.polynomials import (InvertiblePolynomial, _blocks_of,
                                    _components, parse_polynomial)
 from saitodual.zeta import (MAX_REPORT_ENTRIES, AtomRecords, DualPair,
@@ -35,6 +34,7 @@ from saitodual.zeta import (MAX_REPORT_ENTRIES, AtomRecords, DualPair,
                             equivariant_zeta, milnor_number,
                             verify_root_duality, verify_zeta_duality)
 
+from conftest import sparse_invertible
 from oracles import direct_equivariant_zeta
 
 
@@ -133,25 +133,6 @@ def subset_loop(e):
             rows_in = [i for i in range(n) if support[i] <= set(subset)]
             if len(rows_in) == k:
                 yield subset, rows_in
-
-
-@st.composite
-def sparse_invertible(draw):
-    """A nonsingular non-negative n x n matrix, n <= 7: a nonzero
-    diagonal, sparse entries off it (often none below it, so that many
-    subsets contribute), then rows and columns permuted, so the diagonal
-    of the result is often zero."""
-    n = draw(st.integers(1, 7))
-    lower = draw(st.booleans())
-    entries = st.sampled_from([0, 0, 0, 0, 1, 2])
-    rows = [[draw(st.integers(1, 4)) if i == j
-             else 0 if lower and j < i else draw(entries)
-             for j in range(n)] for i in range(n)]
-    rp = draw(st.permutations(range(n)))
-    cp = draw(st.permutations(range(n)))
-    rows = [[rows[i][j] for j in cp] for i in rp]
-    assume(determinant(rows) != 0)
-    return rows
 
 
 class TestContributingSubsets:
@@ -273,13 +254,16 @@ class TestZetaDuality:
         # side rebuilt from a copy of one block's record with a
         # coefficient negated or a merged subgroup dropped, and the
         # direct side with one entry of a block's dual map dropped.  The
-        # check fails, and only then builds the transform, for the right
-        # side and the witness exactly as the materialized comparison
-        # gives them.
+        # first two fail, and only then build the transform, for the
+        # right side and the witness exactly as the materialized
+        # comparison gives them.  The dropped dual misses on the product
+        # forms, so the transform is built too, and decides: the check
+        # passes, with the passing report's bytes.
         pair = DualPair(parse_polynomial(text))
         rep, rep_t = pair.report, pair.report_t
         sign = -1 if pair.f.nvars % 2 else 1
-        assert verify_zeta_duality(pair).equal
+        passing = verify_zeta_duality(pair)
+        assert passing.equal
         blocks_t = [block.matrix for block in _blocks_of(pair.ft)]
         last = len(blocks_t) - 1
 
@@ -299,8 +283,7 @@ class TestZetaDuality:
         unpaired = dataclasses.replace(
             rep, _records=rep._records[:last] + (record,))
         counts = count_calls(monkeypatch, "saito_dual")
-        for side, side_t in ((rep, negated), (rep, dropped),
-                             (unpaired, rep_t)):
+        for side, side_t in ((rep, negated), (rep, dropped)):
             pair.report, pair.report_t = side, side_t
             report = verify_zeta_duality(pair)
             lhs = side_t.reduced
@@ -316,6 +299,11 @@ class TestZetaDuality:
                         "rhsReport": side.to_json()}
             assert (json.dumps(report.to_json(include_reports=True))
                     == json.dumps(expected))
+        pair.report, pair.report_t = unpaired, rep_t
+        report = verify_zeta_duality(pair)
+        assert report.equal and report.witness is None
+        assert (json.dumps(report.to_json(include_reports=True))
+                == json.dumps(passing.to_json(include_reports=True)))
         # Negating or dropping a term changes the transposed side; a
         # dropped dual leaves both sides as they were.
         assert negated.reduced != rep_t.reduced
@@ -540,29 +528,26 @@ class TestDualPair:
             assert counts[1] >= len(pair.report_t.reduced.terms)
         assert unbuilt == len(corpus) == 117
 
-    def test_wide_block_dual_map_looks_up_large_buckets(self, monkeypatch):
+    def test_wide_block_dual_map_builds_no_dual_subgroup(self,
+                                                         monkeypatch):
         # The star x1^2 + x1*x2^2 + ... + x1*x9^2 is one block, neither a
         # loop nor a chain, whose transpose has up to 70 merged subgroups
-        # of one order.  The dual map matches each subgroup of this block
-        # whose bucket holds more than MAX_PAIRED_BUCKET by its dual
-        # subgroup, once, and every other by the pairing; the verdict is
-        # that of the built transform.
+        # of one order.  The dual map reads each dual off the complement
+        # of its subgroup's rows and checks it with one pairing: no dual
+        # subgroup is built, and the verdict is that of the built
+        # transform.
         f = parse_polynomial(" + ".join(
             ["x1^2"] + [f"x1*x{i}^2" for i in range(2, 10)]))
         pair = DualPair(f)
         rep, rep_t = pair.report, pair.report_t
-        (record,), (partner,) = rep._records, rep_t._records
-        d = record.presentation.order
+        (partner,) = rep_t._records
         sizes = Counter(index for _, _, _, index in partner.merged)
-        looked_up = sum(sizes[d // index] > MAX_PAIRED_BUCKET
-                        for _, _, _, index in record.merged)
         assert max(sizes.values()) == 70
-        assert 0 < looked_up < len(record.merged)
-        counts = count_calls(monkeypatch, "dual_subgroup")
+        counts = count_calls(monkeypatch, "dual_subgroup", "saito_dual")
         start = time.perf_counter()
         assert verify_zeta_duality(pair).equal
         assert time.perf_counter() - start < 5
-        assert counts == {"dual_subgroup": looked_up}
+        assert counts == {"dual_subgroup": 0, "saito_dual": 0}
         monkeypatch.undo()
         assert rep_t.reduced == -saito_dual(rep.reduced)
 
