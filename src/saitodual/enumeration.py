@@ -35,7 +35,7 @@ from functools import partial
 from math import comb, gcd
 
 from .errors import ResourceBoundError
-from .linalg import IntMatrix
+from .linalg import IntMatrix, determinant
 from .polynomials import InvertiblePolynomial, _Block
 from .zeta import (AtomRecords, DualPair, _polynomial_head,
                    verify_root_duality, verify_zeta_duality)
@@ -161,7 +161,8 @@ class _Ranking:
     whose least position is that one: C(s - size(j), j), with C(r, j) the
     number of multisets of total r of positions >= j.  ``starts[s]`` is
     the number of members of size at most s.  ``matrices`` holds the block
-    matrices of the specs built so far (see ``build_polynomial``)."""
+    matrices of the specs built so far and their determinants (see
+    ``build_polynomial``)."""
 
     def __init__(self, specs, max_vars, include_sums):
         self.specs = specs
@@ -250,25 +251,31 @@ def build_polynomial(specs, matrices=None):
     """Direct sum of the given blocks, on variables x1..xn, in that order.
     Its blocks (``polynomials._blocks_of``) are set as built, so none is
     searched for: each spec's at the next positions.  ``matrices`` maps
-    each spec to its block matrix and takes those it lacks, so that the
-    polynomials built with one map share each spec's matrix."""
+    each spec to its block matrix and that matrix's determinant, and takes
+    those it lacks, so that the polynomials built with one map share each
+    spec's matrix.  Nothing is validated or eliminated again: the blocks
+    sit on the diagonal in order, so the determinant of the sum is the
+    product of theirs."""
     if matrices is None:
         matrices = {}
     n = sum(len(ps) for _, ps in specs)
     rows = []
     blocks = []
+    det = 1
     for kind, ps in specs:
         spec = kind, tuple(ps)
-        b = matrices.get(spec)
-        if b is None:
-            b = matrices[spec] = (chain_matrix if kind == "chain"
-                                  else loop_matrix)(ps)
+        built = matrices.get(spec)
+        if built is None:
+            b = (chain_matrix if kind == "chain" else loop_matrix)(ps)
+            built = matrices[spec] = b, determinant(b)
+        b, block_det = built
+        det *= block_det
         at = tuple(range(len(rows), len(rows) + b.nrows))
-        rows.extend([0] * at[0] + list(row) + [0] * (n - 1 - at[-1])
+        rows.extend((0,) * at[0] + row + (0,) * (n - 1 - at[-1])
                     for row in b.rows)
         blocks.append(_Block(b, at, at))
-    f = InvertiblePolynomial(blocks[0].matrix if len(blocks) == 1
-                             else IntMatrix(rows))
+    f = InvertiblePolynomial._wrap(blocks[0].matrix if len(blocks) == 1
+                                   else IntMatrix._wrap(tuple(rows)), det)
     f._blocks = tuple(blocks)
     return f
 
@@ -409,6 +416,9 @@ def _verify_task(polynomials, keep_record, atoms, i):
             failures, v if keep_record else None)
 
 
+# Positions a pool worker takes at a time.
+_CHUNKSIZE = 8
+
 # A pool worker's task, with that process's own atom cache; set by
 # ``_start_worker`` in each worker, never in the calling process.
 _worker_task = None
@@ -428,9 +438,11 @@ def run_batch(polynomials, workers=1, keep_records=False, truncated=False):
     """Verify every polynomial of the sequence ``polynomials`` (a list or
     a ``Corpus``), in a pool when ``workers`` > 1; aggregation order
     follows the input order, so sorted input gives byte-stable reports.
-    Both paths map over positions: each pool worker takes the sequence
-    when it starts and reads (for a ``Corpus``, builds) its own members,
-    and sends back no records.
+    The pool has at most one process per chunk of ``_CHUNKSIZE``
+    positions, and below two the call runs serially.  Both paths map
+    over positions: each pool worker takes the sequence when it starts
+    and reads (for a ``Corpus``, builds) its own members, and sends back
+    no records.
 
     The polynomials share one ``zeta.AtomRecords``, made for this call:
     one per worker process in a pool.  It keeps the record of each block
@@ -443,12 +455,15 @@ def run_batch(polynomials, workers=1, keep_records=False, truncated=False):
     keep_below = (polynomials.nvars if isinstance(polynomials, Corpus)
                   else max((f.nvars for f in polynomials), default=0))
     positions = range(len(polynomials))
+    # A pool of more processes than chunks leaves the rest idle.
+    workers = min(workers, -(-len(positions) // _CHUNKSIZE))
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers, _start_worker,
                                   (polynomials, keep_below)) as pool:
-            outcomes = pool.map(_pooled_task, positions, chunksize=8)
+            outcomes = pool.map(_pooled_task, positions,
+                                chunksize=_CHUNKSIZE)
     else:
         outcomes = map(partial(_verify_task, polynomials, keep_records,
                                AtomRecords(keep_below)), positions)

@@ -706,25 +706,36 @@ def dual_subgroup(key):
 
 def _is_dual(p, rows, index, dual_rows, dual_index):
     """Whether the subgroup K of ``p.dual()`` with the rows ``dual_rows``
-    of its scaled basis and index ``dual_index`` is the dual H~ of the
-    subgroup H of ``p`` given alike by ``rows`` and ``index``.
+    of its scaled basis and index ``dual_index`` is, by the supports of
+    the two bases, the dual H~ of the subgroup H of ``p`` given alike by
+    ``rows`` and ``index``.  True proves K = H~; False only says that the
+    supports do not show it.
 
     K is H~ exactly when |H|*|K| = d, that is index*dual_index = d, and K
-    lies in the annihilator of H.  The rows of d^2*(C*B_H)^-1 span the
-    scaled lattice of H~ (``dual_subgroup``), so for the scaled bases B_H,
-    B_K and the constraint C, K lies in H~ exactly when
-    B_K^T*C*B_H = 0 (mod d^2).  A column divisible by d scales an integer
-    vector, which pairs to 0 with every element of the other side, so
-    only the other columns are paired."""
+    lies in the annihilator of H: B_K^T*C*B_H = 0 (mod d^2) for the
+    scaled bases B_H, B_K and the constraint C (``dual_subgroup``).  A
+    basis column divisible by d scales an integer vector, which pairs to
+    0 with every element of the other side.  So when C vanishes on the
+    rows where K's other columns are supported and the columns where H's
+    are, the product is exactly 0 there, with no product formed.  That is
+    the complement lemma (arXiv:1105.1964) read as a support statement:
+    H = G^I has its other columns at the variables J off I, its label,
+    the isotropy subgroup of the transposed side at the rows R' off R,
+    has them at R, and E[R, J] = 0."""
     d = p.order
     if index * dual_index != d:
         return False
-    dd = d * d
-    image = [[sum(map(mul, row, col)) for row in p.constraint.rows]
-             for col in zip(*rows) if any(map(d.__rmod__, col))]
-    return all(sum(map(mul, u, v)) % dd == 0
-               for u in zip(*dual_rows) if any(map(d.__rmod__, u))
-               for v in image)
+    cols = [j for j, used in enumerate(_support(rows, d)) if used]
+    return not any(row[j] for row, used in zip(p.constraint.rows,
+                                               _support(dual_rows, d))
+                   if used for j in cols)
+
+
+def _support(rows, d):
+    """Per row of the scaled basis with ``rows``, whether it is nonzero in
+    some column that is not divisible by d."""
+    live = [j for j, col in enumerate(zip(*rows)) if any(x % d for x in col)]
+    return [any(row[j] for j in live) for row in rows]
 
 
 def pairing(a, b):

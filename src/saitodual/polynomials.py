@@ -54,6 +54,18 @@ class InvertiblePolynomial:
         self._weights = None
         self._blocks = None
 
+    @classmethod
+    def _wrap(cls, exponents, det):
+        """Trusted constructor: ``exponents`` is a square non-negative
+        ``IntMatrix`` of determinant ``det`` != 0, on x1..xn."""
+        f = object.__new__(cls)
+        f._exponents = exponents
+        f._variables = tuple(f"x{i + 1}" for i in range(exponents.ncols))
+        f._det = det
+        f._weights = None
+        f._blocks = None
+        return f
+
     @property
     def exponents(self):
         return self._exponents
@@ -144,6 +156,17 @@ def canonical_weights(f):
     d = abs(f.det)
     return _weight_system(
         tuple(sum(row) for row in scaled_inverse(f.exponents, d).rows), d)
+
+
+def smith_weights(u, v, factors):
+    """Weight system of the exponent matrix E of a Smith form S = U*E*V
+    with diagonal ``factors``: d = d_1*...*d_n = |det E| and
+    d*E^-1 = V*diag(d/d_j)*U, so w = d*E^-1*1 = V*diag(d/d_j)*(U*1),
+    two matrix-vector products; those of the transposed side are
+    U^T*diag(d/d_j)*(V^T*1).  Equal to ``canonical_weights``."""
+    d = prod(factors)
+    return _weight_system(v.apply_to_vector(
+        [d // f * sum(row) for f, row in zip(factors, u.rows)]), d)
 
 
 def direct_sum_weights(systems, positions):

@@ -36,18 +36,24 @@ atoms, and each atom's record (``AtomRecord``, computed once per batch:
   orders.
 - The duality: the pairing a^T*E*b is a sum over the blocks, so the dual
   of H1 x ... x Hk is H1~ x ... x Hk~, with the same scaling.  A report
-  keeps its reduced zeta in this product form, one coefficient per choice
-  of one merged subgroup of each block, and builds the subgroup keys only
-  when they are read.  ``verify_zeta_duality`` decides the duality on
-  that form: one table per pair of a block and its transpose maps each
-  merged subgroup to the position of its dual (``AtomRecord.dual_map``),
-  and each term is one lookup.  The table is read off the lemma of the
-  duality proof: if I contributes for E through the rows R, the dual of
-  G^I is the isotropy subgroup of E^T at the complement R', and R'
-  contributes for E^T.  A single block is the case k = 1.
+  keeps only its blocks' records; the product form, one coefficient per
+  choice of one merged subgroup of each block, the classical zeta and
+  the subgroup keys are built when first read.  ``verify_zeta_duality``
+  decides the duality block by block, with none of them: one table per
+  pair of a block and its transpose maps each merged subgroup to the
+  position of its dual (``AtomRecord.dual_map``), and the coefficients
+  of each block must agree through it up to one factor, the factors'
+  product being (-1)^n (``_dual_by_blocks``).  The table is read off
+  the lemma of the duality proof: if I contributes for E through the
+  rows R, the dual of G^I is the isotropy subgroup of E^T at the
+  complement R', and R' contributes for E^T; the supports of the two
+  bases confirm each entry (``groups._is_dual``).  A single block is
+  the case k = 1.
 
 The canonical weights of the sum are those of its atoms scaled to the
-common degree d = d1*...*dk, (d/da)*wa at the variables of block a.  So
+common degree d = d1*...*dk, (d/da)*wa at the variables of block a, and
+an atom's are read off the Smith form of its presentation
+(``polynomials.smith_weights``).  So
 x1^2*x3 + x2^3 + x3^3 is the sum of x1^2*x3 + x3^3 and x2^3.  A record
 lists its block's contributing subsets (``_contributing_subsets``), which
 the block keeps (``_subsets_of``) for the report's entry count too; a
@@ -68,9 +74,9 @@ from .errors import DegenerateError, NonCyclicError
 from .groups import (GroupPresentation, SubgroupKey, _block_rows,
                      _direct_sum, _is_dual, _stacked, full_subgroup,
                      monodromy_element, symmetry_group)
-from .linalg import determinant
-from .polynomials import (InvertiblePolynomial, _blocks_of,
-                          canonical_weights, decompose, direct_sum_weights)
+from .linalg import IntMatrix, determinant
+from .polynomials import (_blocks_of, decompose, direct_sum_weights,
+                          smith_weights)
 
 
 # Most entries a zeta report is expanded to (``DualPair._entry_count``: one
@@ -115,21 +121,36 @@ class SubsetTerm:
 class ZetaReport:
     """Equivariant, reduced, and classical zeta data of one polynomial.
 
-    The reduced zeta is kept in product form: ``_records`` holds the
-    ``AtomRecord`` of each block of the polynomial (``_blocks_of``) in
-    order, ``_terms`` maps each choice of one merged subgroup per block,
-    a tuple of positions in the blocks' ``merged``, to its coefficient,
-    and ``_indices`` holds each term's index [G:H], the product of the
-    blocks', in the order of ``_terms``.  ``reduced``, ``equivariant`` and
-    the per-subset audit ``subset_terms`` build their subgroup keys on
-    first read: a passing batch check reads none."""
+    The report keeps only ``_records``, the ``AtomRecord`` of each block
+    of the polynomial (``_blocks_of``) in order: the reduced zeta is their
+    external product, which a passing duality check never expands.  The
+    product form (``_product``) is expanded on first read of any of its
+    three parts: ``_terms`` maps each choice of one merged subgroup per
+    block, a tuple of positions in the blocks' ``merged``, to its
+    coefficient, ``_indices`` holds each term's index [G:H], the product
+    of the blocks', in the order of ``_terms``, and ``classical`` is the
+    classical zeta.  ``reduced``, ``equivariant`` and the per-subset audit
+    ``subset_terms`` build their subgroup keys on first read."""
 
     polynomial: object
     group: object
-    classical: CyclotomicProduct
     _records: tuple = field(repr=False, compare=False)
-    _terms: dict = field(repr=False, compare=False)
-    _indices: list = field(repr=False, compare=False)
+
+    @cached_property
+    def _product(self):
+        return _product_form(self._records)
+
+    @property
+    def _terms(self):
+        return self._product[0]
+
+    @property
+    def _indices(self):
+        return self._product[1]
+
+    @property
+    def classical(self):
+        return self._product[2]
 
     @cached_property
     def reduced(self):
@@ -274,31 +295,41 @@ class AtomRecord:
         G^I is the transposed block's isotropy subgroup at the complement
         R' of R, whose entry the partner lists (``_complement_subsets``);
         the empty subset pairs with the full set.  So H, taken at its
-        first entry, has as candidate the partner's merged subgroup of
-        the entry at R', accepted only when the pairing says it is H~
-        (``groups._is_dual``).  The merged subgroups of a block do not
-        depend on the presentation its record was made over, so the map
-        depends only on the block and is kept after the first call."""
+        first entry, has as label the partner's merged subgroup of the
+        entry at R' (``_labels``), accepted only when the supports of the
+        two bases show it is H~ (``groups._is_dual``).  The merged
+        subgroups of a block do not depend on the presentation its record
+        was made over, so the map depends only on the block and is kept
+        after the first call."""
         if self._dual_map is None:
             q = self.presentation
-            full = range(q.rank)
-            position = {rows: j for j, (rows, _, _, _)
-                        in enumerate(partner.merged)}
-            at = {subset: position.get(rows)
-                  for subset, _, rows, _, _ in partner.entries}
-            first = {}
-            for _, rows_in, rows, _, _ in self.entries:
-                first.setdefault(rows, rows_in)
+            merged_t = partner.merged
             dual_map = []
-            for rows, _, _, index in self.merged:
-                j = at.get(tuple(i for i in full if i not in first[rows]))
-                if j is not None:
-                    dual_rows, _, _, dual_index = partner.merged[j]
-                    if not _is_dual(q, rows, index, dual_rows, dual_index):
-                        j = None
+            for (rows, _, _, index), j in zip(self.merged,
+                                              self._labels(partner)):
+                if j is not None and not _is_dual(q, rows, index,
+                                                  merged_t[j][0],
+                                                  merged_t[j][3]):
+                    j = None
                 dual_map.append(j)
             self._dual_map = tuple(dual_map)
         return self._dual_map
+
+    def _labels(self, partner):
+        """For each merged subgroup, in order, the position among the
+        merged subgroups of ``partner`` of the one at the complement R' of
+        the rows R of its first entry, or None when R' has no nonzero
+        merged sum there; unchecked (see ``dual_map``)."""
+        full = range(self.presentation.rank)
+        position = {rows: j for j, (rows, _, _, _)
+                    in enumerate(partner.merged)}
+        at = {subset: position.get(rows)
+              for subset, _, rows, _, _ in partner.entries}
+        first = {}
+        for _, rows_in, rows, _, _ in self.entries:
+            first.setdefault(rows, rows_in)
+        return [at.get(tuple(i for i in full if i not in first[rows]))
+                for rows, _, _, _ in self.merged]
 
 
 def equivariant_zeta(f, group=None, atoms=None):
@@ -308,15 +339,9 @@ def equivariant_zeta(f, group=None, atoms=None):
 
     The reduced zeta is -(M_1 x ... x M_k), the external product of the
     ``merged`` maps M_a = -reduced_a of the blocks' records
-    (``AtomRecord``): each product of one merged subgroup per block is
-    one term, with coefficient minus the product of the blocks'
-    coefficients and classical factor (1 - t^r)^(coefficient*[G:H]/r),
-    with r the lcm of the blocks' orders and [G:H] the product of their
-    indices.  Distinct merged subgroups give distinct products, so no two
-    terms meet.  The equivariant zeta is the reduced one plus [G/G], and
-    the classical zeta gains (1 - t) for it.  The report keeps the
-    product form and the classical zeta; the subgroup keys wait for the
-    first read (see ``ZetaReport``).
+    (``AtomRecord``).  The report keeps the records alone: the product
+    form, the classical zeta and the subgroup keys wait for the first
+    read (see ``ZetaReport`` and ``_product_form``).
 
     The records come from ``_block_records``: a polynomial that is one
     block has its record computed over the given presentation, with no
@@ -330,8 +355,21 @@ def equivariant_zeta(f, group=None, atoms=None):
     p = group if group is not None else _symmetry_group(f, atoms)
     records = _block_records(f, atoms, p)
     if f._weights is None:
-        f._weights = direct_sum_weights([r.weights for r in records], [
-            block.cols for block in _blocks_of(f)])
+        f._weights = records[0].weights if len(records) == 1 else (
+            direct_sum_weights([r.weights for r in records],
+                               [block.cols for block in _blocks_of(f)]))
+    return ZetaReport(f, p, records)
+
+
+def _product_form(records):
+    """(terms, indices, classical zeta) of the report on the blocks'
+    ``records``: each product of one merged subgroup per block is one
+    term, with coefficient minus the product of the blocks' coefficients
+    and classical factor (1 - t^r)^(coefficient*[G:H]/r), with r the lcm
+    of the blocks' orders and [G:H] the product of their indices.
+    Distinct merged subgroups give distinct products, so no two terms
+    meet.  The equivariant zeta is the reduced one plus [G/G], and the
+    classical zeta gains (1 - t) for it; its modulus is ``_modulus``."""
     products = [((), -1, 1, 1)]
     for record in records:
         products = [(combo + (i,), c * bc, lcm(r, br), index * bi)
@@ -344,9 +382,13 @@ def equivariant_zeta(f, group=None, atoms=None):
         terms[combo] = c
         indices.append(index)
         factors[r] = factors.get(r, 0) + c * (index // r)
-    classical = CyclotomicProduct(
-        lcm(*(record.monodromy_order for record in records)), factors)
-    return ZetaReport(f, p, classical, records, terms, indices)
+    return terms, indices, CyclotomicProduct(_modulus(records), factors)
+
+
+def _modulus(records):
+    """The order of the monodromy of the sum of the blocks of
+    ``records``: the lcm of theirs, the modulus of its classical zeta."""
+    return lcm(*(record.monodromy_order for record in records))
 
 
 def _subset_terms(report):
@@ -419,10 +461,11 @@ def _block_records(f, atoms, group=None):
     """The records of the blocks of ``f``, from ``atoms`` or made and, for
     a block of fewer than ``atoms.keep_below`` variables, kept there,
     over the presentation ``group``, that of ``f``, gives the block: all
-    of it when ``f`` is one block, whose weights the record takes, or its
-    part when ``_symmetry_group`` composed it; else ``_block_presentation``.
-    The blocks of ``f`` take the records' equal matrices, which the batch
-    keeps anyway."""
+    of it when ``f`` is one block, or its part when ``_symmetry_group``
+    composed it; else ``_block_presentation``.  A record reads its weights
+    off the Smith form of its presentation (``smith_weights``), unless
+    ``f`` is one block that has them already.  The blocks of ``f`` take
+    the records' equal matrices, which the batch keeps anyway."""
     blocks = _blocks_of(f)
     single = len(blocks) == 1
     given = [None] * len(blocks)
@@ -435,8 +478,9 @@ def _block_records(f, atoms, group=None):
         if record is None:
             if q is None:
                 q = _block_presentation(e, atoms)
-            weights = (f.weights if single else
-                       canonical_weights(InvertiblePolynomial(e)))
+            weights = (f._weights if single and f._weights is not None
+                       else smith_weights(*q._transforms(),
+                                          q.invariant_factors))
             record = _atom_record(e, q, weights, _subsets_of(block), atoms)
             if e.nrows < atoms.keep_below:
                 atoms[e] = record
@@ -471,7 +515,9 @@ def _atom_record(e, q, weights, subsets, atoms):
         if not cols:
             entries.append((subset, tuple(rows_in), tuple(units), r, d))
             continue
-        rest = e.submatrix([i for i in range(n) if i not in rows_in], cols)
+        rest = IntMatrix._wrap(tuple(
+            tuple(row[j] for j in cols)
+            for i, row in enumerate(e.rows) if i not in rows_in))
         c = kept.get(rest)
         if c is None:
             c = _block_presentation(rest, atoms)
@@ -709,35 +755,61 @@ def verify_zeta_duality(pair):
     polynomial equals (-1)^n times the duality transform of the reduced
     equivariant zeta function of the polynomial itself.
 
-    The check first reads both reports' product forms and builds no
-    subgroup key: the transform takes the term of merged subgroups
-    (H_1, ..., H_k) to that of their duals, so it holds when both sides
-    have as many terms and each term's image under the blocks'
-    ``dual_map`` is a term of the transposed side with (-1)^n times its
-    coefficient.  Otherwise both elements and the transform are built
-    and compared, so a dual the maps miss costs time but never decides
-    the verdict; a failing check keeps them for the report and its
-    witness."""
+    The check first decides on the blocks and builds no product form and
+    no subgroup key (``_dual_by_blocks``).  Otherwise both elements and
+    the transform are built and compared, so a dual the blocks' maps miss
+    costs time but never decides the verdict; a failing check keeps them
+    for the report and its witness."""
     rep, rep_t = pair.report, pair.report_t
     sign = -1 if pair.f.nvars % 2 else 1
-    terms, terms_t = rep._terms, rep_t._terms
-    equal = len(terms) == len(terms_t)
-    if equal:
-        maps = [record.dual_map(partner) for record, partner
-                in zip(rep._records, rep_t._records)]
-        get = terms_t.get
-        equal = all(get(tuple(m[i] for m, i in zip(maps, combo))) == sign * c
-                    for combo, c in terms.items())
-    if not equal:
+    if not _dual_by_blocks(rep._records, rep_t._records, sign):
         lhs = rep_t.reduced
         rhs = sign * saito_dual(rep.reduced)
-        equal = lhs == rhs
-    if equal:
-        return VerificationReport("theorem", True, lhs_report=rep_t,
-                                  rhs_report=rep)
-    return VerificationReport("theorem", False,
-                              {"difference": (lhs - rhs).to_json()},
-                              rep_t, rep, (lhs, rhs))
+        if lhs != rhs:
+            return VerificationReport("theorem", False,
+                                      {"difference": (lhs - rhs).to_json()},
+                                      rep_t, rep, (lhs, rhs))
+    return VerificationReport("theorem", True, lhs_report=rep_t,
+                              rhs_report=rep)
+
+
+def _dual_by_blocks(records, records_t, sign):
+    """Whether the reduced zeta of the blocks of ``records_t``, those of
+    the transposed polynomial, is ``sign`` times the transform of that of
+    the blocks of ``records``, as the blocks show it; False says only
+    that they do not.
+
+    The transform takes the term of merged subgroups (H_1, ..., H_k),
+    coefficient -c_1[H_1]*...*c_k[H_k], to that of their duals, and a
+    block's ``dual_map`` names each dual among its partner's merged
+    subgroups.  An accepted name is the exact dual, so a map with no None
+    is injective, and onto when both blocks have as many merged
+    subgroups.  The check holds for every term exactly when each block's
+    ratio c_t[m(i)] / c[i] is one constant e_a and e_1*...*e_k = sign:
+    fixing every block but one shows the ratio constant, as no merged
+    coefficient is 0.  Both are tested in integers, across, at the cost
+    of the blocks' merged subgroups, not of their products.  A block with
+    no merged subgroup on either side (such as x, whose group is trivial)
+    makes both sides 0."""
+    if len(records) != len(records_t):
+        return False
+    pairs = list(zip(records, records_t))
+    if any(not record.merged and not partner.merged
+           for record, partner in pairs):
+        return True
+    lead = lead_t = 1
+    for record, partner in pairs:
+        dual_map = record.dual_map(partner)
+        merged, merged_t = record.merged, partner.merged
+        if len(merged) != len(merged_t) or None in dual_map:
+            return False
+        c, c_t = merged[0][1], merged_t[dual_map[0]][1]
+        if any(merged_t[j][1] * c != c_t * term[1]
+               for j, term in zip(dual_map, merged)):
+            return False
+        lead *= c
+        lead_t *= c_t
+    return lead_t == sign * lead
 
 
 def generating_root_exists(report):
@@ -745,10 +817,11 @@ def generating_root_exists(report):
     the report, with c the gcd of the canonical weights and h the
     monodromy element.  In G = Z/d with h = t, such a g has
     gcd(t, d) = gcd(c*g, d) = gcd(c, d), and conversely; gcd(t, d) is
-    d / ord(h), and ord(h) is the modulus of the classical zeta."""
+    d / ord(h), and ord(h) is the lcm of the blocks' monodromy orders
+    (``_modulus``), with no product form expanded."""
     d = report.group.order
     c = report.polynomial.weights.gcd_factor
-    return gcd(c, d) == d // report.classical.modulus
+    return gcd(c, d) == d // _modulus(report._records)
 
 
 def generating_root_zeta(report):

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from saitodual.burnside import BurnsideElement, CyclotomicProduct, element_zeta
 from saitodual.enumeration import (atom_specs, build_polynomial,
@@ -843,3 +844,38 @@ def search_decompose(f):
     if atoms is None:
         return AtomicDecomposition((), False)
     return AtomicDecomposition(atoms, True)
+
+
+def product_pairing_is_dual(p, rows, index, dual_rows, dual_index):
+    """Whether the subgroup K of ``p.dual()`` with the rows ``dual_rows``
+    of its scaled basis and index ``dual_index`` is the dual H~ of the
+    subgroup H of ``p`` given alike by ``rows`` and ``index``, by the
+    product pairing ``groups._is_dual`` formed before it read the bases'
+    supports: index*dual_index = d and B_K^T*C*B_H = 0 (mod d^2), with
+    the basis columns divisible by d skipped.  Necessary and sufficient."""
+    d = p.order
+    if index * dual_index != d:
+        return False
+    dd = d * d
+    image = [[sum(map(mul, row, col)) for row in p.constraint.rows]
+             for col in zip(*rows) if any(x % d for x in col)]
+    return all(sum(map(mul, u, v)) % dd == 0
+               for u in zip(*dual_rows) if any(x % d for x in u)
+               for v in image)
+
+
+def term_verdict(rep, rep_t, sign):
+    """The zeta-duality verdict on the product forms of the reports
+    ``rep`` and ``rep_t``, term by term, as ``verify_zeta_duality``
+    decided before it decided block by block: both sides have as many
+    terms, and each term's image under the blocks' dual maps is a term of
+    ``rep_t`` with ``sign`` times its coefficient.  False says only that
+    the maps do not show the duality."""
+    terms, terms_t = rep._terms, rep_t._terms
+    if len(terms) != len(terms_t):
+        return False
+    maps = [record.dual_map(partner)
+            for record, partner in zip(rep._records, rep_t._records)]
+    get = terms_t.get
+    return all(get(tuple(m[i] for m, i in zip(maps, combo))) == sign * c
+               for combo, c in terms.items())

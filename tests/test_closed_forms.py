@@ -16,6 +16,7 @@ subgroups, dual-lattice HNFs, inverses of C*B, lattice solves,
 replaced (kept in ``oracles`` or in the package): over the whole
 acceptance corpus on both sides, and on random integer matrices."""
 
+import copy
 import dataclasses
 import itertools
 import json
@@ -45,7 +46,7 @@ from saitodual import zeta
 from saitodual.enumeration import generate_corpus, run_batch
 from saitodual.polynomials import (InvertiblePolynomial, _blocks_of,
                                    _components, canonical_weights,
-                                   parse_polynomial)
+                                   parse_polynomial, smith_weights)
 from saitodual.zeta import (AtomRecords, DualPair, _complement_subsets,
                             _contributing_subsets, _symmetry_group,
                             equivariant_zeta,
@@ -59,8 +60,9 @@ from oracles import (RationalElement, ambient_quotient_data, brute_roots,
                      element_mismatches, fraction_lattice_solve,
                      fraction_scaled_inverse, hnf_meet, inverse_dual,
                      join_closure_subgroups, kernel_dual_all_pairs,
-                     listed_root_zeta, meet_isotropy, reference_generators,
-                     solve_contains, solve_contains_element,
+                     listed_root_zeta, meet_isotropy,
+                     product_pairing_is_dual, reference_generators,
+                     solve_contains, solve_contains_element, term_verdict,
                      with_generators)
 
 
@@ -324,9 +326,9 @@ def label_map_counts(pairs):
     verdicts that fall back to the built transform) over the pairs of
     zeta reports (rep, rep_t) given, each side against the other: each
     merged subgroup's label, the partner's merged subgroup at the
-    complement of its rows, must pass the pairing check
+    complement of its rows, must pass the support test
     (``AtomRecord.dual_map``), and the check must then decide on the
-    product forms alone."""
+    blocks alone."""
     merged = missed = 0
     with mock.patch.object(zeta, "saito_dual",
                            side_effect=saito_dual) as built:
@@ -342,31 +344,96 @@ def label_map_counts(pairs):
     return merged, missed, built.call_count
 
 
+def label_test_counts(pairs):
+    """(labels, labels on which the support test ``_is_dual`` and the
+    product pairing ``product_pairing_is_dual`` differ, shifted labels
+    the support test accepts, shifted labels the product pairing
+    accepts) over the pairs of zeta reports given, each side against the
+    other.  A label is the partner's merged subgroup at the complement of
+    the rows of a merged subgroup (``AtomRecord._labels``); shifted, it
+    moves to the partner's next merged position, which names another
+    subgroup when the partner has more than one."""
+    labels = differ = shifted = shifted_oracle = 0
+    for rep, rep_t in pairs:
+        for side, other in ((rep, rep_t), (rep_t, rep)):
+            for record, partner in zip(side._records, other._records):
+                q, merged_t = record.presentation, partner.merged
+                for (rows, _, _, index), j in zip(record.merged,
+                                                  record._labels(partner)):
+                    labels += 1
+                    if j is None:  # no label: counted by label_map_counts
+                        continue
+                    candidates = [j, (j + 1) % len(merged_t)]
+                    if len(merged_t) == 1:
+                        candidates.pop()
+                    for k, at in enumerate(candidates):
+                        dual_rows, _, _, dual_index = merged_t[at]
+                        test = _is_dual(q, rows, index, dual_rows,
+                                        dual_index)
+                        oracle = product_pairing_is_dual(
+                            q, rows, index, dual_rows, dual_index)
+                        if k:
+                            shifted += test
+                            shifted_oracle += oracle
+                        else:
+                            differ += test != oracle
+    return labels, differ, shifted, shifted_oracle
+
+
+def smith_weight_mismatches(record):
+    """Where the weights of an atom record, and those read off the Smith
+    form of its presentation and of that presentation's dual
+    (``smith_weights``), differ from ``canonical_weights`` of its block
+    and of the block's transpose."""
+    q = record.presentation
+    block = InvertiblePolynomial(q.constraint)
+    bad = []
+    if record.weights != canonical_weights(block):
+        bad.append("record")
+    for side, g in ((q, block), (q.dual(), block.transpose())):
+        if smith_weights(*side._transforms(), side.invariant_factors) != \
+                canonical_weights(g):
+            bad.append(f"{side!r}")
+    return bad
+
+
 def report_pairs(batch):
     """(rep, rep_t) for every polynomial of a batch."""
     return [(record.theorem.rhs_report, record.theorem.lhs_report)
             for record in batch.records]
 
 
+def negated(rep):
+    """The zeta report ``rep`` with the merged coefficients of its last
+    block negated, on a copy of that block's record: each of its terms
+    is negated."""
+    last = copy.copy(rep._records[-1])
+    last.merged = tuple((rows, -c, r, index)
+                        for rows, c, r, index in last.merged)
+    return dataclasses.replace(rep, _records=rep._records[:-1] + (last,))
+
+
 def verdict_counts(batch):
     """(checks, checks that hold, verdicts of ``verify_zeta_duality``
-    that differ from comparing the built elements) over the records of a
-    batch: each polynomial with its transposed side as the batch made it
-    and with every coefficient of that side negated."""
-    checked = holds = mismatches = 0
+    that differ from comparing the built elements, block-wise verdicts
+    that differ from the term-by-term ``term_verdict``) over the records
+    of a batch: each polynomial with its transposed side as the batch made
+    it and with that side ``negated``."""
+    checked = holds = mismatches = split = 0
     for record in batch.records:
         rep, rep_t = record.theorem.rhs_report, record.theorem.lhs_report
         sign = -1 if rep.polynomial.nvars % 2 else 1
-        negated = dataclasses.replace(
-            rep_t, _terms={combo: -c for combo, c in rep_t._terms.items()})
-        for side_t in (rep_t, negated):
+        for side_t in (rep_t, negated(rep_t)):
             pair = DualPair(rep.polynomial)
             pair.report, pair.report_t = rep, side_t
             oracle = side_t.reduced == sign * saito_dual(rep.reduced)
             checked += 1
             holds += oracle
             mismatches += verify_zeta_duality(pair).equal != oracle
-    return checked, holds, mismatches
+            split += (zeta._dual_by_blocks(rep._records, side_t._records,
+                                           sign)
+                      != term_verdict(rep, side_t, sign))
+    return checked, holds, mismatches, split
 
 
 def record_mismatches(record):
@@ -466,6 +533,14 @@ def batch55_sample():
     """One batch over a seeded sample of the (5,5) sums corpus."""
     corpus, _ = generate_corpus(5, 5, include_sums=True, sample=150,
                                 seed=12)
+    return run_batch(corpus, keep_records=True)
+
+
+@pytest.fixture(scope="module")
+def batch55_ci():
+    """One batch over the sample of the (5,5) sums corpus that CI pins,
+    ``enumerate --max-vars 5 --max-exp 5 --sums --sample 300 --seed 3``."""
+    corpus, _ = generate_corpus(5, 5, include_sums=True, sample=300, seed=3)
     return run_batch(corpus, keep_records=True)
 
 
@@ -603,9 +678,12 @@ class TestCorpusDifferential:
 
     def test_annihilator_pairs_match_dual_subgroup(self, batch45):
         # Every reduced zeta term H of every corpus polynomial against every
-        # term K of the transposed side with |H|*|K| = d: the pairing
-        # check of the dual maps against the dual lattice.
-        checked = holds = mismatches = 0
+        # term K of the transposed side with |H|*|K| = d: the product
+        # pairing against the dual lattice, and the support test of the
+        # dual maps, which is sufficient, never accepting a K that is not
+        # H~.  On these terms it accepts every dual: the dual of a term
+        # of a sum is the product of its blocks' labels.
+        checked = holds = mismatches = accepted = 0
         for rep, rep_t in report_pairs(batch45):
             p = rep.group
             for h in rep.reduced.terms:
@@ -614,33 +692,48 @@ class TestCorpusDifferential:
                     if h.order * k.order != p.order:
                         continue
                     oracle = dual == k
+                    test = _is_dual(p, h.basis.rows, h.index, k.basis.rows,
+                                    k.index)
                     checked += 1
                     holds += oracle
-                    mismatches += _is_dual(p, h.basis.rows, h.index,
-                                           k.basis.rows, k.index) != oracle
-        assert (checked, holds, mismatches) == (13716, 10660, 0)
+                    accepted += test
+                    mismatches += (product_pairing_is_dual(
+                        p, h.basis.rows, h.index, k.basis.rows, k.index)
+                        != oracle) + (test and not oracle)
+        assert (checked, holds, accepted, mismatches) == (13716, 10660,
+                                                          10660, 0)
 
     def test_complement_labels_pass_the_pairing(self, batch45,
-                                                batch55_sample):
+                                                batch55_sample,
+                                                batch55_ci):
         # Every merged subgroup of every block of both sides of both
-        # corpora: the complement lemma names its dual, and no verdict
-        # builds the transform.
-        assert label_map_counts(report_pairs(batch45)) == (16392, 0, 0)
-        merged, missed, built = label_map_counts(
-            report_pairs(batch55_sample))
-        assert (missed, built) == (0, 0) and merged > 0
+        # corpora: the complement lemma names its dual, the support test
+        # accepts it exactly when the product pairing does, and no verdict
+        # builds the transform.  Each label moved to the partner's next
+        # merged position is rejected by both tests.
+        pairs = report_pairs(batch45)
+        assert label_map_counts(pairs) == (16392, 0, 0)
+        assert label_test_counts(pairs) == (16392, 0, 0, 0)
+        for batch in (batch55_sample, batch55_ci):
+            merged, missed, built = label_map_counts(report_pairs(batch))
+            assert (missed, built) == (0, 0) and merged > 0
 
     def test_star_labels_pass_the_pairing(self):
-        # x1^2 + x1*x2^2 + ... + x1*xn^2 for n <= 10, one block outside
+        # x1^2 + x1*x2^2 + ... + x1*xn^2 for n <= 12, one block outside
         # the Kreuzer-Skarke classes with 2^(n-1) + 1 merged subgroups on
-        # each side; each term's dual against dual_subgroup too.
-        for n in range(1, 11):
+        # each side: the support test against the product pairing on
+        # every label, and on a shifted one; for n <= 10, each term's dual
+        # against dual_subgroup too.
+        for n in range(1, 13):
             f = parse_polynomial(" + ".join(
                 ["x1^2"] + [f"x1*x{i}^2" for i in range(2, n + 1)]))
             pair = DualPair(f)
             rep, rep_t = pair.report, pair.report_t
-            assert label_map_counts([(rep, rep_t)]) == (
-                2 * (2 ** (n - 1) + 1), 0, 0)
+            labels = 2 * (2 ** (n - 1) + 1)
+            assert label_map_counts([(rep, rep_t)]) == (labels, 0, 0)
+            assert label_test_counts([(rep, rep_t)]) == (labels, 0, 0, 0)
+            if n > 10:
+                continue
             for side, other in ((rep, rep_t), (rep_t, rep)):
                 assert dual_map_mismatches(side, other) == (
                     len(side.reduced.terms), 0)
@@ -654,6 +747,21 @@ class TestCorpusDifferential:
             pairs += p.rank ** 2
             mismatches += bool(factorization_mismatches(p))
         assert (checked, pairs, mismatches) == (3152, 46480, 0)
+
+    def test_record_weights_match_canonical_weights(self, batch45,
+                                                    batch55_ci):
+        # Every atom record of both corpora, both sides: the weights read
+        # off the Smith form of its presentation, and those of the
+        # presentation's dual, against ``canonical_weights`` of its block
+        # and of the block's transpose.
+        counts = []
+        for batch in (batch45, batch55_ci):
+            records = {id(r): r for _, _, rep in sides(batch)
+                       for r in rep._records}
+            counts.append(len(records))
+            for record in records.values():
+                assert smith_weight_mismatches(record) == []
+        assert counts[0] == 874 and counts[1] > 0
 
     def test_weights_match_cramer(self, batch45):
         checked = mismatches = 0
@@ -730,13 +838,16 @@ class TestCorpusDifferential:
 
     def test_verdicts_match_built_transform(self, batch45):
         # Every corpus polynomial, with its transposed side and with that
-        # side negated: the check on the product forms against comparing
-        # the built elements with the transform.
-        assert verdict_counts(batch45) == (3152, 1576, 0)
+        # side negated: the check on the blocks against comparing the
+        # built elements with the transform, and against the check term
+        # by term.
+        assert verdict_counts(batch45) == (3152, 1576, 0, 0)
 
     def test_sums_sample_verdicts_match_built_transform(self,
-                                                        batch55_sample):
-        assert verdict_counts(batch55_sample) == (300, 150, 0)
+                                                        batch55_sample,
+                                                        batch55_ci):
+        assert verdict_counts(batch55_sample) == (300, 150, 0, 0)
+        assert verdict_counts(batch55_ci) == (600, 300, 0, 0)
 
     def test_record_entries_match_isotropy(self, batch45):
         # Every entry of every record the batch made, both sides, and
@@ -1003,8 +1114,9 @@ class TestRandomMatrices:
     @example(GroupPresentation(IntMatrix.diagonal([2, 2, 2, 2])))
     def test_pairing_check_matches_dual_subgroup(self, p):
         # Every subgroup H against every K of the dual side with
-        # |H|*|K| = d: the pairing check of the dual maps against the
-        # dual lattice and against the pairing kernel.
+        # |H|*|K| = d: the product pairing against the dual lattice and
+        # against the pairing kernel; the support test of the dual maps
+        # accepts only the dual.
         d = p.order
         subgroups_t = enumerate_subgroups(p.dual())
         for h in enumerate_subgroups(p):
@@ -1012,8 +1124,10 @@ class TestRandomMatrices:
             kernel = kernel_dual_all_pairs(h)
             for k in subgroups_t:
                 if h.order * k.order == d:
-                    assert _is_dual(p, h.basis.rows, h.index, k.basis.rows,
-                                    k.index) == (dual == k) == (kernel == k)
+                    args = p, h.basis.rows, h.index, k.basis.rows, k.index
+                    assert product_pairing_is_dual(*args) == (
+                        dual == k) == (kernel == k)
+                    assert not _is_dual(*args) or dual == k
 
     @settings(max_examples=150, deadline=None)
     @given(small_groups())
@@ -1117,9 +1231,25 @@ class TestRandomMatrices:
         pair = DualPair(InvertiblePolynomial(rows))
         rep, rep_t = pair.report, pair.report_t
         assert label_map_counts([(rep, rep_t)])[1:] == (0, 0)
+        assert label_test_counts([(rep, rep_t)])[1:] == (0, 0, 0)
         for side, other in ((rep, rep_t), (rep_t, rep)):
             assert dual_map_mismatches(side, other) == (
                 len(side.reduced.terms), 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_invertible())
+    # det E = -6, on a zero diagonal.
+    @example([[0, 2], [3, 0]])
+    def test_smith_weights_match_canonical_weights(self, rows):
+        # Invertible matrices of up to 7 variables, blocks and sums: the
+        # records of both sides, and the whole matrix's Smith form.
+        pair = DualPair(InvertiblePolynomial(rows))
+        for rep in (pair.report, pair.report_t):
+            for record in rep._records:
+                assert smith_weight_mismatches(record) == []
+        p = GroupPresentation(IntMatrix(rows))
+        assert smith_weights(*p._transforms(), p.invariant_factors) == \
+            canonical_weights(InvertiblePolynomial(rows))
 
 
 class TestAtomComposition:

@@ -4,6 +4,7 @@ the spec bound, selection before building, determinism, batch engine."""
 
 import itertools
 import json
+import multiprocessing
 import random
 import time
 from collections import Counter
@@ -17,7 +18,8 @@ from saitodual.enumeration import (MAX_CORPUS_SPECS, Corpus,
                                    chain_matrix, corpus_counts,
                                    generate_corpus, loop_matrix, run_batch)
 from saitodual.linalg import IntMatrix, determinant
-from saitodual.polynomials import _components, decompose
+from saitodual.polynomials import (InvertiblePolynomial, _components,
+                                   decompose)
 
 from oracles import (brute_necklaces, dedup_corpus, list_combinations,
                      list_corpus)
@@ -330,6 +332,17 @@ class TestPresetBlocks:
                 assert shared.setdefault(b.matrix, b.matrix) is b.matrix
         assert len(shared) == corpus_counts(max_vars, max_exp)[0]
 
+    @pytest.mark.parametrize("max_vars, max_exp", [(4, 5), (5, 5)])
+    def test_built_sums_match_validated_polynomials(self, max_vars,
+                                                    max_exp):
+        # A member is built with no validation and no elimination: its
+        # determinant is the product of its blocks', one per spec.
+        corpus, _ = generate_corpus(max_vars, max_exp, include_sums=True)
+        for f in corpus:
+            g = InvertiblePolynomial(IntMatrix(f.exponents.rows))
+            assert (f.exponents, f.det, f.variables) == (
+                g.exponents, g.det, g.variables)
+
 
 class TestCorpusBound:
     """A corpus of more than ``MAX_CORPUS_SPECS`` atom specs is refused
@@ -386,6 +399,41 @@ class TestRunBatch:
         assert serial.to_json() == parallel.to_json()
         with pytest.raises(ValueError):
             run_batch(corpus, workers=2, keep_records=True)
+
+    @pytest.mark.parametrize("size, workers, processes", [
+        (1, 64, None), (0, 2, None), (8, 2, None), (9, 2, 2), (17, 64, 3),
+        (24, 2, 2)])
+    def test_pool_has_one_process_per_chunk(self, monkeypatch, size,
+                                            workers, processes):
+        # The pool has at most one process per chunk of positions, and a
+        # batch of one chunk or none runs serially.  The pool is replaced
+        # by one that runs its tasks in this process, so no process is
+        # started.
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, processes, initializer, initargs):
+                asked.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, task, positions, chunksize):
+                return list(map(task, positions))
+
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        monkeypatch.setattr(enumeration, "_worker_task", None)
+        corpus, _ = generate_corpus(2, 4, include_sums=True)
+        assert len(corpus) == 24
+        members = corpus[:size]
+        report = run_batch(members, workers=workers)
+        assert asked == ([] if processes is None else [processes])
+        assert report.to_json() == run_batch(members).to_json()
+        assert report.total == size
 
     def test_pool_workers_build_their_own_members(self, monkeypatch):
         # Workers take the corpus when they start and are sent positions:

@@ -399,10 +399,11 @@ class TestDualPair:
 
     def test_batch_computes_each_fact_once(self, monkeypatch):
         corpus, _ = generate_corpus(3, 4, include_sums=True)
-        # A sum's weights and classical zeta are composed from its atoms'
-        # records, so only single-block sides compute weights, and a
-        # symmetric matrix (a one-variable chain or a two-variable loop)
-        # gives its transposed side the record its own side kept.
+        # A sum's weights are composed from its atoms' records, and each
+        # record reads its weights off the Smith form of its presentation,
+        # so no side runs ``canonical_weights``.  A passing zeta-duality
+        # check decides on the blocks and expands no product form; only
+        # the root duality of a cyclic member expands one, on each side.
         singles = [f for f in corpus if len(_components(f.exponents)) == 1]
         symmetric = sum(f.exponents == f.exponents.transpose()
                         for f in singles)
@@ -410,7 +411,7 @@ class TestDualPair:
         counts = count_calls(monkeypatch, "equivariant_zeta",
                              "symmetry_group", "smith_normal_form",
                              "canonical_weights", "geometric_roots",
-                             "element_zeta")
+                             "element_zeta", "saito_dual", "_product_form")
         split = []
         monkeypatch.setattr(saitodual.polynomials, "_components",
                             lambda e, _split=_components:
@@ -425,9 +426,11 @@ class TestDualPair:
         assert counts == {"equivariant_zeta": 2 * len(corpus),
                           "symmetry_group": len(singles),
                           "smith_normal_form": len(singles),
-                          "canonical_weights": 2 * len(singles) - symmetric,
+                          "canonical_weights": 0,
                           "geometric_roots": 0,
-                          "element_zeta": 0}
+                          "element_zeta": 0,
+                          "saito_dual": 0,
+                          "_product_form": 2 * report.corollary_checked}
         # Parsed input splits once per pair: f^T takes f's transposed.
         parsed = [InvertiblePolynomial(f.exponents) for f in corpus]
         assert run_batch(parsed).to_json() == report.to_json()
@@ -562,13 +565,14 @@ class TestDualPair:
     def test_roots_command_computes_roots_once_per_side(self, monkeypatch):
         # `roots` lists the roots of f only, as the sorted vectors of
         # ``_root_vectors``; the transposed side enters the corollary
-        # through its zeta report.
+        # through its zeta report, whose record reads its weights off the
+        # Smith form.  Only the parsed side runs ``canonical_weights``.
         counts = count_calls(monkeypatch, "_root_vectors",
                              "canonical_weights")
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(["roots", "x^3*y + y^3*z + z^3*x", "--json"])
         assert code == 0
-        assert counts == {"_root_vectors": 1, "canonical_weights": 2}
+        assert counts == {"_root_vectors": 1, "canonical_weights": 1}
 
 
 class TestEdgeCaseInvertibles:
