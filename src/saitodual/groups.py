@@ -11,13 +11,14 @@ Subgroups are intermediate lattices Z^n <= L_H <= L, named canonically by
 the Hermite normal form of the integer lattice d*L_H where d is the group
 order.  All values are immutable.
 
-Every subgroup is the product of its Sylow parts.  ``enumerate_subgroups``
-builds each one that way and keeps the structure on the presentation as
-its ``_SylowIndex``: meets, containment and duals of the keys it holds
-are then read off per-prime tables, each entry computed once on small
-lattices.  Keys of a presentation that was never listed (the whole corpus
-path) take the triangular path of ``subgroup_meet``,
-``SubgroupKey.contains`` and ``dual_subgroup``.
+Every subgroup is the product of its parts over a pairwise coprime base
+of the order (``_part_base``): the primes below 100, and the gcd
+refinement of what the invariant factors keep above them, so no order is
+ever factored.  A presentation keeps that structure as its
+``_SylowIndex``, made on first use: meets, containment, element
+membership and duals are read off per-part tables, each entry computed
+once on small lattices.  ``enumerate_subgroups`` fills the index with
+every subgroup, and any other key is named there when first looked up.
 """
 
 from __future__ import annotations
@@ -73,17 +74,14 @@ class GroupPresentation:
     them, which then runs the Smith form of the composed side's
     constraint, so every output is the one the constructor would give.
 
-    Each presentation keeps the scaled inverses its subgroup lattices use
-    (see ``_dual_rows``), its meets by operand pair and by dual lattice
-    (see ``subgroup_meet``), and the columns of d*C^-1.  Once its
-    subgroups are listed, or an indexed dual lands on it, it also keeps
-    its ``_SylowIndex``.
+    From the first meet, containment, membership test or dual of one of
+    its subgroups, or the first listing, a presentation keeps its
+    ``_SylowIndex``.
     """
 
     __slots__ = ("_constraint", "_order", "_factors", "_u", "_v",
                  "_gens", "_ambient", "_parts", "_dual", "_full_key",
-                 "_trivial_key", "_inverse", "_dual_rows_cache",
-                 "_meet_cache", "_dual_meet_cache", "_index")
+                 "_trivial_key", "_index")
 
     def __init__(self, constraint):
         c = constraint if isinstance(constraint, IntMatrix) else IntMatrix(constraint)
@@ -112,10 +110,6 @@ class GroupPresentation:
         self._dual = dual
         self._full_key = None
         self._trivial_key = None
-        self._inverse = None
-        self._dual_rows_cache = {}
-        self._meet_cache = {}
-        self._dual_meet_cache = {}
         self._index = None
 
     @property
@@ -186,27 +180,6 @@ class GroupPresentation:
                                             self._factors, self._order)
         return self._gens
 
-    def _inverse_columns(self):
-        """The columns of d*C^-1 for the constraint C, read off the Smith
-        form as V*diag(d/d_j)*U, made once per presentation."""
-        if self._inverse is None:
-            self._inverse = (self._scaled_gens()
-                             * self._transforms()[0]).columns()
-        return self._inverse
-
-    def _dual_rows(self, basis):
-        """Rows spanning d*M^* for the scaled lattice M of ``basis``
-        (dZ^n <= M <= Z^n, so d*M^* lies between the same two): the rows
-        of d*B^-1, one back-substitution for an upper-triangular HNF B.
-        They are upper triangular, and a meet stores the triangular basis
-        of their join instead (see ``subgroup_meet``).  A vector v lies in
-        M exactly when every row r has r.v = 0 (mod d)."""
-        rows = self._dual_rows_cache.get(basis)
-        if rows is None:
-            rows = scaled_inverse(basis, self._order).rows
-            self._dual_rows_cache[basis] = rows
-        return rows
-
     def _coordinates(self, vec):
         """The SNF coordinates a = U*C*x of the element x = vec/d."""
         d = self._order
@@ -229,8 +202,9 @@ class GroupPresentation:
         """The standard generators: columns of the constraint's inverse,
         reduced mod 1.  From the Smith form, d*C^-1 = V*diag(d/d_j)*U."""
         d = self._order
+        inverse = self._scaled_gens() * self._transforms()[0]
         return [GroupElement._wrap(self, tuple(x % d for x in col))
-                for col in self._inverse_columns()]
+                for col in inverse.columns()]
 
     def elements(self):
         """All group elements, one per class; order of iteration is the
@@ -372,8 +346,8 @@ class SubgroupKey:
     canonical basis of the integer lattice d*L_H, which satisfies
     d*Z^n <= d*L_H <= d*L.  Equal subgroups have identical keys.
 
-    A key of an indexed presentation carries, once looked up, its
-    positions in the presentation's ``_SylowIndex``.
+    A key carries, once looked up, its positions in its presentation's
+    ``_SylowIndex``.
     """
 
     __slots__ = ("_presentation", "_basis", "_order", "_hash", "_positions")
@@ -423,35 +397,26 @@ class SubgroupKey:
     def is_trivial(self):
         return self._order == 1
 
-    def _holds(self, vectors):
-        """Whether every vector lies in the scaled lattice: each row of
-        d*B^-1 pairs with it to 0 mod d."""
-        d = self._presentation.order
-        rows = self._presentation._dual_rows(self._basis)
-        return all(sum(map(mul, r, v)) % d == 0
-                   for v in vectors for r in rows)
-
     def contains_element(self, g):
+        """Whether ``g`` lies in this subgroup, read part by part
+        (``_SylowIndex.contains_element``)."""
         if g.presentation != self._presentation:
             raise OwnershipError("element belongs to a different group")
-        return self.is_full() or self._holds((g.scaled(),))
+        p = self._presentation
+        return self.is_full() or (
+            p._index or _sylow_index(p)).contains_element(self, g)
 
     def contains(self, other):
         """True when ``other`` is a subgroup of this subgroup: |K| divides
-        |H| and d*B_H^-1*B_K = 0 (mod d), or, when the presentation's
-        index holds both, each Sylow part of K lies in H's."""
+        |H| and each part of K lies in H's (``_SylowIndex.contains``)."""
         if other._presentation != self._presentation:
             raise OwnershipError("subgroups belong to different groups")
         if self.is_full():
             return True
         if self._order % other._order:
             return False
-        index = self._presentation._index
-        if index is not None:
-            held = index.contains(self, other)
-            if held is not None:
-                return held
-        return self._holds(zip(*other._basis.rows))
+        p = self._presentation
+        return (p._index or _sylow_index(p)).contains(self, other)
 
     def elements(self):
         """All elements of the subgroup (enumeration-scale use only)."""
@@ -615,17 +580,9 @@ def subgroup_generated_by(presentation, generators):
 
 
 def subgroup_meet(a, b):
-    """Intersection of two subgroups, via duality of scaled lattices: the
-    dual of M_H n M_K is M_H^* + M_K^*.  The rows of d*B_H^-1 and
-    d*B_K^-1 (``_dual_rows``) are upper triangular, so merging them by
-    leading position (``linalg.triangular_join``) gives the canonical
-    triangular basis J of d*(M_H n M_K)^*, and the columns of d*J^-1,
-    upper triangular too, reduce to the meet's basis with no gcd step
-    (``linalg.triangular_dual_basis``); its order is the product of J's
-    pivots.  A full, trivial or equal operand decides the meet at once,
-    and the presentation's index one whose operands it holds, Sylow part
-    by Sylow part.  Other meets are kept by operand pair and by J, which
-    different pairs share; J's rows are also the meet's dual rows."""
+    """Intersection of two subgroups.  A full, trivial or equal operand
+    decides the meet at once; any other is read part by part off the
+    presentation's index (``_SylowIndex.meet``)."""
     p = a.presentation
     if b.presentation != p:
         raise OwnershipError("subgroups belong to different groups")
@@ -633,22 +590,7 @@ def subgroup_meet(a, b):
         return b
     if b._order == p.order or a._order == 1:
         return a
-    if p._index is not None:
-        meet = p._index.meet(a, b)
-        if meet is not None:
-            return meet
-    pair = frozenset((a._basis, b._basis))
-    meet = p._meet_cache.get(pair)
-    if meet is None:
-        join = triangular_join(p._dual_rows(a._basis), p._dual_rows(b._basis))
-        meet = p._dual_meet_cache.get(join)
-        if meet is None:
-            basis = triangular_dual_basis(join, p.order)
-            p._dual_rows_cache.setdefault(basis, join.rows)
-            meet = p._dual_meet_cache[join] = SubgroupKey._wrap(
-                p, basis, prod(row[i] for i, row in enumerate(join.rows)))
-        p._meet_cache[pair] = meet
-    return meet
+    return (p._index or _sylow_index(p)).meet(a, b)
 
 
 def isotropy_subgroup(presentation, indices):
@@ -685,23 +627,11 @@ def isotropy_subgroup(presentation, indices):
 
 
 def dual_subgroup(key):
-    """Dual of a subgroup: the kernel of character restriction, computed by
-    the exact dual-lattice formula on the opposite-side presentation.  Its
-    scaled lattice is spanned by the columns of d^2*(C*B)^-T, that is the
-    rows of d^2*(C*B)^-1 = (d*B^-1)*(d*C^-1): the key's dual rows times
-    the presentation's d*C^-1, with no inverse of C*B.  A key the
-    presentation's index holds takes each Sylow part's dual from the
-    index (``_SylowIndex.dual``)."""
+    """Dual of a subgroup: the kernel of character restriction, on the
+    opposite-side presentation, read part by part off the index of the
+    key's presentation (``_SylowIndex.dual``)."""
     p = key.presentation
-    if p._index is not None:
-        dual = p._index.dual(key)
-        if dual is not None:
-            return dual
-    inverse = p._inverse_columns()
-    basis = lattice_basis(
-        ([sum(map(mul, r, c)) for c in inverse]
-         for r in p._dual_rows(key.basis)), p.rank)
-    return SubgroupKey(p.dual(), basis)
+    return (p._index or _sylow_index(p)).dual(key)
 
 
 def _is_dual(p, rows, index, dual_rows, dual_index):
@@ -754,24 +684,47 @@ def pairing(a, b):
     return Fraction(dot, pa.order * pb.order) % 1
 
 
-def _prime_factors(m):
-    """The distinct primes of m, by trial division up to sqrt(m)."""
-    primes = []
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            primes.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        primes.append(m)
-    return primes
+# The primes below 100.  A group of order at most MAX_SUBGROUP_ORDER has
+# at most one prime factor above them, as 101^2 > MAX_SUBGROUP_ORDER, so
+# ``_part_base`` splits it into its Sylow parts.
+_SMALL_PRIMES = tuple(q for q in range(2, 100)
+                      if all(q % r for r in range(2, q)))
+
+
+def _part_base(factors):
+    """A pairwise coprime base of the invariant factors ``factors``, in
+    increasing order, such that each factor is a product of powers of its
+    members: the group is the sum of its parts, one per member.  The
+    members are the primes below 100 that divide a factor, and the factor
+    refinement (Bach, Driscoll and Shallit, J. Algorithms 15, 1993) of
+    what the factors keep once those are divided out: two terms a, b with
+    g = gcd(a, b) > 1 give way to a/g, g and b/g until no two share a
+    factor.  Only gcds are taken, so no order is factored."""
+    top = lcm(*factors)
+    base = [q for q in _SMALL_PRIMES if top % q == 0]
+    rest = set()
+    for o in factors:
+        for q in base:
+            while o % q == 0:
+                o //= q
+        rest.add(o)
+    rest.discard(1)
+    coprime = set()
+    while rest:
+        a = rest.pop()
+        b = next((b for b in coprime if gcd(a, b) > 1), None)
+        if b is None:
+            coprime.add(a)
+        else:
+            coprime.remove(b)
+            g = gcd(a, b)
+            rest.update({a // g, g, b // g} - {1})
+    return base + sorted(coprime)
 
 
 def _valuations(factors, q):
-    """(j, v_j) for each invariant factor o_j that q divides, v_j the
-    q-adic valuation of o_j."""
+    """(j, v_j) for each invariant factor o_j that q divides, q^v_j the
+    largest power of q dividing o_j."""
     out = []
     for j, o in enumerate(factors):
         v = 0
@@ -816,14 +769,16 @@ def _sylow_subgroup_count(q, exponents):
 
 
 def subgroup_count(presentation):
-    """The number of subgroups, in closed form with no key built: each is
-    the product of one subgroup of every Sylow part, so this is the
-    product of the counts of the Sylow q-parts
-    (``_sylow_subgroup_count``) over the primes q of the order, found by
-    trial division of the largest invariant factor."""
+    """The number of subgroups, in closed form with no key built: the
+    product of the counts of the Sylow q-parts (``_sylow_subgroup_count``)
+    over the members q of ``_part_base``.  Refuses groups larger than
+    MAX_SUBGROUP_ORDER, as only up to it are those members prime."""
+    if presentation.order > MAX_SUBGROUP_ORDER:
+        raise ResourceBoundError(f"group order {presentation.order} exceeds "
+                                 f"bound {MAX_SUBGROUP_ORDER}")
     factors = presentation.invariant_factors
     count = 1
-    for q in _prime_factors(max(factors, default=1)):
+    for q in _part_base(factors):
         count *= _sylow_subgroup_count(
             q, [v for _, v in _valuations(factors, q)])
     return count
@@ -879,18 +834,31 @@ def _hnf_lattices(orders):
     yield from choose_row(k - 1)
 
 
-class _SylowPart:
-    """The subgroups of one Sylow q-part of a presentation met so far, with
-    their meets and duals, each computed once.
+def _diagonal_rows(entries):
+    """The rows of the diagonal matrix with ``entries``."""
+    k = len(entries)
+    return [tuple(x if r == c else 0 for c in range(k))
+            for r, x in enumerate(entries)]
 
-    In the SNF coordinates the q-part is the sum of the Z/q_j, q_j the
-    q-part of the invariant factor o_j, generated by h_j = u_j*g_j for the
-    j-th generator g_j and u_j = o_j/q_j.  A subgroup is the lattice M
-    with diag(q)Z^k <= M <= Z^k of the coefficients of the h_j that land
-    in it.  The exponent s = max q_j kills the part, so s*Z^k <= M, and M
-    is named as in ``subgroup_meet``: by the canonical row basis J of
-    s*M^*.  A lattice gets a position when first met, which keeps J and
-    generators of M (for a listed M, the columns of its HNF).
+
+class _SylowPart:
+    """The subgroups of one part of a presentation met so far, with their
+    meets and duals, each computed once.
+
+    The part belongs to a member q of the coprime base ``_part_base``: a
+    prime gives the Sylow q-part, any other member the sum of the Sylow
+    parts of its primes, which are never found.  In the SNF coordinates
+    the part is the sum of the Z/q_j, q_j the largest power of q dividing
+    the invariant factor o_j, generated by h_j = u_j*g_j for the j-th
+    generator g_j and u_j = o_j/q_j, which is prime to q_j.  A subgroup is
+    the lattice M with diag(q)Z^k <= M <= Z^k of the coefficients of the
+    h_j that land in it; the element with the SNF coordinates a has the
+    coefficients a_j*u_j^-1 mod q_j here (``coefficients``).  The
+    exponent s = max q_j kills the part, so s*Z^k <= M, and M is named by
+    the canonical row basis J of s*M^*: c lies in M exactly when
+    J*c = 0 (mod s) (``holds``).  A lattice gets a position when first
+    met, which keeps J and generators of M (for a listed M, the columns
+    of its HNF, and for a located one those it was given).
 
     - The meet of M and K is named by the ``triangular_join`` of their
       J's, and K lies in M exactly when that meet is K.
@@ -904,16 +872,18 @@ class _SylowPart:
       diag(q/s)*(s*M^*), so the rows r of M's J give N's generators
       diag(u^-1 mod q)*diag(q/s)*r, with the q_j e_j, which are zero.
 
-    So no part runs an inverse or an HNF, except for the generators of a
-    meet that lands off every known lattice: the columns of s*J^-1
+    None of this needs q prime.  No part runs an HNF, and an inverse only
+    names a lattice given by generators (``locate``) or gives generators
+    of a meet that lands off every known lattice: the columns of s*J^-1
     (``triangular_dual_basis``), made when first needed."""
 
-    __slots__ = ("_orders", "_scalar", "_weights", "_inverses", "_gens",
-                 "_modulus", "sizes", "_names", "_generators", "_vectors",
-                 "_positions", "_meets", "_duals")
+    __slots__ = ("_columns", "_orders", "_scalar", "_weights", "_inverses",
+                 "_gens", "_modulus", "sizes", "_names", "_generators",
+                 "_vectors", "_positions", "_meets", "_duals")
 
     def __init__(self, factors, gens, q):
         valuations = _valuations(factors, q)
+        self._columns = [j for j, _ in valuations]
         orders = self._orders = [q ** v for _, v in valuations]
         s = self._scalar = max(orders)
         units = [factors[j] // t for (j, _), t in zip(valuations, orders)]
@@ -935,6 +905,23 @@ class _SylowPart:
         ``_hnf_lattices``."""
         return [self.position(triangular_join(rows, ()), columns)
                 for columns, rows in _hnf_lattices(self._orders)]
+
+    def coefficients(self, a):
+        """The coefficients in this part of the element with the SNF
+        coordinates ``a`` (``GroupPresentation._coordinates``)."""
+        return [a[j] * v % t for j, v, t
+                in zip(self._columns, self._inverses, self._orders)]
+
+    def locate(self, generators):
+        """The position of the lattice M spanned by the coefficient
+        vectors ``generators`` and diag(q)Z^k: the rows of its canonical
+        basis R (``triangular_join``) span M, so the columns of s*R^-1
+        span s*M^*, which their join with s*I names."""
+        s = self._scalar
+        span = triangular_join(_diagonal_rows(self._orders), generators)
+        return self.position(
+            triangular_join(_diagonal_rows([s] * len(self._orders)),
+                            scaled_inverse(span, s).columns()), generators)
 
     def position(self, name, generators=None):
         """The position of the lattice named ``name``; one met for the
@@ -959,6 +946,12 @@ class _SylowPart:
                 self._names[i], self._scalar).columns()
         return gens
 
+    def holds(self, i, c):
+        """Whether the coefficient vector ``c`` lies in the lattice at
+        ``i``."""
+        s = self._scalar
+        return all(sum(map(mul, r, c)) % s == 0 for r in self._names[i].rows)
+
     def meet(self, i, j):
         """The position of the meet of the lattices at ``i`` and ``j``."""
         if i == j:
@@ -975,18 +968,16 @@ class _SylowPart:
         return self.sizes[i] % self.sizes[j] == 0 and self.meet(i, j) == j
 
     def dual(self, i, other):
-        """The position in ``other``, the same prime's part of the dual
+        """The position in ``other``, the same member's part of the dual
         side, of the annihilator of the lattice at ``i``."""
         m = self._duals.get(i)
         if m is None:
             s = self._scalar
-            k = len(self._orders)
-            scaled = [[s if r == c else 0 for c in range(k)]
-                      for r in range(k)]
             paired = [[x * w % s for x, w in zip(c, self._weights)]
                       for c in self.generators(i)]
             m = self._duals[i] = other.position(
-                triangular_join(scaled, paired),
+                triangular_join(_diagonal_rows([s] * len(self._orders)),
+                                paired),
                 [[r_j * t // s * v % t for r_j, t, v
                   in zip(r, self._orders, self._inverses)]
                  for r in self._names[i].rows])
@@ -999,7 +990,7 @@ class _SylowPart:
         if out is None:
             d = self._modulus
             out = self._vectors[i] = []
-            for c in self.generators(i):
+            for c in filter(any, self.generators(i)):
                 vec = tuple(sum(map(mul, c, row)) % d
                             for row in zip(*self._gens))
                 if any(vec):
@@ -1009,18 +1000,17 @@ class _SylowPart:
 
 class _SylowIndex:
     """The subgroups of a presentation met so far as products of their
-    Sylow parts, one ``_SylowPart`` per prime of the order: each key's
-    basis maps to its tuple of positions, one per part, and each tuple to
-    its key.  A meet, a containment or a dual of keys the index holds is
-    read part by part off the parts' tables, and names its result by its
-    tuple, so each pair of positions of one part is computed once.  A
-    tuple met for the first time costs the one HNF that names its key.
+    parts, one ``_SylowPart`` per member of the coprime base of its
+    invariant factors (``_part_base``): each key's basis maps to its tuple
+    of positions, one per part, and each tuple to its key.  A meet, a
+    containment, an element test or a dual is read part by part off the
+    parts' tables, and a meet or a dual names its result by its tuple, so
+    each pair of positions of one part is computed once.  A tuple met for
+    the first time costs the one HNF that names its key.
 
-    ``enumerate_subgroups`` fills the index with every subgroup; an
-    indexed dual fills the dual side's with the duals it lands on.  A
-    key of a presentation with no index, or one its index does not hold,
-    takes the triangular path of ``subgroup_meet``, ``SubgroupKey.contains``
-    and ``dual_subgroup``."""
+    ``enumerate_subgroups`` fills the index with every subgroup, and a
+    dual fills the dual side's with the duals it lands on.  Any other key
+    is named on first lookup (``positions_of``)."""
 
     __slots__ = ("_presentation", "parts", "_base", "_keys", "_tuples",
                  "listed")
@@ -1030,21 +1020,32 @@ class _SylowIndex:
         gens = presentation._scaled_gens()
         self._presentation = presentation
         self.parts = [_SylowPart(factors, gens, q)
-                      for q in _prime_factors(max(factors, default=1))]
-        n, d = presentation.rank, presentation.order
-        self._base = [tuple(d if r == i else 0 for r in range(n))
-                      for i in range(n)]
+                      for q in _part_base(factors)]
+        self._base = _diagonal_rows([presentation.order] * presentation.rank)
         self._keys = {}
         self._tuples = {}
         self.listed = None
 
     def positions_of(self, key):
-        """The tuple of positions of ``key``, or None."""
-        if key._presentation is not self._presentation:
-            return self._tuples.get(key._basis)
-        t = key._positions
+        """The tuple of positions of ``key``.  A basis met for the first
+        time is named here: the SNF coordinates of its nonzero columns,
+        scaled into each part (``_SylowPart.coefficients``), generate the
+        part's lattice (``_SylowPart.locate``).  A key of this presentation
+        object keeps its tuple, and becomes its key unless one is kept."""
+        own = key._presentation is self._presentation
+        t = key._positions if own else None
         if t is None:
-            t = key._positions = self._tuples.get(key._basis)
+            t = self._tuples.get(key._basis)
+            if t is None:
+                p, d = self._presentation, self._presentation.order
+                coords = [p._coordinates(c) for c in key._basis.columns()
+                          if any(x % d for x in c)]
+                t = self._tuples[key._basis] = tuple(
+                    part.locate([part.coefficients(a) for a in coords])
+                    for part in self.parts)
+            if own:
+                key._positions = t
+                self._keys.setdefault(t, key)
         return t
 
     def key(self, positions):
@@ -1064,27 +1065,25 @@ class _SylowIndex:
         return key
 
     def meet(self, a, b):
-        ta, tb = self.positions_of(a), self.positions_of(b)
-        if ta is None or tb is None:
-            return None
-        return self.key(tuple(part.meet(i, j) for part, i, j
-                              in zip(self.parts, ta, tb)))
+        return self.key(tuple(part.meet(i, j) for part, i, j in zip(
+            self.parts, self.positions_of(a), self.positions_of(b))))
 
     def contains(self, h, k):
-        th, tk = self.positions_of(h), self.positions_of(k)
-        if th is None or tk is None:
-            return None
-        return all(part.contains(i, j) for part, i, j
-                   in zip(self.parts, th, tk))
+        return all(part.contains(i, j) for part, i, j in zip(
+            self.parts, self.positions_of(h), self.positions_of(k)))
+
+    def contains_element(self, key, g):
+        a = self._presentation._coordinates(g.scaled())
+        return all(part.holds(i, part.coefficients(a))
+                   for part, i in zip(self.parts, self.positions_of(key)))
 
     def dual(self, key):
         """The dual of ``key`` on the dual side, whose index it fills: each
         part's annihilator is read off this side's pairing
         (``_SylowPart.dual``), never off the dual side's table."""
         t = self.positions_of(key)
-        if t is None:
-            return None
-        other = _sylow_index(self._presentation.dual())
+        q = self._presentation.dual()
+        other = q._index or _sylow_index(q)
         return other.key(tuple(part.dual(i, dual_part) for part, dual_part, i
                                in zip(self.parts, other.parts, t)))
 
@@ -1101,7 +1100,8 @@ def enumerate_subgroups(presentation):
 
     Refuses groups larger than MAX_SUBGROUP_ORDER, and groups with more
     than MAX_LISTED_SUBGROUPS subgroups, counted in closed form
-    (``subgroup_count``) before any key is built.
+    (``subgroup_count``, which also checks the order) before any key is
+    built.
 
     In the SNF coordinates of the presentation the group is the sum of
     the Z/o_j, and every subgroup is the product of one subgroup of each
@@ -1110,12 +1110,8 @@ def enumerate_subgroups(presentation):
     and its subgroups are the lattices listed by ``_hnf_lattices``.  Each
     product is mapped back through those generators, together with the
     columns d*e_i, and named by one HNF.  The listing fills the
-    presentation's ``_SylowIndex``, which then serves meets, containment
-    and duals of these keys from per-prime tables; a second call returns
+    presentation's ``_SylowIndex`` with these keys; a second call returns
     the same keys."""
-    if presentation.order > MAX_SUBGROUP_ORDER:
-        raise ResourceBoundError(f"group order {presentation.order} exceeds "
-                                 f"bound {MAX_SUBGROUP_ORDER}")
     count = subgroup_count(presentation)
     if count > MAX_LISTED_SUBGROUPS:
         raise ResourceBoundError(f"{count} subgroups exceed the listing "

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import DimensionError, RankError, SingularMatrixError
 
@@ -93,7 +94,7 @@ class IntMatrix:
         return tuple(r[j] for r in self._rows)
 
     def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
+        return list(zip(*self._rows))
 
     def to_lists(self):
         return [list(r) for r in self._rows]
@@ -123,7 +124,7 @@ class IntMatrix:
 
     def apply_to_vector(self, vec):
         """Matrix-vector product with an integer sequence."""
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self._rows)
+        return tuple(sum(map(mul, row, vec)) for row in self._rows)
 
     def is_upper_triangular(self):
         if self._tri is None:

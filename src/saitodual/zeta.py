@@ -127,8 +127,8 @@ class ZetaReport:
     product form (``_product``) is expanded on first read of any of its
     three parts: ``_terms`` maps each choice of one merged subgroup per
     block, a tuple of positions in the blocks' ``merged``, to its
-    coefficient, ``_indices`` holds each term's index [G:H], the product
-    of the blocks', in the order of ``_terms``, and ``classical`` is the
+    coefficient, then each term's index [G:H], the product of the
+    blocks', in the order of ``_terms``, and ``classical`` is the
     classical zeta.  ``reduced``, ``equivariant`` and the per-subset audit
     ``subset_terms`` build their subgroup keys on first read."""
 
@@ -143,10 +143,6 @@ class ZetaReport:
     @property
     def _terms(self):
         return self._product[0]
-
-    @property
-    def _indices(self):
-        return self._product[1]
 
     @property
     def classical(self):
@@ -167,7 +163,7 @@ class ZetaReport:
                                            _blocks_of(self.polynomial))]
         wrap = SubgroupKey._wrap
         terms = {}
-        for (combo, c), index in zip(self._terms.items(), self._indices):
+        for (combo, c), index in zip(self._terms.items(), self._product[1]):
             rows = ()
             for block, i in zip(blocks, combo):
                 rows += block[i]
@@ -828,11 +824,17 @@ def generating_root_zeta(report):
     """Zeta function of a generating root on the reduced zeta
     sum c_H [G/H] of the report's cyclic group G of order d: a generator
     permutes G/H in one cycle of length |G/H|, so every generating root
-    gives prod (1 - t^(d/|H|))^(c_H), with modulus d.  Each |G/H| is the
-    index the report keeps for its term."""
-    return CyclotomicProduct(report.group.order,
-                             dict(zip(report._indices,
-                                      report._terms.values())))
+    gives prod (1 - t^(d/|H|))^(c_H), with modulus d.  As a term's
+    coefficient and index are products of its blocks' (``_product_form``),
+    the exponents convolve the blocks' merged coefficients by index."""
+    exponents = {1: -1}
+    for record in report._records:
+        product = {}
+        for index, c in exponents.items():
+            for _, bc, _, bi in record.merged:
+                product[index * bi] = product.get(index * bi, 0) + c * bc
+        exponents = product
+    return CyclotomicProduct(report.group.order, exponents)
 
 
 def verify_root_duality(pair):

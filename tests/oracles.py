@@ -27,7 +27,8 @@ from saitodual.groups import (GroupElement, SubgroupKey, full_subgroup,
 from saitodual.errors import OwnershipError, SingularMatrixError
 from saitodual.linalg import (IntMatrix, RationalVector, determinant,
                               lattice_basis, lattice_solve, scaled_inverse,
-                              smith_normal_form)
+                              smith_normal_form, triangular_dual_basis,
+                              triangular_join)
 from saitodual.polynomials import Atom, AtomicDecomposition
 from saitodual.zeta import SubsetTerm, ZetaReport
 
@@ -319,6 +320,52 @@ def solve_contains(h, k):
 def solve_contains_element(h, g):
     """``h.contains_element(g)`` by solving B_H*x = d*g."""
     return lattice_solve(h.basis, g.scaled()) is not None
+
+
+@functools.lru_cache(maxsize=65536)
+def dual_rows(d, basis):
+    """Rows spanning d*M^* for the scaled lattice M of ``basis``
+    (dZ^n <= M <= Z^n): the rows of d*B^-1, upper triangular for an HNF
+    B.  A vector v lies in M exactly when every row r has r.v = 0
+    (mod d)."""
+    return scaled_inverse(basis, d).rows
+
+
+def triangular_meet(a, b):
+    """``subgroup_meet`` by the triangular path: merging both operands'
+    ``dual_rows`` by leading position (``triangular_join``) gives the
+    canonical basis J of d*(M_H n M_K)^*, and the columns of d*J^-1
+    reduce to the meet's basis (``triangular_dual_basis``)."""
+    p = a.presentation
+    join = triangular_join(dual_rows(p.order, a.basis),
+                           dual_rows(p.order, b.basis))
+    return SubgroupKey(p, triangular_dual_basis(join, p.order))
+
+
+def triangular_contains(h, k):
+    """``h.contains(k)``: |K| divides |H| and d*B_H^-1*B_K = 0
+    (mod d)."""
+    d = h.presentation.order
+    return h.order % k.order == 0 and all(
+        sum(map(mul, r, v)) % d == 0
+        for v in k.basis.columns() for r in dual_rows(d, h.basis))
+
+
+def triangular_contains_element(h, g):
+    """``h.contains_element(g)``: d*B_H^-1*(d*g) = 0 (mod d)."""
+    d = h.presentation.order
+    return all(sum(map(mul, r, g.scaled())) % d == 0
+               for r in dual_rows(d, h.basis))
+
+
+def triangular_dual(key):
+    """``dual_subgroup`` as the HNF of the rows of
+    (d*B^-1)*(d*C^-1) = d^2*(C*B)^-1, with no inverse of C*B."""
+    p = key.presentation
+    inverse = scaled_inverse(p.constraint, p.order).columns()
+    return SubgroupKey(p.dual(), lattice_basis(
+        ([sum(map(mul, r, c)) for c in inverse]
+         for r in dual_rows(p.order, key.basis)), p.rank))
 
 
 def meet_isotropy(p, indices):

@@ -63,7 +63,8 @@ from oracles import (RationalElement, ambient_quotient_data, brute_roots,
                      listed_root_zeta, meet_isotropy,
                      product_pairing_is_dual, reference_generators,
                      solve_contains, solve_contains_element, term_verdict,
-                     with_generators)
+                     triangular_contains, triangular_contains_element,
+                     triangular_dual, triangular_meet, with_generators)
 
 
 def sides(batch45):
@@ -157,18 +158,23 @@ def lattice_mismatches(subgroups, terms, sampled):
     dual of every subgroup, and its dual back, against ``inverse_dual``,
     and of the meet of each sampled (subgroup, term) pair, key and order,
     against ``hnf_meet`` and the containment of each in the other against
-    ``solve_contains``.  Each is also checked against the triangular path
-    on a fresh presentation of the same constraint, which is never listed
-    and so keeps no index.  Pair (i, j) of the i-th subgroup and the j-th
-    term is sampled when ``sampled(i, j)``."""
+    ``solve_contains``.  Each is also computed on a fresh presentation of
+    the same constraint, which is never listed and so names each key on
+    first lookup, and checked against the triangular oracles
+    (``triangular_dual``, ``triangular_meet``, ``triangular_contains``).
+    Pair (i, j) of the i-th subgroup and the j-th term is sampled when
+    ``sampled(i, j)``."""
     fresh = GroupPresentation(subgroups[0].presentation.constraint)
     plain = {h: SubgroupKey(fresh, h.basis) for h in subgroups + terms}
     pairs = mismatches = 0
     for h in subgroups:
         dual, unlisted = dual_subgroup(h), dual_subgroup(plain[h])
-        mismatches += (dual != inverse_dual(h) or dual != unlisted
-                       or dual.order != unlisted.order
-                       or dual_subgroup(dual) != h)
+        oracle = triangular_dual(h)
+        mismatches += (dual != inverse_dual(h) or unlisted != oracle
+                       or dual.order != oracle.order
+                       or unlisted.order != oracle.order
+                       or dual_subgroup(dual) != h
+                       or dual_subgroup(unlisted) != plain[h])
     for i, h in enumerate(subgroups):
         for j, k in enumerate(terms):
             if not sampled(i, j):
@@ -176,14 +182,17 @@ def lattice_mismatches(subgroups, terms, sampled):
             pairs += 1
             meet, oracle = subgroup_meet(h, k), hnf_meet(h, k)
             unlisted = subgroup_meet(plain[h], plain[k])
+            reference = triangular_meet(h, k)
             mismatches += (meet != oracle or meet.order != oracle.order
-                           or meet != unlisted
-                           or meet.order != unlisted.order
+                           or unlisted != reference
+                           or unlisted.order != reference.order
                            or h.contains(k) != solve_contains(h, k)
                            or k.contains(h) != solve_contains(k, h)
-                           or h.contains(k) != plain[h].contains(plain[k])
-                           or k.contains(h) != plain[k].contains(plain[h]))
-    assert fresh._index is None and fresh.dual()._index is None
+                           or plain[h].contains(plain[k])
+                           != triangular_contains(h, k)
+                           or plain[k].contains(plain[h])
+                           != triangular_contains(k, h))
+    assert fresh._index.listed is None and fresh.dual()._index.listed is None
     return len(subgroups), pairs, 2 * pairs, mismatches
 
 
@@ -642,8 +651,9 @@ class TestCorpusDifferential:
         # of each subgroup, and the meet and both containments of a
         # rotating quarter of the (subgroup, equivariant zeta term) pairs,
         # every subgroup and every term among them, read off the index
-        # of the listing and checked against the oracles and against a
-        # second, never listed presentation.  All 370,259 pairs take
+        # of the listing and checked against the oracles, and on a second,
+        # never listed presentation, which names each key on first
+        # lookup, against the triangular oracles.  All 370,259 pairs take
         # about 50 s.
         reps = {}
         for _, p, rep in sides(batch45):
@@ -1135,7 +1145,7 @@ class TestRandomMatrices:
     def test_subgroup_lattice_matches_replaced_forms(self, p):
         # Every subgroup's dual; the meet and both containments of every
         # pair of subgroups, from the index and on a never listed copy;
-        # every element in every subgroup.
+        # every element in every subgroup, against both oracles.
         subgroups = enumerate_subgroups(p)
         n = len(subgroups)
         assert lattice_mismatches(subgroups, subgroups,
@@ -1144,7 +1154,8 @@ class TestRandomMatrices:
         for h in subgroups:
             for g in p.elements():
                 assert h.contains_element(g) == \
-                    solve_contains_element(h, g)
+                    solve_contains_element(h, g) == \
+                    triangular_contains_element(h, g)
 
     @settings(max_examples=300, deadline=None)
     @given(solver_matrices(), st.data())

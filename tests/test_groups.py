@@ -14,7 +14,7 @@ from saitodual.errors import (IndexBoundsError, OwnershipError,
                               ResourceBoundError)
 from saitodual.groups import (MAX_LISTED_ROOTS, MAX_LISTED_SUBGROUPS,
                               MAX_SUBGROUP_ORDER, GroupPresentation,
-                              SubgroupKey, dual_subgroup,
+                              SubgroupKey, _part_base, dual_subgroup,
                               enumerate_subgroups, full_subgroup,
                               geometric_roots, isotropy_subgroup,
                               monodromy_element, pairing, root_count,
@@ -26,7 +26,10 @@ from saitodual.polynomials import canonical_weights, parse_polynomial
 
 from conftest import distinct_groups
 from oracles import (brute_roots, coordinate_roots, divisors, hnf_meet,
-                     kernel_dual, kernel_dual_all_pairs, subgroup_join)
+                     kernel_dual, kernel_dual_all_pairs, solve_contains,
+                     subgroup_join, triangular_contains,
+                     triangular_contains_element, triangular_dual,
+                     triangular_meet)
 
 
 @pytest.fixture(scope="module")
@@ -154,12 +157,13 @@ class TestSubgroups:
         assert len(enumerate_subgroups(klein)) == 5
 
     def test_meet_miss_runs_no_hnf(self, monkeypatch):
-        # A meet that misses both caches merges the operands' triangular
-        # dual rows and reduces the columns of d*J^-1: no lattice_basis and
-        # no HNF of any kind.  Z4 x Z8 has 22 subgroups; 190 unordered
-        # pairs reach the merge and give 18 distinct joins.  The listed
-        # presentation meets them from its index instead, also with no
-        # HNF; the triangular path runs on an unlisted copy of it.
+        # A meet that misses a part's table merges the names of the two
+        # part lattices (``triangular_join``): no lattice_basis and no HNF
+        # of any kind.  Z4 x Z8 has 22 subgroups.  The listed presentation
+        # meets them from its index.  On an unlisted copy each key is
+        # named on first lookup, here by testing that it contains itself,
+        # with no HNF either, and then every meet lands on a key the
+        # copy's index holds.
         p = symmetry_group(parse_polynomial("x^3*y + y^3*x + z^4"))
         subgroups = enumerate_subgroups(p)
         q = GroupPresentation(p.constraint)
@@ -170,11 +174,11 @@ class TestSubgroups:
 
         monkeypatch.setattr(groups, "lattice_basis", refuse)
         monkeypatch.setattr(linalg, "_hnf_core", refuse)
+        assert all(h.contains(h) for h in copies)
         meets = {(h, k): subgroup_meet(h, k)
                  for h in copies for k in copies}
         indexed = [subgroup_meet(h, k) for h in subgroups for k in subgroups]
-        assert (len(q._meet_cache), len(q._dual_meet_cache)) == (190, 18)
-        assert (q._index, len(p._meet_cache)) == (None, 0)
+        assert q._index.listed is None
         monkeypatch.undo()
         assert indexed == list(meets.values())
         for (h, k), meet in meets.items():
@@ -239,6 +243,18 @@ class TestSubgroups:
 def squares(k):
     """x1^2 + ... + xk^2, whose group is (Z/2)^k."""
     return parse_polynomial(" + ".join(f"x{i}^2" for i in range(1, k + 1)))
+
+
+# The 4-loop at this p has the cyclic group of order p^4 - 1, about 1e30,
+# whose largest prime factor trial division would never reach.
+BIG_LOOP_P = 31622777
+
+
+def big_loop(first=1):
+    """The 4-loop at BIG_LOOP_P in x_first, ..., x_{first+3}."""
+    xs = [f"x{first + i}" for i in range(4)]
+    return " + ".join(f"{x}^{BIG_LOOP_P}*{y}"
+                      for x, y in zip(xs, xs[1:] + xs[:1]))
 
 
 def gaussian_binomial(n, k, q):
@@ -315,6 +331,26 @@ class TestSubgroupCounts:
             assert p._index is None
         assert subgroup_count(z6) == 14204 <= MAX_LISTED_SUBGROUPS
 
+    def test_count_refused_above_the_order_bound(self):
+        # Above MAX_SUBGROUP_ORDER the part base need not be prime, and
+        # Birkhoff's count needs primes: the 4-loop of order about 1e30
+        # is refused at once, with nothing factored.
+        p = symmetry_group(parse_polynomial(big_loop()))
+        start = time.perf_counter()
+        for count in (subgroup_count, enumerate_subgroups):
+            with pytest.raises(ResourceBoundError) as info:
+                count(p)
+            assert str(MAX_SUBGROUP_ORDER) in str(info.value)
+        assert time.perf_counter() - start < 0.1
+
+    def test_part_base_refines_without_factoring(self):
+        # The primes below 100 are divided out; the rest is refined by
+        # gcds into pairwise coprime members, which need not be prime.
+        assert _part_base((12, 101 * 103, 103 * 107 ** 2)) == [
+            2, 3, 101, 103, 107 ** 2]
+        assert _part_base((10403, 10403 ** 2, 4 * 10403)) == [2, 10403]
+        assert _part_base((1, 1)) == []
+
     def test_z6_fourth_power_within_five_seconds(self):
         # Order 1296: 67 * 212 = 14,204 subgroups, one per pair of a
         # subgroup of Z2^4 and one of Z3^4.
@@ -352,9 +388,12 @@ class TestSylowIndex:
 
     F = "x^6 + y^6"  # Z6 x Z6: 30 subgroups, 5 of Z2^2 times 6 of Z3^2
 
-    def test_unlisted_presentation_keeps_triangular_path(self, calls):
-        # One HNF and one scaled inverse per dual, both ways, and one
-        # inverse per new meet: the parent's calls.  No index is made.
+    def test_unlisted_presentation_names_keys_on_lookup(self, calls):
+        # A never listed presentation names each key on first lookup,
+        # with one scaled inverse per part (here the 2- and 3-parts) and
+        # no HNF, and keeps it as its tuple's key.  Each dual then names
+        # its key on the dual side with one HNF, and the dual back is the
+        # key itself.  Meets and containment run neither.
         f = parse_polynomial(self.F)
         bases = [h.basis for h in enumerate_subgroups(symmetry_group(f))]
         p = GroupPresentation(symmetry_group(f).constraint)
@@ -362,15 +401,14 @@ class TestSylowIndex:
         p.dual()  # whose ambient basis is one HNF
         calls.update(lattice_basis=0, scaled_inverse=0)
         duals = [dual_subgroup(h) for h in keys]
-        assert calls == {"lattice_basis": 30, "scaled_inverse": 30}
-        assert [dual_subgroup(k) for k in duals] == keys
-        assert calls == {"lattice_basis": 60, "scaled_inverse": 60}
+        assert calls == {"lattice_basis": 30, "scaled_inverse": 60}
+        assert all(dual_subgroup(k) is h for h, k in zip(keys, duals))
         for h in keys:
             for k in keys:
-                subgroup_meet(h, k)
-                h.contains(k)
-        assert calls == {"lattice_basis": 60, "scaled_inverse": 82}
-        assert p._index is None and p.dual()._index is None
+                assert subgroup_meet(h, k) == hnf_meet(h, k)
+                assert h.contains(k) == solve_contains(h, k)
+        assert calls == {"lattice_basis": 30, "scaled_inverse": 60}
+        assert p._index.listed is None and p.dual()._index.listed is None
 
     def test_one_dual_after_listing_runs_at_most_one_hnf(self, calls):
         # A dual names its key on the dual side with one HNF and no
@@ -407,17 +445,68 @@ class TestSylowIndex:
 
     def test_keys_of_another_presentation_object_are_looked_up(self):
         # An operand from an equal presentation object is found by its
-        # basis; one the index never met takes the triangular path.
+        # basis, and that object builds no index.  Its keys meet and
+        # contain each other on its own index, named on first lookup,
+        # as the listed keys do.
         f = parse_polynomial(self.F)
         p = symmetry_group(f)
         subs = enumerate_subgroups(p)
         other = symmetry_group(f)
+        twins = [SubgroupKey(other, k.basis) for k in subs]
         for h in subs:
-            for k in subs:
-                twin = SubgroupKey(other, k.basis)
+            for k, twin in zip(subs, twins):
                 assert subgroup_meet(h, twin) == hnf_meet(h, k)
                 assert h.contains(twin) == h.contains(k)
         assert other._index is None
+        for h, twin_h in zip(subs, twins):
+            for k, twin in zip(subs, twins):
+                assert subgroup_meet(twin_h, twin) == subgroup_meet(h, k)
+                assert twin_h.contains(twin) == h.contains(k)
+        assert other._index.listed is None
+
+
+class TestBigOrders:
+    """Meets, containment, element membership and duals in groups far
+    above MAX_SUBGROUP_ORDER, whose orders are never factored, against
+    the triangular oracles."""
+
+    @pytest.mark.parametrize("text", [big_loop(),
+                                      big_loop() + " + " + big_loop(5)])
+    def test_lattice_matches_triangular_oracles(self, text):
+        # The 4-loop (cyclic) and the sum of two (Z_m x Z_m): above the
+        # primes below 100 each keeps one composite part.  The subgroups
+        # are generated by i*a + j*b, and by i*a and j*b, for i and j in
+        # ``scales`` and the first and last standard generators a and b.
+        start = time.perf_counter()
+        p = symmetry_group(parse_polynomial(text))
+        part = max(p.invariant_factors)
+        for q in range(2, 100):
+            while part % q == 0:
+                part //= q
+        assert part > 10 ** 20 and _part_base(p.invariant_factors)[-1] == part
+        a, b = p.generators()[0], p.generators()[-1]
+        scales = [1, 2, 97, part, 2 * 97 * part]
+        elements = [i * a + j * b for i in scales for j in scales]
+        keys = list(dict.fromkeys(
+            [subgroup_generated_by(p, [g]) for g in elements]
+            + [subgroup_generated_by(p, [i * a, j * b])
+               for i, j in zip(scales, reversed(scales))]))
+        assert len(keys) == (21 if p.is_cyclic else 30)
+        for h in keys:
+            dual = dual_subgroup(h)
+            assert dual == triangular_dual(h)
+            assert h.order * dual.order == p.order
+            assert dual_subgroup(dual) == h
+            for k in keys:
+                meet = subgroup_meet(h, k)
+                oracle = triangular_meet(h, k)
+                assert meet == oracle and meet.order == oracle.order
+                assert h.contains(k) == triangular_contains(h, k)
+                assert k.contains(h) == triangular_contains(k, h)
+            for g in elements:
+                assert h.contains_element(g) == \
+                    triangular_contains_element(h, g)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestIsotropy:

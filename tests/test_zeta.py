@@ -402,8 +402,9 @@ class TestDualPair:
         # A sum's weights are composed from its atoms' records, and each
         # record reads its weights off the Smith form of its presentation,
         # so no side runs ``canonical_weights``.  A passing zeta-duality
-        # check decides on the blocks and expands no product form; only
-        # the root duality of a cyclic member expands one, on each side.
+        # check decides on the blocks, and the root duality of a cyclic
+        # member convolves the blocks' indices: no product form is
+        # expanded.
         singles = [f for f in corpus if len(_components(f.exponents)) == 1]
         symmetric = sum(f.exponents == f.exponents.transpose()
                         for f in singles)
@@ -430,7 +431,7 @@ class TestDualPair:
                           "geometric_roots": 0,
                           "element_zeta": 0,
                           "saito_dual": 0,
-                          "_product_form": 2 * report.corollary_checked}
+                          "_product_form": 0}
         # Parsed input splits once per pair: f^T takes f's transposed.
         parsed = [InvertiblePolynomial(f.exponents) for f in corpus]
         assert run_batch(parsed).to_json() == report.to_json()
@@ -438,10 +439,9 @@ class TestDualPair:
 
     def test_batch_builds_no_dual_subgroup(self, monkeypatch):
         # A passing check applies no transform and builds no dual
-        # subgroup and no key of any reduced zeta term: it reads both
-        # reports' product forms and one dual map per pair of a block and
-        # its transpose.  So no atom presentation keeps dual rows or a
-        # scaled inverse.
+        # subgroup and no key of any reduced zeta term: it reads one dual
+        # map per pair of a block and its transpose.  So no atom
+        # presentation builds a subgroup index.
         corpus, _ = generate_corpus(3, 4, include_sums=True)
         counts = count_calls(monkeypatch, "dual_subgroup", "saito_dual",
                              "equivariant_zeta")
@@ -460,8 +460,7 @@ class TestDualPair:
                                      v.theorem.rhs_report)
                          for r in rep._records}
         assert len(presentations) == 103
-        assert all(not q._dual_rows_cache and q._inverse is None
-                   for q in presentations.values())
+        assert all(q._index is None for q in presentations.values())
 
     def test_batch_atom_cache_lives_for_one_call(self, monkeypatch):
         # Each batch builds its own atom records and keeps the
