@@ -30,16 +30,17 @@ import pytest
 
 from saitodual.burnside import (_coset_order, burnside_from_cyclotomic,
                                 element_zeta, saito_dual)
-from saitodual.errors import SingularMatrixError
-from saitodual.groups import (GroupElement, GroupPresentation,
-                              SubgroupKey, _is_dual, _root_vectors,
+from saitodual.errors import ResourceBoundError, SingularMatrixError
+from saitodual.groups import (MAX_LISTED_SUBGROUPS, GroupElement,
+                              GroupPresentation, SubgroupKey, _is_dual,
+                              _root_vectors,
                               dual_subgroup, enumerate_subgroups,
                               full_subgroup,
                               geometric_roots,
                               isotropy_subgroup, monodromy_element, pairing,
                               root_count, subgroup_generated_by,
-                              subgroup_meet, symmetry_group,
-                              trivial_subgroup)
+                              subgroup_count, subgroup_meet,
+                              symmetry_group, trivial_subgroup)
 from saitodual.linalg import (IntMatrix, _format_vectors, determinant,
                               lattice_basis, lattice_solve, scaled_inverse)
 from saitodual import zeta
@@ -245,8 +246,10 @@ def composed_group_mismatches(f, atoms, dual_first=False,
     sides, the transposed one first when ``dual_first``: U and V unset
     before first use; the order, invariant factors and ambient basis;
     the generators, the elements in order and every subgroup (for a
-    group of order at most ``max_listed``, when given); and then U and
-    V, filled on first use.  Returns (mismatches, subgroups)."""
+    group of order at most ``max_listed``, when given; past
+    MAX_LISTED_SUBGROUPS, the subgroup count and that both refuse the
+    listing); and then U and V, filled on first use.  Returns
+    (mismatches, subgroups)."""
     composed = _symmetry_group(f, atoms)
     fresh = GroupPresentation(f.exponents)
     pairs = [("direct", composed, fresh),
@@ -269,10 +272,21 @@ def composed_group_mismatches(f, atoms, dual_first=False,
             if ([g.sort_key() for g in mine.elements()]
                     != [g.sort_key() for g in theirs.elements()]):
                 bad.append(f"{side}: elements")
-            built = enumerate_subgroups(mine)
-            subgroups += len(built)
-            if built != enumerate_subgroups(theirs):
-                bad.append(f"{side}: subgroups")
+            count = subgroup_count(mine)
+            if count != subgroup_count(theirs):
+                bad.append(f"{side}: subgroup count")
+            if count <= MAX_LISTED_SUBGROUPS:
+                built = enumerate_subgroups(mine)
+                subgroups += len(built)
+                if built != enumerate_subgroups(theirs):
+                    bad.append(f"{side}: subgroups")
+            else:
+                for q in (mine, theirs):
+                    try:
+                        enumerate_subgroups(q)
+                        bad.append(f"{side}: listed past the bound")
+                    except ResourceBoundError:
+                        pass
         if mine._transforms() != theirs._transforms():
             bad.append(f"{side}: U and V")
     return bad, subgroups
@@ -1276,6 +1290,10 @@ class TestAtomComposition:
     # Unimodular summands, d_a = 1, around one of d = 4.
     @example(block_sum([SPECIAL_ATOMS[2], SPECIAL_ATOMS[8],
                         SPECIAL_ATOMS[4], SPECIAL_ATOMS[5]]))
+    # Seven quadrics, (Z/2)^7: order 128, but 29,212 subgroups, past the
+    # listing bound.
+    @example(block_sum([((2, 0, 0), (0, 2, 0), (0, 0, 2)),
+                        ((2, 0, 0), (0, 2, 0), (0, 0, 2)), ((2,),)]))
     def test_block_sums_match_direct_loop(self, f):
         p = symmetry_group(f)
         assert len(_components(f.exponents)) > 1
