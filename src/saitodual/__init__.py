@@ -21,8 +21,8 @@ from .groups import (GroupElement, GroupPresentation, SubgroupKey,
                      pairing, root_count, subgroup_generated_by,
                      subgroup_meet, symmetry_group, trivial_subgroup)
 from .linalg import (IntMatrix, RationalVector, determinant,
-                     hermite_normal_form, invariant_factors, lattice_basis,
-                     lattice_solve, smith_normal_form)
+                     invariant_factors, lattice_basis, lattice_solve,
+                     smith_normal_form)
 from .polynomials import (Atom, AtomicDecomposition, InvertiblePolynomial,
                           WeightSystem, canonical_weights, decompose,
                           parse_polynomial)

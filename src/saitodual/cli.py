@@ -169,7 +169,7 @@ def cmd_zeta(args):
 def cmd_dual(args):
     pair = DualPair(parse_polynomial(args.polynomial))
     f = pair.f
-    count = max(pair._entry_count(), pair._entry_count(transposed=True))
+    count = pair._entry_count()
     if count > MAX_REPORT_ENTRIES:
         # Neither report is built, so the duality is not checked.
         if args.json:

@@ -33,6 +33,7 @@ from .errors import (IndexBoundsError, OwnershipError, ResourceBoundError,
 from .linalg import (IntMatrix, RationalVector, format_fractions,
                      lattice_basis, scaled_inverse, smith_normal_form,
                      triangular_dual_basis, triangular_join)
+from .polynomials import direct_sum_weights, smith_weights
 
 # Largest group whose subgroups ``enumerate_subgroups`` lists.
 MAX_SUBGROUP_ORDER = 10_000
@@ -80,8 +81,8 @@ class GroupPresentation:
     """
 
     __slots__ = ("_constraint", "_order", "_factors", "_u", "_v",
-                 "_gens", "_ambient", "_parts", "_dual", "_full_key",
-                 "_trivial_key", "_index")
+                 "_gens", "_ambient", "_weights", "_parts", "_dual",
+                 "_full_key", "_trivial_key", "_index")
 
     def __init__(self, constraint):
         c = constraint if isinstance(constraint, IntMatrix) else IntMatrix(constraint)
@@ -107,6 +108,7 @@ class GroupPresentation:
         self._parts = parts
         self._ambient = None if u is None else lattice_basis(
             self._scaled_gens().columns(), constraint.nrows)
+        self._weights = None
         self._dual = dual
         self._full_key = None
         self._trivial_key = None
@@ -135,15 +137,35 @@ class GroupPresentation:
     @property
     def ambient_basis(self):
         """Canonical basis of the scaled ambient lattice d*L.  A composed
-        presentation reads it off its blocks' on first use, and its dual
-        off the blocks' duals (see ``_block_diagonal``)."""
+        presentation and its dual read it off their blocks' on first use
+        (see ``_block_diagonal``)."""
         if self._ambient is None:
-            parts = self._parts or [(part.dual(), rows, cols)
-                                    for part, cols, rows in self._dual._parts]
             self._ambient = _block_diagonal(
                 [(part.ambient_basis, part.order, cols)
-                 for part, cols, _ in parts], self._order)
+                 for part, cols, _ in self._block_parts()], self._order)
         return self._ambient
+
+    def _block_parts(self):
+        """(presentation, columns, rows) of each block of a composed
+        presentation, or of its dual: the blocks' duals, at their rows."""
+        return self._parts or [(part.dual(), rows, cols)
+                               for part, cols, rows in self._dual._parts]
+
+    def _weight_system(self):
+        """The weight system of the constraint, kept: read off its Smith
+        form S = U*C*V (``polynomials.smith_weights``), or for a composed
+        presentation and its dual composed from their blocks'
+        (``direct_sum_weights``), with no Smith form run."""
+        if self._weights is None:
+            if self._u is None:
+                parts = self._block_parts()
+                self._weights = direct_sum_weights(
+                    [part._weight_system() for part, _, _ in parts],
+                    [cols for _, cols, _ in parts])
+            else:
+                self._weights = smith_weights(self._u, self._v,
+                                              self._factors)
+        return self._weights
 
     def dual(self):
         """The opposite-side presentation (transposed constraint), from
@@ -519,23 +541,19 @@ def _direct_sum(constraint, parts):
     return p
 
 
-def _lattice_quotient_data(presentation, basis):
-    """(scaled_generators, orders) for the quotient (basis/d)/Z^n, where
-    basis/d = X^-1*Z^n for X = d*basis^-1 (see ``_scaled_generators``)."""
-    d = presentation.order
-    s, _, v = smith_normal_form(scaled_inverse(basis, d))
-    orders = tuple(s.entry(i, i) for i in range(s.nrows))
-    return _scaled_generators(v, orders, d), orders
-
-
 def _enumerate_quotient(presentation, basis):
     """The d-scaled integer vector, reduced mod d, of every class of
-    (basis/d)/Z^n."""
+    (basis/d)/Z^n, from the presentation's generators or, for a
+    subgroup's basis, those of the Smith form of X = d*basis^-1, as
+    basis/d = X^-1*Z^n (``_scaled_generators``)."""
     d = presentation.order
     n = presentation.rank
-    gens, orders = ((presentation._scaled_gens(), presentation._factors)
-                    if basis == presentation.ambient_basis
-                    else _lattice_quotient_data(presentation, basis))
+    if basis == presentation.ambient_basis:
+        gens, orders = presentation._scaled_gens(), presentation._factors
+    else:
+        s, _, v = smith_normal_form(scaled_inverse(basis, d))
+        orders = tuple(s.entry(i, i) for i in range(s.nrows))
+        gens = _scaled_generators(v, orders, d)
     current = [(0,) * n]
     for j, o in enumerate(orders):
         if o == 1:

@@ -1,24 +1,22 @@
 """Exact integer and rational linear algebra.
 
 Everything here works on arbitrary-precision Python integers; there is no
-floating point anywhere.  The module provides fraction-free determinants,
-a column-style Hermite normal form, the Smith normal form with transform
-accumulation, and the small set of lattice primitives the group layer is
-built on.  Two triangular row bases are joined by a top-down merge
-(``triangular_join``), and the dual of the join needs only the reduction
-pass of the HNF (``triangular_dual_basis``).
+floating point anywhere.  There are three eliminations, one job each.
+Back-substitution solves upper-triangular systems: every scaled inverse
+and lattice solve of an HNF basis or join.  The Smith normal form
+S = U*M*V, with its transforms, serves any other square matrix, as
+M^-1 = V*S^-1*U.  A transform-free column HNF names the canonical basis
+of a lattice (``lattice_basis``).  Two triangular row bases are joined by
+a top-down merge (``triangular_join``), and the dual of the join needs
+only the reduction pass of the HNF (``triangular_dual_basis``).
+Determinants are fraction-free (Bareiss); there is no rational
+elimination.
 
-One solver: every scaled inverse and lattice solve ends in integer
-upper-triangular back-substitution.  An upper-triangular input (every HNF
-basis) goes there directly; any other square input is first brought to its
-column HNF H = M*U, and the solution for H is mapped back through the
-unimodular U.  There is no rational elimination.
-
-HNF convention used throughout the package: for a matrix of full column
-rank, H = M*U is column-echelon with the pivot of each column strictly
-below the pivot of the previous one, pivots positive, and every entry to
-the right of a pivot reduced into [0, pivot).  For square nonsingular
-input this makes H upper triangular.  Two generating sets spanning the
+HNF convention used throughout the package: for generators spanning a
+full-rank lattice, the basis H is column-echelon with the pivot of each
+column strictly below the pivot of the previous one, pivots positive, and
+every entry to the right of a pivot reduced into [0, pivot).  For a square
+basis this makes H upper triangular.  Two generating sets spanning the
 same column lattice produce the identical H.
 """
 
@@ -211,13 +209,7 @@ def _column_combine(rows, j_keep, j_kill, i):
         row[j_kill] = ag * cl - bg * ck
 
 
-def _live_rows(h, u, i):
-    """The rows a column operation of step i changes: rows 0..i of h,
-    below which every column it combines is zero, and all of u."""
-    return h[:i + 1] if u is None else h[:i + 1] + u
-
-
-def _reduce_right(h, u, pivots):
+def _reduce_right(h, pivots):
     """The reduction pass of a column HNF: every entry right of a pivot
     (i, j), bottom pivot first, into [0, pivot) by subtracting multiples
     of column j, which is zero below row i."""
@@ -230,25 +222,22 @@ def _reduce_right(h, u, pivots):
             q = row_i[j2] // p
             if q:
                 if live is None:
-                    live = _live_rows(h, u, i)
+                    live = h[:i + 1]
                 for row in live:
                     row[j2] -= q * row[j]
 
 
-def _hnf_core(m, accumulate):
+def _hnf_core(m):
     """Column-style HNF on a list-of-lists copy.
 
-    Returns (h, u, pivots) where pivots is a list of (row, col) pairs from
-    bottom to top and u is None unless transform accumulation was requested.
-    Rows are eliminated bottom-up; when row i is reached every column left
-    of the boundary is zero below it, so each step touches only the live
-    rows (see ``_live_rows``).
+    Returns (h, pivots) where pivots is a list of (row, col) pairs from
+    bottom to top.  Rows are eliminated bottom-up; when row i is reached
+    every column left of the boundary is zero below it, so each column
+    operation of that step touches only rows 0..i.
     """
     nrows = len(m)
     ncols = len(m[0])
     h = [list(r) for r in m]
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)] \
-        if accumulate else None
     pivots = []
     boundary = ncols
     for i in range(nrows - 1, -1, -1):
@@ -260,32 +249,16 @@ def _hnf_core(m, accumulate):
         for j in range(target):
             if row_i[j]:
                 if live is None:
-                    live = _live_rows(h, u, i)
+                    live = h[:i + 1]
                 _column_combine(live, target, j, i)
         if row_i[target] < 0:
-            for row in live or _live_rows(h, u, i):
+            for row in live or h[:i + 1]:
                 row[target] = -row[target]
         if row_i[target] != 0:
             pivots.append((i, target))
             boundary -= 1
-    _reduce_right(h, u, pivots)
-    return h, u, pivots
-
-
-def hermite_normal_form(m):
-    """Column-style Hermite normal form.
-
-    Returns (H, U) with H = M*U, U unimodular, following the convention
-    documented in the module docstring.  Raises RankError when the columns
-    of M are linearly dependent.
-    """
-    if not isinstance(m, IntMatrix):
-        m = IntMatrix(m)
-    h, u, pivots = _hnf_core(m.rows, accumulate=True)
-    if len(pivots) < m.ncols:
-        raise RankError("matrix does not have full column rank")
-    return (IntMatrix._wrap(tuple(tuple(r) for r in h)),
-            IntMatrix._wrap(tuple(tuple(r) for r in u)))
+    _reduce_right(h, pivots)
+    return h, pivots
 
 
 def lattice_basis(columns, dim):
@@ -299,7 +272,7 @@ def lattice_basis(columns, dim):
     if not cols:
         raise RankError("no generators supplied")
     m = [[c[i] for c in cols] for i in range(dim)]
-    h, _, pivots = _hnf_core(m, accumulate=False)
+    h, pivots = _hnf_core(m)
     rank = len(pivots)
     if rank < dim:
         raise RankError("generators do not span a full-rank lattice")
@@ -368,7 +341,7 @@ def triangular_dual_basis(join, scalar):
     (``_reduce_right``) alone makes them the basis, with no gcd step.
     Raises ValueError when scalar * J^-1 is not integral."""
     h = [list(r) for r in scaled_inverse(join, scalar).rows]
-    _reduce_right(h, None, [(i, i) for i in range(len(h) - 1, -1, -1)])
+    _reduce_right(h, [(i, i) for i in range(len(h) - 1, -1, -1)])
     return IntMatrix._wrap(tuple(map(tuple, h)))
 
 
@@ -441,23 +414,15 @@ def smith_normal_form(m):
 
     for k in range(n):
         if s[k][k] == 0:
-            found = False
-            for i in range(k, n):
-                for j in range(k, n):
-                    if s[i][j] != 0:
-                        if i != k:
-                            s[k], s[i] = s[i], s[k]
-                            u[k], u[i] = u[i], u[k]
-                        if j != k:
-                            for mat in (s, v):
-                                for row in mat:
-                                    row[k], row[j] = row[j], row[k]
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
+            i, j = next(((i, j) for i in range(k, n) for j in range(k, n)
+                         if s[i][j]), (None, None))
+            if i is None:
                 raise SingularMatrixError("matrix is singular")
+            s[k], s[i] = s[i], s[k]
+            u[k], u[i] = u[i], u[k]
+            for mat in (s, v):
+                for row in mat:
+                    row[k], row[j] = row[j], row[k]
         clear_at(k)
 
     # Enforce the divisibility chain d_1 | d_2 | ... | d_n.
@@ -475,13 +440,11 @@ def smith_normal_form(m):
                 clear_at(k + 1)
                 changed = True
 
+    # Every pivot is nonzero: the search above raised on singular input.
     for k in range(n):
         if s[k][k] < 0:
-            for j in range(n):
-                s[k][j] = -s[k][j]
-                u[k][j] = -u[k][j]
-        if s[k][k] == 0:
-            raise SingularMatrixError("matrix is singular")
+            s[k] = [-x for x in s[k]]
+            u[k] = [-x for x in u[k]]
     return IntMatrix(s), IntMatrix(u), IntMatrix(v)
 
 
@@ -507,37 +470,38 @@ def _solve_upper_triangular(rows, col, last):
     return x
 
 
-def _triangular_form(m):
-    """Rows of an upper-triangular H with nonzero diagonal and a unimodular
-    U with H = M*U, for square M.  U is None when M is already upper
-    triangular (every HNF basis is); otherwise H is the column HNF of M."""
+def _upper_rows(m):
+    """The rows of the square ``m`` when upper triangular, else None;
+    SingularMatrixError on a zero pivot."""
     if not m.is_square():
         raise DimensionError("matrix must be square")
-    if m.is_upper_triangular():
-        h, u = m, None
-    else:
-        try:
-            h, u = hermite_normal_form(m)
-        except RankError:
-            raise SingularMatrixError("matrix is singular") from None
-    rows = h.rows
+    if not m.is_upper_triangular():
+        return None
+    rows = m.rows
     if any(rows[i][i] == 0 for i in range(len(rows))):
         raise SingularMatrixError("matrix is singular")
-    return rows, u
+    return rows
 
 
 def scaled_inverse(m, scalar):
     """Return scalar * M^{-1} as an IntMatrix.
 
     Raises SingularMatrixError on singular input and ValueError when the
-    scaled inverse is not integral.  The one solver is upper-triangular
-    back-substitution: any other input is first brought to its column HNF
-    H = M*U, and scalar * M^{-1} = U * (scalar * H^{-1}); U is unimodular,
-    so both sides are integral together.
+    scaled inverse is not integral.  An upper-triangular M is inverted by
+    back-substitution; any other through its Smith form S = U*M*V, as
+    scalar * M^{-1} = V * diag(scalar/d_j) * U, integral exactly when
+    every d_j divides scalar (U and V are unimodular).
     """
     if not isinstance(m, IntMatrix):
         m = IntMatrix(m)
-    rows, u = _triangular_form(m)
+    rows = _upper_rows(m)
+    if rows is None:
+        s, u, v = smith_normal_form(m)
+        scale = [divmod(scalar, s.entry(i, i)) for i in range(s.nrows)]
+        if any(r for _, r in scale):
+            raise ValueError("scaled inverse is not integral")
+        return v * IntMatrix([[q * x for x in row]
+                              for (q, _), row in zip(scale, u.rows)])
     n = len(rows)
     cols = []
     for j in range(n):
@@ -546,8 +510,7 @@ def scaled_inverse(m, scalar):
         if x is None:
             raise ValueError("scaled inverse is not integral")
         cols.append(x)
-    inv = IntMatrix._wrap(tuple(zip(*cols)))
-    return inv if u is None else u * inv
+    return IntMatrix._wrap(tuple(zip(*cols)))
 
 
 def lattice_solve(basis, vector):
@@ -555,20 +518,22 @@ def lattice_solve(basis, vector):
 
     ``basis`` must be square nonsingular (DimensionError, SingularMatrixError
     otherwise) and ``vector`` of length ``basis.nrows``.  An upper-triangular
-    basis (the canonical HNF case) is solved by back-substitution directly;
-    any other is brought to its column HNF H = basis*U first, and
-    x = U*y with H*y = vector.
-    """
-    rows, u = _triangular_form(basis)
-    n = len(rows)
+    basis (the canonical HNF case) is solved by back-substitution, any
+    other by its Smith form S = U*basis*V as x = V*S^-1*U*vector."""
+    rows = _upper_rows(basis)
+    if rows is None:
+        s, u, v = smith_normal_form(basis)
+    n = basis.nrows
     vector = list(vector)
     if len(vector) != n:
         raise DimensionError(
             f"vector has {len(vector)} coordinates, basis has {n} rows")
-    x = _solve_upper_triangular(rows, vector, n - 1)
-    if x is None or u is None:
-        return x
-    return list(u.apply_to_vector(x))
+    if rows is not None:
+        return _solve_upper_triangular(rows, vector, n - 1)
+    y = [divmod(a, s.entry(i, i))
+         for i, a in enumerate(u.apply_to_vector(vector))]
+    return None if any(r for _, r in y) else list(
+        v.apply_to_vector([q for q, _ in y]))
 
 
 class RationalVector:

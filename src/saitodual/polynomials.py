@@ -10,12 +10,13 @@ from __future__ import annotations
 import json
 import re
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from math import gcd, prod
 
 from .errors import (CoefficientWarning, PolynomialParseError, ShapeError,
                      SingularMatrixError)
-from .linalg import IntMatrix, determinant, scaled_inverse
+from .linalg import IntMatrix, determinant, smith_normal_form
 
 _INDEXED_NAME = re.compile(r"^([A-Za-z]+?)(\d+)$")
 
@@ -152,10 +153,10 @@ class WeightSystem:
 def canonical_weights(f):
     """Weight system of ``f``: the degree d = |det E| and the weights
     w = d*E^-1*1 = +-adj(E)*1 (Cramer's rule), neither depending on the
-    order of the monomials; the reduced system divides out the gcd."""
-    d = abs(f.det)
-    return _weight_system(
-        tuple(sum(row) for row in scaled_inverse(f.exponents, d).rows), d)
+    order of the monomials, read off the Smith form of E
+    (``smith_weights``); the reduced system divides out the gcd."""
+    s, u, v = smith_normal_form(f.exponents)
+    return smith_weights(u, v, [s.entry(i, i) for i in range(s.nrows)])
 
 
 def smith_weights(u, v, factors):
@@ -163,7 +164,7 @@ def smith_weights(u, v, factors):
     with diagonal ``factors``: d = d_1*...*d_n = |det E| and
     d*E^-1 = V*diag(d/d_j)*U, so w = d*E^-1*1 = V*diag(d/d_j)*(U*1),
     two matrix-vector products; those of the transposed side are
-    U^T*diag(d/d_j)*(V^T*1).  Equal to ``canonical_weights``."""
+    U^T*diag(d/d_j)*(V^T*1).  The package's one weight formula."""
     d = prod(factors)
     return _weight_system(v.apply_to_vector(
         [d // f * sum(row) for f, row in zip(factors, u.rows)]), d)
@@ -370,42 +371,26 @@ def _walk(rows, holders, i, j, loop):
         (j,) = [k for k, x in enumerate(rows[i]) if x and k != j]
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind, value, line, column):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
+# One lexical token: its kind ("ident", "int", "+", "*", "^" or "end"),
+# value, and 1-based line and column.
+_Token = namedtuple("_Token", "kind value line column")
 
 
 def _tokenize(text):
     tokens = []
-    line = 1
-    col = 1
+    line = col = 1
     i = 0
     while i < len(text):
         ch = text[i]
+        j = i + 1
         if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
+            line, col, i = line + 1, 1, j
             continue
         if ch.isalpha():
-            j = i
             while j < len(text) and text[j].isalnum():
                 j += 1
             tokens.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdecimal():
-            j = i
+        elif ch.isdecimal():
             while j < len(text) and text[j].isdecimal():
                 j += 1
             try:
@@ -414,18 +399,15 @@ def _tokenize(text):
                 raise PolynomialParseError(
                     f"integer of {j - i} digits is too long", line, col)
             tokens.append(_Token("int", value, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+*^":
+        elif ch in "+*^":
             tokens.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch == "-":
+        elif ch == "-":
             raise PolynomialParseError(
                 "negative exponents and coefficients are not allowed", line, col)
-        raise PolynomialParseError(f"unexpected character {ch!r}", line, col)
+        elif not ch.isspace():
+            raise PolynomialParseError(f"unexpected character {ch!r}", line, col)
+        col += j - i
+        i = j
     tokens.append(_Token("end", None, line, col))
     return tokens
 

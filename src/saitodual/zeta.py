@@ -56,9 +56,9 @@ an atom's are read off the Smith form of its presentation
 (``polynomials.smith_weights``).  So
 x1^2*x3 + x2^3 + x3^3 is the sum of x1^2*x3 + x3^3 and x2^3.  A record
 lists its block's contributing subsets (``_contributing_subsets``), which
-the block keeps (``_subsets_of``) for the report's entry count too; a
-transposed block reads its own off its partner's, as the complements of
-theirs (``_complement_subsets``).
+the block keeps (``_subsets_of``); a transposed block reads its own off
+its partner's, as the complements of theirs (``_complement_subsets``).
+A report's entries are counted without listing them (``_closed_count``).
 """
 
 from __future__ import annotations
@@ -75,8 +75,7 @@ from .groups import (GroupPresentation, SubgroupKey, _block_rows,
                      _direct_sum, _is_dual, _stacked, full_subgroup,
                      monodromy_element, symmetry_group)
 from .linalg import IntMatrix, determinant
-from .polynomials import (_blocks_of, decompose, direct_sum_weights,
-                          smith_weights)
+from .polynomials import _blocks_of, decompose
 
 
 # Most entries a zeta report is expanded to (``DualPair._entry_count``: one
@@ -345,15 +344,13 @@ def equivariant_zeta(f, group=None, atoms=None):
     composed from its blocks' (see ``groups._direct_sum``).  ``atoms`` is
     the ``AtomRecords`` of the batch; without one the call keeps its own.
     The blocks (``_blocks_of``) and, unless ``f`` has one, the weight
-    system composed from the blocks' are kept on ``f``."""
+    system of the presentation are kept on ``f``."""
     if atoms is None:
         atoms = AtomRecords()
     p = group if group is not None else _symmetry_group(f, atoms)
     records = _block_records(f, atoms, p)
     if f._weights is None:
-        f._weights = records[0].weights if len(records) == 1 else (
-            direct_sum_weights([r.weights for r in records],
-                               [block.cols for block in _blocks_of(f)]))
+        f._weights = p._weight_system()
     return ZetaReport(f, p, records)
 
 
@@ -458,9 +455,7 @@ def _block_records(f, atoms, group=None):
     a block of fewer than ``atoms.keep_below`` variables, kept there,
     over the presentation ``group``, that of ``f``, gives the block: all
     of it when ``f`` is one block, or its part when ``_symmetry_group``
-    composed it; else ``_block_presentation``.  A record reads its weights
-    off the Smith form of its presentation (``smith_weights``), unless
-    ``f`` is one block that has them already.  The blocks of ``f`` take
+    composed it; else ``_block_presentation``.  The blocks of ``f`` take
     the records' equal matrices, which the batch keeps anyway."""
     blocks = _blocks_of(f)
     single = len(blocks) == 1
@@ -474,10 +469,7 @@ def _block_records(f, atoms, group=None):
         if record is None:
             if q is None:
                 q = _block_presentation(e, atoms)
-            weights = (f._weights if single and f._weights is not None
-                       else smith_weights(*q._transforms(),
-                                          q.invariant_factors))
-            record = _atom_record(e, q, weights, _subsets_of(block), atoms)
+            record = _atom_record(e, q, _subsets_of(block), atoms)
             if e.nrows < atoms.keep_below:
                 atoms[e] = record
         records.append(record)
@@ -485,12 +477,13 @@ def _block_records(f, atoms, group=None):
     return tuple(records)
 
 
-def _atom_record(e, q, weights, subsets, atoms):
+def _atom_record(e, q, subsets, atoms):
     """The ``AtomRecord`` of the exponent block ``e`` over a presentation
-    ``q`` of its group, whose order d is the canonical degree of
-    ``weights``, from its contributing ``subsets``: the monodromy is the
-    element w/d, its scaled vector h the canonical weights w reduced mod
-    d, and its order the reduced degree.
+    ``q`` of its group, of order d, from its contributing ``subsets``: the
+    weights are read off the Smith form of ``q``
+    (``GroupPresentation._weight_system``), the monodromy is the element
+    w/d, its scaled vector h the canonical weights w reduced mod d, and
+    its order the reduced degree.
 
     G^I is read off the complementary block E[R', J] (module docstring):
     its scaled basis is d*e_i for i in I and (d/d_J)*A_J at J, for A_J
@@ -501,6 +494,7 @@ def _atom_record(e, q, weights, subsets, atoms):
     gives the second, so r = d/gcd(d, h_I)."""
     d = q.order
     n = e.nrows
+    weights = q._weight_system()
     h = tuple(w % d for w in weights.canonical_weights)
     units = [tuple(d if k == i else 0 for k in range(n)) for i in range(n)]
     kept = atoms.presentations
@@ -529,8 +523,7 @@ def _atom_record(e, q, weights, subsets, atoms):
 
 def _subsets_of(block):
     """The contributing subsets of a ``_Block``, listed on first use and
-    kept on it, so that counting a report's entries and making its record
-    list them once; a transposed block takes its partner's complements."""
+    kept on it; a transposed block takes its partner's complements."""
     if block.subsets is None:
         partner = block.partner
         block.subsets = (
@@ -567,34 +560,11 @@ def _contributing_subsets(e):
     matrix has more than |I| rows supported in |I| columns; conversely,
     if R has |I| rows, the columns off I meet only rows off R, so the
     matching puts m(I) = R.  The closed subsets are the unions of the
-    closures of single variables, so they are grown from the empty set
-    one closure at a time, at a cost that follows their number and not
-    2^n."""
+    closures of single variables (``_closure_masks``), so they are grown
+    from the empty set one closure at a time, at a cost that follows their
+    number and not 2^n."""
     n = e.nrows
-    rows = e.rows
-    owner = [None] * n  # owner[i]: the variable matched to row i
-    for j in range(n):
-        if rows[j][j] and owner[j] is None:
-            # A free diagonal row is an augmenting path of length one.
-            owner[j] = j
-        else:
-            _augment(rows, owner, j, set())
-    # Bit masks: each row's support, and the closure of each variable
-    # (Warshall's transitive closure from j -> support of row m(j)).
-    supports = []
-    for row in rows:
-        mask = 0
-        for k, x in enumerate(row):
-            if x:
-                mask |= 1 << k
-        supports.append(mask)
-    closure = [0] * n
-    for i, j in enumerate(owner):
-        closure[j] = supports[i]
-    for k in range(n):
-        for j in range(n):
-            if closure[j] >> k & 1:
-                closure[j] |= closure[k]
+    supports, closure = _closure_masks(e)
     closed = set()
     frontier = [0]
     while frontier:
@@ -613,6 +583,63 @@ def _contributing_subsets(e):
                        [i for i, s in enumerate(supports) if not s & ~mask]))
     keyed.sort()
     return [(subset, rows_in) for _, subset, rows_in in keyed]
+
+
+def _closure_masks(e):
+    """Bit masks of the invertible ``e``: the support of each row, and the
+    closure of each variable j, which holds j, under j -> support of row
+    m(j) (Kuhn's matching m, then Warshall's transitive closure)."""
+    n = e.nrows
+    rows = e.rows
+    owner = [None] * n  # owner[i]: the variable matched to row i
+    for j in range(n):
+        if rows[j][j] and owner[j] is None:
+            # A free diagonal row is an augmenting path of length one.
+            owner[j] = j
+        else:
+            _augment(rows, owner, j, set())
+    supports = [sum(1 << k for k, x in enumerate(row) if x) for row in rows]
+    closure = [0] * n
+    for i, j in enumerate(owner):
+        closure[j] = supports[i]
+    for k in range(n):
+        for j in range(n):
+            if closure[j] >> k & 1:
+                closure[j] |= closure[k]
+    return supports, closure
+
+
+def _closed_count(e):
+    """One more than the contributing subsets of the invertible ``e``, the
+    closed subsets with the empty one, counted without listing them.
+    count(U) counts the S within the open variables U that hold
+    closure(j) & U for each j in S: the product over the components of U
+    under j ~ k for k in closure(j), and for a connected U and x in it,
+    count(U - up(x)) + count(U - closure(x)), up(x) being the variables
+    whose closure holds x.  Memoized on U, it has at most as many leaves
+    as subsets, and about one per variable for stars and sums of
+    squares."""
+    _, closure = _closure_masks(e)
+    n = len(closure)
+    up = [sum(1 << j for j, c in enumerate(closure) if c >> k & 1)
+          for k in range(n)]
+    counts = {0: 1}
+
+    def count(u):
+        if u not in counts:
+            x = (u & -u).bit_length() - 1
+            part = frontier = u & -u
+            while frontier:  # the component of x
+                j = (frontier & -frontier).bit_length() - 1
+                frontier &= frontier - 1
+                grown = (closure[j] | up[j]) & u & ~part
+                part |= grown
+                frontier |= grown
+            counts[u] = (count(part) * count(u & ~part) if part != u
+                         else count(u & ~up[x]) + count(u & ~closure[x]))
+        return counts[u]
+
+    return count((1 << n) - 1)
 
 
 def _augment(rows, owner, j, seen):
@@ -696,8 +723,10 @@ class DualPair:
     dual G^T (the group of f^T), the monodromy element of f and each
     side's zeta report.  Each field is computed on first use and then
     shared; each side's weight system and blocks (``_blocks_of``) are
-    kept on ``f`` and ``ft``, where every library call reaches them, and
-    the blocks are split once per pair: ``ft`` takes those of ``f``
+    kept on ``f`` and ``ft``, where every library call reaches them.
+    ``group`` and ``group_t`` fill in the weights of their side from
+    their Smith forms (``GroupPresentation._weight_system``), and the
+    blocks are split once per pair: ``ft`` takes those of ``f``
     transposed, in the same order.  ``atoms`` is the ``AtomRecords`` of
     the batch the pair belongs to; without one the pair keeps its own."""
 
@@ -719,11 +748,17 @@ class DualPair:
 
     @cached_property
     def group(self):
-        return _symmetry_group(self.f, self.atoms)
+        p = _symmetry_group(self.f, self.atoms)
+        if self.f._weights is None:
+            self.f._weights = p._weight_system()
+        return p
 
     @cached_property
     def group_t(self):
-        return self.group.dual()
+        q = self.group.dual()
+        if self.ft._weights is None:
+            self.ft._weights = q._weight_system()
+        return q
 
     @cached_property
     def monodromy(self):
@@ -737,13 +772,13 @@ class DualPair:
     def report_t(self):
         return equivariant_zeta(self.ft, self.group_t, self.atoms)
 
-    def _entry_count(self, transposed=False):
-        """The number of entries of the zeta report of ``f`` (of ``ft``
-        when ``transposed``), the empty subset included: the product over
-        its blocks of one more than their contributing subsets, counted
-        with no record and no isotropy subgroup."""
-        f = self.ft if transposed else self.f
-        return prod(1 + len(_subsets_of(block)) for block in _blocks_of(f))
+    def _entry_count(self):
+        """The number of entries of the zeta report of ``f``, the empty
+        subset included, and of ``ft``, which has as many
+        (``_complement_subsets`` is a bijection): the product of its
+        blocks' ``_closed_count``, with no subset listed and no record."""
+        return prod(map(_closed_count,
+                        (block.matrix for block in _blocks_of(self.f))))
 
 
 def verify_zeta_duality(pair):

@@ -29,7 +29,7 @@ from saitodual.linalg import (IntMatrix, RationalVector, determinant,
                               lattice_basis, lattice_solve, scaled_inverse,
                               smith_normal_form, triangular_dual_basis,
                               triangular_join)
-from saitodual.polynomials import Atom, AtomicDecomposition
+from saitodual.polynomials import Atom, AtomicDecomposition, WeightSystem
 from saitodual.zeta import SubsetTerm, ZetaReport
 
 _elements_cache = {}
@@ -84,13 +84,15 @@ def _stabilizer_key(p, stab_vecs):
     return cached
 
 
-def orbit_decomposition(scope, points, act):
+def orbit_decomposition(scope, points, act, actions=None):
     """Decompose a finite scope-set into orbit classes.
 
-    ``act(g_scaled, point) -> point`` must implement the action.  Each
-    orbit is computed as the literal image of a representative under every
-    group element, which also yields the stabilizer in the same scan.
-    Returns the corresponding BurnsideElement over ``scope``.
+    ``act(g, point) -> point`` must implement the action, for g each of
+    ``actions``, by default the d-scaled elements of ``scope`` and
+    otherwise one per element, in their order (``scaled_elements``).
+    Each orbit is computed as the literal image of a representative under
+    every group element, which also yields the stabilizer in the same
+    scan.  Returns the corresponding BurnsideElement over ``scope``.
     """
     p = scope.presentation
     elements = scaled_elements(scope)
@@ -100,15 +102,73 @@ def orbit_decomposition(scope, points, act):
         start = remaining.pop()
         orbit = set()
         stab = []
-        for g in elements:
+        for g, vec in zip(elements if actions is None else actions,
+                          elements):
             y = act(g, start)
             orbit.add(y)
             if y == start:
-                stab.append(g)
+                stab.append(vec)
         remaining -= orbit
         stab_key = _stabilizer_key(p, stab)
         counts[stab_key] = counts.get(stab_key, 0) + 1
     return BurnsideElement(scope, counts)
+
+
+class _ScopeTable:
+    """The elements of a scope, indexed once in ``scaled_elements`` order,
+    and the cosets of each subgroup met (``cosets``): element i acts on a
+    coset c through the coset id of element i plus a member of c, with no
+    reduction.  ``add[i][j]``, the index of element i plus element j, is
+    tabulated when a product first asks, as it acts with every element on
+    many points; a restriction reads the table once a product has made
+    it, and otherwise adds on demand (``plus``), as a restriction of a
+    large scope acts on a few orbits only."""
+
+    def __init__(self, scope):
+        self.d = scope.presentation.order
+        self.elements = scaled_elements(scope)
+        self.index = {v: i for i, v in enumerate(self.elements)}
+        self._add = None
+        self._cosets = {}
+
+    def plus(self, vec, j):
+        """The index of the element ``vec`` plus element j."""
+        d = self.d
+        return self.index[tuple((a + b) % d
+                                for a, b in zip(vec, self.elements[j]))]
+
+    @property
+    def add(self):
+        if self._add is None:
+            self._add = [[self.plus(g, j) for j in range(len(self.elements))]
+                         for g in self.elements]
+        return self._add
+
+    def cosets(self, sub):
+        """(of, member) for a subgroup of the scope: the coset id of each
+        element, by one ``reduce_mod_basis`` each, and one element of
+        each coset."""
+        got = self._cosets.get(sub)
+        if got is None:
+            ids = {}
+            of = [ids.setdefault(reduce_mod_basis(v, sub.basis), len(ids))
+                  for v in self.elements]
+            member = [None] * len(ids)
+            for i, c in enumerate(of):
+                if member[c] is None:
+                    member[c] = i
+            got = self._cosets[sub] = (of, member)
+        return got
+
+
+_table_cache = {}
+
+
+def _scope_table(scope):
+    table = _table_cache.get(scope)
+    if table is None:
+        table = _table_cache[scope] = _ScopeTable(scope)
+    return table
 
 
 def _coset_action(basis):
@@ -118,7 +178,44 @@ def _coset_action(basis):
 
 
 def brute_multiply(scope, h, k):
-    """Orbit decomposition of the product of the coset spaces S/H x S/K."""
+    """Orbit decomposition of the product of the coset spaces S/H x S/K,
+    acted on through the addition table of S (``_ScopeTable``)."""
+    table = _scope_table(scope)
+    of_h, member_h = table.cosets(h)
+    of_k, member_k = table.cosets(k)
+    points = [(x, y) for x in range(len(member_h))
+              for y in range(len(member_k))]
+
+    def act(row, point):
+        return of_h[row[member_h[point[0]]]], of_k[row[member_k[point[1]]]]
+
+    return orbit_decomposition(scope, points, act, table.add)
+
+
+def brute_restrict(a, sub):
+    """Orbit decomposition of each term's coset space under the subgroup
+    action, summed with coefficients, on the coset ids of the scope
+    (``_ScopeTable``)."""
+    table = _scope_table(a.scope)
+    add = table._add
+    if add is None:
+        actions, plus = None, table.plus
+    else:
+        actions = [add[table.index[v]] for v in scaled_elements(sub)]
+        plus = list.__getitem__
+    out = BurnsideElement(sub)
+    for h, c in a.terms.items():
+        of, member = table.cosets(h)
+        piece = orbit_decomposition(sub, range(len(member)),
+                                    lambda g, x: of[plus(g, member[x])],
+                                    actions)
+        out = out + c * piece
+    return out
+
+
+def per_action_multiply(scope, h, k):
+    """``brute_multiply`` with one reduction per action: the check of
+    the table-driven oracle."""
     reps_h = coset_space(scope, h)
     reps_k = coset_space(scope, k)
     act_h = _coset_action(h.basis)
@@ -131,9 +228,9 @@ def brute_multiply(scope, h, k):
     return orbit_decomposition(scope, points, act)
 
 
-def brute_restrict(a, sub):
-    """Orbit decomposition of each term's coset space under the subgroup
-    action, summed with coefficients."""
+def per_action_restrict(a, sub):
+    """``brute_restrict`` with one reduction per action: the check of the
+    table-driven oracle."""
     out = BurnsideElement(sub)
     for h, c in a.terms.items():
         points = coset_space(a.scope, h)
@@ -432,6 +529,17 @@ def fraction_scaled_inverse(m, scalar):
             row.append(val.numerator)
         out.append(row)
     return IntMatrix(out)
+
+
+def fraction_weights(e):
+    """The weight system of the exponent matrix ``e`` with no Smith form:
+    the degree d = |det E| (Bareiss) and the weights, the row sums of
+    d*E^-1 (``fraction_scaled_inverse``), with their gcd divided out in
+    the reduced system."""
+    d = abs(determinant(e))
+    weights = tuple(sum(row) for row in fraction_scaled_inverse(e, d).rows)
+    c = gcd(*weights)
+    return WeightSystem(weights, d, c, tuple(w // c for w in weights), d // c)
 
 
 def fraction_lattice_solve(basis, vector):

@@ -17,8 +17,11 @@ from saitodual.polynomials import parse_polynomial
 from saitodual.zeta import (AtomRecords, DualPair, equivariant_zeta,
                             verify_zeta_duality)
 
+import oracles
+from conftest import distinct_groups
 from oracles import (brute_element_zeta, brute_mark, brute_multiply,
-                     brute_restrict, induce)
+                     brute_restrict, induce, per_action_multiply,
+                     per_action_restrict)
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +157,34 @@ class TestRestrict:
         scoped = BurnsideElement.unit(small)
         with pytest.raises(OwnershipError):
             restrict(scoped, full_subgroup(z12))
+
+
+class TestTableOracles:
+    def test_tables_match_per_action_oracles(self, batch45, monkeypatch):
+        # The brute-force products and restrictions act on coset ids,
+        # with no reduction per action; the per-action reductions they
+        # replaced agree on every pair of subgroups of every corpus group
+        # of order at most 24, both sides.  Restrictions are checked
+        # before the products tabulate the scope's addition and after.
+        monkeypatch.setattr(oracles, "_table_cache", {})
+        groups = distinct_groups(batch45, max_order=24)
+        pairs = checked = 0
+        for p in groups:
+            scope = full_subgroup(p)
+            subs = enumerate_subgroups(p)
+            orbits = [BurnsideElement.orbit(scope, h) for h in subs]
+            restrictions = [per_action_restrict(a, k)
+                            for a in orbits for k in subs]
+            assert restrictions == [brute_restrict(a, k)
+                                    for a in orbits for k in subs]
+            for h, k in itertools.combinations_with_replacement(subs, 2):
+                assert brute_multiply(scope, h, k) == \
+                    per_action_multiply(scope, h, k)
+                pairs += 1
+            assert restrictions == [brute_restrict(a, k)
+                                    for a in orbits for k in subs]
+            checked += len(restrictions)
+        assert (len(groups), pairs, checked) == (220, 14575, 27259)
 
 
 class TestInduce:

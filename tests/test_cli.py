@@ -171,10 +171,10 @@ def squares(n):
 
 
 class TestReportBound:
-    """`zeta` and `dual` read a report's entry count off its blocks'
-    contributing subsets and, above ``MAX_REPORT_ENTRIES``, report only
-    the count, with exit 4 and one `note:` line, before either report or
-    any block's record is built."""
+    """`zeta` and `dual` count a report's entries off its blocks' closed
+    subsets, with none listed, and above ``MAX_REPORT_ENTRIES`` report
+    only the count, with exit 4 and one `note:` line, before either
+    report or any block's record is built."""
 
     @pytest.mark.parametrize("n", [14, 16])
     def test_refused_with_count(self, capsys, monkeypatch, n):
@@ -214,6 +214,24 @@ class TestReportBound:
             assert json.loads(out)["result"]["entryCount"] == 12288
         assert calls == []
 
+    @pytest.mark.parametrize("n, count", [(22, 2_097_153),
+                                          (40, 549_755_813_889)])
+    def test_wide_star_is_refused_at_once(self, capsys, monkeypatch, n,
+                                          count):
+        # The star x1^2 + x1*x2^2 + ... + x1*xn^2 is one block with
+        # 2^(n-1) + 1 entries on each side: both commands count them with
+        # no subset listed.
+        listed = []
+        monkeypatch.setattr(zeta, "_contributing_subsets", listed.append)
+        text = " + ".join(["x1^2"] + [f"x1*x{i}^2" for i in range(2, n + 1)])
+        for command in ("zeta", "dual"):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, command, text, "--json")
+            assert time.perf_counter() - start < 1
+            assert (code, err.count("note:")) == (4, 1)
+            assert json.loads(out)["result"]["entryCount"] == count
+        assert listed == []
+
     def test_bound_is_inclusive(self, capsys, monkeypatch):
         # Three squares have 8 entries, four have 16.  A refused report
         # has the fields of a built one and its count.
@@ -229,9 +247,9 @@ class TestReportBound:
             assert set(refused) == set(built) | {"entryCount"}
 
     def test_subsets_are_listed_once_per_block(self, capsys, monkeypatch):
-        # The entry count and the records of the star's one block and of
-        # its transpose share one listing of its contributing subsets: the
-        # transposed block takes their complements.
+        # The records of the star's one block and of its transpose share
+        # one listing of its contributing subsets: the transposed block
+        # takes their complements, and the entry count lists none.
         calls = []
         real = zeta._contributing_subsets
         monkeypatch.setattr(zeta, "_contributing_subsets",
@@ -245,7 +263,7 @@ class TestReportBound:
         # The 12-variable `dual` and `zeta` that CI runs: 4,096 entries
         # on each side; no polynomial of at most 12 variables has more.
         pair = DualPair(parse_polynomial(squares(12)))
-        assert pair._entry_count() == pair._entry_count(True) == 2 ** 12
+        assert pair._entry_count() == 2 ** 12
         assert 2 ** 12 <= MAX_REPORT_ENTRIES < 2 ** 13
 
 

@@ -10,7 +10,7 @@ blocks and the transposed side's contributing subsets read off the
 complements of the direct side's, checked against the
 searches, root lists, join closure, rational elimination, rational
 element arithmetic, dual lattices, whole-matrix Smith forms, full subset
-loop, ``element_zeta``, ``canonical_weights``, whole-matrix dual
+loop, ``element_zeta``, ``Fraction`` weights, whole-matrix dual
 subgroups, dual-lattice HNFs, inverses of C*B, lattice solves,
 ``isotropy_subgroup``, ``_coset_order`` and subset listings they
 replaced (kept in ``oracles`` or in the package): over the whole
@@ -59,7 +59,8 @@ from oracles import (RationalElement, ambient_quotient_data, brute_roots,
                      coordinate_roots, cramer_weights,
                      direct_equivariant_zeta, divisor_coset_order,
                      element_mismatches, fraction_lattice_solve,
-                     fraction_scaled_inverse, hnf_meet, inverse_dual,
+                     fraction_scaled_inverse, fraction_weights, hnf_meet,
+                     inverse_dual,
                      join_closure_subgroups, kernel_dual_all_pairs,
                      listed_root_zeta, meet_isotropy,
                      product_pairing_is_dual, reference_generators,
@@ -213,15 +214,16 @@ def composed_fact_mismatches(rep):
     differ from the forms they replaced: the classical zeta from
     ``element_zeta`` of the monodromy (of a fresh copy of the polynomial,
     so its weights are not the composed ones) on the equivariant zeta,
-    the polynomial's weights from ``canonical_weights``, and each audit
-    key's carried order from a fresh ``SubgroupKey``."""
+    the polynomial's weights from the ``Fraction`` oracle
+    (``fraction_weights``), and each audit key's carried order from a
+    fresh ``SubgroupKey``."""
     f, p = rep.polynomial, rep.group
     fresh = InvertiblePolynomial(f.exponents)
     bad = []
     if rep.classical != element_zeta(monodromy_element(fresh, p),
                                      rep.equivariant):
         bad.append("classical")
-    if f.weights != canonical_weights(fresh):
+    if f.weights != fraction_weights(fresh.exponents):
         bad.append("weights")
     for t in rep.subset_terms:
         if t.isotropy.order != SubgroupKey(p, t.isotropy.basis).order:
@@ -406,16 +408,16 @@ def label_test_counts(pairs):
 def smith_weight_mismatches(record):
     """Where the weights of an atom record, and those read off the Smith
     form of its presentation and of that presentation's dual
-    (``smith_weights``), differ from ``canonical_weights`` of its block
-    and of the block's transpose."""
+    (``smith_weights``), differ from the ``Fraction`` oracle's
+    (``fraction_weights``) of its block and of the block's transpose."""
     q = record.presentation
-    block = InvertiblePolynomial(q.constraint)
+    e = q.constraint
     bad = []
-    if record.weights != canonical_weights(block):
+    if record.weights != fraction_weights(e):
         bad.append("record")
-    for side, g in ((q, block), (q.dual(), block.transpose())):
+    for side, g in ((q, e), (q.dual(), e.transpose())):
         if smith_weights(*side._transforms(), side.invariant_factors) != \
-                canonical_weights(g):
+                fraction_weights(g):
             bad.append(f"{side!r}")
     return bad
 
@@ -776,8 +778,8 @@ class TestCorpusDifferential:
                                                     batch55_ci):
         # Every atom record of both corpora, both sides: the weights read
         # off the Smith form of its presentation, and those of the
-        # presentation's dual, against ``canonical_weights`` of its block
-        # and of the block's transpose.
+        # presentation's dual, against the ``Fraction`` oracle's of its
+        # block and of the block's transpose.
         counts = []
         for batch in (batch45, batch55_ci):
             records = {id(r): r for _, _, rep in sides(batch)
@@ -1273,8 +1275,9 @@ class TestRandomMatrices:
             for record in rep._records:
                 assert smith_weight_mismatches(record) == []
         p = GroupPresentation(IntMatrix(rows))
+        oracle = fraction_weights(IntMatrix(rows))
         assert smith_weights(*p._transforms(), p.invariant_factors) == \
-            canonical_weights(InvertiblePolynomial(rows))
+            oracle == canonical_weights(InvertiblePolynomial(rows))
 
 
 class TestAtomComposition:

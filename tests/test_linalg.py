@@ -11,10 +11,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from saitodual.errors import DimensionError, RankError, SingularMatrixError
 from saitodual.linalg import (IntMatrix, RationalVector, _format_vectors,
                               determinant, extended_gcd, format_fractions,
-                              hermite_normal_form, invariant_factors,
-                              lattice_basis, lattice_solve, scaled_inverse,
-                              smith_normal_form, triangular_dual_basis,
-                              triangular_join)
+                              invariant_factors, lattice_basis, lattice_solve,
+                              scaled_inverse, smith_normal_form,
+                              triangular_dual_basis, triangular_join)
 
 from oracles import (laplace_determinant, lattice_basis_by_enumeration,
                      lattice_member, matrix_from_columns)
@@ -112,96 +111,82 @@ class TestDeterminant:
         assert determinant(m) == big * big - 1
 
 
-class TestHermiteNormalForm:
-    def test_identity(self):
-        h, u = hermite_normal_form(IntMatrix.identity(3))
-        assert h == IntMatrix.identity(3)
-        assert u == IntMatrix.identity(3)
+def column_hnf(m):
+    """The canonical basis of the column lattice of the square ``m``."""
+    return lattice_basis(m.columns(), m.nrows)
 
-    def test_transform_relation(self):
+
+class TestHermiteNormalForm:
+    """The HNF of a lattice, ``lattice_basis``: it keeps no transform."""
+
+    def test_identity(self):
+        assert column_hnf(IntMatrix.identity(3)) == IntMatrix.identity(3)
+
+    def test_spans_the_column_lattice(self):
+        # H and M hold each other's columns, so they span one lattice;
+        # M is not triangular, so its solves go through its Smith form.
         m = IntMatrix([[4, 2, 1], [0, 3, 5], [7, 1, 2]])
-        h, u = hermite_normal_form(m)
-        assert m * u == h
-        assert determinant(u) in (1, -1)
+        h = column_hnf(m)
+        assert all(lattice_member(h, c) for c in m.columns())
+        assert all(lattice_member(m, c) for c in h.columns())
+        assert determinant(h) == abs(determinant(m))
 
     def test_column_permutation_invariance(self):
-        h1, _ = hermite_normal_form(IntMatrix([[2, 0], [0, 1]]))
-        h2, _ = hermite_normal_form(IntMatrix([[0, 2], [1, 0]]))
+        h1 = column_hnf(IntMatrix([[2, 0], [0, 1]]))
+        h2 = column_hnf(IntMatrix([[0, 2], [1, 0]]))
         assert h1 == h2
 
     def test_convention(self):
         # Upper triangular, positive pivots, entries right of each pivot
         # reduced modulo the pivot.
-        m = IntMatrix([[9, 2], [0, 3]])
-        h, _ = hermite_normal_form(m)
-        assert h.is_upper_triangular()
-        for i in range(h.nrows):
-            assert h.entry(i, i) > 0
-            for j in range(i + 1, h.ncols):
-                assert 0 <= h.entry(i, j) < h.entry(i, i)
+        assert_column_hnf(column_hnf(IntMatrix([[9, 2], [0, 3]])))
 
     def test_against_enumeration_oracle(self):
         cols = [(9, 0), (2, 3)]
-        h, _ = hermite_normal_form(matrix_from_columns(cols))
+        h = lattice_basis(cols, 2)
         expected = lattice_basis_by_enumeration(cols, 2)
         assert h.to_lists() == expected
         assert determinant(h) == 27
 
     def test_idempotent(self):
-        m = IntMatrix([[6, 2, 1], [0, 4, 3], [0, 0, 5]])
-        h, _ = hermite_normal_form(m)
-        h2, _ = hermite_normal_form(h)
-        assert h2 == h
+        h = column_hnf(IntMatrix([[6, 2, 1], [0, 4, 3], [0, 0, 5]]))
+        assert column_hnf(h) == h
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankError):
-            hermite_normal_form(IntMatrix([[1, 2], [2, 4]]))
+            column_hnf(IntMatrix([[1, 2], [2, 4]]))
 
     @given(st.integers(1, 5).flatmap(lambda rows: st.tuples(
-        st.just(rows), st.integers(1, rows))), st.data())
+        st.just(rows), st.integers(rows, rows + 2))), st.data())
     @settings(max_examples=150, deadline=None)
     @example((3, 2), None)
-    def test_random_transform_relation(self, shape, data):
-        # A random rows x cols matrix, cols <= rows, of full column rank or
-        # not: H = M*U with U unimodular and H in the convention's echelon
-        # form, or RankError exactly when the columns are dependent.
+    def test_random_echelon_form(self, shape, data):
+        # The columns of a random rows x cols matrix, cols >= rows, of
+        # full row rank or not: H in the convention's echelon form,
+        # spanning their lattice, or RankError exactly when they do not
+        # span rank ``rows``.
         nrows, ncols = shape
         if data is None:
-            # The zero row between two pivots: the live rows skip it.
+            # A zero row: rank 2 in three dimensions.
             rows = [[2, 4], [0, 0], [3, 1]]
         else:
             entries = st.integers(-7, 7)
             rows = [[data.draw(entries) for _ in range(ncols)]
                     for _ in range(nrows)]
-            if ncols > 1 and data.draw(st.booleans()):
+            if data.draw(st.booleans()):
                 k = data.draw(st.integers(-2, 2))
-                for r in rows:
-                    r[-1] = r[0] * k
-        m = IntMatrix(rows)
+                rows[-1] = [x * k for x in rows[0]]
         cols = [list(c) for c in zip(*rows)]
-        rank_full = any(
-            laplace_determinant([[r[j] for j in range(ncols)]
-                                 for r in pick])
-            for pick in itertools.combinations(rows, ncols))
-        if not rank_full:
+        index = minors_gcd(cols, nrows)
+        if not index:
             with pytest.raises(RankError):
-                hermite_normal_form(m)
+                lattice_basis(cols, nrows)
             return
-        h, u = hermite_normal_form(m)
-        assert m * u == h
-        assert determinant(u) in (1, -1)
-        # Column echelon: the pivot of each column strictly below the
-        # previous one, positive, with the entries right of it reduced.
-        pivots = []
-        for j in range(ncols):
-            col = h.column(j)
-            i = max(r for r in range(nrows) if col[r])
-            assert col[i] > 0 and all(not x for x in col[i + 1:])
-            pivots.append(i)
-            for j2 in range(j + 1, ncols):
-                assert 0 <= h.entry(i, j2) < col[i]
-        assert pivots == sorted(set(pivots))
-        assert hermite_normal_form(matrix_from_columns(cols[::-1]))[0] == h
+        h = lattice_basis(cols, nrows)
+        assert_column_hnf(h)
+        assert determinant(h) == index
+        assert all(lattice_member(h, c) for c in cols)
+        assert lattice_basis(cols[::-1], nrows) == h
 
     @given(nonsingular_matrices(), st.lists(
         st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2),
@@ -224,7 +209,7 @@ class TestHermiteNormalForm:
             elif kind == 2:
                 cols[i] = [-a for a in cols[i]]
         m2 = matrix_from_columns(cols)
-        assert hermite_normal_form(m)[0] == hermite_normal_form(m2)[0]
+        assert column_hnf(m) == column_hnf(m2)
 
 
 class TestSmithNormalForm:

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 import saitodual
 from saitodual.burnside import (BurnsideElement, CyclotomicProduct,
                                 element_zeta, restrict, saito_dual)
-from saitodual import enumeration
+from saitodual import enumeration, linalg
 from saitodual.cli import main
 from saitodual.enumeration import generate_corpus, run_batch
 from saitodual.errors import DegenerateError, NonCyclicError
@@ -28,8 +28,8 @@ from saitodual.linalg import IntMatrix
 from saitodual.polynomials import (InvertiblePolynomial, _blocks_of,
                                    _components, parse_polynomial)
 from saitodual.zeta import (MAX_REPORT_ENTRIES, AtomRecords, DualPair,
-                            _complement_subsets, _contributing_subsets,
-                            _subsets_of,
+                            _closed_count, _complement_subsets,
+                            _contributing_subsets, _subsets_of,
                             classical_saito_dual, classical_zeta,
                             equivariant_zeta, milnor_number,
                             verify_root_duality, verify_zeta_duality)
@@ -164,6 +164,27 @@ class TestContributingSubsets:
         if len(blocks) == 1:
             assert _subsets_of(blocks[0].transpose()) == expected
             assert blocks[0].subsets == subsets
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_invertible())
+    @example([[2, 0, 1], [0, 3, 0], [0, 0, 3]])
+    @example([[2, 0, 0, 3], [0, 2, 0, 3], [0, 0, 0, 3], [0, 0, 2, 2]])
+    @example([[1]])
+    def test_count_matches_the_listing(self, rows):
+        # ``_closed_count`` counts the closed subsets, the empty one
+        # included, without listing them: on both sides.
+        e = IntMatrix(rows)
+        for g in (e, e.transpose()):
+            assert _closed_count(g) == 1 + len(_contributing_subsets(g))
+
+    def test_count_matches_the_listing_on_the_corpus(self, batch45):
+        # Every distinct block of both sides of the acceptance corpus.
+        blocks = {block.matrix for v in batch45.records
+                  for g in (v.polynomial, v.polynomial.transpose())
+                  for block in _components(g.exponents)}
+        assert len(blocks) == 874
+        assert all(_closed_count(e) == 1 + len(_contributing_subsets(e))
+                   for e in blocks)
 
     def test_chain_lists_only_its_suffixes(self):
         # x1^2*x2 + ... + x21^2*x22 + x22^2: 22 entries, not a loop over
@@ -516,14 +537,14 @@ class TestDualPair:
 
     def test_entry_count_is_read_off_the_records(self, monkeypatch):
         # One entry per contributing subset and one for the empty subset,
-        # on both sides of the (3,4) sums corpus; every count is read off
-        # the blocks' contributing subsets before any record or report is
-        # built.
+        # on both sides of the (3,4) sums corpus; every count is counted
+        # off the blocks' closures before any record or report is built,
+        # and equals the records' entries.
         corpus, _ = generate_corpus(3, 4, include_sums=True)
         unbuilt = 0
         for f in corpus:
             pair = DualPair(f)
-            counts = [pair._entry_count(), pair._entry_count(True)]
+            counts = [pair._entry_count()] * 2
             unbuilt += not pair.atoms and "report" not in vars(pair)
             assert counts == [len(rep.subset_terms) + 1
                               for rep in (pair.report, pair.report_t)]
@@ -564,14 +585,36 @@ class TestDualPair:
     def test_roots_command_computes_roots_once_per_side(self, monkeypatch):
         # `roots` lists the roots of f only, as the sorted vectors of
         # ``_root_vectors``; the transposed side enters the corollary
-        # through its zeta report, whose record reads its weights off the
-        # Smith form.  Only the parsed side runs ``canonical_weights``.
+        # through its zeta report.  Both sides' weights are read off the
+        # Smith form of the group: no side runs ``canonical_weights``.
         counts = count_calls(monkeypatch, "_root_vectors",
                              "canonical_weights")
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(["roots", "x^3*y + y^3*z + z^3*x", "--json"])
         assert code == 0
-        assert counts == {"_root_vectors": 1, "canonical_weights": 1}
+        assert counts == {"_root_vectors": 1, "canonical_weights": 0}
+
+    @pytest.mark.parametrize("command, text, factored", [
+        ("roots", "x^131*y + y^137*z + z^139*x", 1),
+        ("analyze", "x^2*y + y^2*z + z^2*w + w^3*x", 1),
+        # Its two blocks, then the whole matrix for the generators.
+        ("analyze", "x^2*y + y^3 + z^5", 3),
+    ])
+    def test_commands_factor_each_matrix_once(self, monkeypatch, command,
+                                              text, factored):
+        # The pair fills both sides' weights from the Smith forms of its
+        # group: no ``canonical_weights``, and no second Smith form of a
+        # matrix that has one.
+        counts = count_calls(monkeypatch, "canonical_weights")
+        factors = []
+        real = linalg.smith_normal_form
+        for module in (linalg, saitodual.groups, saitodual.polynomials):
+            monkeypatch.setattr(module, "smith_normal_form",
+                                lambda m: factors.append(m) or real(m))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, text, "--json"]) == 0
+        assert counts == {"canonical_weights": 0}
+        assert len(factors) == len(set(factors)) == factored
 
 
 class TestEdgeCaseInvertibles:
