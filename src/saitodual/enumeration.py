@@ -344,11 +344,14 @@ class PolynomialVerification:
 def verify_polynomial(f, atoms=None):
     """Run the zeta-duality check, and the root-duality check when the
     symmetry group is cyclic, on one shared DualPair; ``atoms`` is the
-    batch's ``zeta.AtomRecords``."""
+    batch's ``zeta.AtomRecords``.  Whether the group is cyclic is read off
+    the blocks' records (``DualPair._facts``), as both checks read them,
+    so a member whose checks pass builds no group of the sum, no
+    transpose and no zeta report."""
     pair = DualPair(f, atoms)
     theorem = verify_zeta_duality(pair)
     corollary = None
-    if pair.group.is_cyclic:
+    if pair._facts[0]:
         corollary = verify_root_duality(pair)
     return PolynomialVerification(f, theorem, corollary)
 
@@ -447,7 +450,10 @@ def run_batch(polynomials, workers=1, keep_records=False, truncated=False):
     The polynomials share one ``zeta.AtomRecords``, made for this call:
     one per worker process in a pool.  It keeps the record of each block
     smaller than the largest polynomial, which may be a summand of a
-    later one.  Nothing of it outlives the call."""
+    later one.  Nothing of it outlives the call.  A member whose checks
+    pass is decided on its blocks' records alone (``verify_polynomial``);
+    its zeta reports are built only for a failure entry, or on read of a
+    record kept by ``keep_records``."""
     if keep_records and workers > 1:
         raise ValueError("keep_records=True needs workers=1")
     report = BatchReport(total=len(polynomials), truncated=truncated,

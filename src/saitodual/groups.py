@@ -97,8 +97,8 @@ class GroupPresentation:
         is the sum of a_j times the generators V*e_j/d_j (of order d_j) for
         its SNF coordinates a = U*C*x; the d-scaled generators span d*L.
         A composed presentation passes its block ``parts`` instead of U
-        and V (see ``_transforms``), and its dual passes neither; the
-        ambient basis of each waits for its first read."""
+        and V (see ``_transforms``), and its dual passes neither.  No
+        ambient basis is computed here (see ``ambient_basis``)."""
         self._constraint = constraint
         self._order = prod(factors)
         self._factors = factors
@@ -106,8 +106,7 @@ class GroupPresentation:
         self._v = v
         self._gens = None
         self._parts = parts
-        self._ambient = None if u is None else lattice_basis(
-            self._scaled_gens().columns(), constraint.nrows)
+        self._ambient = None
         self._weights = None
         self._dual = dual
         self._full_key = None
@@ -136,14 +135,28 @@ class GroupPresentation:
 
     @property
     def ambient_basis(self):
-        """Canonical basis of the scaled ambient lattice d*L.  A composed
-        presentation and its dual read it off their blocks' on first use
-        (see ``_block_diagonal``)."""
+        """Canonical basis of the scaled ambient lattice d*L, computed on
+        first read and kept: the HNF of the scaled generators; for a
+        composed presentation and its dual read off their blocks' (see
+        ``_block_diagonal``); and at rank 1, where the constraint is
+        (+-d), Z itself."""
         if self._ambient is None:
-            self._ambient = _block_diagonal(
-                [(part.ambient_basis, part.order, cols)
-                 for part, cols, _ in self._block_parts()], self._order)
+            if self.rank == 1:
+                self._ambient = IntMatrix._wrap(((1,),))
+            elif self._composed():
+                self._ambient = _block_diagonal(
+                    [(part.ambient_basis, part.order, cols)
+                     for part, cols, _ in self._block_parts()], self._order)
+            else:
+                self._ambient = lattice_basis(self._scaled_gens().columns(),
+                                              self.rank)
         return self._ambient
+
+    def _composed(self):
+        """Whether this presentation, or the one it is the dual of, was
+        composed from its blocks' (``_direct_sum``)."""
+        return self._parts is not None or (self._dual is not None
+                                           and self._dual._parts is not None)
 
     def _block_parts(self):
         """(presentation, columns, rows) of each block of a composed
@@ -157,7 +170,7 @@ class GroupPresentation:
         presentation and its dual composed from their blocks'
         (``direct_sum_weights``), with no Smith form run."""
         if self._weights is None:
-            if self._u is None:
+            if self._composed():
                 parts = self._block_parts()
                 self._weights = direct_sum_weights(
                     [part._weight_system() for part, _, _ in parts],

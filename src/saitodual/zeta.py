@@ -15,7 +15,7 @@ A direct (Thom-Sebastiani) sum f = f1 + ... + fk, whose summands are the
 connected components of the exponent matrix in any order of its
 variables and monomials (``polynomials._blocks_of``), is assembled from
 its atoms by the product rule (Ebeling-Gusein-Zade, arXiv:1105.1964;
-Sebastiani-Thom, Invent. Math. 13, 1971).  Three facts factor over the
+Sebastiani-Thom, Invent. Math. 13, 1971).  Four facts factor over the
 atoms, and each atom's record (``AtomRecord``, computed once per batch:
 ``equivariant_zeta``'s ``atoms``) holds its share of each:
 
@@ -49,6 +49,16 @@ atoms, and each atom's record (``AtomRecord``, computed once per batch:
   complement R', and R' contributes for E^T; the supports of the two
   bases confirm each entry (``groups._is_dual``).  A single block is
   the case k = 1.
+- The root duality: G is cyclic exactly when each Ga is and the da are
+  pairwise coprime, the gcd of the canonical weights is
+  gcd((d/da)*ca) over the atoms' gcds ca, and the monodromy order is
+  the lcm of theirs (``_sum_facts``).
+
+So both checks of a pair read its blocks' records and nothing else
+(``DualPair.records`` and ``records_t``): a passing check builds no
+group of the sum, no dual group, no transposed polynomial and no zeta
+report, and its ``VerificationReport`` builds the pair's reports when
+first read.
 
 The canonical weights of the sum are those of its atoms scaled to the
 common degree d = d1*...*dk, (d/da)*wa at the variables of block a, and
@@ -348,7 +358,14 @@ def equivariant_zeta(f, group=None, atoms=None):
     if atoms is None:
         atoms = AtomRecords()
     p = group if group is not None else _symmetry_group(f, atoms)
-    records = _block_records(f, atoms, p)
+    blocks = _blocks_of(f)
+    if len(blocks) == 1:
+        given = [p]
+    elif p._parts:
+        given = [part for part, _, _ in p._parts]
+    else:
+        given = [None] * len(blocks)
+    records = _block_records(blocks, atoms, given)
     if f._weights is None:
         f._weights = p._weight_system()
     return ZetaReport(f, p, records)
@@ -450,20 +467,14 @@ def _block_presentation(e, atoms):
             else GroupPresentation(e))
 
 
-def _block_records(f, atoms, group=None):
-    """The records of the blocks of ``f``, from ``atoms`` or made and, for
-    a block of fewer than ``atoms.keep_below`` variables, kept there,
-    over the presentation ``group``, that of ``f``, gives the block: all
-    of it when ``f`` is one block, or its part when ``_symmetry_group``
-    composed it; else ``_block_presentation``.  The blocks of ``f`` take
-    the records' equal matrices, which the batch keeps anyway."""
-    blocks = _blocks_of(f)
-    single = len(blocks) == 1
-    given = [None] * len(blocks)
-    if group is not None and (single or group._parts):
-        given = [group] if single else [part for part, _, _ in group._parts]
+def _block_records(blocks, atoms, presentations):
+    """The records of ``blocks``, from ``atoms`` or made and, for a block
+    of fewer than ``atoms.keep_below`` variables, kept there, over the
+    block's presentation in ``presentations``, or ``_block_presentation``
+    where that is None.  The blocks take the records' equal matrices,
+    which the batch keeps anyway."""
     records = []
-    for block, q in zip(blocks, given):
+    for block, q in zip(blocks, presentations):
         e = block.matrix
         record = atoms.get(e)
         if record is None:
@@ -618,28 +629,40 @@ def _closed_count(e):
     count(U - up(x)) + count(U - closure(x)), up(x) being the variables
     whose closure holds x.  Memoized on U, it has at most as many leaves
     as subsets, and about one per variable for stars and sums of
-    squares."""
+    squares.  The masks wait on an explicit stack, so no block is too
+    long for the interpreter's recursion limit."""
     _, closure = _closure_masks(e)
     n = len(closure)
     up = [sum(1 << j for j, c in enumerate(closure) if c >> k & 1)
           for k in range(n)]
     counts = {0: 1}
-
-    def count(u):
-        if u not in counts:
+    splits = {}  # U: (whether the parts multiply, the two parts)
+    whole = (1 << n) - 1
+    stack = [whole]
+    while stack:
+        u = stack[-1]
+        if u in counts:
+            stack.pop()
+            continue
+        if u not in splits:
             x = (u & -u).bit_length() - 1
             part = frontier = u & -u
-            while frontier:  # the component of x
+            while frontier and part != u:  # the component of x
                 j = (frontier & -frontier).bit_length() - 1
                 frontier &= frontier - 1
                 grown = (closure[j] | up[j]) & u & ~part
                 part |= grown
                 frontier |= grown
-            counts[u] = (count(part) * count(u & ~part) if part != u
-                         else count(u & ~up[x]) + count(u & ~closure[x]))
-        return counts[u]
-
-    return count((1 << n) - 1)
+            splits[u] = ((True, part, u & ~part) if part != u
+                         else (False, u & ~up[x], u & ~closure[x]))
+        product, a, b = splits[u]
+        if a in counts and b in counts:
+            stack.pop()
+            counts[u] = (counts[a] * counts[b] if product
+                         else counts[a] + counts[b])
+        else:
+            stack += [v for v in (a, b) if v not in counts]
+    return counts[whole]
 
 
 def _augment(rows, owner, j, seen):
@@ -671,16 +694,26 @@ def classical_saito_dual(phi):
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one duality check; ``witness`` carries the difference
-    when the two sides disagree.  A passing zeta-duality check keeps no
-    sides of its own: both are the transposed side's reduced zeta,
+    when the two sides disagree.  Its zeta reports are those of the
+    check's ``DualPair``: ``lhs_report`` that of the transposed side and
+    ``rhs_report`` that of f, built when first read, as a passing check
+    reads only the blocks' records.  A passing zeta-duality check keeps
+    no sides of its own: both are the transposed side's reduced zeta,
     ``lhs_report.reduced``, built when first read."""
 
     kind: str  # "theorem" | "corollary"
     equal: bool
     witness: object = None
-    lhs_report: ZetaReport = None
-    rhs_report: ZetaReport = None
+    _pair: object = field(default=None, repr=False, compare=False)
     _sides: tuple = field(default=None, repr=False, compare=False)
+
+    @property
+    def lhs_report(self):
+        return None if self._pair is None else self._pair.report_t
+
+    @property
+    def rhs_report(self):
+        return None if self._pair is None else self._pair.report
 
     @property
     def lhs(self):
@@ -701,11 +734,9 @@ class VerificationReport:
             "equal": self.equal,
             "witness": self.witness,
         }
-        if include_reports:
-            if self.lhs_report is not None:
-                out["lhsReport"] = self.lhs_report.to_json()
-            if self.rhs_report is not None:
-                out["rhsReport"] = self.rhs_report.to_json()
+        if include_reports and self._pair is not None:
+            out["lhsReport"] = self.lhs_report.to_json()
+            out["rhsReport"] = self.rhs_report.to_json()
         return out
 
     @staticmethod
@@ -719,16 +750,24 @@ class VerificationReport:
 
 
 class DualPair:
-    """The Berglund-Hubsch pair (f, f^T): the symmetry group G of f and its
-    dual G^T (the group of f^T), the monodromy element of f and each
-    side's zeta report.  Each field is computed on first use and then
-    shared; each side's weight system and blocks (``_blocks_of``) are
-    kept on ``f`` and ``ft``, where every library call reaches them.
-    ``group`` and ``group_t`` fill in the weights of their side from
-    their Smith forms (``GroupPresentation._weight_system``), and the
-    blocks are split once per pair: ``ft`` takes those of ``f``
-    transposed, in the same order.  ``atoms`` is the ``AtomRecords`` of
-    the batch the pair belongs to; without one the pair keeps its own."""
+    """The Berglund-Hubsch pair (f, f^T): the ``AtomRecord`` of each block
+    of f (``records``) and of each block's transpose (``records_t``), the
+    symmetry group G of f and its dual G^T (the group of f^T), the
+    monodromy element of f and each side's zeta report.  Each field is
+    computed on first use and then shared.
+
+    Both duality checks read only the records when they pass: neither
+    composes G, dualizes it, transposes f or builds a zeta report
+    (``verify_zeta_duality``, ``verify_root_duality``).  ``report`` and
+    ``report_t`` are ``ZetaReport``s over the same records, for whatever
+    reads them.  Each side's weight system and blocks (``_blocks_of``) are
+    kept on ``f`` and ``ft``, where every library call reaches them:
+    ``group`` and ``group_t`` fill in the weights of their side from their
+    Smith forms (``GroupPresentation._weight_system``), and the blocks are
+    split once per pair, ``ft`` taking those of ``f`` transposed, in the
+    same order, that ``records_t`` read.  ``atoms`` is the
+    ``AtomRecords`` of the batch the pair belongs to; without one the pair
+    keeps its own."""
 
     def __init__(self, f, atoms=None):
         self.f = f
@@ -737,14 +776,45 @@ class DualPair:
 
     @cached_property
     def atoms(self):
-        """The atom records both zeta reports read (see
-        ``equivariant_zeta``): a batch's, or this pair's own."""
+        """The atom records both sides read (see ``_block_records``): a
+        batch's, or this pair's own."""
         return AtomRecords()
 
     @cached_property
+    def records(self):
+        """The record of each block of ``f``, in order, from ``atoms`` or
+        made: over ``group`` when ``f`` is one block, else over
+        ``_block_presentation``, so no group of the sum is composed."""
+        blocks = _blocks_of(self.f)
+        return _block_records(blocks, self.atoms,
+                              [self.group] if len(blocks) == 1
+                              else [None] * len(blocks))
+
+    @cached_property
+    def records_t(self):
+        """The record of each block's transpose, in the order of
+        ``records``, from ``atoms`` or made over the ``dual()`` of its
+        partner record's presentation, with no second Smith form."""
+        return _block_records(self._blocks_t, self.atoms,
+                              [record.presentation.dual()
+                               for record in self.records])
+
+    @cached_property
+    def _facts(self):
+        """``_sum_facts`` of ``records``: whether G is cyclic, and what
+        the root duality reads on the side of ``f``."""
+        return _sum_facts(self.records)
+
+    @cached_property
+    def _blocks_t(self):
+        """The blocks of ``f`` transposed, in order: those of ``ft``."""
+        return tuple(block.transpose() for block in _blocks_of(self.f))
+
+    @cached_property
     def ft(self):
-        _blocks_of(self.f)
-        return self.f.transpose()
+        t = self.f.transpose()
+        t._blocks = self._blocks_t
+        return t
 
     @cached_property
     def group(self):
@@ -766,11 +836,11 @@ class DualPair:
 
     @cached_property
     def report(self):
-        return equivariant_zeta(self.f, self.group, self.atoms)
+        return ZetaReport(self.f, self.group, self.records)
 
     @cached_property
     def report_t(self):
-        return equivariant_zeta(self.ft, self.group_t, self.atoms)
+        return ZetaReport(self.ft, self.group_t, self.records_t)
 
     def _entry_count(self):
         """The number of entries of the zeta report of ``f``, the empty
@@ -786,22 +856,23 @@ def verify_zeta_duality(pair):
     polynomial equals (-1)^n times the duality transform of the reduced
     equivariant zeta function of the polynomial itself.
 
-    The check first decides on the blocks and builds no product form and
-    no subgroup key (``_dual_by_blocks``).  Otherwise both elements and
-    the transform are built and compared, so a dual the blocks' maps miss
-    costs time but never decides the verdict; a failing check keeps them
-    for the report and its witness."""
-    rep, rep_t = pair.report, pair.report_t
+    The check first decides on the pair's records, block by block
+    (``_dual_by_blocks``): it builds no group of the sum, no transpose of
+    the polynomial, no zeta report, no product form and no subgroup key,
+    and a passing report builds the pair's zeta reports when first read.
+    Otherwise both elements and the transform are built and compared, so
+    a dual the blocks' maps miss costs time but never decides the
+    verdict; a failing check keeps them for the report and its
+    witness."""
     sign = -1 if pair.f.nvars % 2 else 1
-    if not _dual_by_blocks(rep._records, rep_t._records, sign):
-        lhs = rep_t.reduced
-        rhs = sign * saito_dual(rep.reduced)
+    if not _dual_by_blocks(pair.records, pair.records_t, sign):
+        lhs = pair.report_t.reduced
+        rhs = sign * saito_dual(pair.report.reduced)
         if lhs != rhs:
             return VerificationReport("theorem", False,
                                       {"difference": (lhs - rhs).to_json()},
-                                      rep_t, rep, (lhs, rhs))
-    return VerificationReport("theorem", True, lhs_report=rep_t,
-                              rhs_report=rep)
+                                      pair, (lhs, rhs))
+    return VerificationReport("theorem", True, _pair=pair)
 
 
 def _dual_by_blocks(records, records_t, sign):
@@ -843,33 +914,51 @@ def _dual_by_blocks(records, records_t, sign):
     return lead_t == sign * lead
 
 
-def generating_root_exists(report):
+def _sum_facts(records):
+    """(cyclic, d, c, modulus) of the sum of the blocks of ``records``,
+    read off the records with no group composed.  Its group
+    G = G_1 x ... x G_k is cyclic exactly when each G_a is and their
+    orders d_a are pairwise coprime, lcm(d_a) = prod(d_a): the invariant
+    factors of the blocks then merge into the one factor d
+    (``groups._chain_factors``), and otherwise two of them share a prime.
+    d = d_1*...*d_k is its order, c = gcd_a((d/d_a)*c_a) the gcd of its
+    canonical weights, those of the blocks scaled as
+    ``direct_sum_weights`` scales them, and the modulus the order of its
+    monodromy (``_modulus``)."""
+    orders = [record.presentation.order for record in records]
+    d = prod(orders)
+    cyclic = lcm(*orders) == d and all(record.presentation.is_cyclic
+                                       for record in records)
+    c = gcd(*(d // order * record.weights.gcd_factor
+              for order, record in zip(orders, records)))
+    return cyclic, d, c, _modulus(records)
+
+
+def generating_root_exists(c, d, modulus):
     """Whether c*g = h has a solution g generating the cyclic group G of
-    the report, with c the gcd of the canonical weights and h the
-    monodromy element.  In G = Z/d with h = t, such a g has
-    gcd(t, d) = gcd(c*g, d) = gcd(c, d), and conversely; gcd(t, d) is
-    d / ord(h), and ord(h) is the lcm of the blocks' monodromy orders
-    (``_modulus``), with no product form expanded."""
-    d = report.group.order
-    c = report.polynomial.weights.gcd_factor
-    return gcd(c, d) == d // _modulus(report._records)
+    order ``d``, with ``c`` the gcd of the canonical weights and h the
+    monodromy element, of order ``modulus``.  In G = Z/d with h = t, such
+    a g has gcd(t, d) = gcd(c*g, d) = gcd(c, d), and conversely;
+    gcd(t, d) is d / ord(h)."""
+    return gcd(c, d) == d // modulus
 
 
-def generating_root_zeta(report):
+def generating_root_zeta(records, d):
     """Zeta function of a generating root on the reduced zeta
-    sum c_H [G/H] of the report's cyclic group G of order d: a generator
-    permutes G/H in one cycle of length |G/H|, so every generating root
-    gives prod (1 - t^(d/|H|))^(c_H), with modulus d.  As a term's
-    coefficient and index are products of its blocks' (``_product_form``),
-    the exponents convolve the blocks' merged coefficients by index."""
+    sum c_H [G/H] of the sum of the blocks of ``records``, whose group G
+    is cyclic of order ``d``: a generator permutes G/H in one cycle of
+    length |G/H|, so every generating root gives
+    prod (1 - t^(d/|H|))^(c_H), with modulus d.  As a term's coefficient
+    and index are products of its blocks' (``_product_form``), the
+    exponents convolve the blocks' merged coefficients by index."""
     exponents = {1: -1}
-    for record in report._records:
+    for record in records:
         product = {}
         for index, c in exponents.items():
             for _, bc, _, bi in record.merged:
                 product[index * bi] = product.get(index * bi, 0) + c * bc
         exponents = product
-    return CyclotomicProduct(report.group.order, exponents)
+    return CyclotomicProduct(d, exponents)
 
 
 def verify_root_duality(pair):
@@ -879,32 +968,35 @@ def verify_root_duality(pair):
     reduced zeta function of a generating root on the original side.
     Requires a cyclic symmetry group.
 
-    No root is listed.  On each side, with c the gcd of the canonical
-    weights and ord(h) the modulus of the classical zeta, a generating
-    root exists exactly when gcd(c, d) == d // ord(h)
+    No root is listed, and only the pair's records are read
+    (``_sum_facts``): a passing check builds no group of the sum, no
+    transpose and no zeta report, and its report builds the pair's when
+    first read.  On each side, with c the gcd of the canonical weights
+    and ord(h) the modulus of the classical zeta, a generating root
+    exists exactly when gcd(c, d) == d // ord(h)
     (``generating_root_exists``), and its zeta function on the reduced
     zeta sum c_H [G/H] is prod (1 - t^(d/|H|))^(c_H)
     (``generating_root_zeta``).  Listing the roots would cost
     prod_j gcd(c, o_j) elements over the invariant factors o_j (see
     ``groups.root_count``)."""
-    p = pair.group
-    if not p.is_cyclic:
+    cyclic, d, c, modulus = pair._facts
+    if not cyclic:
         raise NonCyclicError(
             "geometric roots require a cyclic symmetry group; invariant "
-            f"factors are {p.invariant_factors}")
-    rep, rep_t = pair.report, pair.report_t
-    if not (generating_root_exists(rep) and generating_root_exists(rep_t)):
+            f"factors are {pair.group.invariant_factors}")
+    _, _, c_t, modulus_t = _sum_facts(pair.records_t)
+    if not (generating_root_exists(c, d, modulus)
+            and generating_root_exists(c_t, d, modulus_t)):
         raise NonCyclicError("no generating geometric roots exist")
-    lhs = generating_root_zeta(rep_t)
-    rhs = classical_saito_dual(generating_root_zeta(rep))
+    lhs = generating_root_zeta(pair.records_t, d)
+    rhs = classical_saito_dual(generating_root_zeta(pair.records, d))
     if pair.f.nvars % 2 == 0:
         rhs = rhs.inverse()
     equal = lhs == rhs
     witness = None
     if not equal:
         witness = {"ratio": (lhs / rhs).to_json()}
-    return VerificationReport("corollary", equal, witness, rep_t, rep,
-                              (lhs, rhs))
+    return VerificationReport("corollary", equal, witness, pair, (lhs, rhs))
 
 
 def milnor_number(f):

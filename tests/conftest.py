@@ -5,8 +5,8 @@ import time
 import pytest
 from hypothesis import assume, strategies as st
 
-from saitodual import (InvertiblePolynomial, determinant, generate_corpus,
-                       run_batch)
+from saitodual import (DualPair, InvertiblePolynomial, determinant,
+                       generate_corpus, run_batch)
 
 ACCEPTANCE_RESULTS = []
 
@@ -51,6 +51,17 @@ def distinct_groups(batch, max_order):
             if p.order <= max_order and p.constraint not in seen:
                 seen[p.constraint] = p
     return list(seen.values())
+
+
+def pair_over(side, side_t):
+    """A ``DualPair`` of the polynomial of the zeta report ``side`` that
+    holds the records of ``side`` and ``side_t``, those of its blocks and
+    of their transposes, and those two reports: both checks read the
+    records, and a report or a failure entry reads the reports."""
+    pair = DualPair(side.polynomial)
+    pair.records, pair.records_t = side._records, side_t._records
+    pair.report, pair.report_t = side, side_t
+    return pair
 
 
 def permuted(f, rng):

@@ -30,7 +30,7 @@ from saitodual.linalg import (IntMatrix, RationalVector, determinant,
                               smith_normal_form, triangular_dual_basis,
                               triangular_join)
 from saitodual.polynomials import Atom, AtomicDecomposition, WeightSystem
-from saitodual.zeta import SubsetTerm, ZetaReport
+from saitodual.zeta import SubsetTerm, ZetaReport, _closure_masks
 
 _elements_cache = {}
 _coset_cache = {}
@@ -1034,3 +1034,31 @@ def term_verdict(rep, rep_t, sign):
     get = terms_t.get
     return all(get(tuple(m[i] for m, i in zip(maps, combo))) == sign * c
                for combo, c in terms.items())
+
+
+def recursive_closed_count(e):
+    """``zeta._closed_count`` as it was before it kept its masks on an
+    explicit stack: the same split rule and memo on the mask, one
+    recursion level per split, so a block of about a thousand variables
+    exceeds the interpreter's recursion limit."""
+    _, closure = _closure_masks(e)
+    n = len(closure)
+    up = [sum(1 << j for j, c in enumerate(closure) if c >> k & 1)
+          for k in range(n)]
+    counts = {0: 1}
+
+    def count(u):
+        if u not in counts:
+            x = (u & -u).bit_length() - 1
+            part = frontier = u & -u
+            while frontier:  # the component of x
+                j = (frontier & -frontier).bit_length() - 1
+                frontier &= frontier - 1
+                grown = (closure[j] | up[j]) & u & ~part
+                part |= grown
+                frontier |= grown
+            counts[u] = (count(part) * count(u & ~part) if part != u
+                         else count(u & ~up[x]) + count(u & ~closure[x]))
+        return counts[u]
+
+    return count((1 << n) - 1)

@@ -18,7 +18,7 @@ from saitodual.zeta import (AtomRecords, DualPair, equivariant_zeta,
                             verify_zeta_duality)
 
 import oracles
-from conftest import distinct_groups
+from conftest import distinct_groups, pair_over
 from oracles import (brute_element_zeta, brute_mark, brute_multiply,
                      brute_restrict, induce, per_action_multiply,
                      per_action_restrict)
@@ -334,9 +334,9 @@ class TestIsSaitoDualLargeBuckets:
         negated.merged = ((rows, -c, r, index), other)
         atoms = AtomRecords()
         atoms[record.presentation.constraint] = negated
-        pair.report_t = equivariant_zeta(pair.ft, pair.group_t, atoms)
-        assert not verify_zeta_duality(pair).equal
-        assert transform != -pair.report_t.reduced
+        side_t = equivariant_zeta(pair.ft, pair.group_t, atoms)
+        assert not verify_zeta_duality(pair_over(rep, side_t)).equal
+        assert transform != -side_t.reduced
 
 
 class TestElementZeta:

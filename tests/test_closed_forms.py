@@ -49,12 +49,13 @@ from saitodual.polynomials import (InvertiblePolynomial, _blocks_of,
                                    _components, canonical_weights,
                                    parse_polynomial, smith_weights)
 from saitodual.zeta import (AtomRecords, DualPair, _complement_subsets,
-                            _contributing_subsets, _symmetry_group,
-                            equivariant_zeta,
+                            _contributing_subsets, _modulus, _sum_facts,
+                            _symmetry_group, equivariant_zeta,
                             generating_root_exists, generating_root_zeta,
                             verify_zeta_duality)
 
-from conftest import distinct_groups, permuted, sparse_invertible
+from conftest import (distinct_groups, pair_over, permuted,
+                      sparse_invertible)
 from oracles import (RationalElement, ambient_quotient_data, brute_roots,
                      coordinate_roots, cramer_weights,
                      direct_equivariant_zeta, divisor_coset_order,
@@ -67,6 +68,39 @@ from oracles import (RationalElement, ambient_quotient_data, brute_roots,
                      solve_contains, solve_contains_element, term_verdict,
                      triangular_contains, triangular_contains_element,
                      triangular_dual, triangular_meet, with_generators)
+
+
+def root_closed_forms(rep):
+    """(whether a generating root exists, its zeta function) on the side
+    of the zeta report ``rep`` of a cyclic group, by the closed forms the
+    root duality reads off the side's records."""
+    _, d, c, modulus = _sum_facts(rep._records)
+    return (generating_root_exists(c, d, modulus),
+            generating_root_zeta(rep._records, d))
+
+
+def sum_fact_mismatches(pair):
+    """Where the facts the root duality reads off each side's records
+    (``_sum_facts``: cyclicity, order, gcd factor of the weights and
+    monodromy modulus) differ from a fresh Smith form of that side's
+    whole matrix, from its weights (``canonical_weights``, another Smith
+    form of it) and from its zeta report: the modulus is both the lcm of
+    the report's blocks' monodromy orders and the reduced degree.  The
+    composed group of ``f`` and its dual must agree too."""
+    bad = []
+    sides = ((pair.f, pair.records, pair.report, pair.group),
+             (pair.ft, pair.records_t, pair.report_t, pair.group_t))
+    for g, records, report, composed in sides:
+        fresh = symmetry_group(g)
+        weights = canonical_weights(g)
+        oracle = (fresh.is_cyclic, fresh.order, weights.gcd_factor,
+                  weights.reduced_degree)
+        if _sum_facts(records) != oracle:
+            bad.append(f"facts of {g.text()}")
+        if (composed.is_cyclic, composed.order) != oracle[:2] or (
+                g.weights.gcd_factor, _modulus(report._records)) != oracle[2:]:
+            bad.append(f"composed {g.text()}")
+    return bad
 
 
 def sides(batch45):
@@ -141,7 +175,7 @@ def quotient_data_mismatches(f, p):
         bad.append("subgroups")
     if p.is_cyclic:
         rep = equivariant_zeta(f, p)
-        phi = generating_root_zeta(rep)
+        phi = generating_root_zeta(rep._records, p.order)
         if not (burnside_from_cyclotomic(phi, p)
                 == burnside_from_cyclotomic(phi, old) == rep.reduced):
             bad.append("burnside_from_cyclotomic")
@@ -363,9 +397,7 @@ def label_map_counts(pairs):
                     dual_map = record.dual_map(partner)
                     merged += len(dual_map)
                     missed += dual_map.count(None)
-                pair = DualPair(side.polynomial)
-                pair.report, pair.report_t = side, other
-                assert verify_zeta_duality(pair).equal
+                assert verify_zeta_duality(pair_over(side, other)).equal
     return merged, missed, built.call_count
 
 
@@ -449,8 +481,7 @@ def verdict_counts(batch):
         rep, rep_t = record.theorem.rhs_report, record.theorem.lhs_report
         sign = -1 if rep.polynomial.nvars % 2 else 1
         for side_t in (rep_t, negated(rep_t)):
-            pair = DualPair(rep.polynomial)
-            pair.report, pair.report_t = rep, side_t
+            pair = pair_over(rep, side_t)
             oracle = side_t.reduced == sign * saito_dual(rep.reduced)
             checked += 1
             holds += oracle
@@ -626,10 +657,18 @@ class TestCorpusDifferential:
                 continue
             checked += 1
             oracle = listed_root_zeta(rep)
-            exists = generating_root_exists(rep)
+            exists, phi = root_closed_forms(rep)
             mismatches += (exists != (oracle is not None)
-                           or exists and generating_root_zeta(rep) != oracle)
+                           or exists and phi != oracle)
         assert (checked, mismatches) == (1664, 0)
+
+    def test_sum_facts_match_the_composed_group(self, batch45):
+        # Every corpus member, both sides: what the root duality reads
+        # off the blocks' records, against the group, weights and report
+        # of the whole polynomial.  The records are those the batch made.
+        mismatches = [bad for v in batch45.records
+                      for bad in sum_fact_mismatches(v.theorem._pair)]
+        assert (len(batch45.records), mismatches) == (1576, [])
 
     def test_root_count_matches_listing(self, batch45):
         # Every corpus group, both sides; 12 non-cyclic sides have roots.
@@ -971,6 +1010,15 @@ def block_sums(draw):
     return block_sum(blocks)
 
 
+@st.composite
+def sparse_sums(draw):
+    """A direct sum of one to three ``sparse_invertible`` blocks on at
+    most 9 variables, in order."""
+    blocks = draw(st.lists(sparse_invertible(), min_size=1, max_size=3))
+    assume(sum(map(len, blocks)) <= 9)
+    return block_sum(blocks)
+
+
 # One atom cache that every composition example shares, as a batch does
 # whose largest polynomial has 7 variables.
 BATCH_ATOMS = AtomRecords(7)
@@ -1208,8 +1256,9 @@ class TestRandomMatrices:
         if p.is_cyclic:
             rep = equivariant_zeta(f, p)
             oracle = listed_root_zeta(rep)
-            assert generating_root_exists(rep) == (oracle is not None)
-            assert generating_root_zeta(rep) == oracle or oracle is None
+            exists, phi = root_closed_forms(rep)
+            assert exists == (oracle is not None)
+            assert phi == oracle or oracle is None
 
     @settings(max_examples=200, deadline=None)
     @given(small_groups())
@@ -1262,6 +1311,21 @@ class TestRandomMatrices:
         for side, other in ((rep, rep_t), (rep_t, rep)):
             assert dual_map_mismatches(side, other) == (
                 len(side.reduced.terms), 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_sums(), st.randoms(use_true_random=False))
+    # Z4 + Z4 (x^2*y + y^2 twice): cyclic blocks, not a cyclic sum.
+    @example(block_sum([((2, 1), (0, 2))] * 2), random.Random(0))
+    # x, with a trivial group, beside the 3-loop of order 9.
+    @example(block_sum([((1,),), ((2, 1, 0), (0, 2, 1), (1, 0, 2))]),
+             random.Random(1))
+    def test_sum_facts_match_the_composed_group(self, f, rng):
+        # Sums of up to three invertible blocks, their variables and
+        # monomials shuffled, over a fresh record cache and over one a
+        # batch shares.
+        g = permuted(f, rng)
+        for atoms in (None, BATCH_ATOMS):
+            assert sum_fact_mismatches(DualPair(g, atoms)) == []
 
     @settings(max_examples=150, deadline=None)
     @given(sparse_invertible())

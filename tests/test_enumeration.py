@@ -2,6 +2,7 @@
 build-key-dedup procedure and the old list-and-sort, closed-form counts,
 the spec bound, selection before building, determinism, batch engine."""
 
+import copy
 import itertools
 import json
 import multiprocessing
@@ -15,11 +16,14 @@ from saitodual import enumeration
 from saitodual.enumeration import (MAX_CORPUS_SPECS, Corpus,
                                    CorpusBoundError, _necklaces, atom_specs,
                                    build_polynomial, canonical_matrix_key,
-                                   chain_matrix, corpus_counts,
-                                   generate_corpus, loop_matrix, run_batch)
+                                   _failure_entry, chain_matrix,
+                                   corpus_counts, generate_corpus,
+                                   loop_matrix, run_batch)
 from saitodual.linalg import IntMatrix, determinant
 from saitodual.polynomials import (InvertiblePolynomial, _components,
                                    decompose)
+from saitodual.zeta import (AtomRecords, DualPair, verify_root_duality,
+                            verify_zeta_duality)
 
 from oracles import (brute_necklaces, dedup_corpus, list_combinations,
                      list_corpus)
@@ -29,6 +33,31 @@ from oracles import (brute_necklaces, dedup_corpus, list_combinations,
 FLAGS = [dict(include_sums=sums, include_chains=chains, include_loops=loops)
          for sums, chains, loops in itertools.product([False, True],
                                                       repeat=3)]
+
+
+def in_process_pool(monkeypatch):
+    """Replace the process pool by one that runs its tasks in this
+    process, so no process is started; returns the list of the process
+    counts asked for."""
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, processes, initializer, initargs):
+            asked.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, task, positions, chunksize):
+            return list(map(task, positions))
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(enumeration, "_worker_task", None)
+    return asked
 
 
 def matrices(corpus):
@@ -409,24 +438,7 @@ class TestRunBatch:
         # batch of one chunk or none runs serially.  The pool is replaced
         # by one that runs its tasks in this process, so no process is
         # started.
-        asked = []
-
-        class InProcessPool:
-            def __init__(self, processes, initializer, initargs):
-                asked.append(processes)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, task, positions, chunksize):
-                return list(map(task, positions))
-
-        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-        monkeypatch.setattr(enumeration, "_worker_task", None)
+        asked = in_process_pool(monkeypatch)
         corpus, _ = generate_corpus(2, 4, include_sums=True)
         assert len(corpus) == 24
         members = corpus[:size]
@@ -434,6 +446,53 @@ class TestRunBatch:
         assert asked == ([] if processes is None else [processes])
         assert report.to_json() == run_batch(members).to_json()
         assert report.total == size
+
+    def test_failing_block_fails_every_member_that_holds_it(
+            self, monkeypatch):
+        # The batch's record of the chain x^2*y + y^3 is a copy with one
+        # merged coefficient negated, as one block's record is perturbed
+        # in test_zeta's test_failing_check_reports_the_transform.  The
+        # zeta duality fails for exactly the members with that block on
+        # either side, each failure entry is the one their reports give when built
+        # before either check (the cyclicity read off the whole group),
+        # and a pool writes the same bytes.
+        block = chain_matrix((2, 3))
+        (record,) = DualPair(InvertiblePolynomial(block)).records
+        perturbed = copy.copy(record)
+        (rows, c, r, index), *rest = record.merged
+        perturbed.merged = ((rows, -c, r, index), *rest)
+
+        class Perturbed(AtomRecords):
+            def __init__(self, keep_below):
+                super().__init__(keep_below)
+                self[block] = perturbed
+
+        monkeypatch.setattr(enumeration, "AtomRecords", Perturbed)
+        corpus, _ = generate_corpus(3, 4, include_sums=True)
+        holders = [f.text() for f in corpus
+                   if block in {b.matrix for e in (f.exponents,
+                                                   f.exponents.transpose())
+                                for b in _components(e)}]
+        serial = run_batch(corpus)
+        assert serial.theorem_fail == len(holders) == 4
+        assert [entry["polynomial"] for entry in serial.failures
+                if entry["kind"] == "theorem"] == holders
+        atoms = Perturbed(corpus.nvars)
+        expected = []
+        for f in corpus:
+            pair = DualPair(f, atoms)
+            for rep in (pair.report, pair.report_t):
+                rep.to_json()
+            checks = [("theorem", verify_zeta_duality(pair))]
+            if pair.group.is_cyclic:
+                checks.append(("corollary", verify_root_duality(pair)))
+            expected += [_failure_entry(f, kind, check)
+                         for kind, check in checks if not check.equal]
+        assert serial.failures == expected
+        in_process_pool(monkeypatch)
+        pooled = run_batch(corpus, workers=2)
+        assert (json.dumps(pooled.to_json())
+                == json.dumps(serial.to_json()))
 
     def test_pool_workers_build_their_own_members(self, monkeypatch):
         # Workers take the corpus when they start and are sent positions:

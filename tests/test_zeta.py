@@ -20,10 +20,10 @@ from saitodual import enumeration, linalg
 from saitodual.cli import main
 from saitodual.enumeration import generate_corpus, run_batch
 from saitodual.errors import DegenerateError, NonCyclicError
-from saitodual.groups import (SubgroupKey, enumerate_subgroups,
-                              full_subgroup, monodromy_element,
-                              subgroup_generated_by, symmetry_group,
-                              trivial_subgroup)
+from saitodual.groups import (GroupPresentation, SubgroupKey,
+                              enumerate_subgroups, full_subgroup,
+                              monodromy_element, subgroup_generated_by,
+                              symmetry_group, trivial_subgroup)
 from saitodual.linalg import IntMatrix
 from saitodual.polynomials import (InvertiblePolynomial, _blocks_of,
                                    _components, parse_polynomial)
@@ -34,8 +34,8 @@ from saitodual.zeta import (MAX_REPORT_ENTRIES, AtomRecords, DualPair,
                             equivariant_zeta, milnor_number,
                             verify_root_duality, verify_zeta_duality)
 
-from conftest import sparse_invertible
-from oracles import direct_equivariant_zeta
+from conftest import pair_over, sparse_invertible
+from oracles import direct_equivariant_zeta, recursive_closed_count
 
 
 class TestEquivariantZeta:
@@ -172,10 +172,26 @@ class TestContributingSubsets:
     @example([[1]])
     def test_count_matches_the_listing(self, rows):
         # ``_closed_count`` counts the closed subsets, the empty one
-        # included, without listing them: on both sides.
+        # included, without listing them: on both sides, and as the
+        # recursive count it replaced gives it.
         e = IntMatrix(rows)
         for g in (e, e.transpose()):
-            assert _closed_count(g) == 1 + len(_contributing_subsets(g))
+            count = _closed_count(g)
+            assert count == 1 + len(_contributing_subsets(g))
+            assert count == recursive_closed_count(g)
+
+    @pytest.mark.parametrize("n", [1_200, 2_000])
+    def test_count_has_no_depth_limit(self, n):
+        # The star x1^2 + x1*x2^2 + ... + x1*xn^2 and the chain
+        # x1^2*x2 + ... + xn^2, past the interpreter's recursion limit.
+        star = IntMatrix._wrap(tuple(
+            tuple(2 if j == i else int(i > 0 and j == 0) for j in range(n))
+            for i in range(n)))
+        chain = IntMatrix._wrap(tuple(
+            tuple(2 if j == i else int(j == i + 1) for j in range(n))
+            for i in range(n)))
+        assert _closed_count(star) == 2 ** (n - 1) + 1
+        assert _closed_count(chain) == n + 1
 
     def test_count_matches_the_listing_on_the_corpus(self, batch45):
         # Every distinct block of both sides of the acceptance corpus.
@@ -305,8 +321,7 @@ class TestZetaDuality:
             rep, _records=rep._records[:last] + (record,))
         counts = count_calls(monkeypatch, "saito_dual")
         for side, side_t in ((rep, negated), (rep, dropped)):
-            pair.report, pair.report_t = side, side_t
-            report = verify_zeta_duality(pair)
+            report = verify_zeta_duality(pair_over(side, side_t))
             lhs = side_t.reduced
             transform = sign * saito_dual(side.reduced)
             assert not report.equal
@@ -320,8 +335,7 @@ class TestZetaDuality:
                         "rhsReport": side.to_json()}
             assert (json.dumps(report.to_json(include_reports=True))
                     == json.dumps(expected))
-        pair.report, pair.report_t = unpaired, rep_t
-        report = verify_zeta_duality(pair)
+        report = verify_zeta_duality(pair_over(unpaired, rep_t))
         assert report.equal and report.witness is None
         assert (json.dumps(report.to_json(include_reports=True))
                 == json.dumps(passing.to_json(include_reports=True)))
@@ -433,7 +447,17 @@ class TestDualPair:
         counts = count_calls(monkeypatch, "equivariant_zeta",
                              "symmetry_group", "smith_normal_form",
                              "canonical_weights", "geometric_roots",
-                             "element_zeta", "saito_dual", "_product_form")
+                             "element_zeta", "saito_dual", "_product_form",
+                             "_direct_sum", "direct_sum_weights",
+                             "ZetaReport")
+        transposed = []
+        transpose = InvertiblePolynomial.transpose
+        monkeypatch.setattr(InvertiblePolynomial, "transpose",
+                            lambda f: transposed.append(f) or transpose(f))
+        dualized = []
+        dual = GroupPresentation.dual
+        monkeypatch.setattr(GroupPresentation, "dual",
+                            lambda p: dualized.append(p) or dual(p))
         split = []
         monkeypatch.setattr(saitodual.polynomials, "_components",
                             lambda e, _split=_components:
@@ -443,16 +467,23 @@ class TestDualPair:
         # A generated polynomial carries its blocks, so none is split.
         assert split == []
         # The root duality is checked in closed form: no root is listed.
-        # Only a single block runs a Smith form; a sum's group is composed
-        # from its blocks', which are the records of single blocks.
-        assert counts == {"equivariant_zeta": 2 * len(corpus),
+        # Only a single block runs a Smith form, for its record; both
+        # checks read the records alone, so no member composes a group,
+        # transposes itself, composes weights or builds a zeta report,
+        # and only the blocks' presentations are dualized.
+        assert counts == {"equivariant_zeta": 0,
                           "symmetry_group": len(singles),
                           "smith_normal_form": len(singles),
                           "canonical_weights": 0,
                           "geometric_roots": 0,
                           "element_zeta": 0,
                           "saito_dual": 0,
-                          "_product_form": 0}
+                          "_product_form": 0,
+                          "_direct_sum": 0,
+                          "direct_sum_weights": 0,
+                          "ZetaReport": 0}
+        assert transposed == []
+        assert dualized and not any(p._composed() for p in dualized)
         # Parsed input splits once per pair: f^T takes f's transposed.
         parsed = [InvertiblePolynomial(f.exponents) for f in corpus]
         assert run_batch(parsed).to_json() == report.to_json()
@@ -465,7 +496,7 @@ class TestDualPair:
         # presentation builds a subgroup index.
         corpus, _ = generate_corpus(3, 4, include_sums=True)
         counts = count_calls(monkeypatch, "dual_subgroup", "saito_dual",
-                             "equivariant_zeta")
+                             "equivariant_zeta", "ZetaReport")
         keys = []
         wrap = SubgroupKey._wrap.__func__
         monkeypatch.setattr(SubgroupKey, "_wrap", classmethod(
@@ -473,7 +504,7 @@ class TestDualPair:
         report = run_batch(corpus, keep_records=True)
         assert report.ok and report.theorem_pass == len(corpus)
         assert counts == {"dual_subgroup": 0, "saito_dual": 0,
-                          "equivariant_zeta": 2 * len(corpus)}
+                          "equivariant_zeta": 0, "ZetaReport": 0}
         assert keys == []
         presentations = {id(r.presentation): r.presentation
                          for v in report.records
@@ -615,6 +646,20 @@ class TestDualPair:
             assert main([command, text, "--json"]) == 0
         assert counts == {"canonical_weights": 0}
         assert len(factors) == len(set(factors)) == factored
+
+    @pytest.mark.parametrize("command, bases", [
+        ("analyze", 0), ("roots", 2), ("dual", 2)])
+    def test_commands_compute_only_the_ambient_bases_they_read(
+            self, monkeypatch, command, bases):
+        # A presentation computes its ambient basis on first read.  On
+        # x^2*y + y^3 + z^5, `analyze` reads none; `roots` and `dual`
+        # read, in the records of both sides, those of the chain's block
+        # and of its transpose.  A rank-1 presentation's is Z, with no
+        # elimination, and a composed one's is read off its blocks'.
+        counts = count_calls(monkeypatch, "lattice_basis")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "x^2*y + y^3 + z^5", "--json"]) == 0
+        assert counts == {"lattice_basis": bases}
 
 
 class TestEdgeCaseInvertibles:
