@@ -40,6 +40,17 @@ class CyclotomicProduct:
         self._factors = {m: s for m, s in clean.items() if s}
         self._hash = None
 
+    @classmethod
+    def _wrap(cls, modulus, factors):
+        """Trusted constructor: ``modulus`` is a positive int and
+        ``factors`` a dict of int exponents keyed by positive divisors of
+        it; zero exponents are dropped."""
+        phi = object.__new__(cls)
+        phi._modulus = modulus
+        phi._factors = {m: s for m, s in factors.items() if s}
+        phi._hash = None
+        return phi
+
     @property
     def modulus(self):
         return self._modulus
@@ -69,8 +80,8 @@ class CyclotomicProduct:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        return CyclotomicProduct(self._modulus,
-                                 {m: s * k for m, s in self._factors.items()})
+        return CyclotomicProduct._wrap(
+            self._modulus, {m: s * k for m, s in self._factors.items()})
 
     def inverse(self):
         return self ** -1

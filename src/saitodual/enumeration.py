@@ -22,6 +22,12 @@ is refused (``CorpusBoundError``) before it is listed.  A ``Corpus`` builds
 the member at a rank when read, by bisecting a table of cumulative counts
 of multisets by first spec, one row per remaining size (``_Ranking``).
 ``--sample`` draws ranks and ``--limit`` keeps a prefix of them.
+
+``run_batch`` decides a corpus member from its specs: the atom records of
+each spec's block and of its transpose, made once per batch and kept in a
+table by spec (``_spec_records``), are all both duality checks read
+(``zeta._records_verdict``).  A member they pass is never built; one they
+do not decide is built and checked by ``verify_polynomial``.
 """
 
 from __future__ import annotations
@@ -37,8 +43,9 @@ from math import comb, gcd
 from .errors import ResourceBoundError
 from .linalg import IntMatrix, determinant
 from .polynomials import InvertiblePolynomial, _Block
-from .zeta import (AtomRecords, DualPair, _polynomial_head,
-                   verify_root_duality, verify_zeta_duality)
+from .zeta import (AtomRecords, DualPair, _pair_records, _polynomial_head,
+                   _records_verdict, verify_root_duality,
+                   verify_zeta_duality)
 
 # The most atom specs a corpus may have: its spec table and rank table are
 # held in memory.  (6,9) has 351,208 specs and (8,6) 551,849; (7,8) has
@@ -237,9 +244,12 @@ class Corpus(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return Corpus(self._ranking, self.ranks[i])
-        ranking = self._ranking
-        return build_polynomial(sorted(ranking.member(self.ranks[i]),
-                                       key=_atom_order), ranking.matrices)
+        return build_polynomial(sorted(self._specs(i), key=_atom_order),
+                                self._ranking.matrices)
+
+    def _specs(self, i):
+        """The block specs of member i, in spec order."""
+        return self._ranking.member(self.ranks[i])
 
     @property
     def nvars(self):
@@ -346,8 +356,10 @@ def verify_polynomial(f, atoms=None):
     symmetry group is cyclic, on one shared DualPair; ``atoms`` is the
     batch's ``zeta.AtomRecords``.  Whether the group is cyclic is read off
     the blocks' records (``DualPair._facts``), as both checks read them,
-    so a member whose checks pass builds no group of the sum, no
-    transpose and no zeta report."""
+    so a polynomial whose checks pass builds no group of the sum, no
+    transpose and no zeta report.  ``run_batch`` calls it only for a
+    member whose records do not decide it, or whose record it keeps: its
+    reports are those of the failure entries and of the kept records."""
     pair = DualPair(f, atoms)
     theorem = verify_zeta_duality(pair)
     corollary = None
@@ -404,9 +416,39 @@ class BatchReport:
                 "specCount": specs, "corpusSize": size}
 
 
+def _spec_records(atoms, spec):
+    """(record, record_t, nvars) of the block of ``spec``: the records of
+    the block and of its transpose (``zeta._pair_records``), and its
+    size.  Kept in ``atoms.specs`` below ``atoms.keep_below`` variables,
+    as the records are."""
+    entry = atoms.specs.get(spec)
+    if entry is None:
+        kind, ps = spec
+        e = (chain_matrix if kind == "chain" else loop_matrix)(ps)
+        entry = (*_pair_records(e, atoms), len(ps))
+        if len(ps) < atoms.keep_below:
+            atoms.specs[spec] = entry
+    return entry
+
+
 def _verify_task(polynomials, keep_record, atoms, i):
     """Verify polynomial ``i``: (theorem equal, corollary equal or None
-    when unchecked, failure entries, the record when ``keep_record``)."""
+    when unchecked, failure entries, the record when ``keep_record``).
+
+    Unless its record is kept, the member is first decided on its
+    blocks' records (see ``run_batch``); only one they do not decide is
+    built and run through ``verify_polynomial``."""
+    if not keep_record:
+        if isinstance(polynomials, Corpus):
+            records, records_t, sizes = zip(*(
+                _spec_records(atoms, spec) for spec in polynomials._specs(i)))
+            verdict = _records_verdict(records, records_t, sum(sizes))
+        else:
+            pair = DualPair(polynomials[i], atoms)
+            verdict = _records_verdict(pair.records, pair.records_t,
+                                       pair.f.nvars)
+        if verdict is not None:
+            return (*verdict, [], None)
     f = polynomials[i]
     v = verify_polynomial(f, atoms)
     failures = []
@@ -450,10 +492,16 @@ def run_batch(polynomials, workers=1, keep_records=False, truncated=False):
     The polynomials share one ``zeta.AtomRecords``, made for this call:
     one per worker process in a pool.  It keeps the record of each block
     smaller than the largest polynomial, which may be a summand of a
-    later one.  Nothing of it outlives the call.  A member whose checks
-    pass is decided on its blocks' records alone (``verify_polynomial``);
-    its zeta reports are built only for a failure entry, or on read of a
-    record kept by ``keep_records``."""
+    later one, and, for a ``Corpus``, the records of each such spec's
+    block and of its transpose by spec.  Nothing of it outlives the call.
+    Serial and pooled runs share one task (``_verify_task``): a member is
+    decided on its blocks' records alone, a ``Corpus`` member on its
+    specs' with no polynomial built and a listed one on its
+    ``DualPair``'s, by ``zeta._records_verdict``, the records-level steps
+    of both checks.  Only a member they do not decide (a dual the blocks'
+    maps miss, a failed check, no generating root) or whose record
+    ``keep_records`` keeps is built and run through ``verify_polynomial``,
+    so its failure entry or record is what that call gives."""
     if keep_records and workers > 1:
         raise ValueError("keep_records=True needs workers=1")
     report = BatchReport(total=len(polynomials), truncated=truncated,

@@ -58,7 +58,9 @@ So both checks of a pair read its blocks' records and nothing else
 (``DualPair.records`` and ``records_t``): a passing check builds no
 group of the sum, no dual group, no transposed polynomial and no zeta
 report, and its ``VerificationReport`` builds the pair's reports when
-first read.
+first read.  Their records-level steps, ``_dual_by_blocks`` and
+``_root_sides``, also decide a batch member given only its blocks'
+records (``_records_verdict``), with no polynomial or pair built.
 
 The canonical weights of the sum are those of its atoms scaled to the
 common degree d = d1*...*dk, (d/da)*wa at the variables of block a, and
@@ -85,7 +87,7 @@ from .groups import (GroupPresentation, SubgroupKey, _block_rows,
                      _direct_sum, _is_dual, _stacked, full_subgroup,
                      monodromy_element, symmetry_group)
 from .linalg import IntMatrix, determinant
-from .polynomials import _blocks_of, decompose
+from .polynomials import _Block, _blocks_of, decompose
 
 
 # Most entries a zeta report is expanded to (``DualPair._entry_count``: one
@@ -247,16 +249,20 @@ def _group_head(p):
 
 class AtomRecords(dict):
     """The atom records of one batch, keyed by exponent block (see
-    ``equivariant_zeta``), and the ``presentations`` of the complementary
-    blocks they read (see ``_atom_record``).  Either is kept for a block
-    of fewer than ``keep_below`` variables, and by default every one is.
-    A batch passes the size of its largest polynomial: no polynomial of it
+    ``equivariant_zeta``), the ``presentations`` of the complementary
+    blocks they read (see ``_atom_record``), and the ``specs`` table of a
+    batch over a corpus: (record, record_t, nvars) of each block spec, the
+    records of the block and of its transpose (``_pair_records``) and its
+    size (see ``enumeration.run_batch``).  Each is kept for a block of
+    fewer than ``keep_below`` variables, and by default every one is.  A
+    batch passes the size of its largest polynomial: no polynomial of it
     has a summand that large."""
 
     def __init__(self, keep_below=inf):
         super().__init__()
         self.keep_below = keep_below
         self.presentations = {}
+        self.specs = {}
 
 
 class AtomRecord:
@@ -392,7 +398,7 @@ def _product_form(records):
         terms[combo] = c
         indices.append(index)
         factors[r] = factors.get(r, 0) + c * (index // r)
-    return terms, indices, CyclotomicProduct(_modulus(records), factors)
+    return terms, indices, CyclotomicProduct._wrap(_modulus(records), factors)
 
 
 def _modulus(records):
@@ -486,6 +492,19 @@ def _block_records(blocks, atoms, presentations):
         records.append(record)
         block.matrix = record.presentation.constraint
     return tuple(records)
+
+
+def _pair_records(e, atoms):
+    """(record, record_t) of the block ``e``, on its own variables, and
+    of its transpose, as a ``DualPair`` of a sum holding it reads them:
+    from ``atoms`` or made (``_block_records``), the transpose's over the
+    ``dual()`` of the block's presentation."""
+    at = tuple(range(e.nrows))
+    block = _Block(e, at, at)
+    (record,) = _block_records((block,), atoms, (None,))
+    (record_t,) = _block_records((block.transpose(),), atoms,
+                                 (record.presentation.dual(),))
+    return record, record_t
 
 
 def _atom_record(e, q, subsets, atoms):
@@ -688,7 +707,8 @@ def classical_saito_dual(phi):
     """The classical duality transform with respect to the modulus d:
     each factor (1 - t^m)^s becomes (1 - t^(d/m))^(-s).  An involution."""
     d = phi.modulus
-    return CyclotomicProduct(d, {d // m: -s for m, s in phi.factors.items()})
+    return CyclotomicProduct._wrap(
+        d, {d // m: -s for m, s in phi._factors.items()})
 
 
 @dataclass(frozen=True)
@@ -958,7 +978,7 @@ def generating_root_zeta(records, d):
             for _, bc, _, bi in record.merged:
                 product[index * bi] = product.get(index * bi, 0) + c * bc
         exponents = product
-    return CyclotomicProduct(d, exponents)
+    return CyclotomicProduct._wrap(d, exponents)
 
 
 def verify_root_duality(pair):
@@ -969,34 +989,66 @@ def verify_root_duality(pair):
     Requires a cyclic symmetry group.
 
     No root is listed, and only the pair's records are read
-    (``_sum_facts``): a passing check builds no group of the sum, no
+    (``_root_sides``): a passing check builds no group of the sum, no
     transpose and no zeta report, and its report builds the pair's when
-    first read.  On each side, with c the gcd of the canonical weights
-    and ord(h) the modulus of the classical zeta, a generating root
-    exists exactly when gcd(c, d) == d // ord(h)
-    (``generating_root_exists``), and its zeta function on the reduced
-    zeta sum c_H [G/H] is prod (1 - t^(d/|H|))^(c_H)
-    (``generating_root_zeta``).  Listing the roots would cost
-    prod_j gcd(c, o_j) elements over the invariant factors o_j (see
-    ``groups.root_count``)."""
-    cyclic, d, c, modulus = pair._facts
-    if not cyclic:
+    first read.  Listing the roots would cost prod_j gcd(c, o_j) elements
+    over the invariant factors o_j (see ``groups.root_count``)."""
+    facts = pair._facts
+    if not facts[0]:
         raise NonCyclicError(
             "geometric roots require a cyclic symmetry group; invariant "
             f"factors are {pair.group.invariant_factors}")
-    _, _, c_t, modulus_t = _sum_facts(pair.records_t)
-    if not (generating_root_exists(c, d, modulus)
-            and generating_root_exists(c_t, d, modulus_t)):
+    sides = _root_sides(facts, pair.records, pair.records_t, pair.f.nvars)
+    if sides is None:
         raise NonCyclicError("no generating geometric roots exist")
-    lhs = generating_root_zeta(pair.records_t, d)
-    rhs = classical_saito_dual(generating_root_zeta(pair.records, d))
-    if pair.f.nvars % 2 == 0:
-        rhs = rhs.inverse()
+    lhs, rhs = sides
     equal = lhs == rhs
     witness = None
     if not equal:
         witness = {"ratio": (lhs / rhs).to_json()}
     return VerificationReport("corollary", equal, witness, pair, (lhs, rhs))
+
+
+def _root_sides(facts, records, records_t, nvars):
+    """(lhs, rhs) of the root duality of a polynomial on ``nvars``
+    variables whose group is cyclic, from the records of its blocks,
+    ``records``, with their ``_sum_facts`` ``facts``, and ``records_t``,
+    those of their transposes; None when a side has no generating root.
+    On each side, with c the gcd of the canonical weights and ord(h) the
+    modulus of the classical zeta, a generating root exists exactly when
+    gcd(c, d) == d // ord(h) (``generating_root_exists``), and its zeta
+    function on the reduced zeta sum c_H [G/H] is
+    prod (1 - t^(d/|H|))^(c_H) (``generating_root_zeta``).  lhs is that
+    of the transposed side, and rhs the ``classical_saito_dual`` of that
+    of the polynomial, inverted for even ``nvars``."""
+    _, d, c, modulus = facts
+    _, _, c_t, modulus_t = _sum_facts(records_t)
+    if not (generating_root_exists(c, d, modulus)
+            and generating_root_exists(c_t, d, modulus_t)):
+        return None
+    rhs = classical_saito_dual(generating_root_zeta(records, d))
+    return (generating_root_zeta(records_t, d),
+            rhs.inverse() if nvars % 2 == 0 else rhs)
+
+
+def _records_verdict(records, records_t, nvars):
+    """The verdicts of a polynomial on ``nvars`` variables as the records
+    of its blocks, ``records``, and of their transposes, ``records_t``,
+    decide them, with the records-level steps of ``verify_zeta_duality``
+    (``_dual_by_blocks``) and ``verify_root_duality`` (``_root_sides``):
+    (True, None) when the zeta duality holds and the group is not cyclic,
+    (True, True) when the root duality holds too, and None when the
+    records do not decide: a dual the blocks' maps miss, a failed check
+    or no generating root, which the pair checks decide and report."""
+    if not _dual_by_blocks(records, records_t, -1 if nvars % 2 else 1):
+        return None
+    facts = _sum_facts(records)
+    if not facts[0]:
+        return True, None
+    sides = _root_sides(facts, records, records_t, nvars)
+    if sides is None or sides[0] != sides[1]:
+        return None
+    return True, True
 
 
 def milnor_number(f):

@@ -12,18 +12,20 @@ from collections import Counter
 
 import pytest
 
-from saitodual import enumeration
+from saitodual import enumeration, zeta
 from saitodual.enumeration import (MAX_CORPUS_SPECS, Corpus,
                                    CorpusBoundError, _necklaces, atom_specs,
                                    build_polynomial, canonical_matrix_key,
                                    _failure_entry, chain_matrix,
                                    corpus_counts, generate_corpus,
-                                   loop_matrix, run_batch)
+                                   loop_matrix, run_batch,
+                                   verify_polynomial)
 from saitodual.linalg import IntMatrix, determinant
 from saitodual.polynomials import (InvertiblePolynomial, _components,
                                    decompose)
-from saitodual.zeta import (AtomRecords, DualPair, verify_root_duality,
-                            verify_zeta_duality)
+from saitodual.burnside import CyclotomicProduct
+from saitodual.zeta import (AtomRecords, DualPair, _records_verdict,
+                            verify_root_duality, verify_zeta_duality)
 
 from oracles import (brute_necklaces, dedup_corpus, list_combinations,
                      list_corpus)
@@ -449,50 +451,58 @@ class TestRunBatch:
 
     def test_failing_block_fails_every_member_that_holds_it(
             self, monkeypatch):
-        # The batch's record of the chain x^2*y + y^3 is a copy with one
-        # merged coefficient negated, as one block's record is perturbed
-        # in test_zeta's test_failing_check_reports_the_transform.  The
-        # zeta duality fails for exactly the members with that block on
-        # either side, each failure entry is the one their reports give when built
-        # before either check (the cyclicity read off the whole group),
-        # and a pool writes the same bytes.
-        block = chain_matrix((2, 3))
-        (record,) = DualPair(InvertiblePolynomial(block)).records
-        perturbed = copy.copy(record)
-        (rows, c, r, index), *rest = record.merged
-        perturbed.merged = ((rows, -c, r, index), *rest)
-
-        class Perturbed(AtomRecords):
-            def __init__(self, keep_below):
-                super().__init__(keep_below)
-                self[block] = perturbed
-
-        monkeypatch.setattr(enumeration, "AtomRecords", Perturbed)
+        # The batch's record of the chain x^2*y + y^3 (``records``), then
+        # that of its transpose x^2 + x*y^3 (``records_t``), is a copy
+        # with one merged coefficient negated, as one block's record is
+        # perturbed in test_zeta's test_failing_check_reports_the_transform.
+        # The batch reads it through its spec table, as the pair checks
+        # read it through their records.  The zeta duality fails for
+        # exactly the members with that block on either side, each
+        # failure entry is the one their reports give when built before
+        # either check (the cyclicity read off the whole group), and a
+        # pool writes the same bytes.
+        chain = chain_matrix((2, 3))
         corpus, _ = generate_corpus(3, 4, include_sums=True)
-        holders = [f.text() for f in corpus
-                   if block in {b.matrix for e in (f.exponents,
-                                                   f.exponents.transpose())
-                                for b in _components(e)}]
-        serial = run_batch(corpus)
-        assert serial.theorem_fail == len(holders) == 4
-        assert [entry["polynomial"] for entry in serial.failures
-                if entry["kind"] == "theorem"] == holders
-        atoms = Perturbed(corpus.nvars)
-        expected = []
-        for f in corpus:
-            pair = DualPair(f, atoms)
-            for rep in (pair.report, pair.report_t):
-                rep.to_json()
-            checks = [("theorem", verify_zeta_duality(pair))]
-            if pair.group.is_cyclic:
-                checks.append(("corollary", verify_root_duality(pair)))
-            expected += [_failure_entry(f, kind, check)
-                         for kind, check in checks if not check.equal]
-        assert serial.failures == expected
-        in_process_pool(monkeypatch)
-        pooled = run_batch(corpus, workers=2)
-        assert (json.dumps(pooled.to_json())
-                == json.dumps(serial.to_json()))
+        for side in ("records", "records_t"):
+            (record,) = getattr(DualPair(InvertiblePolynomial(chain)), side)
+            block = chain if side == "records" else chain.transpose()
+            perturbed = copy.copy(record)
+            (rows, c, r, index), *rest = record.merged
+            perturbed.merged = ((rows, -c, r, index), *rest)
+
+            class Perturbed(AtomRecords):
+                def __init__(self, keep_below, _block=block,
+                             _record=perturbed):
+                    super().__init__(keep_below)
+                    self[_block] = _record
+
+            monkeypatch.setattr(enumeration, "AtomRecords", Perturbed)
+            holders = [f.text() for f in corpus
+                       if block in {b.matrix
+                                    for e in (f.exponents,
+                                              f.exponents.transpose())
+                                    for b in _components(e)}]
+            serial = run_batch(corpus)
+            assert serial.theorem_fail == len(holders) == 4
+            assert [entry["polynomial"] for entry in serial.failures
+                    if entry["kind"] == "theorem"] == holders
+            atoms = Perturbed(corpus.nvars)
+            expected = []
+            for f in corpus:
+                pair = DualPair(f, atoms)
+                for rep in (pair.report, pair.report_t):
+                    rep.to_json()
+                checks = [("theorem", verify_zeta_duality(pair))]
+                if pair.group.is_cyclic:
+                    checks.append(("corollary", verify_root_duality(pair)))
+                expected += [_failure_entry(f, kind, check)
+                             for kind, check in checks if not check.equal]
+            assert serial.failures == expected
+            in_process_pool(monkeypatch)
+            pooled = run_batch(corpus, workers=2)
+            assert pooled.failures == expected
+            assert (json.dumps(pooled.to_json())
+                    == json.dumps(serial.to_json()))
 
     def test_pool_workers_build_their_own_members(self, monkeypatch):
         # Workers take the corpus when they start and are sent positions:
@@ -510,3 +520,113 @@ class TestRunBatch:
         serial = run_batch(members)
         assert json.dumps(pooled.to_json()) == json.dumps(serial.to_json())
         assert run_batch(members, workers=2).to_json() == serial.to_json()
+
+
+class TestSpecTable:
+    """``run_batch`` over a ``Corpus`` decides each member from its specs'
+    records (``enumeration._spec_records``), with the records-level steps
+    of both checks (``zeta._records_verdict``); it builds a member only
+    when they do not decide it."""
+
+    @pytest.fixture(params=["corpus45", "sample55"])
+    def corpus(self, request, corpus45):
+        if request.param == "corpus45":
+            return corpus45
+        corpus, _ = generate_corpus(5, 5, include_sums=True, sample=300,
+                                    seed=13)
+        return corpus
+
+    def test_spec_verdicts_match_verify_polynomial(self, corpus,
+                                                   monkeypatch):
+        # The verdicts read off the spec table equal those of
+        # ``verify_polynomial`` on each built member, whose records are
+        # made by its own pairs (with an atom cache of their own, so the
+        # two share no record); the batch gives the same bytes over the
+        # corpus, over the list of its members and in a pool.
+        atoms = AtomRecords(corpus.nvars)
+        oracle_atoms = AtomRecords(corpus.nvars)
+        cyclic = 0
+        for i, f in enumerate(corpus):
+            records, records_t, sizes = zip(*(
+                enumeration._spec_records(atoms, spec)
+                for spec in corpus._specs(i)))
+            assert sum(sizes) == f.nvars
+            v = verify_polynomial(f, oracle_atoms)
+            expected = (v.theorem.equal, None if v.corollary is None
+                        else v.corollary.equal)
+            assert _records_verdict(records, records_t, f.nvars) == expected
+            cyclic += v.corollary is not None
+        assert 0 < cyclic < len(corpus)
+        serial = json.dumps(run_batch(corpus).to_json())
+        assert json.dumps(run_batch(list(corpus)).to_json()) == serial
+        in_process_pool(monkeypatch)
+        assert json.dumps(run_batch(corpus, workers=2).to_json()) == serial
+
+    def test_failing_root_duality_falls_back_to_the_pair(self,
+                                                          monkeypatch):
+        # With the classical transform replaced by the identity, the root
+        # duality fails for most cyclic members of the (3,4) sums corpus.
+        # Their records do not decide them, so each is built and checked
+        # by ``verify_polynomial``: the batch's entries are those its
+        # pairs write, serially and pooled.
+        monkeypatch.setattr(zeta, "classical_saito_dual", lambda phi: phi)
+        corpus, _ = generate_corpus(3, 4, include_sums=True)
+        serial = run_batch(corpus)
+        atoms = AtomRecords()
+        expected = []
+        for f in corpus:
+            v = verify_polynomial(f, atoms)
+            assert v.theorem.equal
+            if v.corollary is not None and not v.corollary.equal:
+                expected.append(_failure_entry(f, "corollary", v.corollary))
+        assert serial.theorem_fail == 0
+        assert serial.corollary_fail == len(expected) > 0
+        assert serial.corollary_pass > 0
+        assert serial.failures == expected
+        in_process_pool(monkeypatch)
+        assert (json.dumps(run_batch(corpus, workers=2).to_json())
+                == json.dumps(serial.to_json()))
+
+    def test_passing_batch_builds_no_member(self, monkeypatch):
+        # A passing batch over the (3,4) sums corpus builds no polynomial,
+        # no pair and no validated cyclotomic product: the root duality's
+        # products are built trusted.
+        counts = Counter()
+        real_build = enumeration.build_polynomial
+        monkeypatch.setattr(
+            enumeration, "build_polynomial",
+            lambda *args: counts.update(["build"]) or real_build(*args))
+        for cls, name in ((DualPair, "pair"), (CyclotomicProduct, "product")):
+            init = cls.__init__
+            monkeypatch.setattr(
+                cls, "__init__",
+                lambda self, *args, _init=init, _name=name:
+                counts.update([_name]) or _init(self, *args))
+        corpus, _ = generate_corpus(3, 4, include_sums=True)
+        report = run_batch(corpus)
+        assert report.ok and report.corollary_checked > 0
+        assert counts == {}
+
+    def test_spec_table_keeps_no_spec_of_the_largest_size(self, monkeypatch):
+        # Like the atom records, the spec table keeps the specs smaller
+        # than the batch's largest member: after a (4,5) batch, every
+        # spec on at most 3 variables and none on 4, each with the
+        # records the batch keeps for its block and its transpose.
+        made = []
+
+        class Recorded(AtomRecords):
+            def __init__(self, keep_below=0):
+                super().__init__(keep_below)
+                made.append(self)
+
+        monkeypatch.setattr(enumeration, "AtomRecords", Recorded)
+        corpus, _ = generate_corpus(4, 5, include_sums=True)
+        assert run_batch(corpus).ok
+        (atoms,) = made
+        assert atoms.keep_below == 4
+        assert set(atoms.specs) == {spec for spec in atom_specs(4, 5)
+                                    if len(spec[1]) < 4}
+        for (kind, ps), (record, record_t, nvars) in atoms.specs.items():
+            e = (chain_matrix if kind == "chain" else loop_matrix)(ps)
+            assert nvars == len(ps)
+            assert atoms[e] is record and atoms[e.transpose()] is record_t

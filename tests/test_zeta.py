@@ -29,9 +29,10 @@ from saitodual.polynomials import (InvertiblePolynomial, _blocks_of,
                                    _components, parse_polynomial)
 from saitodual.zeta import (MAX_REPORT_ENTRIES, AtomRecords, DualPair,
                             _closed_count, _complement_subsets,
-                            _contributing_subsets, _subsets_of,
-                            classical_saito_dual, classical_zeta,
-                            equivariant_zeta, milnor_number,
+                            _contributing_subsets, _product_form,
+                            _subsets_of, classical_saito_dual,
+                            classical_zeta, equivariant_zeta,
+                            generating_root_zeta, milnor_number,
                             verify_root_duality, verify_zeta_duality)
 
 from conftest import pair_over, sparse_invertible
@@ -381,6 +382,33 @@ class TestRootDuality:
             verify_root_duality(DualPair(parse_polynomial("x^2 + y^2")))
         assert "2, 2" in str(info.value) or "(2, 2)" in str(info.value)
 
+    def test_trusted_products_match_validated_ones(self, batch45):
+        # The root duality's sides, the classical dual, its inverse and
+        # the classical zeta of each side are built with the trusted
+        # ``CyclotomicProduct._wrap``, which checks no factor index.  On
+        # every cyclic corpus45 member each equals the product the
+        # validating constructor builds from its modulus and factors,
+        # so every index divides its modulus and no exponent is 0.
+        checked = 0
+        for record in batch45.records:
+            if record.corollary is None:
+                continue
+            rep = record.theorem.rhs_report
+            rep_t = record.theorem.lhs_report
+            d = rep.group.order
+            root = generating_root_zeta(rep._records, d)
+            products = [root, classical_saito_dual(root),
+                        classical_saito_dual(root).inverse(),
+                        generating_root_zeta(rep_t._records, d),
+                        record.corollary.lhs, record.corollary.rhs,
+                        _product_form(rep._records)[2],
+                        _product_form(rep_t._records)[2]]
+            for phi in products:
+                assert phi == CyclotomicProduct(phi.modulus, phi.factors)
+                assert 0 not in phi.factors.values()
+            checked += 1
+        assert checked == batch45.corollary_checked == 832
+
 
 def complementary_blocks(polynomials):
     """The complementary blocks E[R', J] of the contributing subsets
@@ -467,12 +495,14 @@ class TestDualPair:
         # A generated polynomial carries its blocks, so none is split.
         assert split == []
         # The root duality is checked in closed form: no root is listed.
-        # Only a single block runs a Smith form, for its record; both
+        # Each spec runs one Smith form, for the presentation of its
+        # block's record, which the batch makes from the spec's block
+        # with no polynomial and so no ``symmetry_group`` call; both
         # checks read the records alone, so no member composes a group,
         # transposes itself, composes weights or builds a zeta report,
         # and only the blocks' presentations are dualized.
         assert counts == {"equivariant_zeta": 0,
-                          "symmetry_group": len(singles),
+                          "symmetry_group": 0,
                           "smith_normal_form": len(singles),
                           "canonical_weights": 0,
                           "geometric_roots": 0,
