@@ -257,6 +257,17 @@ class Corpus(Sequence):
         return self._ranking.size_of(self.ranks[-1]) if self.ranks else 0
 
 
+def _spec_matrix(spec, matrices):
+    """(block matrix, determinant) of ``spec``, from ``matrices`` or
+    built and kept there."""
+    built = matrices.get(spec)
+    if built is None:
+        kind, ps = spec
+        b = (chain_matrix if kind == "chain" else loop_matrix)(ps)
+        built = matrices[spec] = b, determinant(b)
+    return built
+
+
 def build_polynomial(specs, matrices=None):
     """Direct sum of the given blocks, on variables x1..xn, in that order.
     Its blocks (``polynomials._blocks_of``) are set as built, so none is
@@ -273,12 +284,7 @@ def build_polynomial(specs, matrices=None):
     blocks = []
     det = 1
     for kind, ps in specs:
-        spec = kind, tuple(ps)
-        built = matrices.get(spec)
-        if built is None:
-            b = (chain_matrix if kind == "chain" else loop_matrix)(ps)
-            built = matrices[spec] = b, determinant(b)
-        b, block_det = built
+        b, block_det = _spec_matrix((kind, tuple(ps)), matrices)
         det *= block_det
         at = tuple(range(len(rows), len(rows) + b.nrows))
         rows.extend((0,) * at[0] + row + (0,) * (n - 1 - at[-1])
@@ -357,9 +363,10 @@ def verify_polynomial(f, atoms=None):
     batch's ``zeta.AtomRecords``.  Whether the group is cyclic is read off
     the blocks' records (``DualPair._facts``), as both checks read them,
     so a polynomial whose checks pass builds no group of the sum, no
-    transpose and no zeta report.  ``run_batch`` calls it only for a
-    member whose records do not decide it, or whose record it keeps: its
-    reports are those of the failure entries and of the kept records."""
+    transpose and no zeta report.  ``run_batch`` calls it for each listed
+    polynomial, and for a ``Corpus`` member only when its specs' records
+    do not decide it or its record is kept: its reports are those of the
+    failure entries and of the kept records."""
     pair = DualPair(f, atoms)
     theorem = verify_zeta_duality(pair)
     corollary = None
@@ -416,17 +423,17 @@ class BatchReport:
                 "specCount": specs, "corpusSize": size}
 
 
-def _spec_records(atoms, spec):
-    """(record, record_t, nvars) of the block of ``spec``: the records of
-    the block and of its transpose (``zeta._pair_records``), and its
-    size.  Kept in ``atoms.specs`` below ``atoms.keep_below`` variables,
-    as the records are."""
+def _spec_records(atoms, spec, matrices):
+    """(record, record_t, nvars) of the block of ``spec``, whose matrix
+    ``_spec_matrix`` takes from ``matrices``: the records of the block
+    and of its transpose (``zeta._pair_records``), and its size.  Kept in
+    ``atoms.specs`` below ``atoms.keep_below`` variables, as the records
+    are."""
     entry = atoms.specs.get(spec)
     if entry is None:
-        kind, ps = spec
-        e = (chain_matrix if kind == "chain" else loop_matrix)(ps)
-        entry = (*_pair_records(e, atoms), len(ps))
-        if len(ps) < atoms.keep_below:
+        e, _ = _spec_matrix(spec, matrices)
+        entry = (*_pair_records(e, atoms), e.nrows)
+        if e.nrows < atoms.keep_below:
             atoms.specs[spec] = entry
     return entry
 
@@ -435,18 +442,15 @@ def _verify_task(polynomials, keep_record, atoms, i):
     """Verify polynomial ``i``: (theorem equal, corollary equal or None
     when unchecked, failure entries, the record when ``keep_record``).
 
-    Unless its record is kept, the member is first decided on its
-    blocks' records (see ``run_batch``); only one they do not decide is
-    built and run through ``verify_polynomial``."""
-    if not keep_record:
-        if isinstance(polynomials, Corpus):
-            records, records_t, sizes = zip(*(
-                _spec_records(atoms, spec) for spec in polynomials._specs(i)))
-            verdict = _records_verdict(records, records_t, sum(sizes))
-        else:
-            pair = DualPair(polynomials[i], atoms)
-            verdict = _records_verdict(pair.records, pair.records_t,
-                                       pair.f.nvars)
+    Unless its record is kept, a ``Corpus`` member is first decided on
+    its specs' records (see ``run_batch``); any other member, and one
+    they do not decide, is built and run through ``verify_polynomial``."""
+    if not keep_record and isinstance(polynomials, Corpus):
+        matrices = polynomials._ranking.matrices
+        records, records_t, sizes = zip(*(
+            _spec_records(atoms, spec, matrices)
+            for spec in polynomials._specs(i)))
+        verdict = _records_verdict(records, records_t, sum(sizes))
         if verdict is not None:
             return (*verdict, [], None)
     f = polynomials[i]
@@ -494,14 +498,14 @@ def run_batch(polynomials, workers=1, keep_records=False, truncated=False):
     smaller than the largest polynomial, which may be a summand of a
     later one, and, for a ``Corpus``, the records of each such spec's
     block and of its transpose by spec.  Nothing of it outlives the call.
-    Serial and pooled runs share one task (``_verify_task``): a member is
-    decided on its blocks' records alone, a ``Corpus`` member on its
-    specs' with no polynomial built and a listed one on its
-    ``DualPair``'s, by ``zeta._records_verdict``, the records-level steps
-    of both checks.  Only a member they do not decide (a dual the blocks'
-    maps miss, a failed check, no generating root) or whose record
-    ``keep_records`` keeps is built and run through ``verify_polynomial``,
-    so its failure entry or record is what that call gives."""
+    Serial and pooled runs share one task (``_verify_task``): a
+    ``Corpus`` member is decided on its specs' records with no polynomial
+    built, by ``zeta._records_verdict``, the records-level steps of both
+    checks.  A listed polynomial, a member they do not decide (a dual the
+    blocks' maps miss, a failed check, no generating root) and one whose
+    record ``keep_records`` keeps are run through ``verify_polynomial``,
+    whose checks decide on the same steps over its ``DualPair``'s
+    records, so a failure entry or record is what that call gives."""
     if keep_records and workers > 1:
         raise ValueError("keep_records=True needs workers=1")
     report = BatchReport(total=len(polynomials), truncated=truncated,

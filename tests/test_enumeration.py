@@ -548,7 +548,8 @@ class TestSpecTable:
         cyclic = 0
         for i, f in enumerate(corpus):
             records, records_t, sizes = zip(*(
-                enumeration._spec_records(atoms, spec)
+                enumeration._spec_records(atoms, spec,
+                                      corpus._ranking.matrices)
                 for spec in corpus._specs(i)))
             assert sum(sizes) == f.nvars
             v = verify_polynomial(f, oracle_atoms)
@@ -611,7 +612,8 @@ class TestSpecTable:
         # Like the atom records, the spec table keeps the specs smaller
         # than the batch's largest member: after a (4,5) batch, every
         # spec on at most 3 variables and none on 4, each with the
-        # records the batch keeps for its block and its transpose.
+        # records the batch keeps for its block and its transpose, the
+        # block being the corpus's matrix of that spec.
         made = []
 
         class Recorded(AtomRecords):
@@ -626,7 +628,7 @@ class TestSpecTable:
         assert atoms.keep_below == 4
         assert set(atoms.specs) == {spec for spec in atom_specs(4, 5)
                                     if len(spec[1]) < 4}
-        for (kind, ps), (record, record_t, nvars) in atoms.specs.items():
-            e = (chain_matrix if kind == "chain" else loop_matrix)(ps)
-            assert nvars == len(ps)
+        for spec, (record, record_t, nvars) in atoms.specs.items():
+            e, _ = corpus._ranking.matrices[spec]
+            assert nvars == len(spec[1])
             assert atoms[e] is record and atoms[e.transpose()] is record_t
